@@ -208,7 +208,7 @@ func BenchmarkFig11Failure(b *testing.B) {
 	for _, scheme := range []string{"ECMP", "Presto", "DRILL"} {
 		b.Run(scheme, func(b *testing.B) {
 			cfg := tinyFCT(tinyClos, scheme, 0.7)
-			cfg.FailLinks = 1
+			cfg.Topo = experiments.FailedUplinks(cfg.Topo, 1, cfg.Seed)
 			benchRun(b, cfg, meanFCTMetric)
 		})
 	}
@@ -219,7 +219,7 @@ func BenchmarkFig12MultiFailure(b *testing.B) {
 	for _, scheme := range []string{"ECMP", "CONGA", "DRILL"} {
 		b.Run(scheme, func(b *testing.B) {
 			cfg := tinyFCT(tinyClos, scheme, 0.7)
-			cfg.FailLinks = 4
+			cfg.Topo = experiments.FailedUplinks(cfg.Topo, 4, cfg.Seed)
 			benchRun(b, cfg, meanFCTMetric)
 		})
 	}

@@ -100,9 +100,9 @@ func init() {
 				Columns: []string{"scheme", "mean FCT [ms]", "p99.99 [ms]", "core util", "retransmits"}}
 			var cfgs []RunCfg
 			for si, sc := range schemes {
-				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: sc,
-					Seed: o.Seed + int64(si), Load: 0.7, Warmup: w, Measure: m,
-					FailLinks: 1})
+				seed := o.Seed + int64(si)
+				cfgs = append(cfgs, RunCfg{Topo: FailedUplinks(fig6Topo(o.Scale), 1, seed), Scheme: sc,
+					Seed: seed, Load: 0.7, Warmup: w, Measure: m})
 			}
 			results := o.runAll(cfgs, func(i int, res *RunResult) {
 				o.progress("ablasym %s done [%s]", schemes[i].Name, timing(res))

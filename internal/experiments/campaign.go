@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -143,16 +144,7 @@ func (c *Campaign) resolve(t *topo.Topology, seed int64) (map[string][]topo.Link
 			}
 			out[ls.ID] = links
 		case ls.Uplinks > 0:
-			cands := leafFabricLinks(t, -1)
-			rng := sim.New(seed).Stream(0xca4a + int64(si))
-			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-			n := ls.Uplinks
-			if n > len(cands) {
-				n = len(cands)
-			}
-			picked := append([]topo.LinkID(nil), cands[:n]...)
-			sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
-			out[ls.ID] = picked
+			out[ls.ID] = pickUplinks(t, ls.Uplinks, seed, uplinkStream+int64(si))
 		default:
 			if *ls.Leaf < 0 || *ls.Leaf >= len(t.Leaves) {
 				return nil, fmt.Errorf("campaign %q: set %q names leaf %d outside the topology's %d leaves",
@@ -162,6 +154,40 @@ func (c *Campaign) resolve(t *topo.Topology, seed int64) (map[string][]topo.Link
 		}
 	}
 	return out, nil
+}
+
+// uplinkStream is the seed stream of uplink draws: a campaign's set i
+// draws from uplinkStream+i, so a one-set campaign and a fabric that
+// starts degraded (FailedUplinks) draw the same links for one seed.
+const uplinkStream = 0xfa11
+
+// pickUplinks draws n distinct leaf↔fabric links of t (all of them when n
+// exceeds the count) from the given random stream of seed, returned in
+// link-ID order. It is the one seeded uplink picker.
+func pickUplinks(t *topo.Topology, n int, seed, stream int64) []topo.LinkID {
+	cands := leafFabricLinks(t, -1)
+	rng := sim.New(seed).Stream(stream)
+	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	picked := cands[:min(n, len(cands))]
+	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
+	return picked
+}
+
+// FailedUplinks wraps a topology builder so the fabric starts degraded:
+// n seeded leaf uplinks are down before the network is built (the failed
+// fabrics of Fig. 11b/c and Fig. 12). The draw is the one an
+// UplinkFailure campaign makes for the same seed.
+func FailedUplinks(build func() *topo.Topology, n int, seed int64) func() *topo.Topology {
+	if n == 0 {
+		return build
+	}
+	return func() *topo.Topology {
+		t := build()
+		for _, id := range pickUplinks(t, n, seed, uplinkStream) {
+			t.FailLink(id)
+		}
+		return t
+	}
 }
 
 // leafFabricLinks lists leaf↔fabric links — of one leaf (by index into
@@ -198,7 +224,9 @@ func (c *Campaign) Install(s *sim.Sim, net *fabric.Network, t *topo.Topology, se
 	}
 	for i := range c.Timeline {
 		a := c.Timeline[i]
-		at := units.Time(a.AtUs * float64(units.Microsecond))
+		// Rounded, so a nanosecond time stored as float µs (UplinkFailure)
+		// comes back exact.
+		at := units.Time(math.Round(a.AtUs * float64(units.Microsecond)))
 		if at == 0 {
 			at = units.Time(a.AtFrac * float64(window))
 		}
@@ -294,6 +322,49 @@ func RollingDrain(n int) *Campaign {
 		)
 	}
 	return c
+}
+
+// UplinkFailure fails n seeded leaf uplinks at sim time at: the single
+// mid-run failure of §4's ideal-DRILL comparison. instant skips the
+// RouteDelay reconvergence lag.
+func UplinkFailure(n int, at units.Time, instant bool) *Campaign {
+	return &Campaign{
+		Name: "uplinkfail",
+		Sets: []LinkSet{{ID: "uplinks", Uplinks: n}},
+		Timeline: []CampaignAction{{AtUs: float64(at) / float64(units.Microsecond),
+			Op: "fail", Set: "uplinks", Instant: instant}},
+	}
+}
+
+// mergeCampaigns returns a campaign running both schedules. base's sets
+// come first, so its seeded draws are unchanged; an extra set whose ID
+// base already uses is renamed with extra's name as prefix.
+func mergeCampaigns(base, extra *Campaign) *Campaign {
+	m := &Campaign{
+		Name:     base.Name + "+" + extra.Name,
+		Sets:     append([]LinkSet(nil), base.Sets...),
+		Timeline: append([]CampaignAction(nil), base.Timeline...),
+	}
+	used := map[string]bool{}
+	for _, ls := range base.Sets {
+		used[ls.ID] = true
+	}
+	renamed := map[string]string{}
+	for _, ls := range extra.Sets {
+		id := ls.ID
+		for used[id] {
+			id = extra.Name + "." + id
+		}
+		used[id] = true
+		renamed[ls.ID] = id
+		ls.ID = id
+		m.Sets = append(m.Sets, ls)
+	}
+	for _, a := range extra.Timeline {
+		a.Set = renamed[a.Set]
+		m.Timeline = append(m.Timeline, a)
+	}
+	return m
 }
 
 // sortTimeline orders actions by time, preserving declaration order among

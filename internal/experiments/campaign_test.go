@@ -196,3 +196,43 @@ func TestCampaignRunMatchesManualSchedule(t *testing.T) {
 			[5]int64{b.Delivered, b.Drops, b.Sent, int64(b.Epochs), int64(b.FCT.Count())})
 	}
 }
+
+// TestCampaignOptionMergesWithCellCampaign: -campaign on a sweep whose
+// cells carry their own failure campaign runs both schedules, without
+// moving the cell's seeded draw.
+func TestCampaignOptionMergesWithCellCampaign(t *testing.T) {
+	own, user := UplinkFailure(2, 60*units.Microsecond, false), FlapStorm(1, 2)
+	merged := mergeCampaigns(own, user)
+	if err := merged.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sets, err := merged.resolve(campaignTopo(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cell's draw is the one a fabric that starts degraded makes.
+	var down []topo.LinkID
+	for _, l := range FailedUplinks(campaignTopo, 2, 5)().Links {
+		if !l.Up {
+			down = append(down, l.ID)
+		}
+	}
+	if !reflect.DeepEqual(sets["uplinks"], down) {
+		t.Errorf("merged campaign drew %v for the cell's set, the degraded fabric %v", sets["uplinks"], down)
+	}
+	if twice := mergeCampaigns(user, user); twice.Validate() != nil || len(twice.Sets) != 2 {
+		t.Errorf("merging a campaign with itself gave sets %+v", twice.Sets)
+	}
+
+	cell := RunCfg{
+		Topo: campaignTopo, Scheme: mustScheme("DRILL"), Seed: 5, Load: 0.5,
+		Warmup: 50 * units.Microsecond, Measure: 200 * units.Microsecond,
+		RouteDelay: 20 * units.Microsecond, Campaign: own,
+	}
+	alone := Run(cell)
+	o := Options{Workers: 1, Campaign: user}
+	both := o.runAll([]RunCfg{cell}, nil)[0]
+	if both.Epochs <= alone.Epochs || both.Prov.ConfigHash == alone.Prov.ConfigHash {
+		t.Errorf("-campaign was dropped: epochs %d with it, %d without", both.Epochs, alone.Epochs)
+	}
+}

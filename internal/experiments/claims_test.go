@@ -135,9 +135,9 @@ func TestClaimQuiverNotWorseUnderFailure(t *testing.T) {
 	naiveScheme := Scheme{Name: "naive", New: func() fabricBalancer { return lbNewDRILL() }}
 	var naive, quiver *RunResult
 	for s := 0; s < 3; s++ {
-		cfgN := RunCfg{Topo: fig6Topo(0), Scheme: naiveScheme, Seed: int64(s + 1),
-			Load: 0.7, Warmup: 200 * units.Microsecond,
-			Measure: 1500 * units.Microsecond, FailLinks: 1}
+		cfgN := RunCfg{Topo: FailedUplinks(fig6Topo(0), 1, int64(s+1)), Scheme: naiveScheme,
+			Seed: int64(s + 1), Load: 0.7, Warmup: 200 * units.Microsecond,
+			Measure: 1500 * units.Microsecond}
 		cfgQ := cfgN
 		cfgQ.Scheme = mustScheme("DRILL w/o shim")
 		rn, rq := Run(cfgN), Run(cfgQ)

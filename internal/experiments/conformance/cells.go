@@ -20,8 +20,7 @@ func confTopo() *topo.Topology {
 // drop-heavy cell and a mid-run link-failure cell, so the compared paths
 // include overflow drops, retransmissions, dead-link drains, and
 // reconvergence — every code path a shard boundary could reorder, not just
-// happy-path delivery. Mirrors the grid the sequential determinism tests
-// pin, rebuilt here on exported topology constructors.
+// happy-path delivery. Ends with ReconfigCells.
 func Cells() []experiments.RunCfg {
 	var cells []experiments.RunCfg
 	for si, name := range []string{"ECMP", "DRILL", "Random"} {
@@ -44,9 +43,9 @@ func Cells() []experiments.RunCfg {
 	fail, _ := experiments.SchemeByName("DRILL")
 	cells = append(cells, experiments.RunCfg{
 		Topo: confTopo, Scheme: fail, Seed: 12, Load: 0.5,
-		FailLinks: 1, FailAt: 200 * units.Microsecond,
-		Warmup:  100 * units.Microsecond,
-		Measure: 400 * units.Microsecond,
+		Campaign: experiments.UplinkFailure(1, 200*units.Microsecond, false),
+		Warmup:   100 * units.Microsecond,
+		Measure:  400 * units.Microsecond,
 	})
 	cells = append(cells, ReconfigCells()...)
 	return cells

@@ -1,11 +1,13 @@
-// Package conformance proves engine variants of the simulator equivalent:
-// it reduces a run's every externally observable result — delivery, drop,
-// and reordering totals, the full FCT distributions, per-hop telemetry,
-// trace counts, and obs snapshots — to a deterministic fingerprint string,
-// and diffs fingerprints across engines. The sharded parallel engine
-// (RunCfg.Shards) is held byte-identical to the sequential engine at every
-// shard count by the tests in this package and by the nightly
-// FuzzShardedVsSequential.
+// Package conformance proves settings of the simulator that must not
+// change its output really don't: it reduces a run's every externally
+// observable result — delivery, drop, and reordering totals, the full FCT
+// distributions, per-hop telemetry — to a deterministic fingerprint
+// string, with companion renderings of trace counts and obs snapshots.
+// TestInvarianceMatrix and the tests beside it hold each conformance
+// cell's plain sequential run fingerprint-identical to the sharded engine
+// at every shard count, unpooled packets, metrics, engine telemetry and
+// sampler tracing (package experiments' TestSchedulerIsByteIdentical adds
+// the legacy scheduler); FuzzShardedVsSequential randomizes the fabric.
 //
 // Fingerprints deliberately contain no insertion-order float sums: a
 // sharded run folds per-shard sample sets in shard-ID order, so a multiset
@@ -25,21 +27,7 @@ import (
 	"drill/internal/metrics"
 	"drill/internal/obs"
 	"drill/internal/trace"
-	"drill/internal/units"
 )
-
-// Options selects the instrumentation attached to every engine variant of
-// a diffed cell, so the comparison covers the observation planes too.
-type Options struct {
-	// Trace attaches a counting tracer restricted to the sampler kinds
-	// (the only kinds a sharded run may enable) plus a 20µs trace sampler,
-	// and appends per-kind event counts to the fingerprint.
-	Trace bool
-	// Obs attaches a metrics registry with a 50µs snapshotter and appends
-	// the final snapshot (scrubbed of order-dependent histogram sums) to
-	// the fingerprint.
-	Obs bool
-}
 
 // Fingerprint renders the engine-invariant results of a finished run.
 func Fingerprint(res *experiments.RunResult) string {
@@ -120,54 +108,4 @@ func ObsLines(s *obs.Snapshot) string {
 		fmt.Fprintf(&b, "%s{%s} %g\n", p.Name, p.Labels, p.Value)
 	}
 	return b.String()
-}
-
-// FingerprintCfg executes one engine variant of cfg with opt's
-// instrumentation freshly attached and returns its full fingerprint.
-func FingerprintCfg(cfg experiments.RunCfg, opt Options) string {
-	var tr *trace.Tracer
-	if opt.Trace {
-		tr = trace.New(nil, trace.WithKinds(trace.QueueSample, trace.PortUtil))
-		cfg.Tracer = tr
-		cfg.TraceSample = 20 * units.Microsecond
-	}
-	var reg *obs.Registry
-	if opt.Obs {
-		reg = obs.NewRegistry(8)
-		cfg.Obs = reg
-		cfg.ObsScope = `conf="cell"`
-		cfg.ObsSample = 50 * units.Microsecond
-	}
-	fp := Fingerprint(experiments.Run(cfg))
-	if tr != nil {
-		fp += TraceLine(tr)
-	}
-	if reg != nil {
-		fp += ObsLines(reg.Latest())
-	}
-	return fp
-}
-
-// Diff runs cfg on the sequential engine and on the sharded engine at each
-// of shardCounts, and returns one report per diverging variant (empty
-// means every variant was byte-identical). cfg.Shards is overridden per
-// variant; instrumentation objects must not be pre-attached to cfg — pass
-// them through opt so every variant gets a fresh set.
-func Diff(cfg experiments.RunCfg, shardCounts []int, opt Options) []string {
-	if cfg.Tracer != nil || cfg.Obs != nil {
-		panic("conformance: attach instrumentation via Options, not RunCfg")
-	}
-	seq := cfg
-	seq.Shards = 0
-	want := FingerprintCfg(seq, opt)
-	var diffs []string
-	for _, n := range shardCounts {
-		v := cfg
-		v.Shards = n
-		if got := FingerprintCfg(v, opt); got != want {
-			diffs = append(diffs, fmt.Sprintf("shards=%d diverges from sequential:\n--- sequential\n%s--- shards=%d\n%s",
-				n, want, n, got))
-		}
-	}
-	return diffs
 }

@@ -2,11 +2,17 @@ package conformance
 
 import (
 	"flag"
+	"fmt"
+	"hash/fnv"
+	"regexp"
+	"strconv"
+	"sync"
 	"testing"
 
 	"drill/internal/experiments"
 	"drill/internal/obs"
 	"drill/internal/topo"
+	"drill/internal/trace"
 	"drill/internal/units"
 )
 
@@ -28,149 +34,366 @@ func counts() []int {
 	return shardCounts
 }
 
-// TestShardedMatchesSequential is the issue's headline proof: every
-// conformance cell, at every shard count, fingerprint-identical to the
-// sequential engine.
-func TestShardedMatchesSequential(t *testing.T) {
-	for i, cfg := range Cells() {
-		for _, d := range Diff(cfg, counts(), Options{}) {
-			t.Errorf("cell %d (%s seed=%d): %s", i, cfg.Scheme.Name, cfg.Seed, d)
+// engineCounts are the engines the instrumented setting runs on: sequential
+// (0) plus every shard count, cut to shards=2 under -short, where the race
+// detector slows each instrumented run most; the full-length determinism
+// legs cover the other counts.
+func engineCounts() []int {
+	if testing.Short() && *shardOverride == 0 {
+		return []int{0, 2}
+	}
+	return append([]int{0}, counts()...)
+}
+
+// obsScope labels every observed run's series.
+const obsScope = `conf="cell"`
+
+// variant is one executed setting of a cell, with whatever
+// instrumentation it carried.
+type variant struct {
+	res      *experiments.RunResult
+	tr       *trace.Tracer // sampler-kind tracer, when traced
+	traceSum uint64        // FNV-64a of the traced event stream as CSV
+	reg      *obs.Registry // metrics registry, when observed
+}
+
+// runWith executes cfg with freshly attached instrumentation: traced adds
+// a tracer restricted to the sampler kinds (the only kinds a sharded run
+// may enable) plus a 20µs trace sampler; observed adds a metrics registry
+// with a 50µs snapshotter.
+func runWith(cfg experiments.RunCfg, traced, observed bool) *variant {
+	v := &variant{}
+	h := fnv.New64a()
+	var csv *trace.CSVSink
+	if traced {
+		csv = trace.NewCSV(h)
+		v.tr = trace.New(csv, trace.WithKinds(trace.QueueSample, trace.PortUtil))
+		cfg.Tracer, cfg.TraceSample = v.tr, 20*units.Microsecond
+	}
+	if observed {
+		v.reg = obs.NewRegistry(8)
+		cfg.Obs, cfg.ObsScope, cfg.ObsSample = v.reg, obsScope, 50*units.Microsecond
+	}
+	v.res = experiments.Run(cfg)
+	if csv != nil {
+		if err := csv.Close(); err != nil {
+			panic(err)
+		}
+		v.traceSum = h.Sum64()
+	}
+	return v
+}
+
+// cell is one row of the matrix. It memoizes the runs other settings are
+// compared against — the plain sequential reference, the traced run and
+// the observed run — and its instrumented run on each engine, so each
+// (cell, setting) pair runs once whichever of the matrix's tests -run
+// selects.
+type cell struct {
+	name                  string
+	cfg                   experiments.RunCfg
+	reconfig              bool // one of ReconfigCells
+	ref, traced, observed *variant
+	engine                map[int]*variant
+}
+
+// matrix is the rows of the invariance matrix, one per cell of Cells(),
+// shared by every test of this file.
+var matrix = sync.OnceValue(func() []*cell {
+	all := Cells()
+	firstReconfig := len(all) - len(ReconfigCells())
+	var cells []*cell
+	for i, cfg := range all {
+		name := fmt.Sprintf("cell %d (%s seed=%d)", i, cfg.Scheme.Name, cfg.Seed)
+		if cfg.Campaign != nil {
+			name += " campaign=" + cfg.Campaign.Name
+		}
+		cells = append(cells, &cell{name: name, cfg: cfg, reconfig: i >= firstReconfig, engine: map[int]*variant{}})
+	}
+	return cells
+})
+
+func (c *cell) reference() *variant {
+	if c.ref == nil {
+		c.ref = runWith(c.cfg, false, false)
+	}
+	return c.ref
+}
+
+func (c *cell) tracedRun() *variant {
+	if c.traced == nil {
+		c.traced = runWith(c.cfg, true, false)
+	}
+	return c.traced
+}
+
+func (c *cell) observedRun() *variant {
+	if c.observed == nil {
+		c.observed = runWith(c.cfg, false, true)
+	}
+	return c.observed
+}
+
+// engineRun is c on n shards (0 = sequential) with metrics, engine
+// telemetry and sampler tracing attached.
+func (c *cell) engineRun(n int) *variant {
+	v, ok := c.engine[n]
+	if !ok {
+		cfg := c.cfg
+		cfg.Shards, cfg.EngineObs = n, true
+		v = runWith(cfg, true, true)
+		c.engine[n] = v
+	}
+	return v
+}
+
+// forEngines calls check on every cell's instrumented run on each engine
+// of engineCounts, one subtest per engine.
+func forEngines(t *testing.T, check func(t *testing.T, c *cell, n int, v *variant)) {
+	for _, n := range engineCounts() {
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			for _, c := range matrix() {
+				check(t, c, n, c.engineRun(n))
+			}
+		})
+	}
+}
+
+// same fails t unless v's results are byte-identical to the reference's.
+func (c *cell) same(t *testing.T, setting string, v *variant) {
+	t.Helper()
+	if want, got := Fingerprint(c.reference().res), Fingerprint(v.res); got != want {
+		t.Errorf("%s: %s changed the results:\n--- reference\n%s--- %s\n%s",
+			c.name, setting, want, setting, got)
+	}
+}
+
+// engineFamilies matches the engine observatory's series, which are
+// engine-shaped by design (that is why RunCfg.EngineObs is opt-in).
+var engineFamilies = regexp.MustCompile(`(?m)^drill_(shard|window|sched)_.*\n`)
+
+// findPoint returns the value of a scalar series in a snapshot, or -1.
+func findPoint(s *obs.Snapshot, name, labels string) float64 {
+	for i := range s.Points {
+		if s.Points[i].Name == name && s.Points[i].Labels == labels {
+			return s.Points[i].Value
 		}
 	}
+	return -1
 }
 
-// TestShardedTracedCellMatches proves the sharded engine with the qtrace
-// instrumentation attached (sampler-kind tracer + periodic trace sampler)
-// accepts the same event stream: per-kind counts identical across engines,
-// and the result bytes untouched by tracing.
-func TestShardedTracedCellMatches(t *testing.T) {
-	cfg := Cells()[1] // ECMP seed 2: moderate load, no failures
-	for _, d := range Diff(cfg, counts(), Options{Trace: true}) {
-		t.Error(d)
+// sumPoints sums every series of a family across its label sets and
+// reports how many series it found.
+func sumPoints(s *obs.Snapshot, name string) (sum float64, series int) {
+	for i := range s.Points {
+		if s.Points[i].Name == name {
+			sum += s.Points[i].Value
+			series++
+		}
 	}
+	return sum, series
 }
 
-// TestShardedObsCellMatches proves the metrics stack — instrument emission
-// from inside shard context plus the global snapshotter — changes nothing
-// and snapshots identically under every engine.
+// TestInvarianceMatrix is the one invariance harness. Every cell of
+// Cells() — the scheme × seed sweep, a drop-heavy cell, a mid-run uplink
+// failure, and the fail → restore reconfiguration campaigns — runs its
+// plain sequential reference once, and every setting that must not change
+// the output is held fingerprint-identical to it:
+//
+//   - Shards/N: the sharded engine at N shards (-shards narrows N);
+//   - DisablePool: fresh packet allocation, which must bypass the pool
+//     while the reference gets real reuse out of it;
+//   - Obs: the metrics stack, whose counters must match the RunResult;
+//   - Trace: the sampler tracer, which must record samples.
+//
+// The instrumented setting — metrics, engine telemetry and sampler tracing
+// together, on each engine of engineCounts — runs once per (cell, engine)
+// and is checked by the tests below it: TestEngineTelemetryIsByteIdentical
+// (fingerprint and shard gauges), TestShardedObsCellMatches and
+// TestShardedTracedCellMatches (obs lines and trace stream across
+// engines), TestShardedLossyAndFailureCells and
+// TestShardedReconfigurationCells (the adversarial paths stay live on
+// every engine). The LegacyScheduler setting is held to the same cells by
+// TestSchedulerIsByteIdentical in package experiments.
+func TestInvarianceMatrix(t *testing.T) {
+	cells := matrix()
+
+	t.Run("Shards", func(t *testing.T) {
+		for _, n := range counts() {
+			t.Run(strconv.Itoa(n), func(t *testing.T) {
+				for _, c := range cells {
+					cfg := c.cfg
+					cfg.Shards = n
+					c.same(t, fmt.Sprintf("shards=%d", n), runWith(cfg, false, false))
+				}
+			})
+		}
+	})
+
+	t.Run("DisablePool", func(t *testing.T) {
+		for _, c := range cells {
+			cfg := c.cfg
+			cfg.DisablePool = true
+			v := runWith(cfg, false, false)
+			ref := c.reference().res
+			if v.res.PacketGets != 0 || v.res.PacketAllocs != 0 {
+				t.Errorf("%s: DisablePool run touched the pool (gets=%d allocs=%d)",
+					c.name, v.res.PacketGets, v.res.PacketAllocs)
+			}
+			if ref.PacketGets == 0 || ref.PacketAllocs >= ref.PacketGets {
+				t.Errorf("%s: pooling avoided nothing (allocs=%d gets=%d)",
+					c.name, ref.PacketAllocs, ref.PacketGets)
+			}
+			// Pool traffic is the one fingerprinted count the knob owns.
+			v.res.PacketGets = ref.PacketGets
+			c.same(t, "DisablePool", v)
+		}
+	})
+
+	t.Run("Obs", func(t *testing.T) {
+		for _, c := range cells {
+			v := c.observedRun()
+			c.same(t, "Obs", v)
+			// A stack that is byte-identical because it is dead proves
+			// nothing: the counters must have observed the run.
+			last := v.reg.Latest()
+			if last == nil {
+				t.Errorf("%s: snapshotter never published", c.name)
+				continue
+			}
+			if delivered := findPoint(last, "drill_fabric_delivered_total", obsScope); delivered <= 0 {
+				t.Errorf("%s: delivered counter = %v, want > 0", c.name, delivered)
+			}
+			if drops, _ := sumPoints(last, "drill_fabric_drops_total"); int64(drops) != v.res.Drops {
+				t.Errorf("%s: fabric drop counters sum to %v, RunResult says %d", c.name, drops, v.res.Drops)
+			}
+			if retx := findPoint(last, "drill_transport_retransmits_total", obsScope); int64(retx) != v.res.Retransmits {
+				t.Errorf("%s: retransmit counter = %v, RunResult says %d", c.name, retx, v.res.Retransmits)
+			}
+			if ooo := findPoint(last, "drill_transport_out_of_order_total", obsScope); int64(ooo) != v.res.OutOfOrder {
+				t.Errorf("%s: out-of-order counter = %v, RunResult says %d", c.name, ooo, v.res.OutOfOrder)
+			}
+		}
+	})
+
+	t.Run("Trace", func(t *testing.T) {
+		for _, c := range cells {
+			v := c.tracedRun()
+			c.same(t, "Trace", v)
+			if v.tr.Count(trace.QueueSample) == 0 || v.tr.Count(trace.PortUtil) == 0 {
+				t.Errorf("%s: sampler recorded nothing: %s", c.name, TraceLine(v.tr))
+			}
+		}
+	})
+}
+
+// TestEngineTelemetryIsByteIdentical is the engine observatory's
+// observe-never-steer proof: metrics, engine telemetry and sampler tracing
+// together may not change a single result byte on any engine, and the
+// telemetry must be live — every shard's events gauge registered and their
+// sum equal to the engine report's shard total.
+func TestEngineTelemetryIsByteIdentical(t *testing.T) {
+	forEngines(t, func(t *testing.T, c *cell, n int, v *variant) {
+		setting := fmt.Sprintf("EngineObs at shards=%d", n)
+		c.same(t, setting, v)
+		last := v.reg.Latest()
+		if last == nil {
+			t.Errorf("%s: %s: snapshotter never published", c.name, setting)
+			return
+		}
+		events, series := sumPoints(last, "drill_shard_events_total")
+		if n == 0 {
+			if series != 0 {
+				t.Errorf("%s: sequential run has %d drill_shard_events_total series, want none", c.name, series)
+			}
+			return
+		}
+		rep := v.res.EngineRep
+		if rep == nil || len(rep.Shards) == 0 {
+			t.Errorf("%s: %s: no engine report", c.name, setting)
+			return
+		}
+		// Partitioning clamps to the leaf count, so expect the effective
+		// shard count the engine actually ran.
+		if series != len(rep.Shards) {
+			t.Errorf("%s: %s: %d drill_shard_events_total series, want %d", c.name, setting, series, len(rep.Shards))
+		}
+		// The gauges exclude the global scheduler's events, so the
+		// reference is the report's shard total, which must stay within the
+		// run's own.
+		if uint64(events) != rep.TotalEvents() {
+			t.Errorf("%s: %s: shard events gauges sum to %v, report says %d", c.name, setting, events, rep.TotalEvents())
+		}
+		if rep.TotalEvents() == 0 || rep.TotalEvents() > v.res.Events {
+			t.Errorf("%s: %s: shard event total %d vs run events %d", c.name, setting, rep.TotalEvents(), v.res.Events)
+		}
+	})
+}
+
+// TestShardedObsCellMatches holds the metrics stack — instrument emission
+// from inside shard context plus the global snapshotter — to the same
+// snapshot on every engine: the default families of each instrumented run
+// must equal the Obs setting's on the sequential engine. The engine
+// families are engine-shaped by design and left out.
 func TestShardedObsCellMatches(t *testing.T) {
-	cfg := Cells()[3] // DRILL seed 102
-	for _, d := range Diff(cfg, counts(), Options{Obs: true}) {
-		t.Error(d)
-	}
+	forEngines(t, func(t *testing.T, c *cell, n int, v *variant) {
+		last := v.reg.Latest()
+		if last == nil {
+			t.Errorf("%s: shards=%d: snapshotter never published", c.name, n)
+			return
+		}
+		if got, want := engineFamilies.ReplaceAllString(ObsLines(last), ""), ObsLines(c.observedRun().reg.Latest()); got != want {
+			t.Errorf("%s: shards=%d: obs lines differ from the sequential run's:\n--- sequential\n%s--- shards=%d\n%s",
+				c.name, n, want, n, got)
+		}
+	})
 }
 
-// TestShardedLossyAndFailureCells re-runs the adversarial cells — overflow
-// drops, mid-run failures — with full instrumentation, since drops and
-// reconvergence cross the paths a barrier bug would corrupt first.
-// Selection is by shape, not position, so growing Cells() can't silently
-// rotate which cells this covers.
+// TestShardedTracedCellMatches holds the sampler tracer to the same event
+// stream on every engine: each instrumented run's trace must equal the
+// Trace setting's on the sequential engine, sample for sample.
+func TestShardedTracedCellMatches(t *testing.T) {
+	forEngines(t, func(t *testing.T, c *cell, n int, v *variant) {
+		if want := c.tracedRun(); v.traceSum != want.traceSum {
+			t.Errorf("%s: shards=%d: trace stream differs from the sequential run's:\n%s%s",
+				c.name, n, TraceLine(want.tr), TraceLine(v.tr))
+		}
+	})
+}
+
+// TestShardedLossyAndFailureCells keeps the adversarial cells adversarial:
+// drops and reconvergence cross the paths a barrier bug would corrupt
+// first, so the drop-heavy and mid-run failure cells must drop packets on
+// every engine. Selection is by shape, not position, so growing Cells()
+// can't silently rotate which cells this covers.
 func TestShardedLossyAndFailureCells(t *testing.T) {
 	ran := 0
-	for _, cfg := range Cells() {
-		if cfg.QueueCap == 0 && cfg.FailLinks == 0 {
-			continue
-		}
-		ran++
-		for _, d := range Diff(cfg, counts(), Options{Trace: true, Obs: true}) {
-			t.Errorf("%s seed=%d: %s", cfg.Scheme.Name, cfg.Seed, d)
+	for _, c := range matrix() {
+		if !c.reconfig && (c.cfg.QueueCap != 0 || c.cfg.Campaign != nil) {
+			ran++
 		}
 	}
 	if ran < 2 {
 		t.Fatalf("expected at least 2 adversarial cells, found %d", ran)
 	}
+	forEngines(t, func(t *testing.T, c *cell, n int, v *variant) {
+		if !c.reconfig && (c.cfg.QueueCap != 0 || c.cfg.Campaign != nil) && v.res.Drops == 0 {
+			t.Errorf("%s: shards=%d: adversarial cell dropped nothing", c.name, n)
+		}
+	})
 }
 
-// TestShardedReconfigurationCells is the epoch-swap proof the acceptance
-// criteria name: a scripted mid-run fail → restore campaign — each action
-// an epoch swap with table (and, for DRILL, Quiver) recomputation — is
-// byte-identical between the sequential and sharded engines at every
-// shard count, with full instrumentation attached.
+// TestShardedReconfigurationCells keeps the epoch-swap proof live: each
+// reconfiguration campaign must apply its fail and restore reconvergences
+// inside the run on every engine, so the matrix compares real epoch swaps
+// — link vector, forwarding tables, Quiver — landing at a barrier.
 func TestShardedReconfigurationCells(t *testing.T) {
-	for i, cfg := range ReconfigCells() {
-		for _, d := range Diff(cfg, counts(), Options{Trace: true, Obs: true}) {
-			t.Errorf("reconfig cell %d (%s seed=%d campaign=%s): %s",
-				i, cfg.Scheme.Name, cfg.Seed, cfg.Campaign.Name, d)
+	forEngines(t, func(t *testing.T, c *cell, n int, v *variant) {
+		if c.reconfig && v.res.Epochs < 3 {
+			t.Errorf("%s: shards=%d: applied %d epochs, want ≥3 (construction + fail + restore reconvergences)",
+				c.name, n, v.res.Epochs)
 		}
-	}
-}
-
-// TestEngineTelemetryIsByteIdentical is the engine observatory's
-// observe-never-steer proof: turning on EngineObs — per-shard window
-// counters folded at barriers, the exchange matrix, scheduler internals,
-// pprof-label bookkeeping, the engine report — may not change a single
-// result byte, on the sequential engine and at every shard count, across
-// every conformance cell including the reconfiguration campaigns. Only
-// the result fingerprint is compared (not ObsLines): the drill_shard_* /
-// drill_sched_* series sets are engine-shaped by design, which is exactly
-// why EngineObs is opt-in.
-func TestEngineTelemetryIsByteIdentical(t *testing.T) {
-	cells := append(Cells(), ReconfigCells()...)
-	engineCounts := append([]int{0}, counts()...)
-	if testing.Short() {
-		cells = cells[:2]
-		engineCounts = []int{0, 2}
-	}
-	for i, cfg := range cells {
-		for _, n := range engineCounts {
-			v := cfg
-			v.Shards = n
-			plain := Fingerprint(experiments.Run(v))
-
-			instr := v
-			instr.Obs = obs.NewRegistry(8)
-			instr.ObsScope = `conf="engine"`
-			instr.ObsSample = 50 * units.Microsecond
-			instr.EngineObs = true
-			res := experiments.Run(instr)
-			if got := Fingerprint(res); got != plain {
-				t.Errorf("cell %d (%s seed=%d) shards=%d: engine telemetry changed the results:\n--- off\n%s--- on\n%s",
-					i, cfg.Scheme.Name, cfg.Seed, n, plain, got)
-			}
-
-			// The telemetry must be live, not byte-identical-because-dead:
-			// every shard's events gauge registered and their sum equal to
-			// the run's own event count.
-			last := instr.Obs.Latest()
-			if last == nil {
-				t.Fatalf("cell %d shards=%d: snapshotter never published", i, n)
-			}
-			shardLabels := map[string]bool{}
-			var events float64
-			for j := range last.Points {
-				if last.Points[j].Name == "drill_shard_events_total" {
-					shardLabels[last.Points[j].Labels] = true
-					events += last.Points[j].Value
-				}
-			}
-			if n == 0 {
-				if len(shardLabels) != 0 {
-					t.Errorf("cell %d sequential: %d drill_shard_events_total series, want none", i, len(shardLabels))
-				}
-			} else {
-				// Partitioning clamps to the domain count, so expect the
-				// effective shard count the engine actually ran.
-				if res.EngineRep == nil || len(res.EngineRep.Shards) == 0 {
-					t.Fatalf("cell %d shards=%d: no engine report", i, n)
-				}
-				if want := len(res.EngineRep.Shards); len(shardLabels) != want {
-					t.Errorf("cell %d shards=%d: %d drill_shard_events_total series, want %d",
-						i, n, len(shardLabels), want)
-				}
-				// The gauges exclude the global scheduler's events, so the
-				// reference is the report's shard total, which in turn must
-				// stay within the run's full event count.
-				if want := res.EngineRep.TotalEvents(); uint64(events) != want {
-					t.Errorf("cell %d shards=%d: shard events gauges sum to %v, report says %d",
-						i, n, events, want)
-				}
-				if res.EngineRep.TotalEvents() == 0 || res.EngineRep.TotalEvents() > res.Events {
-					t.Errorf("cell %d shards=%d: shard event total %d vs run events %d",
-						i, n, res.EngineRep.TotalEvents(), res.Events)
-				}
-			}
-		}
-	}
+	})
 }
 
 // FuzzShardedVsSequential randomizes topology size, seed, load, and shard
@@ -200,9 +423,11 @@ func FuzzShardedVsSequential(f *testing.F) {
 			Warmup:  50 * units.Microsecond,
 			Measure: 200 * units.Microsecond,
 		}
-		for _, d := range Diff(cfg, []int{nsh}, Options{}) {
-			t.Errorf("spines=%d leaves=%d hosts=%d seed=%d load=%.2f: %s",
-				sp, lv, hp, seed, load, d)
+		want := Fingerprint(experiments.Run(cfg))
+		cfg.Shards = nsh
+		if got := Fingerprint(experiments.Run(cfg)); got != want {
+			t.Errorf("spines=%d leaves=%d hosts=%d seed=%d load=%.2f: shards=%d diverges from sequential:\n--- sequential\n%s--- shards=%d\n%s",
+				sp, lv, hp, seed, load, nsh, want, nsh, got)
 		}
 	})
 }

@@ -52,8 +52,8 @@ type Options struct {
 	Shards int
 
 	// Campaign, when non-nil, installs this scripted fail/restore timeline
-	// into every sweep cell that doesn't already carry one (see
-	// campaign.go and RunCfg.Campaign).
+	// into every sweep cell (see campaign.go and RunCfg.Campaign). A cell
+	// that carries its own campaign runs both, its own sets first.
 	Campaign *Campaign
 
 	// TraceSink, when non-nil, streams every run's packet-lifecycle events
@@ -157,6 +157,8 @@ func (o *Options) runAll(cfgs []RunCfg, done func(i int, res *RunResult)) []*Run
 		for i := range cfgs {
 			if cfgs[i].Campaign == nil {
 				cfgs[i].Campaign = o.Campaign
+			} else {
+				cfgs[i].Campaign = mergeCampaigns(cfgs[i].Campaign, o.Campaign)
 			}
 		}
 	}

@@ -153,13 +153,12 @@ func TestRunMinimal(t *testing.T) {
 func TestRunWithFailures(t *testing.T) {
 	sc, _ := SchemeByName("DRILL")
 	res := Run(RunCfg{
-		Topo:      fig6Topo(0),
-		Scheme:    sc,
-		Seed:      3,
-		Load:      0.2,
-		Warmup:    100 * units.Microsecond,
-		Measure:   500 * units.Microsecond,
-		FailLinks: 2,
+		Topo:    FailedUplinks(fig6Topo(0), 2, 3),
+		Scheme:  sc,
+		Seed:    3,
+		Load:    0.2,
+		Warmup:  100 * units.Microsecond,
+		Measure: 500 * units.Microsecond,
 	})
 	if res.FCT.Count() == 0 {
 		t.Fatal("no flows completed under failures")

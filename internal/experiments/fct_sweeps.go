@@ -29,8 +29,7 @@ type fctSweep struct {
 	loads   []float64
 	warmup  units.Time
 	measure units.Time
-	fail    int
-	failAt  units.Time
+	fail    int // seeded leaf uplinks down from the start (FailedUplinks)
 	incast  units.Time
 	engines int
 }
@@ -50,15 +49,14 @@ func (f *fctSweep) run(o Options) [][]sweepCell {
 	for si, sc := range f.schemes {
 		for li, load := range f.loads {
 			for rep := 0; rep < o.Reps; rep++ {
+				seed := o.Seed + int64(si*100+li) + int64(rep*10007)
 				cfgs = append(cfgs, RunCfg{
-					Topo:         f.topo,
+					Topo:         FailedUplinks(f.topo, f.fail, seed),
 					Scheme:       sc,
-					Seed:         o.Seed + int64(si*100+li) + int64(rep*10007),
+					Seed:         seed,
 					Load:         load,
 					Warmup:       f.warmup,
 					Measure:      f.measure,
-					FailLinks:    f.fail,
-					FailAt:       f.failAt,
 					IncastPeriod: f.incast,
 					Engines:      f.engines,
 				})

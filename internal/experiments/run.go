@@ -53,17 +53,12 @@ type RunCfg struct {
 	// Incast adds the Fig. 14 application with this period (0 = off).
 	IncastPeriod units.Time
 
-	// FailLinks fails that many random leaf-uplink links before traffic.
-	FailLinks int
-	// FailAt, when > 0, fails the links mid-run at this time instead.
-	FailAt units.Time
-	// InstantReconverge models ideal-DRILL (no OSPF delay).
-	InstantReconverge bool
-
 	// Campaign, when non-nil, schedules a scripted fail/restore timeline
-	// (flap storms, pod failures, rolling drains — see campaign.go) against
-	// the run. Composes with FailLinks/FailAt; every action is a
-	// global-class event, so campaigns replay identically on both engines.
+	// (mid-run uplink failures, flap storms, pod failures, rolling drains —
+	// see campaign.go) against the run. It is the run's only failure path:
+	// every action is a global-class event, so campaigns replay identically
+	// on both engines. A fabric that starts degraded is a topology instead
+	// (FailedUplinks).
 	Campaign *Campaign
 
 	// RouteDelay overrides the control plane's reconvergence lag after a
@@ -73,16 +68,17 @@ type RunCfg struct {
 	RouteDelay units.Time
 
 	// DisablePool turns off fabric packet recycling for this run (the
-	// pre-pool fresh-allocation behaviour). Exists for the byte-identical
-	// pooled-vs-unpooled determinism test and for memory profiling.
+	// pre-pool fresh-allocation behaviour). Exists as the reference the
+	// conformance invariance matrix holds pooled runs to, and for memory
+	// profiling.
 	DisablePool bool
 
 	// LegacyScheduler runs this simulation on the pre-wheel stack: the
 	// plain binary-heap event queue (sim.NewHeapOnly) with per-event
 	// closure scheduling in the fabric (fabric.Config.DisableBatch). The
 	// wheel+batching stack is byte-identical to it by construction; the
-	// scheduler-identity determinism tests hold both to that, and it
-	// remains available for bisecting scheduler suspicions.
+	// conformance invariance matrix holds both to that, and it remains
+	// available for bisecting scheduler suspicions.
 	LegacyScheduler bool
 
 	// Shards > 0 runs this simulation on the sharded parallel engine:
@@ -91,7 +87,7 @@ type RunCfg struct {
 	// one worker goroutine, synchronized by the conservative time-window
 	// protocol in sim.ShardGroup. Results are byte-identical to Shards=0
 	// (the sequential engine) at any shard count — the conformance
-	// harness in this package holds every supported cell shape to that.
+	// invariance matrix holds every supported cell shape to that.
 	// Mutually exclusive with LegacyScheduler; the balancer must not be
 	// fabric.ShardUnsafe; an attached Tracer may only enable the
 	// barrier-driven sampler kinds (QueueSample, PortUtil).
@@ -116,7 +112,7 @@ type RunCfg struct {
 	// families in the registry (scoped by ObsScope labels) and attaches a
 	// sim-time snapshotter publishing every ObsSample. Metrics observe and
 	// never steer: enabling them changes no result byte (see
-	// TestMetricsAreByteIdentical).
+	// conformance.TestInvarianceMatrix).
 	Obs *obs.Registry
 	// ObsScope is a pre-rendered label body (e.g. `exp="fig6a",cell="3"`)
 	// distinguishing this run's series in a shared registry.
@@ -129,7 +125,7 @@ type RunCfg struct {
 	// set is engine-shaped: a default registry keeps the same families on
 	// both engines, so obs-inclusive fingerprints stay engine-invariant.
 	// Like Obs itself, it observes and never steers: enabling it changes
-	// no result byte (see conformance.TestEngineTelemetryIsByteIdentical).
+	// no result byte (see conformance.TestInvarianceMatrix).
 	EngineObs bool
 
 	// Synthetic, when non-nil, replaces the Poisson workload (Table 1).
@@ -326,18 +322,6 @@ func Run(cfg RunCfg) *RunResult {
 		snap = obs.StartSnapshotter(s, cfg.Obs, every, refresh...)
 	}
 
-	// Pre-run failures.
-	if cfg.FailLinks > 0 && cfg.FailAt == 0 {
-		failRandomUplinks(t, net, cfg.FailLinks, cfg.Seed, true)
-	}
-	if cfg.FailLinks > 0 && cfg.FailAt > 0 {
-		at := cfg.FailAt
-		// Failure injection drains ports across the whole fabric: a
-		// barrier-class event under the sharded engine.
-		s.AtGlobal(at, func() {
-			failRandomUplinks(t, net, cfg.FailLinks, cfg.Seed, cfg.InstantReconverge)
-		})
-	}
 	if cfg.Campaign != nil {
 		if err := cfg.Campaign.Install(s, net, t, cfg.Seed, end); err != nil {
 			panic("experiments: " + err.Error())
@@ -493,39 +477,35 @@ func Run(cfg RunCfg) *RunResult {
 // configured identically.
 func provConfig(cfg RunCfg) any {
 	return struct {
-		Scheme            string
-		Shim              int64
-		Seed              int64
-		Engines           int
-		QueueCap          int
-		Load              float64
-		WarmupNs          int64
-		MeasureNs         int64
-		DrainNs           int64
-		IncastNs          int64
-		FailLinks         int
-		FailAtNs          int64
-		InstantReconverge bool
-		Campaign          string
-		RouteDelayNs      int64
-		DisablePool       bool
-		LegacyScheduler   bool
-		SampleQueues      bool
-		TrackGRO          bool
-		VisFactor         float64
-		Synthetic         bool
-		Shards            int
+		Scheme          string
+		Shim            int64
+		Seed            int64
+		Engines         int
+		QueueCap        int
+		Load            float64
+		WarmupNs        int64
+		MeasureNs       int64
+		DrainNs         int64
+		IncastNs        int64
+		Campaign        string
+		RouteDelayNs    int64
+		DisablePool     bool
+		LegacyScheduler bool
+		SampleQueues    bool
+		TrackGRO        bool
+		VisFactor       float64
+		Synthetic       bool
+		Shards          int
 	}{
 		Scheme: cfg.Scheme.Name, Shim: int64(cfg.Scheme.Shim), Seed: cfg.Seed,
 		Engines: cfg.Engines, QueueCap: cfg.QueueCap, Load: cfg.Load,
 		WarmupNs: int64(cfg.Warmup), MeasureNs: int64(cfg.Measure),
 		DrainNs: int64(cfg.DrainLimit), IncastNs: int64(cfg.IncastPeriod),
-		FailLinks: cfg.FailLinks, FailAtNs: int64(cfg.FailAt),
-		InstantReconverge: cfg.InstantReconverge,
-		Campaign:          cfg.Campaign.Fingerprint(),
-		RouteDelayNs:      int64(cfg.RouteDelay),
-		DisablePool:       cfg.DisablePool,
-		SampleQueues:      cfg.SampleQueues, TrackGRO: cfg.TrackGRO,
+		Campaign:        cfg.Campaign.Fingerprint(),
+		RouteDelayNs:    int64(cfg.RouteDelay),
+		DisablePool:     cfg.DisablePool,
+		LegacyScheduler: cfg.LegacyScheduler,
+		SampleQueues:    cfg.SampleQueues, TrackGRO: cfg.TrackGRO,
 		VisFactor: cfg.VisFactor, Synthetic: cfg.Synthetic != nil,
 		Shards: cfg.Shards,
 	}
@@ -548,32 +528,6 @@ func allLeafUplinks(net *fabric.Network) []*fabric.Port {
 		out = append(out, net.LeafUplinks(leaf)...)
 	}
 	return out
-}
-
-// failRandomUplinks fails n distinct leaf-to-fabric links, deterministically
-// per seed.
-func failRandomUplinks(t *topo.Topology, net *fabric.Network, n int, seed int64, instant bool) {
-	rng := sim.New(seed).Stream(0xfa11)
-	var cands []topo.LinkID
-	for _, l := range t.Links {
-		if !l.Up {
-			continue
-		}
-		ka, kb := t.Nodes[l.A].Kind, t.Nodes[l.B].Kind
-		if ka == topo.Host || kb == topo.Host {
-			continue
-		}
-		if ka == topo.Leaf || kb == topo.Leaf {
-			cands = append(cands, l.ID)
-		}
-	}
-	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if n > len(cands) {
-		n = len(cands)
-	}
-	for i := 0; i < n; i++ {
-		net.FailLink(cands[i], instant)
-	}
 }
 
 // queueSampler implements the §3.2.3 metric: every 10µs, the standard

@@ -1,82 +1,84 @@
-package experiments
+package experiments_test
 
 import (
+	"hash/fnv"
+	"sync"
 	"testing"
 
+	"drill/internal/experiments"
+	"drill/internal/experiments/conformance"
 	"drill/internal/trace"
 	"drill/internal/units"
 )
 
-// TestSchedulerIsByteIdentical holds the timing-wheel scheduler and the
-// fabric's per-port event batching to their core contract: they are
-// representation changes, not behaviour changes. Every cell runs once on
-// the production stack (wheel + batching) and once on the legacy
-// reference stack (plain binary heap, one event per packet per hop) and
-// must produce identical fingerprints — FCTs, drops, retransmits,
-// reordering, event counts, utilization. The grid mirrors
-// TestPoolingIsByteIdentical: the tiny sweep plus a drop-heavy cell
-// (tiny queues at high load) and a link-failure cell, so loss, timeout,
-// dead-link drain, and reroute paths are all on the compared path.
-func TestSchedulerIsByteIdentical(t *testing.T) {
-	cells := tinySweepCfgs()
-	lossy, _ := SchemeByName("ECMP")
-	cells = append(cells, RunCfg{
-		Topo: fig6Topo(0), Scheme: lossy, Seed: 21, Load: 0.9, QueueCap: 8,
-		Warmup:  100 * units.Microsecond,
-		Measure: 400 * units.Microsecond,
-	})
-	fail, _ := SchemeByName("DRILL")
-	cells = append(cells, RunCfg{
-		Topo: fig6Topo(0), Scheme: fail, Seed: 22, Load: 0.5,
-		FailLinks: 1, FailAt: 200 * units.Microsecond,
-		Warmup:  100 * units.Microsecond,
-		Measure: 400 * units.Microsecond,
-	})
+// schedRun is one traced run of a conformance cell, reduced to what the
+// scheduler proofs compare: its fingerprint, the tracer's per-kind counts,
+// and an FNV-64a of its sampler event stream as CSV.
+type schedRun struct {
+	fp, counts string
+	traceSum   uint64
+	samples    int64
+}
+
+func runTraced(cfg experiments.RunCfg) schedRun {
+	h := fnv.New64a()
+	csv := trace.NewCSV(h)
+	tr := trace.New(csv, trace.WithKinds(trace.QueueSample, trace.PortUtil))
+	cfg.Tracer, cfg.TraceSample = tr, 20*units.Microsecond
+	res := experiments.Run(cfg)
+	if err := csv.Close(); err != nil {
+		panic(err)
+	}
+	return schedRun{
+		fp: conformance.Fingerprint(res), counts: conformance.TraceLine(tr),
+		traceSum: h.Sum64(), samples: tr.Count(trace.QueueSample),
+	}
+}
+
+// schedPairs runs every conformance cell once on the production stack
+// (timing wheel + per-port event batching) and once on the legacy
+// reference stack (plain binary heap, one event per packet per hop), both
+// traced, and is shared by the two tests below.
+var schedPairs = sync.OnceValue(func() [][2]schedRun {
+	cells := conformance.Cells()
+	pairs := make([][2]schedRun, len(cells))
 	for i, cfg := range cells {
-		wheel := cfg
 		legacy := cfg
 		legacy.LegacyScheduler = true
-		rw, rl := Run(wheel), Run(legacy)
-		if got, want := fingerprint(rw), fingerprint(rl); got != want {
-			t.Errorf("cell %d (%s seed=%d): wheel run differs from legacy scheduler:\nwheel:  %s\nlegacy: %s",
-				i, cfg.Scheme.Name, cfg.Seed, got, want)
+		pairs[i] = [2]schedRun{runTraced(cfg), runTraced(legacy)}
+	}
+	return pairs
+})
+
+// TestSchedulerIsByteIdentical holds the timing-wheel scheduler and the
+// fabric's per-port event batching to their core contract: they are
+// representation changes, not behaviour changes. Every conformance cell —
+// the scheme × seed sweep, a drop-heavy cell, a mid-run uplink failure and
+// the reconfiguration campaigns, so loss, timeout, dead-link drain and
+// reroute paths are all compared — must produce the same fingerprint on
+// both stacks.
+func TestSchedulerIsByteIdentical(t *testing.T) {
+	for i, p := range schedPairs() {
+		if wheel, legacy := p[0].fp, p[1].fp; wheel != legacy {
+			t.Errorf("cell %d: wheel run differs from legacy scheduler:\n--- wheel\n%s--- legacy\n%s", i, wheel, legacy)
 		}
 	}
 }
 
-// TestSchedulerIsByteIdenticalQTrace extends the identity proof to an
-// instrumented qtrace-style cell: a tracer sampling queue depths and port
-// utilization on an observer ticker. The trace ring's event stream — every
-// sample's timestamp, port, and value — must match event for event across
-// the two schedulers, which additionally pins the observer/daemon event
-// classes (excluded from Executed, never keeping Run alive) to identical
-// dispatch points.
+// TestSchedulerIsByteIdenticalQTrace extends the proof to the sampler
+// trace: the stream of queue-depth and port-utilization samples — every
+// sample's timestamp, port and value — must match across the two stacks,
+// which pins the observer/daemon event classes (excluded from Executed,
+// never keeping Run alive) to identical dispatch points.
 func TestSchedulerIsByteIdenticalQTrace(t *testing.T) {
-	sc, _ := SchemeByName("DRILL")
-	base := RunCfg{
-		Topo: fig6Topo(0), Scheme: sc, Seed: 23, Load: 0.8,
-		Warmup:  100 * units.Microsecond,
-		Measure: 400 * units.Microsecond,
-	}
-	run := func(legacy bool) (*RunResult, []trace.Event) {
-		ring := trace.NewRing(1 << 16)
-		cfg := base
-		cfg.LegacyScheduler = legacy
-		cfg.Tracer = trace.New(ring, trace.WithKinds(trace.QueueSample, trace.PortUtil))
-		cfg.TraceSample = 5 * units.Microsecond
-		return Run(cfg), ring.Events()
-	}
-	rw, evw := run(false)
-	rl, evl := run(true)
-	if got, want := fingerprint(rw), fingerprint(rl); got != want {
-		t.Fatalf("qtrace cell: wheel run differs from legacy scheduler:\nwheel:  %s\nlegacy: %s", got, want)
-	}
-	if len(evw) != len(evl) {
-		t.Fatalf("qtrace cell: trace streams differ in length: wheel %d, legacy %d", len(evw), len(evl))
-	}
-	for i := range evw {
-		if evw[i] != evl[i] {
-			t.Fatalf("qtrace cell: trace event %d differs:\nwheel:  %+v\nlegacy: %+v", i, evw[i], evl[i])
+	for i, p := range schedPairs() {
+		wheel, legacy := p[0], p[1]
+		if wheel.samples == 0 {
+			t.Errorf("cell %d: sampler recorded nothing: %s", i, wheel.counts)
+		}
+		if wheel.traceSum != legacy.traceSum {
+			t.Errorf("cell %d: trace stream under the legacy scheduler differs from the wheel's:\n%s%s",
+				i, wheel.counts, legacy.counts)
 		}
 	}
 }

@@ -162,7 +162,7 @@ func init() {
 			for _, v := range variants {
 				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: mustScheme("DRILL"),
 					Seed: o.Seed, Load: 0.7, Warmup: w, Measure: m,
-					FailLinks: fails, FailAt: failAt, InstantReconverge: v.instant})
+					Campaign: UplinkFailure(fails, failAt, v.instant)})
 			}
 			results := o.runAll(cfgs, func(i int, res *RunResult) {
 				o.progress("idealdrill %s done [%s]", variants[i].name, timing(res))

@@ -74,9 +74,9 @@ func conservationRun(t *testing.T, sc Scheme, failAt units.Time) {
 		workload.Load(1.0), end)
 	g.Start()
 	if failAt > 0 {
-		s.At(failAt, func() {
-			failRandomUplinks(tp, net, 2, 7, false)
-		})
+		if err := UplinkFailure(2, failAt, false).Install(s, net, tp, 7, end); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for _, at := range []units.Time{end / 4, end / 2, 3 * end / 4} {

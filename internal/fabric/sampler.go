@@ -23,7 +23,9 @@ type TraceSampler struct {
 
 // StartTraceSampler begins sampling every `every` on the network's
 // simulator. It requires an attached tracer; with tracing off there is
-// nothing to emit, and the sampler refuses to tick pointlessly.
+// nothing to emit, and the sampler refuses to tick pointlessly. Ticks are
+// observer events: they only read ports, so a traced run's results —
+// event count included — equal an untraced run's.
 func StartTraceSampler(net *Network, every units.Time) *TraceSampler {
 	if net.tracer == nil {
 		panic("fabric: StartTraceSampler without a tracer")
@@ -36,7 +38,7 @@ func StartTraceSampler(net *Network, every units.Time) *TraceSampler {
 		ts.ports = append(ts.ports, p)
 		ts.lastTx = append(ts.lastTx, p.TxBytes)
 	}
-	ts.ticker = sim.NewTicker(net.Sim, every, ts.sample)
+	ts.ticker = sim.NewObserverTicker(net.Sim, every, ts.sample)
 	return ts
 }
 

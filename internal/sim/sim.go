@@ -220,7 +220,7 @@ func New(seed int64) *Sim {
 // NewHeapOnly returns a simulator that bypasses the timing wheel and runs
 // every event through the plain binary heap — the pre-wheel scheduler.
 // Dispatch order is identical to New by construction; this mode exists so
-// equivalence tests can prove it (see TestSchedulerIsByteIdentical) and as
+// equivalence tests can prove it (see conformance.TestInvarianceMatrix) and as
 // a diagnostic fallback when bisecting scheduler suspicions.
 func NewHeapOnly(seed int64) *Sim {
 	s := New(seed)
