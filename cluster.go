@@ -16,7 +16,7 @@ type Options struct {
 	Seed int64
 	// Engines is the number of parallel forwarding engines per switch.
 	Engines int
-	// QueueCap is the per-port packet buffer (default 1024).
+	// QueueCap is the per-port packet buffer (default 256).
 	QueueCap int
 	// ShimTimeout enables the receiver reordering shim (0 = off).
 	ShimTimeout Time

@@ -5,9 +5,11 @@
 // string, with companion renderings of trace counts and obs snapshots.
 // TestInvarianceMatrix and the tests beside it hold each conformance
 // cell's plain sequential run fingerprint-identical to the sharded engine
-// at every shard count, unpooled packets, metrics, engine telemetry and
-// sampler tracing (package experiments' TestSchedulerIsByteIdentical adds
-// the legacy scheduler); FuzzShardedVsSequential randomizes the fabric.
+// at every shard count, metrics, engine telemetry and sampler tracing;
+// FuzzShardedVsSequential randomizes the fabric. The settings that live
+// below a run — the scheduler, the fabric's port rings, packet pooling —
+// are held to their references where they are decided, in internal/sim
+// and internal/fabric.
 //
 // Fingerprints deliberately contain no insertion-order float sums: a
 // sharded run folds per-shard sample sets in shard-ID order, so a multiset

@@ -200,9 +200,9 @@ func sumPoints(s *obs.Snapshot, name string) (sum float64, series int) {
 // plain sequential reference once, and every setting that must not change
 // the output is held fingerprint-identical to it:
 //
+//   - Pool: the reference itself, which must get real reuse out of the
+//     packet pool;
 //   - Shards/N: the sharded engine at N shards (-shards narrows N);
-//   - DisablePool: fresh packet allocation, which must bypass the pool
-//     while the reference gets real reuse out of it;
 //   - Obs: the metrics stack, whose counters must match the RunResult;
 //   - Trace: the sampler tracer, which must record samples.
 //
@@ -213,10 +213,21 @@ func sumPoints(s *obs.Snapshot, name string) (sum float64, series int) {
 // TestShardedTracedCellMatches (obs lines and trace stream across
 // engines), TestShardedLossyAndFailureCells and
 // TestShardedReconfigurationCells (the adversarial paths stay live on
-// every engine). The LegacyScheduler setting is held to the same cells by
-// TestSchedulerIsByteIdentical in package experiments.
+// every engine). Below the run, the scheduler and the fabric's port rings
+// are held to the heap-only oracle in internal/sim
+// (TestWheelMatchesHeapReference), and pooled packets to hand-built ones
+// in internal/fabric (TestPooledMatchesHandBuilt).
 func TestInvarianceMatrix(t *testing.T) {
 	cells := matrix()
+
+	t.Run("Pool", func(t *testing.T) {
+		for _, c := range cells {
+			if ref := c.reference().res; ref.PacketGets == 0 || ref.PacketAllocs >= ref.PacketGets {
+				t.Errorf("%s: pooling avoided nothing (allocs=%d gets=%d)",
+					c.name, ref.PacketAllocs, ref.PacketGets)
+			}
+		}
+	})
 
 	t.Run("Shards", func(t *testing.T) {
 		for _, n := range counts() {
@@ -227,26 +238,6 @@ func TestInvarianceMatrix(t *testing.T) {
 					c.same(t, fmt.Sprintf("shards=%d", n), runWith(cfg, false, false))
 				}
 			})
-		}
-	})
-
-	t.Run("DisablePool", func(t *testing.T) {
-		for _, c := range cells {
-			cfg := c.cfg
-			cfg.DisablePool = true
-			v := runWith(cfg, false, false)
-			ref := c.reference().res
-			if v.res.PacketGets != 0 || v.res.PacketAllocs != 0 {
-				t.Errorf("%s: DisablePool run touched the pool (gets=%d allocs=%d)",
-					c.name, v.res.PacketGets, v.res.PacketAllocs)
-			}
-			if ref.PacketGets == 0 || ref.PacketAllocs >= ref.PacketGets {
-				t.Errorf("%s: pooling avoided nothing (allocs=%d gets=%d)",
-					c.name, ref.PacketAllocs, ref.PacketGets)
-			}
-			// Pool traffic is the one fingerprinted count the knob owns.
-			v.res.PacketGets = ref.PacketGets
-			c.same(t, "DisablePool", v)
 		}
 	})
 

@@ -68,7 +68,8 @@ func TestSweepWithMetricsIsByteIdentical(t *testing.T) {
 
 // TestProvenanceIsDeterministic pins the provenance record itself: same
 // config, same hash and counters, run after run — and a different seed, or
-// either byte-identical reference knob, yields a different hash.
+// a byte-identical engine choice (the shard count), yields a different
+// hash.
 func TestProvenanceIsDeterministic(t *testing.T) {
 	cfg := tinySweepCfgs()[0]
 	a, b := Run(cfg), Run(cfg)
@@ -79,9 +80,8 @@ func TestProvenanceIsDeterministic(t *testing.T) {
 		t.Errorf("provenance differs across identical runs:\n%+v\n%+v", a.Prov, b.Prov)
 	}
 	for name, flip := range map[string]func(*RunCfg){
-		"seed":            func(c *RunCfg) { c.Seed += 1000 },
-		"LegacyScheduler": func(c *RunCfg) { c.LegacyScheduler = true },
-		"DisablePool":     func(c *RunCfg) { c.DisablePool = true },
+		"seed":   func(c *RunCfg) { c.Seed += 1000 },
+		"Shards": func(c *RunCfg) { c.Shards = 2 },
 	} {
 		other := cfg
 		flip(&other)

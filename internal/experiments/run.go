@@ -37,7 +37,7 @@ type RunCfg struct {
 	Seed   int64
 
 	Engines  int // forwarding engines per switch (default 1)
-	QueueCap int // per-port packet cap (default fabric's 128)
+	QueueCap int // per-port packet cap (default fabric's 256)
 
 	// Load and Sizes drive the background Poisson workload; Load 0 disables.
 	Load  float64
@@ -67,20 +67,6 @@ type RunCfg struct {
 	// single epoch swap.
 	RouteDelay units.Time
 
-	// DisablePool turns off fabric packet recycling for this run (the
-	// pre-pool fresh-allocation behaviour). Exists as the reference the
-	// conformance invariance matrix holds pooled runs to, and for memory
-	// profiling.
-	DisablePool bool
-
-	// LegacyScheduler runs this simulation on the pre-wheel stack: the
-	// plain binary-heap event queue (sim.NewHeapOnly) with per-event
-	// closure scheduling in the fabric (fabric.Config.DisableBatch). The
-	// wheel+batching stack is byte-identical to it by construction; the
-	// conformance invariance matrix holds both to that, and it remains
-	// available for bisecting scheduler suspicions.
-	LegacyScheduler bool
-
 	// Shards > 0 runs this simulation on the sharded parallel engine:
 	// the topology is partitioned into up to that many per-leaf-group
 	// shards (topo.Partition), each owning a private scheduler driven by
@@ -88,16 +74,16 @@ type RunCfg struct {
 	// protocol in sim.ShardGroup. Results are byte-identical to Shards=0
 	// (the sequential engine) at any shard count — the conformance
 	// invariance matrix holds every supported cell shape to that.
-	// Mutually exclusive with LegacyScheduler; the balancer must not be
-	// fabric.ShardUnsafe; an attached Tracer may only enable the
-	// barrier-driven sampler kinds (QueueSample, PortUtil).
+	// The balancer must not be fabric.ShardUnsafe; an attached Tracer may
+	// only enable the barrier-driven sampler kinds (QueueSample, PortUtil).
 	Shards int
 
 	// SampleQueues enables the 10µs queue-length STDV sampler of §3.2.3.
 	SampleQueues bool
 	// TrackGRO enables GRO batch accounting.
 	TrackGRO bool
-	// VisFactor overrides the queue-visibility delay factor (default 1).
+	// VisFactor overrides the queue-visibility delay factor (default
+	// fabric's 0.05).
 	VisFactor float64
 
 	// Tracer, when non-nil, receives this run's packet-lifecycle events
@@ -231,21 +217,13 @@ func Run(cfg RunCfg) *RunResult {
 	}
 	t := cfg.Topo()
 	s := sim.New(cfg.Seed)
-	if cfg.LegacyScheduler {
-		if cfg.Shards > 0 {
-			panic("experiments: LegacyScheduler and Shards are mutually exclusive")
-		}
-		s = sim.NewHeapOnly(cfg.Seed)
-	}
 	fcfg := fabric.Config{
-		Balancer:     cfg.Scheme.New(),
-		Engines:      cfg.Engines,
-		QueueCap:     cfg.QueueCap,
-		VisFactor:    cfg.VisFactor,
-		RouteDelay:   cfg.RouteDelay,
-		DisablePool:  cfg.DisablePool,
-		DisableBatch: cfg.LegacyScheduler,
-		Tracer:       cfg.Tracer,
+		Balancer:   cfg.Scheme.New(),
+		Engines:    cfg.Engines,
+		QueueCap:   cfg.QueueCap,
+		VisFactor:  cfg.VisFactor,
+		RouteDelay: cfg.RouteDelay,
+		Tracer:     cfg.Tracer,
 	}
 	engine := "sequential"
 	var net *fabric.Network
@@ -477,35 +455,31 @@ func Run(cfg RunCfg) *RunResult {
 // configured identically.
 func provConfig(cfg RunCfg) any {
 	return struct {
-		Scheme          string
-		Shim            int64
-		Seed            int64
-		Engines         int
-		QueueCap        int
-		Load            float64
-		WarmupNs        int64
-		MeasureNs       int64
-		DrainNs         int64
-		IncastNs        int64
-		Campaign        string
-		RouteDelayNs    int64
-		DisablePool     bool
-		LegacyScheduler bool
-		SampleQueues    bool
-		TrackGRO        bool
-		VisFactor       float64
-		Synthetic       bool
-		Shards          int
+		Scheme       string
+		Shim         int64
+		Seed         int64
+		Engines      int
+		QueueCap     int
+		Load         float64
+		WarmupNs     int64
+		MeasureNs    int64
+		DrainNs      int64
+		IncastNs     int64
+		Campaign     string
+		RouteDelayNs int64
+		SampleQueues bool
+		TrackGRO     bool
+		VisFactor    float64
+		Synthetic    bool
+		Shards       int
 	}{
 		Scheme: cfg.Scheme.Name, Shim: int64(cfg.Scheme.Shim), Seed: cfg.Seed,
 		Engines: cfg.Engines, QueueCap: cfg.QueueCap, Load: cfg.Load,
 		WarmupNs: int64(cfg.Warmup), MeasureNs: int64(cfg.Measure),
 		DrainNs: int64(cfg.DrainLimit), IncastNs: int64(cfg.IncastPeriod),
-		Campaign:        cfg.Campaign.Fingerprint(),
-		RouteDelayNs:    int64(cfg.RouteDelay),
-		DisablePool:     cfg.DisablePool,
-		LegacyScheduler: cfg.LegacyScheduler,
-		SampleQueues:    cfg.SampleQueues, TrackGRO: cfg.TrackGRO,
+		Campaign:     cfg.Campaign.Fingerprint(),
+		RouteDelayNs: int64(cfg.RouteDelay),
+		SampleQueues: cfg.SampleQueues, TrackGRO: cfg.TrackGRO,
 		VisFactor: cfg.VisFactor, Synthetic: cfg.Synthetic != nil,
 		Shards: cfg.Shards,
 	}

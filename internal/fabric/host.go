@@ -29,21 +29,15 @@ type Host struct {
 // Net returns the network the host is attached to.
 func (h *Host) Net() *Network { return h.net }
 
-// AllocPacket returns a zeroed packet from the host's domain pool (or a
-// fresh allocation under Config.DisablePool). The transport layer fills it
-// and hands it back via Send; the fabric recycles it at its terminal site
-// (delivery or drop), which under sharding is always a pool of the same
-// or another domain — pools never shrink, so cross-domain retirement only
-// shifts where recycled packets come from, never correctness.
+// AllocPacket returns a zeroed packet from the host's domain pool. The
+// transport layer fills it and hands it back via Send; the fabric recycles
+// it at its terminal site (delivery or drop), which under sharding is
+// always a pool of the same or another domain — pools never shrink, so
+// cross-domain retirement only shifts where recycled packets come from,
+// never correctness.
 //
 //drill:hotpath
-//drill:allocs 1 the Cfg.DisablePool bypass allocates a fresh packet
-func (h *Host) AllocPacket() *Packet {
-	if h.net.Cfg.DisablePool {
-		return &Packet{}
-	}
-	return h.dom.pool.Get()
-}
+func (h *Host) AllocPacket() *Packet { return h.dom.pool.Get() }
 
 // Send stamps addressing/telemetry fields on pkt and queues it on the NIC.
 // Src must be this host; Dst must be another host.

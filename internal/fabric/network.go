@@ -50,9 +50,9 @@ type SendHook interface {
 // Config parameterizes a Network.
 type Config struct {
 	Engines      int     // forwarding engines per switch (default 1)
-	QueueCap     int     // per-switch-port packet cap (default 128)
+	QueueCap     int     // per-switch-port packet cap (default 256)
 	HostQueueCap int     // host NIC queue cap (default 4096)
-	VisFactor    float64 // visibility delay as a multiple of MTU serialization (default 1)
+	VisFactor    float64 // visibility delay as a multiple of MTU serialization (default 0.05)
 	MTU          units.ByteSize
 	RouteDelay   units.Time // control-plane reconvergence delay after failures
 
@@ -63,22 +63,6 @@ type Config struct {
 	ECNThreshold int
 
 	Balancer Balancer
-
-	// DisablePool turns off packet recycling: AllocPacket returns fresh
-	// heap allocations and terminal sites release packets to the GC, the
-	// pre-pool behaviour. Results are byte-identical either way (a
-	// determinism test holds the data plane to that); the switch exists for
-	// that test and for memory-profiling the unpooled allocation volume.
-	DisablePool bool
-
-	// DisableBatch turns off the per-port timer rings: every visibility
-	// update, tx completion, and wire arrival schedules its own closure via
-	// sim.After, the pre-batching behaviour. Results are byte-identical
-	// either way — the rings re-arm one pre-allocated timer per port at the
-	// exact (time, seq) slots the closures would have occupied — and the
-	// scheduler-identity test holds the data plane to that. The switch
-	// exists for that test and for bisecting batching suspicions.
-	DisableBatch bool
 
 	// Tracer, when non-nil, receives packet-lifecycle events (enqueue,
 	// drop, tx-start, link-depart, arrive, deliver) from this network's
@@ -186,19 +170,6 @@ type Network struct {
 	building          *Epoch
 	reconvergePending bool
 	quiver            *quiver.Quiver
-}
-
-// AllocPacket returns a zeroed packet for the transport layer to fill and
-// Send. With pooling enabled (the default) it recycles packets retired at
-// deliver/drop sites; with Cfg.DisablePool it is a plain allocation.
-//
-//drill:hotpath
-//drill:allocs 1 the Cfg.DisablePool bypass allocates a fresh packet
-func (n *Network) AllocPacket() *Packet {
-	if n.Cfg.DisablePool {
-		return &Packet{}
-	}
-	return n.pool.Get()
 }
 
 // Pool exposes the packet free list's counters (alloc-avoidance telemetry).
@@ -366,10 +337,9 @@ func (n *Network) QueuedPackets() int64 {
 // InFlightPackets counts packets on the wire: parked on a port's in-flight
 // ring awaiting arrival, or awaiting exchange in a shard outbox — the last
 // term of the conservation law Sent == Delivered + drops + queued +
-// in-flight. Under Cfg.DisableBatch (the sequential-only legacy reference
-// path) in-flight packets live as scheduler closures and are not countable
-// here. Barrier-safe: valid mid-run from a global-class event and after a
-// full drain (where it reports 0 unless links are partitioned down).
+// in-flight. Barrier-safe: valid mid-run from a global-class event and
+// after a full drain (where it reports 0 unless links are partitioned
+// down).
 func (n *Network) InFlightPackets() int64 {
 	var f int64
 	for _, p := range n.Ports {
@@ -540,7 +510,6 @@ func classifyHop(t *topo.Topology, c topo.Chan) metrics.HopClass {
 // enqueue places pkt on port p at the current time, dropping on overflow.
 //
 //drill:hotpath
-//drill:allocs 1 visibility closure on the legacy DisableBatch path, off by default
 func (n *Network) enqueue(p *Port, pkt *Packet) {
 	d := p.dom
 	if !p.up {
@@ -580,17 +549,13 @@ func (n *Network) enqueue(p *Port, pkt *Packet) {
 	if n.met != nil {
 		n.met.enqueued.Inc()
 	}
-	size := pkt.Size
 	if p.visDelay <= 0 {
-		p.applyVisibility(size)
-	} else if n.Cfg.DisableBatch {
-		//drill:allow hotpath legacy unbatched reference path, off by default
-		d.sim.After(p.visDelay, func() { p.applyVisibility(size) })
+		p.applyVisibility(pkt.Size)
 	} else {
 		// Reserve the tie-break key now — the slot sim.After would have
 		// taken — and park the update on the port's visibility ring; the
-		// ring's timer fires it at exactly that (time, key).
-		e := visEntry{at: d.sim.Now() + p.visDelay, key: d.sim.ReserveKey(), size: size}
+		// ring's callback fires it at exactly that (time, key).
+		e := visEntry{at: d.sim.Now() + p.visDelay, key: d.sim.ReserveKey(), size: pkt.Size}
 		idle := p.visRing.empty()
 		p.visRing.push(e)
 		if idle {
@@ -618,7 +583,6 @@ func (n *Network) visFire(p *Port) {
 // transmit serializes the head-of-line packet onto the link.
 //
 //drill:hotpath
-//drill:allocs 1 txDone closure on the legacy DisableBatch path, off by default
 func (n *Network) transmit(p *Port) {
 	d := p.dom
 	pkt := p.queue[p.head] // head stays queued while in service
@@ -636,19 +600,13 @@ func (n *Network) transmit(p *Port) {
 	if n.txObs != nil {
 		n.txObs.OnTx(n, p, pkt)
 	}
-	if n.Cfg.DisableBatch {
-		//drill:allow hotpath legacy unbatched reference path, off by default
-		d.sim.After(txT, func() { n.txDone(p) })
-		return
-	}
 	// At most one transmission is in service per port, so the reusable
-	// callback needs no ring; After takes a fresh seq exactly as the
-	// closure-per-packet path did.
+	// callback needs no ring; AfterID takes a fresh seq like any After.
 	d.sim.AfterID(txT, p.txID)
 }
 
 //drill:hotpath
-//drill:allocs 2 arrive closure on the legacy DisableBatch path, and outbox growth that amortizes across epochs
+//drill:allocs 1 outbox growth amortizes across epochs
 func (n *Network) txDone(p *Port) {
 	d := p.dom
 	pkt := p.popQueue()
@@ -668,12 +626,7 @@ func (n *Network) txDone(p *Port) {
 		at := d.sim.Now() + p.Prop
 		key := sim.ArrivalKey(uint64(p.Index), p.wireSeq)
 		p.wireSeq++
-		if n.Cfg.DisableBatch {
-			to := p.To
-			in := p.Chan
-			//drill:allow hotpath legacy unbatched reference path, off by default
-			d.sim.AtKey(at, key, func() { n.arrive(pkt, to, in) })
-		} else if p.boundary {
+		if p.boundary {
 			// Cross-shard wire: the destination's scheduler may only be
 			// touched at a barrier. Park the packet in the outbox; the
 			// coordinator's exchange pushes it onto the wire ring with the

@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"drill/internal/metrics"
@@ -154,23 +156,83 @@ func TestDroppedPoolPacketsAreRecycled(t *testing.T) {
 	}
 }
 
-func TestDisablePoolAllocatesFresh(t *testing.T) {
-	s, n, tp := newNet(t, Config{DisablePool: true})
-	src := n.Host(tp.Hosts[0])
-	dst := tp.Hosts[2]
-	n.Host(dst).Handler = &sink{}
-	pkt := src.AllocPacket()
-	pkt.FlowID = 1
-	pkt.Dst = dst
-	pkt.Size = 1518
-	src.Send(pkt)
-	s.Run()
-	if n.Pool().Gets != 0 || n.Pool().Puts != 0 {
-		t.Fatalf("DisablePool still moved packets through the pool: gets=%d puts=%d",
-			n.Pool().Gets, n.Pool().Puts)
+// handlerFunc adapts a function to PacketHandler.
+type handlerFunc func(h *Host, pkt *Packet)
+
+func (f handlerFunc) HandlePacket(h *Host, pkt *Packet) { f(h, pkt) }
+
+// pooledVsHandBuiltRun drives one fixed traffic pattern — four hosts
+// converging on shallow ECN-marking queues, with a leaf uplink failing
+// mid-run — allocating every packet through alloc. Each delivery becomes
+// one transcript line, copied inside the handler while the packet is
+// live, and each segment carrying payload is answered with an ACK from
+// the same allocator: the shape of the transport's receive path.
+func pooledVsHandBuiltRun(t *testing.T, alloc func(h *Host) *Packet) (*Network, []string) {
+	s, n, tp := newNet(t, Config{QueueCap: 8, ECNThreshold: 3, RouteDelay: 10 * units.Microsecond})
+	var log []string
+	echo := handlerFunc(func(h *Host, pkt *Packet) {
+		log = append(log, fmt.Sprintf("%d h%d f%d s%d k%d hops=%d wait=%v ecn=%v",
+			s.Now(), h.ID, pkt.FlowID, pkt.Seq, pkt.Kind, pkt.Hops, pkt.HopWaitNs, pkt.ECNCE))
+		if pkt.Kind == Data && pkt.Len > 0 {
+			ack := alloc(h)
+			ack.FlowID, ack.Hash, ack.Kind = pkt.FlowID, pkt.Hash, Ack
+			ack.Dst, ack.Size, ack.Seq = pkt.Src, AckBytes, pkt.Seq
+			h.Send(ack)
+		}
+	})
+	for _, h := range tp.Hosts {
+		n.Host(h).Handler = echo
 	}
-	if pkt.FlowID != 1 {
-		t.Fatal("unpooled packet was zeroed at its terminal site")
+	for i := 0; i < 75; i++ {
+		for j, id := range tp.Hosts {
+			src, dst := n.Host(id), tp.Hosts[(j+2+i%2)%len(tp.Hosts)]
+			flow, seq := uint64(j), int64(i)
+			s.At(units.Time(i)*units.Microsecond, func() {
+				pkt := alloc(src)
+				pkt.FlowID, pkt.Hash, pkt.Dst, pkt.Seq = flow, uint32(seq), dst, seq
+				pkt.Size, pkt.Len = 1518, 1518-HeaderBytes
+				src.Send(pkt)
+			})
+		}
+	}
+	link := tp.LinkBetween(tp.Leaves[0], n.LeafUplinks(tp.Leaves[0])[0].To)[0]
+	s.At(30*units.Microsecond, func() { n.FailLink(link, false) })
+	s.Run()
+	return n, log
+}
+
+// TestPooledMatchesHandBuilt is the pool's end-to-end reference. The pool
+// never recycles hand-built packets, so traffic allocated with &Packet{}
+// is the fresh-allocation baseline; the same traffic allocated through
+// Host.AllocPacket — recycled at every delivery and drop site, on a run
+// that drops, marks ECN and loses a link mid-flight — must deliver the
+// same packets, with the same hop counts, per-hop waits and marks, at the
+// same instants.
+func TestPooledMatchesHandBuilt(t *testing.T) {
+	pooled, got := pooledVsHandBuiltRun(t, (*Host).AllocPacket)
+	fresh, want := pooledVsHandBuiltRun(t, func(*Host) *Packet { return &Packet{} })
+
+	if pool := pooled.Pool(); pool.News >= pool.Gets {
+		t.Fatalf("pooled run reused nothing: gets=%d news=%d", pool.Gets, pool.News)
+	}
+	if fresh.Pool().Gets != 0 || fresh.Pool().Puts != 0 {
+		t.Fatalf("hand-built run moved packets through the pool: gets=%d puts=%d",
+			fresh.Pool().Gets, fresh.Pool().Puts)
+	}
+	if marked := strings.Contains(strings.Join(want, "\n"), "ecn=true"); pooled.Hops.TotalDrops() == 0 || !marked {
+		t.Fatalf("fixture exercises too little: drops=%d, ECN marks seen=%v", pooled.Hops.TotalDrops(), marked)
+	}
+	if pooled.Delivered != fresh.Delivered || pooled.Hops.TotalDrops() != fresh.Hops.TotalDrops() {
+		t.Errorf("totals differ: pooled delivered=%d drops=%d, hand-built delivered=%d drops=%d",
+			pooled.Delivered, pooled.Hops.TotalDrops(), fresh.Delivered, fresh.Hops.TotalDrops())
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d differs:\n pooled     %s\n hand-built %s", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("pooled run delivered %d packets, hand-built %d", len(got), len(want))
 	}
 }
 

@@ -17,8 +17,9 @@ package fabric
 //     are indistinguishable from fresh ones: Path (a slice owned by the
 //     balancer's path table), HopWaitNs, ECN/CONGA scratch, and telemetry
 //     stamps must not leak between packet lifetimes, or recycling would
-//     perturb determinism. DisablePool in Config exists to prove it
-//     doesn't: runs with pooling on and off are byte-identical.
+//     perturb determinism. Hand-built packets are the fresh-allocation
+//     reference that proves it doesn't: the same traffic sent through
+//     AllocPacket and through &Packet{} delivers byte-identically.
 //   - Double-recycling panics. A packet is in exactly one place (a queue,
 //     the wire, or a terminal site); two Puts mean the data plane lost
 //     track of ownership, which would silently corrupt a later flow.

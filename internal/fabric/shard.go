@@ -62,9 +62,6 @@ func NewSharded(global *sim.Sim, shards []*sim.Sim, assign []int, t *topo.Topolo
 	if _, bad := cfg.Balancer.(ShardUnsafe); bad {
 		panic(fmt.Sprintf("fabric: balancer %s cannot run sharded (reads cross-shard state)", cfg.Balancer.Name()))
 	}
-	if cfg.DisableBatch {
-		panic("fabric: DisableBatch is a sequential-only reference mode")
-	}
 	if len(assign) != len(t.Nodes) {
 		panic("fabric: shard assignment must cover every node")
 	}

@@ -34,11 +34,11 @@ import (
 //     metrics off means no pointer chase, no atomic, nothing.
 //
 //  4. Inside //drill:hotpath functions, function literals may not be
-//     passed to internal/sim scheduling calls (After, At, AtKey,
+//     passed to internal/sim scheduling calls (After, At, AtGlobal,
 //     NewTimer, ...): a capturing closure heap-allocates per call, which
 //     is exactly the per-event allocation the scheduler's Register/FnID
-//     interning and reusable Timers exist to avoid. The legacy
-//     reference paths keep their closures under //drill:allow pragmas.
+//     interning and reusable Timers exist to avoid. Every data-plane
+//     event rides a registered callback, so no hot path is exempt.
 var HotPath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "require nil guards on trace and obs emissions and forbid fmt/string-concat/interface-boxing/" +

@@ -27,7 +27,7 @@ import (
 //  1. functions launched by `go` statements in the package's shard.go
 //     (the worker entry points themselves);
 //  2. callbacks handed to shard-class scheduling calls on sim.Sim —
-//     Register, At, AtID, AtKey, AtKeyID, After, AfterID, NewTimer,
+//     Register, At, AtID, AtKeyID, After, AfterID, NewTimer,
 //     ReserveKey — because under sharding those events run on a shard's
 //     private scheduler. Global/barrier-class calls (AtGlobal,
 //     AfterGlobal, AfterDaemon, AfterObserver, NewTicker,
@@ -73,7 +73,6 @@ var workerSchedMethods = map[string]bool{
 	"Register":   true,
 	"At":         true,
 	"AtID":       true,
-	"AtKey":      true,
 	"AtKeyID":    true,
 	"After":      true,
 	"AfterID":    true,

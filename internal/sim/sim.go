@@ -35,8 +35,8 @@
 // is poured and ordered before any of it dispatches, so intra-bucket
 // insertion order never matters. The far tier is a heap on the same key
 // and only feeds the wheel. Hence the wheel scheduler dispatches in
-// exactly the order the plain heap would — NewHeapOnly exists to assert
-// that equivalence in tests, byte for byte.
+// exactly the order the plain heap would; the package tests keep a
+// heap-only scheduler as the oracle that asserts it, byte for byte.
 package sim
 
 import (
@@ -168,7 +168,7 @@ type Sim struct {
 	free  int32    // head of the vacant-slot free list; -1 when empty
 	perms []func() // permanent callbacks interned by Register
 
-	heapOnly bool // route everything through the near heap (reference mode)
+	heapOnly bool // route everything through the near heap (the tests' oracle)
 
 	sched SchedStats // scheduler-internal traffic counters
 
@@ -214,17 +214,6 @@ func New(seed int64) *Sim {
 	}
 	s.near.s = s
 	s.far.s = s
-	return s
-}
-
-// NewHeapOnly returns a simulator that bypasses the timing wheel and runs
-// every event through the plain binary heap — the pre-wheel scheduler.
-// Dispatch order is identical to New by construction; this mode exists so
-// equivalence tests can prove it (see conformance.TestInvarianceMatrix) and as
-// a diagnostic fallback when bisecting scheduler suspicions.
-func NewHeapOnly(seed int64) *Sim {
-	s := New(seed)
-	s.heapOnly = true
 	return s
 }
 
@@ -290,9 +279,9 @@ func (s *Sim) Register(fn func()) FnID {
 // ReserveKey allocates and returns the next local-class event key, exactly
 // as scheduling a local event now would. It exists for batched event
 // sources (the fabric's per-port visibility rings): a producer reserves
-// the key at the instant the old one-event-per-packet design would have
-// scheduled, hands it to AtKeyID when the entry reaches the head of its
-// ring, and dispatch order stays byte-identical to the unbatched path.
+// the key at the instant it would otherwise schedule one event per entry,
+// hands it to AtKeyID when the entry reaches the head of its ring, and
+// dispatch order stays byte-identical to scheduling every entry on its own.
 //
 //drill:hotpath
 func (s *Sim) ReserveKey() uint64 {
@@ -342,25 +331,15 @@ func (s *Sim) AtID(t units.Time, id FnID) {
 //drill:hotpath
 func (s *Sim) AfterID(d units.Time, id FnID) { s.AtID(s.now+d, id) }
 
-// AtKey schedules fn at absolute time t under an event key previously
-// allocated with ReserveKey (or built with ArrivalKey). It is the batched
-// producers' arm operation: a ring that reserved its entries' keys at the
-// instant the unbatched design would have scheduled them re-arms one
-// reusable callback per firing, and the (t, key) pair lands every dispatch
-// in exactly the slot the unbatched event stream gave it. Arming with a
-// stale key is legitimate precisely because the ring preserved FIFO order;
-// t must not be in the past.
-//
-//drill:hotpath
-func (s *Sim) AtKey(t units.Time, key uint64, fn func()) {
-	if t < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	s.schedule(event{at: t, key: key, id: s.alloc(fn, nil)})
-}
-
-// AtKeyID is AtKey over a callback registered with Register — the zero-
-// alloc arm operation the fabric's per-port rings use.
+// AtKeyID schedules the callback registered under id at absolute time t
+// under an event key previously allocated with ReserveKey (or built with
+// ArrivalKey). It is the batched producers' zero-alloc arm operation: a
+// ring that reserved its entries' keys at the instant each entry would
+// have been scheduled on its own re-arms one registered callback per
+// firing, and the (t, key) pair lands every dispatch in exactly the slot a
+// per-entry event would have taken. Arming with a stale key is legitimate
+// precisely because the ring preserved FIFO order; t must not be in the
+// past.
 //
 //drill:hotpath
 func (s *Sim) AtKeyID(t units.Time, key uint64, id FnID) {
@@ -431,7 +410,7 @@ func (s *Sim) AfterObserver(d units.Time, fn func()) {
 //drill:allocs 1 bucket growth amortizes; wheel slices retain capacity across laps
 func (s *Sim) schedule(ev event) {
 	if s.heapOnly || ev.at < s.base+bucketW {
-		// Inside the current bucket window (or reference mode): the near
+		// Inside the current bucket window (or heap-only): the near
 		// heap enforces (at, seq) order directly. Events behind the cursor
 		// window — possible after RunUntil advanced the clock into a quiet
 		// region — land here too, keeping order exact without rewinding.
@@ -860,26 +839,6 @@ func (t *Timer) Reset(d units.Time) {
 	}
 	s.seq++
 	s.schedule(event{at: s.now + d, key: classLocal | s.seq<<keyShift | keyTracked, id: s.alloc(t.fn, t)})
-}
-
-// ResetAt (re)schedules the timer to fire at absolute time at, under an
-// event key previously allocated with ReserveKey or built with ArrivalKey.
-// It is the batched producers' arm operation: the (at, key) pair decides
-// dispatch order, so an entry that waited in a per-port ring fires in
-// exactly the slot the old schedule-at-enqueue design gave it. Arming with
-// a stale key is legitimate precisely because the ring preserved FIFO
-// order; at must not be in the past.
-//
-//drill:hotpath
-func (t *Timer) ResetAt(at units.Time, key uint64) {
-	s := t.s
-	if at < s.now {
-		panic("sim: timer reset into the past")
-	}
-	if t.tier != tierNone {
-		t.detach()
-	}
-	s.schedule(event{at: at, key: key | keyTracked, id: s.alloc(t.fn, t)})
 }
 
 // Stop cancels the pending firing, if any, removing its scheduler entry
