@@ -98,6 +98,14 @@ func main() {
 			*workers, runtime.NumCPU())
 		os.Exit(2)
 	}
+	if *metricsSample <= 0 {
+		fmt.Fprintf(os.Stderr, "drillsim: -metrics-sample must be positive (got %v)\n", *metricsSample)
+		os.Exit(2)
+	}
+	if *traceSample <= 0 {
+		fmt.Fprintf(os.Stderr, "drillsim: -trace-sample must be positive (got %v)\n", *traceSample)
+		os.Exit(2)
+	}
 	// Sim runs are CPU-bound, so more workers than cores only adds
 	// scheduling churn.
 	resolved := *workers
@@ -209,10 +217,6 @@ func main() {
 		reg = obs.NewRegistry(32)
 		opts.Obs = reg
 		opts.ObsSample = units.Time(metricsSample.Nanoseconds())
-		// Metrics on means the engine observatory is on: the drill_shard_*
-		// / drill_window_* / drill_sched_* families ride the same registry
-		// and the same observe-never-steer contract.
-		opts.EngineObs = true
 	}
 	// The latest completed cell's engine report, published to /engine.json
 	// and (with -engine-report) printed per cell. The sink runs on the

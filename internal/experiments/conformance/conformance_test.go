@@ -134,13 +134,13 @@ func (c *cell) observedRun() *variant {
 	return c.observed
 }
 
-// engineRun is c on n shards (0 = sequential) with metrics, engine
-// telemetry and sampler tracing attached.
+// engineRun is c on n shards (0 = sequential) with metrics (engine
+// telemetry included) and sampler tracing attached.
 func (c *cell) engineRun(n int) *variant {
 	v, ok := c.engine[n]
 	if !ok {
 		cfg := c.cfg
-		cfg.Shards, cfg.EngineObs = n, true
+		cfg.Shards = n
 		v = runWith(cfg, true, true)
 		c.engine[n] = v
 	}
@@ -169,7 +169,7 @@ func (c *cell) same(t *testing.T, setting string, v *variant) {
 }
 
 // engineFamilies matches the engine observatory's series, which are
-// engine-shaped by design (that is why RunCfg.EngineObs is opt-in).
+// engine-shaped by design, so engine comparisons strip them.
 var engineFamilies = regexp.MustCompile(`(?m)^drill_(shard|window|sched)_.*\n`)
 
 // findPoint returns the value of a scalar series in a snapshot, or -1.
@@ -252,8 +252,14 @@ func TestInvarianceMatrix(t *testing.T) {
 				t.Errorf("%s: snapshotter never published", c.name)
 				continue
 			}
-			if delivered := findPoint(last, "drill_fabric_delivered_total", obsScope); delivered <= 0 {
+			delivered := findPoint(last, "drill_fabric_delivered_total", obsScope)
+			if delivered <= 0 {
 				t.Errorf("%s: delivered counter = %v, want > 0", c.name, delivered)
+			}
+			// Every delivered packet was queued at least twice: at its NIC
+			// and at its leaf's host port.
+			if enq := findPoint(last, "drill_fabric_enqueued_total", obsScope); enq < 2*delivered {
+				t.Errorf("%s: enqueued counter = %v, want >= 2 x delivered (%v)", c.name, enq, delivered)
 			}
 			if drops, _ := sumPoints(last, "drill_fabric_drops_total"); int64(drops) != v.res.Drops {
 				t.Errorf("%s: fabric drop counters sum to %v, RunResult says %d", c.name, drops, v.res.Drops)
@@ -263,6 +269,9 @@ func TestInvarianceMatrix(t *testing.T) {
 			}
 			if ooo := findPoint(last, "drill_transport_out_of_order_total", obsScope); int64(ooo) != v.res.OutOfOrder {
 				t.Errorf("%s: out-of-order counter = %v, RunResult says %d", c.name, ooo, v.res.OutOfOrder)
+			}
+			if rto := findPoint(last, "drill_transport_timeouts_total", obsScope); int64(rto) != v.res.Timeouts {
+				t.Errorf("%s: timeout counter = %v, RunResult says %d", c.name, rto, v.res.Timeouts)
 			}
 		}
 	})
@@ -285,7 +294,7 @@ func TestInvarianceMatrix(t *testing.T) {
 // sum equal to the engine report's shard total.
 func TestEngineTelemetryIsByteIdentical(t *testing.T) {
 	forEngines(t, func(t *testing.T, c *cell, n int, v *variant) {
-		setting := fmt.Sprintf("EngineObs at shards=%d", n)
+		setting := fmt.Sprintf("instrumented at shards=%d", n)
 		c.same(t, setting, v)
 		last := v.reg.Latest()
 		if last == nil {
@@ -321,21 +330,28 @@ func TestEngineTelemetryIsByteIdentical(t *testing.T) {
 	})
 }
 
-// TestShardedObsCellMatches holds the metrics stack — instrument emission
-// from inside shard context plus the global snapshotter — to the same
-// snapshot on every engine: the default families of each instrumented run
-// must equal the Obs setting's on the sequential engine. The engine
-// families are engine-shaped by design and left out.
+// TestShardedObsCellMatches holds the metrics stack — histograms observed
+// inside shard context, counters derived from shard-domain sums at
+// barriers, and the global snapshotter — to the same snapshots on every
+// engine: every retained snapshot of each instrumented run, mid-run
+// barriers included, must equal the Obs setting's on the sequential
+// engine. The engine families are engine-shaped by design and stripped
+// from both sides.
 func TestShardedObsCellMatches(t *testing.T) {
 	forEngines(t, func(t *testing.T, c *cell, n int, v *variant) {
-		last := v.reg.Latest()
-		if last == nil {
-			t.Errorf("%s: shards=%d: snapshotter never published", c.name, n)
+		got, want := v.reg.Ring(), c.observedRun().reg.Ring()
+		if len(got) == 0 || len(got) != len(want) {
+			t.Errorf("%s: shards=%d: %d snapshots retained, sequential run has %d", c.name, n, len(got), len(want))
 			return
 		}
-		if got, want := engineFamilies.ReplaceAllString(ObsLines(last), ""), ObsLines(c.observedRun().reg.Latest()); got != want {
-			t.Errorf("%s: shards=%d: obs lines differ from the sequential run's:\n--- sequential\n%s--- shards=%d\n%s",
-				c.name, n, want, n, got)
+		for i := range got {
+			g := engineFamilies.ReplaceAllString(ObsLines(got[i]), "")
+			w := engineFamilies.ReplaceAllString(ObsLines(want[i]), "")
+			if g != w {
+				t.Errorf("%s: shards=%d: snapshot %d of %d: obs lines differ from the sequential run's:\n--- sequential\n%s--- shards=%d\n%s",
+					c.name, n, i+1, len(got), w, n, g)
+				return
+			}
 		}
 	})
 }

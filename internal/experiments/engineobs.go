@@ -13,13 +13,13 @@ import (
 // Engine observatory: the drill_shard_* / drill_window_* / drill_sched_*
 // metric families exposing the execution substrate itself — per-shard
 // window/barrier counters, the window-width distribution, cross-shard
-// exchange traffic, and scheduler internals. Registration is opt-in
-// (RunCfg.EngineObs): attaching a plain Obs registry must keep its series
-// set — and therefore any obs-inclusive fingerprint — identical between
-// the sequential and sharded engines, and these families are inherently
-// engine-shaped. Refresh runs on the observer tick, which fires at a
-// window barrier with every shard parked, so all reads are race-free; it
-// only reads engine state, never steers it.
+// exchange traffic, and scheduler internals. Every run with an Obs
+// registry attached carries them; their series set is engine-shaped (one
+// sched row per scheduler, shard rows only on the sharded engine), so
+// engine-invariance comparisons strip them. Refresh runs on the observer
+// tick, which fires at a window barrier with every shard parked, and
+// reads the engine through buildEngineReport — the same read the
+// post-run report makes — so all reads are race-free and never steer.
 
 // engineGaugeSet holds one shard's gauge row.
 type engineGaugeSet struct {
@@ -28,7 +28,6 @@ type engineGaugeSet struct {
 
 // schedGaugeSet holds one scheduler's internals row.
 type schedGaugeSet struct {
-	sim                  *sim.Sim
 	near, wheel, far     *obs.Gauge
 	dispList, dispHeap   *obs.Gauge
 	cascades, pours      *obs.Gauge
@@ -36,9 +35,9 @@ type schedGaugeSet struct {
 }
 
 type engineMetrics struct {
-	group *sim.ShardGroup
-	net   *fabric.Network
+	report func() *obs.EngineReport
 
+	sched    []schedGaugeSet
 	shards   []engineGaugeSet
 	exch     [][]*obs.Gauge
 	barriers *obs.Gauge
@@ -47,29 +46,17 @@ type engineMetrics struct {
 	winP50   *obs.Gauge
 	winP90   *obs.Gauge
 	winP99   *obs.Gauge
-	sched    []schedGaugeSet
 }
 
-// engineScope joins the run's scope labels with the family's own labels.
-func engineScope(scope, rest string) string {
-	if scope == "" {
-		return rest
-	}
-	if rest == "" {
-		return scope
-	}
-	return scope + "," + rest
-}
-
-// newEngineMetrics registers the engine families for one run. group and
-// net may describe a sequential run (nil group), which registers only the
-// scheduler-internals rows under sched="seq".
-func newEngineMetrics(reg *obs.Registry, scope string, s *sim.Sim, group *sim.ShardGroup, net *fabric.Network) *engineMetrics {
-	em := &engineMetrics{group: group, net: net}
-	addSched := func(name string, ss *sim.Sim) {
-		l := engineScope(scope, fmt.Sprintf("sched=%q", name))
+// newEngineMetrics registers the engine families for one run, shaped by
+// the run's engine report: a sequential run registers only its one
+// scheduler-internals row, sched="seq".
+func newEngineMetrics(reg *obs.Registry, scope string, report func() *obs.EngineReport) *engineMetrics {
+	em := &engineMetrics{report: report}
+	rep := report()
+	for _, sc := range rep.Sched {
+		l := obs.JoinLabels(scope, fmt.Sprintf("sched=%q", sc.Sched))
 		em.sched = append(em.sched, schedGaugeSet{
-			sim:      ss,
 			near:     reg.Gauge("drill_sched_near_total", l, "Schedule calls routed to the near tier."),
 			wheel:    reg.Gauge("drill_sched_wheel_total", l, "Schedule calls routed into a wheel bucket."),
 			far:      reg.Gauge("drill_sched_far_total", l, "Schedule calls routed to the far overflow heap."),
@@ -82,16 +69,11 @@ func newEngineMetrics(reg *obs.Registry, scope string, s *sim.Sim, group *sim.Sh
 			pending:  reg.Gauge("drill_sched_pending", l, "Scheduled events not yet dispatched, all tiers."),
 		})
 	}
-	if group == nil {
-		addSched("seq", s)
+	if len(rep.Shards) == 0 {
 		return em
 	}
-	addSched("global", s)
-	for i, sh := range group.Shards {
-		addSched("shard"+strconv.Itoa(i), sh)
-	}
-	for i := range group.Shards {
-		l := engineScope(scope, fmt.Sprintf("shard=%q", strconv.Itoa(i)))
+	for i := range rep.Shards {
+		l := obs.JoinLabels(scope, fmt.Sprintf("shard=%q", strconv.Itoa(i)))
 		em.shards = append(em.shards, engineGaugeSet{
 			windows:  reg.Gauge("drill_shard_windows_total", l, "Windows in which this shard dispatched events."),
 			events:   reg.Gauge("drill_shard_events_total", l, "Events dispatched by this shard."),
@@ -100,12 +82,12 @@ func newEngineMetrics(reg *obs.Registry, scope string, s *sim.Sim, group *sim.Sh
 			stall:    reg.Gauge("drill_shard_stall_seconds_total", l, "Wall time this shard spent parked at barriers."),
 		})
 	}
-	n := len(group.Shards)
+	n := len(rep.Shards)
 	em.exch = make([][]*obs.Gauge, n)
 	for src := 0; src < n; src++ {
 		em.exch[src] = make([]*obs.Gauge, n)
 		for dst := 0; dst < n; dst++ {
-			l := engineScope(scope, fmt.Sprintf("src=%q,dst=%q", strconv.Itoa(src), strconv.Itoa(dst)))
+			l := obs.JoinLabels(scope, fmt.Sprintf("src=%q,dst=%q", strconv.Itoa(src), strconv.Itoa(dst)))
 			em.exch[src][dst] = reg.Gauge("drill_shard_exchange_total", l,
 				"Cross-shard messages exchanged from shard src to shard dst at barriers.")
 		}
@@ -119,27 +101,28 @@ func newEngineMetrics(reg *obs.Registry, scope string, s *sim.Sim, group *sim.Sh
 	return em
 }
 
-// Refresh publishes the current engine state into the gauges. It runs at
+// Refresh publishes the current engine report into the gauges. It runs at
 // observer ticks — window barriers, all shards parked — and after the run
 // drains (the snapshotter's Final), so every read is race-free.
 func (em *engineMetrics) Refresh(units.Time) {
-	for _, sg := range em.sched {
-		sc := sg.sim.Sched()
-		sg.near.Set(float64(sc.Near))
-		sg.wheel.Set(float64(sc.Wheel))
-		sg.far.Set(float64(sc.Far))
-		sg.dispList.Set(float64(sc.DispatchList))
-		sg.dispHeap.Set(float64(sc.DispatchHeap))
-		sg.cascades.Set(float64(sc.Cascades))
-		sg.pours.Set(float64(sc.Pours))
-		sg.poured.Set(float64(sc.PouredEvents))
-		sg.occ.Set(float64(sg.sim.WheelOccupancy()))
-		sg.pending.Set(float64(sg.sim.Pending()))
+	rep := em.report()
+	for i, sc := range rep.Sched {
+		g := &em.sched[i]
+		g.near.Set(float64(sc.Near))
+		g.wheel.Set(float64(sc.Wheel))
+		g.far.Set(float64(sc.Far))
+		g.dispList.Set(float64(sc.DispatchList))
+		g.dispHeap.Set(float64(sc.DispatchHeap))
+		g.cascades.Set(float64(sc.Cascades))
+		g.pours.Set(float64(sc.Pours))
+		g.poured.Set(float64(sc.PouredEvents))
+		g.occ.Set(float64(sc.WheelOccupancy))
+		g.pending.Set(float64(sc.Pending))
 	}
-	if em.group == nil {
+	if len(rep.Shards) == 0 {
 		return
 	}
-	for i, st := range em.group.ShardStats() {
+	for i, st := range rep.Shards {
 		g := &em.shards[i]
 		g.windows.Set(float64(st.Windows))
 		g.events.Set(float64(st.Events))
@@ -147,23 +130,23 @@ func (em *engineMetrics) Refresh(units.Time) {
 		g.busy.Set(float64(st.BusyNs) / 1e9)
 		g.stall.Set(float64(st.StallNs) / 1e9)
 	}
-	for src, row := range em.net.ExchangeMatrix() {
+	for src, row := range rep.Exchange {
 		for dst, v := range row {
 			em.exch[src][dst].Set(float64(v))
 		}
 	}
-	w := em.group.WindowStats()
-	em.barriers.Set(float64(em.group.Barriers()))
-	em.winCount.Set(float64(w.Count))
-	em.winSum.Set(float64(w.SumNs))
-	em.winP50.Set(float64(w.Quantile(0.50)))
-	em.winP90.Set(float64(w.Quantile(0.90)))
-	em.winP99.Set(float64(w.Quantile(0.99)))
+	em.barriers.Set(float64(rep.Barriers))
+	em.winCount.Set(float64(rep.WindowCount))
+	em.winSum.Set(float64(rep.WindowSumNs))
+	em.winP50.Set(float64(rep.WindowP50Ns))
+	em.winP90.Set(float64(rep.WindowP90Ns))
+	em.winP99.Set(float64(rep.WindowP99Ns))
 }
 
 // buildEngineReport assembles the post-run engine observatory report. It
 // is cheap (a few hundred bytes of plain data) and only reads parked
-// state, so every run carries one regardless of EngineObs.
+// state, so every run carries one, and engineMetrics re-reads it at each
+// observer tick.
 func buildEngineReport(engine string, s *sim.Sim, group *sim.ShardGroup, net *fabric.Network) *obs.EngineReport {
 	rep := &obs.EngineReport{Engine: engine}
 	schedRow := func(name string, ss *sim.Sim) obs.EngineSched {

@@ -20,33 +20,19 @@ func engineSeries(s *obs.Snapshot, prefix string) int {
 	return n
 }
 
-// TestEngineObsOptIn pins the opt-in contract the conformance fingerprint
-// relies on: a plain Obs registry registers no engine families at all —
-// the series set stays engine-invariant — while EngineObs registers the
-// full observatory, populated by the run.
+// TestEngineObsOptIn pins the engine observatory's series set: attaching
+// an Obs registry registers the full observatory, shaped by the engine
+// and populated by the run.
 func TestEngineObsOptIn(t *testing.T) {
 	cfg := tinySweepCfgs()[1]
 	cfg.Shards = 2
-
-	plain := cfg
-	plain.Obs = obs.NewRegistry(8)
-	plain.ObsScope = `cell="0"`
-	plain.ObsSample = 50 * units.Microsecond
-	Run(plain)
-	snap := plain.Obs.Capture(0)
-	for _, prefix := range []string{"drill_shard_", "drill_sched_", "drill_window_"} {
-		if n := engineSeries(snap, prefix); n != 0 {
-			t.Errorf("EngineObs off: %d %s* series registered, want 0", n, prefix)
-		}
-	}
 
 	instr := cfg
 	instr.Obs = obs.NewRegistry(8)
 	instr.ObsScope = `cell="0"`
 	instr.ObsSample = 50 * units.Microsecond
-	instr.EngineObs = true
 	res := Run(instr)
-	snap = instr.Obs.Capture(0)
+	snap := instr.Obs.Capture(0)
 	nsh := len(res.EngineRep.Shards)
 	if nsh == 0 {
 		t.Fatal("sharded run produced no shard rows")
@@ -66,13 +52,12 @@ func TestEngineObsOptIn(t *testing.T) {
 		t.Errorf("drill_window_barriers_total = %v, want > 0", v)
 	}
 
-	// Sequential with EngineObs: only the single seq scheduler row.
+	// Sequential: only the single seq scheduler row.
 	seq := cfg
 	seq.Shards = 0
 	seq.Obs = obs.NewRegistry(8)
 	seq.ObsScope = `cell="0"`
 	seq.ObsSample = 50 * units.Microsecond
-	seq.EngineObs = true
 	Run(seq)
 	snap = seq.Obs.Capture(0)
 	if n := engineSeries(snap, "drill_shard_") + engineSeries(snap, "drill_window_"); n != 0 {
@@ -81,7 +66,7 @@ func TestEngineObsOptIn(t *testing.T) {
 	if got := engineSeries(snap, "drill_sched_"); got != 10 {
 		t.Errorf("sequential drill_sched_* series = %d, want 10", got)
 	}
-	if v := findPoint(snap, "drill_sched_dispatch_list_total", engineScope(seq.ObsScope, `sched="seq"`)); v <= 0 {
+	if v := findPoint(snap, "drill_sched_dispatch_list_total", obs.JoinLabels(seq.ObsScope, `sched="seq"`)); v <= 0 {
 		t.Errorf("seq dispatch-list counter = %v, want > 0", v)
 	}
 }

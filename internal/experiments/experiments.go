@@ -70,16 +70,14 @@ type Options struct {
 	// manifest rows, and is otherwise inert.
 	ExpID string
 	// Obs, when non-nil, attaches the live metrics registry to every run
-	// of the sweep: per-cell fabric and transport families under
-	// exp/cell labels, a runner family (cells done, events/s, sim-rate),
-	// and a sim-time snapshotter per run. Metrics observe, never steer —
-	// reports stay byte-identical with Obs on or off.
+	// of the sweep: per-cell fabric, transport and engine observatory
+	// families under exp/cell labels, a runner family (cells done,
+	// events/s, sim-rate), and a sim-time snapshotter per run. Metrics
+	// observe, never steer — reports stay byte-identical with Obs on or
+	// off.
 	Obs *obs.Registry
 	// ObsSample overrides the per-run snapshot interval (default 100µs).
 	ObsSample units.Time
-	// EngineObs, with Obs attached, registers the engine observatory
-	// families for every run of the sweep (see RunCfg.EngineObs).
-	EngineObs bool
 	// EngineSink, when non-nil, receives each completed cell's engine
 	// report, tagged with the cell index. Calls are serialized by the
 	// fan-out pool's done callbacks, so the sink may touch shared state
@@ -169,9 +167,6 @@ func (o *Options) runAll(cfgs []RunCfg, done func(i int, res *RunResult)) []*Run
 				cfgs[i].Obs = o.Obs
 				cfgs[i].ObsScope = cellScope(o.ExpID, i)
 				cfgs[i].ObsSample = o.ObsSample
-			}
-			if o.EngineObs {
-				cfgs[i].EngineObs = true
 			}
 		}
 		inner := done

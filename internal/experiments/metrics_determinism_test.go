@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"drill/internal/obs"
+	"drill/internal/units"
 )
 
 // findPoint returns the value of a scalar series in a snapshot, or -1.
@@ -88,5 +89,40 @@ func TestProvenanceIsDeterministic(t *testing.T) {
 		if Run(other).Prov.ConfigHash == a.Prov.ConfigHash {
 			t.Errorf("flipping %s left the config hash unchanged", name)
 		}
+	}
+}
+
+// TestFinalSnapshotKeepsUtilization pins the utilization a run leaves
+// behind for /metrics: a run that ends exactly on a snapshot tick publishes
+// its final snapshot over a zero-length window, which must keep the tick's
+// per-port utilization rather than zero it.
+func TestFinalSnapshotKeepsUtilization(t *testing.T) {
+	cfg := tinySweepCfgs()[1]
+	cfg.Load = 0.8
+	cfg.DrainLimit = 100 * units.Microsecond
+	cfg.Obs = obs.NewRegistry(64)
+	cfg.ObsSample = 50 * units.Microsecond
+	Run(cfg)
+	ring := cfg.Obs.Ring()
+	if len(ring) < 2 {
+		t.Fatalf("%d snapshots published, want at least 2", len(ring))
+	}
+	tick, final := ring[len(ring)-2], ring[len(ring)-1]
+	if tick.SimTime != final.SimTime {
+		t.Fatalf("run ended at %v, off its last tick at %v: the case under test did not arise", final.SimTime, tick.SimTime)
+	}
+	var sum float64
+	for i := range tick.Points {
+		p, q := &tick.Points[i], &final.Points[i]
+		if p.Name != "drill_port_utilization" {
+			continue
+		}
+		if q.Value != p.Value {
+			t.Fatalf("%s{%s}: final snapshot %v, tick %v", p.Name, p.Labels, q.Value, p.Value)
+		}
+		sum += q.Value
+	}
+	if sum == 0 {
+		t.Error("zero utilization on every port")
 	}
 }

@@ -94,25 +94,18 @@ type RunCfg struct {
 	// queue-depth / port-utilization sampler at that interval.
 	TraceSample units.Time
 
-	// Obs, when non-nil, registers this run's fabric and transport metric
-	// families in the registry (scoped by ObsScope labels) and attaches a
-	// sim-time snapshotter publishing every ObsSample. Metrics observe and
-	// never steer: enabling them changes no result byte (see
-	// conformance.TestInvarianceMatrix).
+	// Obs, when non-nil, registers this run's fabric, transport and engine
+	// observatory (drill_sched_*, and drill_shard_*/drill_window_* on the
+	// sharded engine) metric families in the registry, scoped by ObsScope
+	// labels, and attaches a sim-time snapshotter publishing every
+	// ObsSample. Metrics observe and never steer: enabling them changes no
+	// result byte (see conformance.TestInvarianceMatrix).
 	Obs *obs.Registry
 	// ObsScope is a pre-rendered label body (e.g. `exp="fig6a",cell="3"`)
 	// distinguishing this run's series in a shared registry.
 	ObsScope string
 	// ObsSample is the snapshot interval (default 100µs).
 	ObsSample units.Time
-	// EngineObs, with Obs attached, additionally registers the engine
-	// observatory families (drill_shard_*, drill_window_*, drill_sched_*)
-	// and refreshes them at observer barriers. Opt-in because the series
-	// set is engine-shaped: a default registry keeps the same families on
-	// both engines, so obs-inclusive fingerprints stay engine-invariant.
-	// Like Obs itself, it observes and never steers: enabling it changes
-	// no result byte (see conformance.TestInvarianceMatrix).
-	EngineObs bool
 
 	// Synthetic, when non-nil, replaces the Poisson workload (Table 1).
 	Synthetic func(reg *transport.Registry, until units.Time) *workload.Synthetic
@@ -269,6 +262,7 @@ func Run(cfg RunCfg) *RunResult {
 	})
 	reg.MeasureFrom = cfg.Warmup
 	end := cfg.Warmup + cfg.Measure
+	engineReport := func() *obs.EngineReport { return buildEngineReport(engine, s, group, net) }
 
 	var snap *obs.Snapshotter
 	if cfg.Obs != nil {
@@ -277,27 +271,19 @@ func Run(cfg RunCfg) *RunResult {
 			every = 100 * units.Microsecond
 		}
 		fm := net.EnableMetrics(cfg.Obs, cfg.ObsScope)
-		reg.EnableMetrics(cfg.Obs, cfg.ObsScope)
+		tm := reg.EnableMetrics(cfg.Obs, cfg.ObsScope)
 		// Live run progress for scrapes and the drillsim heartbeat: the
 		// final value equals RunResult.Events (observer events are excluded
 		// from Executed), so summing the family across cell scopes gives the
 		// sweep's total event count whether cells are finished or mid-run.
 		ev := cfg.Obs.Gauge("drill_run_events", cfg.ObsScope,
 			"Events dispatched so far by this run; settles at the run's total.")
-		executed := func() uint64 { return s.Executed }
-		if group != nil {
-			// Observer ticks fire at barriers with every shard parked, so
-			// summing the shard counters there is race-free.
-			executed = group.Executed
-		}
-		refresh := []func(units.Time){fm.Refresh, func(units.Time) {
-			ev.Set(float64(executed()))
-		}}
-		if cfg.EngineObs {
-			em := newEngineMetrics(cfg.Obs, cfg.ObsScope, s, group, net)
-			refresh = append(refresh, em.Refresh)
-		}
-		snap = obs.StartSnapshotter(s, cfg.Obs, every, refresh...)
+		em := newEngineMetrics(cfg.Obs, cfg.ObsScope, engineReport)
+		// Observer ticks fire at barriers with every shard parked, so each
+		// refresh may sum the shards' counters race-free.
+		snap = obs.StartSnapshotter(s, cfg.Obs, every, fm.Refresh, tm.Refresh, func(units.Time) {
+			ev.Set(float64(runExecuted(s, group)))
+		}, em.Refresh)
 	}
 
 	if cfg.Campaign != nil {
@@ -413,7 +399,7 @@ func Run(cfg RunCfg) *RunResult {
 	if syn != nil {
 		res.ElephantGbps = syn.ElephantGoodput(cfg.Measure + cfg.DrainLimit)
 	}
-	res.EngineRep = buildEngineReport(engine, s, group, net)
+	res.EngineRep = engineReport()
 	res.Prov = obs.CellSummary{
 		Scheme:      cfg.Scheme.Name,
 		Seed:        cfg.Seed,

@@ -252,7 +252,7 @@ func TestEngineSharding(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, cid := range tp.OutAll(tp.Leaves[0]) {
-		e := sw.engineFor(cid ^ 1)
+		e := n.engineFor(sw, cid^1)
 		seen[e.Index] = true
 	}
 	if len(seen) != 4 {

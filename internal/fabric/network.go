@@ -140,7 +140,6 @@ type Network struct {
 	arriveObs ArriveObserver
 	sendHook  SendHook
 	tracer    *trace.Tracer
-	met       *Metrics // obs emission, nil when metrics are off
 
 	// pool recycles packets at deliver/drop sites; see pool.go. Under the
 	// sharded engine each domain owns a private pool and this one only
@@ -269,22 +268,18 @@ func (n *Network) build() {
 			Node: nd.ID, Kind: nd.Kind,
 			dom:      n.domByNode[nd.ID],
 			dropHop:  dropHopClass(nd.Kind),
-			hostPort: map[topo.NodeID]int32{},
-			inIndex:  map[topo.ChanID]int{},
 			chanPort: map[topo.ChanID]int32{},
 		}
-		for _, cid := range t.OutAll(nd.ID) {
+		for i, cid := range t.OutAll(nd.ID) {
 			pi := n.chanPort[cid]
 			sw.OutPorts = append(sw.OutPorts, pi)
 			sw.chanPort[cid] = pi
 			c := t.Chan(cid)
 			if t.Nodes[c.To].Kind == topo.Host {
-				sw.hostPort[c.To] = pi
 				n.hostNIC[c.To] = pi
 			}
 			// The reverse channel arrives here; index it for engine sharding.
-			n.inIdx[cid^1] = int32(len(sw.inIndex))
-			sw.inIndex[cid^1] = len(sw.inIndex)
+			n.inIdx[cid^1] = int32(i)
 		}
 		for e := 0; e < cfg.Engines; e++ {
 			sw.engines = append(sw.engines, &Engine{
@@ -518,9 +513,6 @@ func (n *Network) enqueue(p *Port, pkt *Packet) {
 		if n.tracer != nil {
 			n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
 		}
-		if n.met != nil {
-			n.met.drops[p.Hop].Inc()
-		}
 		d.pool.Put(pkt)
 		return
 	}
@@ -530,9 +522,6 @@ func (n *Network) enqueue(p *Port, pkt *Packet) {
 		if n.tracer != nil {
 			n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
 		}
-		if n.met != nil {
-			n.met.drops[p.Hop].Inc()
-		}
 		d.pool.Put(pkt)
 		return
 	}
@@ -541,13 +530,11 @@ func (n *Network) enqueue(p *Port, pkt *Packet) {
 		pkt.ECNCE = true
 	}
 	p.pushQueue(pkt)
+	p.EnqPackets++
 	p.QPkts++
 	p.QBytes += int64(pkt.Size)
 	if n.tracer != nil {
 		n.tracer.Packet(trace.Enqueue, pkt.enqAt, p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
-	}
-	if n.met != nil {
-		n.met.enqueued.Inc()
 	}
 	if p.visDelay <= 0 {
 		p.applyVisibility(pkt.Size)
@@ -652,9 +639,6 @@ func (n *Network) txDone(p *Port) {
 	if n.tracer != nil {
 		n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
 	}
-	if n.met != nil {
-		n.met.drops[p.Hop].Inc()
-	}
 	d.pool.Put(pkt)
 	n.drainPort(p)
 }
@@ -691,9 +675,6 @@ func (n *Network) drainPort(p *Port) {
 		if n.tracer != nil {
 			n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
 		}
-		if n.met != nil {
-			n.met.drops[p.Hop].Inc()
-		}
 		d.pool.Put(pkt)
 	}
 }
@@ -709,9 +690,6 @@ func (n *Network) arrive(pkt *Packet, at topo.NodeID, in topo.ChanID) {
 		if n.tracer != nil {
 			n.tracer.Packet(trace.Deliver, d.sim.Now(), n.chanPort[in], uint8(n.Ports[n.chanPort[in]].Hop),
 				pkt.FlowID, pkt.Seq, int32(pkt.Size), 0)
-		}
-		if n.met != nil {
-			n.met.delivered.Inc()
 		}
 		if h.Handler != nil {
 			h.Handler.HandlePacket(h, pkt)
@@ -734,17 +712,23 @@ func (n *Network) arrive(pkt *Packet, at topo.NodeID, in topo.ChanID) {
 	if n.arriveObs != nil {
 		n.arriveObs.OnArrive(n, sw, pkt)
 	}
-	// Engine sharding by input channel, via the dense index (same values
-	// Switch.engineFor computes from its map).
-	eng := sw.engines[0]
-	if len(sw.engines) > 1 {
-		idx := n.inIdx[in]
-		if idx < 0 {
-			idx = int32(in)
-		}
-		eng = sw.engines[int(idx)%len(sw.engines)]
+	n.forward(sw, n.engineFor(sw, in), pkt)
+}
+
+// engineFor shards a packet arriving at sw over channel in to one of the
+// switch's forwarding engines by its dense input index, modelling
+// per-line-card forwarding engines.
+//
+//drill:hotpath
+func (n *Network) engineFor(sw *Switch, in topo.ChanID) *Engine {
+	if len(sw.engines) == 1 {
+		return sw.engines[0]
 	}
-	n.forward(sw, eng, pkt)
+	idx := n.inIdx[in]
+	if idx < 0 {
+		idx = int32(in)
+	}
+	return sw.engines[int(idx)%len(sw.engines)]
 }
 
 // forward routes pkt out of sw.
@@ -779,9 +763,6 @@ func (n *Network) forward(sw *Switch, eng *Engine, pkt *Packet) {
 		sw.dom.hops.RecordDrop(sw.dropHop)
 		if n.tracer != nil {
 			n.tracer.Packet(trace.Drop, sw.dom.sim.Now(), -1, uint8(sw.dropHop), pkt.FlowID, pkt.Seq, int32(pkt.Size), 0)
-		}
-		if n.met != nil {
-			n.met.drops[sw.dropHop].Inc()
 		}
 		sw.dom.pool.Put(pkt)
 		return

@@ -79,9 +79,10 @@ type Port struct {
 	wireSeq  uint64
 
 	// Counters.
-	TxPackets int64
-	TxBytes   int64
-	Drops     int64
+	EnqPackets int64 // packets accepted into the queue
+	TxPackets  int64
+	TxBytes    int64
+	Drops      int64
 }
 
 // Up reports whether the underlying link direction is in service.

@@ -58,21 +58,14 @@ type Switch struct {
 
 	OutPorts []int32 // Network port indexes of this switch's output ports
 
-	// hostPort maps a locally attached host to the port serving it.
-	hostPort map[topo.NodeID]int32
-
 	// tables[dstLeafIdx] lists the groups toward that leaf (nil for the
-	// switch's own leaf index — local delivery uses hostPort).
+	// switch's own leaf index — local delivery uses Network.hostNIC).
 	tables [][]Group
 
 	// groupCount is the number of unique port-set groups in tables.
 	groupCount int32
 
 	engines []*Engine
-
-	// inIndex maps an arriving channel to a dense input index used to shard
-	// packets across engines.
-	inIndex map[topo.ChanID]int
 
 	// chanPort maps this switch's outgoing channel IDs to port indexes
 	// (used by source-routed schemes).
@@ -87,19 +80,6 @@ func (s *Switch) Groups(dstLeafIdx int32) []Group { return s.tables[dstLeafIdx] 
 
 // GroupCount returns the number of unique port-set groups at this switch.
 func (s *Switch) GroupCount() int32 { return s.groupCount }
-
-// engineFor shards an arriving packet to an engine by its input channel,
-// modelling per-line-card forwarding engines.
-func (s *Switch) engineFor(in topo.ChanID) *Engine {
-	if len(s.engines) == 1 {
-		return s.engines[0]
-	}
-	idx, ok := s.inIndex[in]
-	if !ok {
-		idx = int(in)
-	}
-	return s.engines[idx%len(s.engines)]
-}
 
 // GroupForFlow picks a group by flow hash, honoring weights — the "flow
 // classification" step of §3.4.2. It requires at least one group.

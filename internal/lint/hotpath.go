@@ -29,9 +29,10 @@ import (
 //  3. Inside //drill:hotpath functions, calls to internal/obs instrument
 //     emission methods (Counter.Inc/Add, Gauge.Set/Add,
 //     Histogram.Observe) must sit behind a nil guard on the receiver or
-//     on a prefix of its selector chain — `if n.met != nil {
-//     n.met.delivered.Inc() }` is the idiom, mirroring the trace rule:
-//     metrics off means no pointer chase, no atomic, nothing.
+//     on a prefix of its selector chain — transport's histogram sites,
+//     `if m := s.reg.met; m != nil { m.cwnd.Observe(s.cwnd) }` in onAck,
+//     are the idiom, mirroring the trace rule: metrics off means no
+//     pointer chase, no atomic, nothing.
 //
 //  4. Inside //drill:hotpath functions, function literals may not be
 //     passed to internal/sim scheduling calls (After, At, AtGlobal,
@@ -264,9 +265,9 @@ func isNilIdent(e ast.Expr) bool {
 }
 
 // nilGuardedPrefix is nilGuarded relaxed to selector prefixes: the obs
-// idiom checks the metrics *handle* (`if n.met != nil`) and then touches
-// instrument fields hanging off it (`n.met.delivered.Inc()`,
-// `n.met.drops[h].Inc()`), which EnableMetrics populates together — so a
+// idiom checks the metrics *handle* (`if r.met != nil`) and then touches
+// instrument fields hanging off it (`r.met.fct.Observe(v)`,
+// `r.met.drops[h].Inc()`), which EnableMetrics populates together — so a
 // guard on any dotted/indexed prefix of the receiver counts.
 func nilGuardedPrefix(recv ast.Expr, stack []ast.Node) bool {
 	want := types.ExprString(recv)
@@ -305,8 +306,8 @@ func condImpliesPrefixNonNil(cond ast.Expr, want string) bool {
 }
 
 // isSelectorPrefix reports whether guard names expr itself or a prefix of
-// its selector/index chain ("n.met" guards "n.met.delivered" and
-// "n.met.drops[h]", but not "n.metrics").
+// its selector/index chain ("r.met" guards "r.met.fct" and
+// "r.met.drops[h]", but not "r.metrics").
 func isSelectorPrefix(guard, expr string) bool {
 	if guard == expr {
 		return true

@@ -96,9 +96,9 @@ func coldPath(v int) string {
 
 func box(x any) {}
 
-// met mirrors the real per-network Metrics handle: EnableMetrics
-// populates every instrument field together, so guarding the handle
-// guards them all.
+// met mirrors the shape of a real metrics handle such as transport's:
+// EnableMetrics populates every instrument field together, so guarding
+// the handle guards them all.
 type met struct {
 	delivered *obs.Counter
 	qdepth    *obs.Gauge

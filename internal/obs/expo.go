@@ -60,9 +60,9 @@ func writePromHistogram(bw *errWriter, p *Point) {
 	for _, b := range d.Buckets {
 		cum += b.Count
 		bw.printf("%s_bucket{%s} %d\n",
-			p.Name, joinLabels(p.Labels, `le="`+formatFloat(BucketUpper(b.Index))+`"`), cum)
+			p.Name, JoinLabels(p.Labels, `le="`+formatFloat(BucketUpper(b.Index))+`"`), cum)
 	}
-	bw.printf("%s_bucket{%s} %d\n", p.Name, joinLabels(p.Labels, `le="+Inf"`), d.Count)
+	bw.printf("%s_bucket{%s} %d\n", p.Name, JoinLabels(p.Labels, `le="+Inf"`), d.Count)
 	if p.Labels == "" {
 		bw.printf("%s_sum %s\n", p.Name, formatFloat(d.Sum))
 		bw.printf("%s_count %d\n", p.Name, d.Count)
@@ -72,9 +72,15 @@ func writePromHistogram(bw *errWriter, p *Point) {
 	}
 }
 
-func joinLabels(base, extra string) string {
+// JoinLabels joins two pre-rendered label bodies, either of which may be
+// empty — typically a run's scope (`exp="fig6a",cell="3"`) and a series'
+// own labels.
+func JoinLabels(base, extra string) string {
 	if base == "" {
 		return extra
+	}
+	if extra == "" {
+		return base
 	}
 	return base + "," + extra
 }

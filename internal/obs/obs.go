@@ -70,6 +70,18 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// Advance adds the growth of a running total the simulation keeps itself
+// since the previous call, whose total *last holds. Refresh hooks use it
+// to derive counters from data-plane state instead of counting twice;
+// adding the delta rather than storing the total lets several runs share
+// one series and still sum.
+func (c *Counter) Advance(total int64, last *int64) {
+	if d := total - *last; d > 0 {
+		c.Add(d)
+		*last = total
+	}
+}
+
 // Gauge is an instantaneous float64 value. The zero value is ready to
 // use; Set is a single atomic store, Add a CAS loop — zero allocations.
 type Gauge struct{ bits atomic.Uint64 }

@@ -30,6 +30,18 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Series() != 2 {
 		t.Fatalf("series = %d, want 2", r.Series())
 	}
+
+	// Advance derives a counter from running totals kept elsewhere: two
+	// runs sharing one series each add their own growth.
+	shared := r.Counter("drill_test_derived_total", "", "help")
+	var lastA, lastB int64
+	shared.Advance(3, &lastA)
+	shared.Advance(2, &lastB)
+	shared.Advance(3, &lastA) // no growth since the last call
+	shared.Advance(7, &lastA)
+	if got := shared.Value(); got != 9 || lastA != 7 || lastB != 2 {
+		t.Fatalf("derived counter = %d (last %d, %d), want 9 (last 7, 2)", got, lastA, lastB)
+	}
 }
 
 func TestRegistryKindCollisionPanics(t *testing.T) {

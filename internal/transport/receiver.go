@@ -94,7 +94,6 @@ func (r *Receiver) onData(pkt *fabric.Packet) {
 			tr.Flow(trace.OutOfOrder, r.agent.sim.Now(), pkt.FlowID, pkt.Seq, float64(r.txMax-pkt.TxSeq))
 		}
 		if m := r.agent.reg.met; m != nil {
-			m.outOfOrder.Inc()
 			m.oooDepth.Observe(float64(len(r.sacked)))
 		}
 		// Blame the hop where the late packet waited longest relative to

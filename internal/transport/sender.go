@@ -226,9 +226,6 @@ func (s *Sender) retransmit() {
 	if tr := s.reg.tracer; tr != nil {
 		tr.Flow(trace.Retransmit, s.agent.sim.Now(), s.id, s.sndUna, float64(l))
 	}
-	if m := s.reg.met; m != nil {
-		m.retransmits.Inc()
-	}
 	s.emit(s.sndUna, l)
 	s.armTimer()
 }
@@ -279,9 +276,6 @@ func (s *Sender) onTimeout() {
 	s.agent.stats.Timeouts++
 	if tr := s.reg.tracer; tr != nil {
 		tr.Flow(trace.Timeout, s.agent.sim.Now(), s.id, s.sndUna, float64(s.backoff))
-	}
-	if m := s.reg.met; m != nil {
-		m.timeouts.Inc()
 	}
 	s.ssthresh = maxf(float64(s.inflightSegs())/2, 2)
 	s.cwnd = 1
@@ -340,9 +334,6 @@ func (s *Sender) finish(now units.Time) {
 	s.rtoTimer.Stop() // remove the pending RTO from the sim heap eagerly
 	s.fct = now - s.start
 	s.agent.stats.FlowsFinished++
-	if m := s.reg.met; m != nil {
-		m.flowsDone.Inc()
-	}
 	if s.measured {
 		ms := s.fct.Millis()
 		s.agent.stats.FCT.Add(ms)

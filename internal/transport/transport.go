@@ -148,7 +148,7 @@ type Registry struct {
 	agents   map[topo.NodeID]*Agent
 	nextFlow uint64
 	tracer   *trace.Tracer // the network's tracer, nil when tracing is off
-	met      *Metrics      // obs emission, nil when metrics are off
+	met      *Metrics      // histogram observations, nil when metrics are off
 
 	// MeasureFrom: flows started before this time are warm-up and excluded
 	// from Stats (they still load the network).
