@@ -31,6 +31,9 @@ func main() {
 		pair   = flag.String("pair", "", "only show this src-dst leaf pair, e.g. L3-L1")
 	)
 	flag.Parse()
+	if *spines < 1 || *leaves < 2 {
+		exitf("need -spines >= 1 and -leaves >= 2")
+	}
 
 	var t *topo.Topology
 	switch *kind {
@@ -41,22 +44,18 @@ func main() {
 		t = topo.Heterogeneous(topo.HeterogeneousConfig{Spines: *spines, Leaves: *leaves,
 			HostsPerLeaf: 1})
 	default:
-		fmt.Fprintf(os.Stderr, "quiverdump: unknown topology %q\n", *kind)
-		os.Exit(2)
+		exitf("unknown topology %q", *kind)
 	}
 
-	spineIDs := map[int]topo.NodeID{}
-	i := 0
+	var spineIDs []topo.NodeID
 	for _, n := range t.Nodes {
 		if n.Kind == topo.Spine {
-			spineIDs[i] = n.ID
-			i++
+			spineIDs = append(spineIDs, n.ID)
 		}
 	}
 	leafAt := func(i int) topo.NodeID {
 		if i < 0 || i >= len(t.Leaves) {
-			fmt.Fprintf(os.Stderr, "quiverdump: leaf L%d out of range\n", i)
-			os.Exit(2)
+			exitf("leaf L%d out of range", i)
 		}
 		return t.Leaves[i]
 	}
@@ -65,19 +64,19 @@ func main() {
 		for _, f := range strings.Split(*fails, ",") {
 			parts := strings.SplitN(strings.TrimSpace(f), "-", 2)
 			if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
-				fmt.Fprintf(os.Stderr, "quiverdump: bad -fail entry %q (want L0-S0)\n", f)
-				os.Exit(2)
+				exitf("bad -fail entry %q (want L0-S0)", f)
 			}
 			li, err1 := strconv.Atoi(strings.TrimPrefix(parts[0], "L"))
 			si, err2 := strconv.Atoi(strings.TrimPrefix(parts[1], "S"))
 			if err1 != nil || err2 != nil {
-				fmt.Fprintf(os.Stderr, "quiverdump: bad -fail entry %q\n", f)
-				os.Exit(2)
+				exitf("bad -fail entry %q", f)
+			}
+			if si < 0 || si >= len(spineIDs) {
+				exitf("spine S%d out of range", si)
 			}
 			links := t.LinkBetween(leafAt(li), spineIDs[si])
 			if len(links) == 0 {
-				fmt.Fprintf(os.Stderr, "quiverdump: no up link L%d-S%d\n", li, si)
-				os.Exit(2)
+				exitf("no up link L%d-S%d", li, si)
 			}
 			t.FailLink(links[0])
 			fmt.Printf("failed L%d-S%d\n", li, si)
@@ -105,13 +104,19 @@ func main() {
 
 	if *pair != "" {
 		parts := strings.SplitN(*pair, "-", 2)
+		if len(parts) != 2 {
+			exitf("bad -pair (want L3-L1)")
+		}
 		si, err1 := strconv.Atoi(strings.TrimPrefix(parts[0], "L"))
 		di, err2 := strconv.Atoi(strings.TrimPrefix(parts[1], "L"))
-		if len(parts) != 2 || err1 != nil || err2 != nil {
-			fmt.Fprintf(os.Stderr, "quiverdump: bad -pair (want L3-L1)\n")
-			os.Exit(2)
+		if err1 != nil || err2 != nil {
+			exitf("bad -pair (want L3-L1)")
 		}
-		show(leafAt(si), leafAt(di))
+		src, dst := leafAt(si), leafAt(di)
+		if src == dst {
+			exitf("-pair needs two different leaves")
+		}
+		show(src, dst)
 		return
 	}
 	for _, src := range t.Leaves {
@@ -121,4 +126,10 @@ func main() {
 			}
 		}
 	}
+}
+
+// exitf reports a bad flag value on one line and exits with status 2.
+func exitf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "quiverdump: "+format+"\n", args...)
+	os.Exit(2)
 }

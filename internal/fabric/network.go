@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"drill/internal/metrics"
@@ -396,7 +397,7 @@ func (n *Network) SwitchList() []*Switch {
 func (n *Network) BuildDefaultTables() {
 	for _, sw := range n.SwitchList() {
 		tables := make([][]Group, len(n.Topo.Leaves))
-		ded := newGroupDeduper()
+		ded := NewGroupDeduper()
 		for li, leaf := range n.Topo.Leaves {
 			if sw.Node == leaf {
 				continue
@@ -409,10 +410,10 @@ func (n *Network) BuildDefaultTables() {
 			for i, c := range hops {
 				ports[i] = n.chanPort[c]
 			}
-			sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-			tables[li] = []Group{{ID: ded.id(ports), Ports: ports, Weight: 1}}
+			slices.Sort(ports)
+			tables[li] = []Group{{ID: ded.ID(ports), Ports: ports, Weight: 1}}
 		}
-		n.InstallTables(sw, tables, ded.count)
+		n.InstallTables(sw, tables, ded.Count())
 	}
 }
 
@@ -431,34 +432,31 @@ func (n *Network) InstallTables(sw *Switch, tables [][]Group, groupCount int32) 
 	sw.resetEngineState()
 }
 
-// groupDeduper assigns dense IDs to unique port sets within one switch.
-type groupDeduper struct {
+// GroupDeduper assigns dense IDs to unique port sets within one switch.
+type GroupDeduper struct {
 	ids   map[string]int32
 	count int32
 }
 
-func newGroupDeduper() *groupDeduper { return &groupDeduper{ids: map[string]int32{}} }
-
-// NewGroupDeduper is the exported constructor for table builders.
-func NewGroupDeduper() *groupDeduper { return newGroupDeduper() }
+// NewGroupDeduper returns an empty deduper for one switch's tables.
+func NewGroupDeduper() *GroupDeduper { return &GroupDeduper{ids: map[string]int32{}} }
 
 // Count reports how many unique groups have been assigned.
-func (d *groupDeduper) Count() int32 { return d.count }
+func (d *GroupDeduper) Count() int32 { return d.count }
 
-// ID assigns/returns the dense ID for a sorted port set.
-func (d *groupDeduper) ID(ports []int32) int32 { return d.id(ports) }
-
-func (d *groupDeduper) id(ports []int32) int32 {
-	key := make([]byte, 0, 4*len(ports))
+// ID assigns/returns the dense ID for a sorted port set. The lookup key is
+// built on the stack, so only a port set seen for the first time allocates.
+func (d *GroupDeduper) ID(ports []int32) int32 {
+	var stack [64]byte
+	key := stack[:0]
 	for _, p := range ports {
 		key = append(key, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
 	}
-	k := string(key)
-	if id, ok := d.ids[k]; ok {
+	if id, ok := d.ids[string(key)]; ok {
 		return id
 	}
 	id := d.count
-	d.ids[k] = id
+	d.ids[string(key)] = id
 	d.count++
 	return id
 }

@@ -1,7 +1,7 @@
 package lb
 
 import (
-	"sort"
+	"slices"
 
 	"drill/internal/fabric"
 	"drill/internal/topo"
@@ -44,7 +44,7 @@ func (WCMP) BuildTables(net *fabric.Network) {
 			for p := range weights {
 				ports = append(ports, p)
 			}
-			sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
+			slices.Sort(ports)
 			groups := make([]fabric.Group, 0, len(ports))
 			for _, p := range ports {
 				groups = append(groups, fabric.Group{

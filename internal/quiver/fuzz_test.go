@@ -9,34 +9,64 @@ import (
 	"drill/internal/units"
 )
 
-// fuzzTopo builds a small randomized leaf–spine fabric: 2–5 spines and
-// 2–5 leaves, leaf-spine link rates drawn from a heterogeneous set when
-// hetero is odd (uniform 40G otherwise), and `fails` randomly chosen
-// leaf-spine links failed. Everything derives from the seeded rng, so a
-// crashing input reproduces.
-func fuzzTopo(seed int64, spinesB, leavesB, hetero, failsB uint8) *topo.Topology {
-	spines := int(spinesB%4) + 2
-	leaves := int(leavesB%4) + 2
+// fuzzTopo builds a small randomized fabric. An even shape is a 2-tier
+// leaf–spine with a%4+2 spines and b%4+2 leaves; an odd shape is a 3-tier
+// k-ary fat-tree with k = 4 or 6 (by a), whose down-links toward a leaf
+// carry several capacity factors per leaf pair once rates differ. Fabric
+// link rates are drawn from a heterogeneous set when hetero is odd
+// (uniform 40G otherwise), and `fails` randomly chosen fabric links are
+// failed. Everything derives from the seeded rng, so a crashing input
+// reproduces.
+func fuzzTopo(seed int64, shape, a, b, hetero, failsB uint8) *topo.Topology {
 	rng := rand.New(rand.NewSource(seed))
 	rates := []units.Rate{10 * units.Gbps, 25 * units.Gbps, 40 * units.Gbps, 100 * units.Gbps}
 
 	tp := topo.New()
-	spineIDs := make([]topo.NodeID, spines)
-	for s := range spineIDs {
-		spineIDs[s] = tp.AddNode(topo.Spine, fmt.Sprintf("s%d", s))
-	}
 	var core []topo.LinkID
-	for l := 0; l < leaves; l++ {
-		leaf := tp.AddNode(topo.Leaf, fmt.Sprintf("l%d", l))
-		for _, sp := range spineIDs {
-			rate := 40 * units.Gbps
-			if hetero%2 == 1 {
-				rate = rates[rng.Intn(len(rates))]
-			}
-			core = append(core, tp.AddLink(leaf, sp, rate, 500*units.Nanosecond))
+	link := func(x, y topo.NodeID) {
+		rate := 40 * units.Gbps
+		if hetero%2 == 1 {
+			rate = rates[rng.Intn(len(rates))]
 		}
-		h := tp.AddNode(topo.Host, fmt.Sprintf("h%d", l))
-		tp.AddLink(h, leaf, 10*units.Gbps, 500*units.Nanosecond)
+		core = append(core, tp.AddLink(x, y, rate, 500*units.Nanosecond))
+	}
+	host := func(leaf topo.NodeID, name string) {
+		tp.AddLink(tp.AddNode(topo.Host, name), leaf, 10*units.Gbps, 500*units.Nanosecond)
+	}
+	if shape%2 == 0 {
+		spineIDs := make([]topo.NodeID, int(a%4)+2)
+		for s := range spineIDs {
+			spineIDs[s] = tp.AddNode(topo.Spine, fmt.Sprintf("s%d", s))
+		}
+		for l := 0; l < int(b%4)+2; l++ {
+			leaf := tp.AddNode(topo.Leaf, fmt.Sprintf("l%d", l))
+			for _, sp := range spineIDs {
+				link(leaf, sp)
+			}
+			host(leaf, fmt.Sprintf("h%d", l))
+		}
+	} else {
+		half := 2 + int(a%2)
+		cores := make([]topo.NodeID, half*half) // agg index g serves cores[g*half:(g+1)*half]
+		for c := range cores {
+			cores[c] = tp.AddNode(topo.Core, fmt.Sprintf("c%d", c))
+		}
+		for p := 0; p < 2*half; p++ {
+			aggs := make([]topo.NodeID, half)
+			for g := range aggs {
+				aggs[g] = tp.AddNode(topo.Agg, fmt.Sprintf("p%d.a%d", p, g))
+				for _, c := range cores[g*half : (g+1)*half] {
+					link(aggs[g], c)
+				}
+			}
+			for e := 0; e < half; e++ {
+				edge := tp.AddNode(topo.Leaf, fmt.Sprintf("p%d.e%d", p, e))
+				for _, ag := range aggs {
+					link(edge, ag)
+				}
+				host(edge, fmt.Sprintf("p%d.e%d.h", p, e))
+			}
+		}
 	}
 	rng.Shuffle(len(core), func(i, j int) { core[i], core[j] = core[j], core[i] })
 	fails := int(failsB) % (len(core)/2 + 1) // never fail a majority
@@ -52,20 +82,24 @@ func pathKey(p []topo.ChanID) string {
 }
 
 // FuzzDecomposePartition checks the §3.4.1 decomposition invariants on
-// random small (possibly asymmetric) topologies: for every leaf pair, the
+// random small (possibly asymmetric) leaf–spine and fat-tree topologies,
+// and holds Build and Decompose to the reference: for every leaf pair, the
 // components must exactly partition the shortest paths; paths inside a
 // component must be pairwise symmetric while component representatives are
 // pairwise asymmetric; each component's capacity must equal the sum of its
 // paths' bottleneck capacities; and the weights must be the capacities
 // scaled to coprime integers.
 func FuzzDecomposePartition(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(1), uint8(0), uint8(0))  // symmetric 2×3, no failures
-	f.Add(int64(7), uint8(1), uint8(2), uint8(1), uint8(3))  // heterogeneous rates + failures
-	f.Add(int64(42), uint8(3), uint8(0), uint8(0), uint8(5)) // symmetric rates, failures only
-	f.Add(int64(-9), uint8(2), uint8(3), uint8(1), uint8(0)) // heterogeneous, intact
+	f.Add(int64(1), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0))  // symmetric 2×3, no failures
+	f.Add(int64(7), uint8(0), uint8(1), uint8(2), uint8(1), uint8(3))  // heterogeneous rates + failures
+	f.Add(int64(42), uint8(0), uint8(3), uint8(0), uint8(0), uint8(5)) // symmetric rates, failures only
+	f.Add(int64(-9), uint8(0), uint8(2), uint8(3), uint8(1), uint8(0)) // heterogeneous, intact
+	f.Add(int64(3), uint8(1), uint8(0), uint8(0), uint8(1), uint8(0))  // k=4 fat-tree, heterogeneous, intact
+	f.Add(int64(5), uint8(1), uint8(1), uint8(0), uint8(1), uint8(6))  // k=6 fat-tree, heterogeneous + failures
+	f.Add(int64(8), uint8(1), uint8(0), uint8(0), uint8(0), uint8(3))  // k=4 fat-tree, symmetric rates, failures
 
-	f.Fuzz(func(t *testing.T, seed int64, spines, leaves, hetero, fails uint8) {
-		tp := fuzzTopo(seed, spines, leaves, hetero, fails)
+	f.Fuzz(func(t *testing.T, seed int64, shape, a, b, hetero, fails uint8) {
+		tp := fuzzTopo(seed, shape, a, b, hetero, fails)
 		r := topo.ComputeRoutes(tp)
 		q := Build(r)
 
@@ -85,6 +119,7 @@ func FuzzDecomposePartition(f *testing.F) {
 				checkDecomposition(t, q, tp, src, dst, paths, comps)
 			}
 		}
+		checkAgainstReference(t, r)
 	})
 }
 

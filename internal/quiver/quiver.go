@@ -10,8 +10,7 @@ package quiver
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 
 	"drill/internal/topo"
 	"drill/internal/units"
@@ -57,11 +56,12 @@ type Label struct {
 
 // Quiver is the labeled multidigraph: per directed channel, the set of
 // labels of shortest leaf-to-leaf paths traversing it, plus the hash score
-// used for fast path-symmetry checks.
+// used for fast path-symmetry checks. Both are dense, indexed by ChanID;
+// each channel's labels are kept in the canonical (Src, Dst, CF) order.
 type Quiver struct {
 	routes *topo.Routes
-	labels map[topo.ChanID]map[Label]struct{}
-	scores map[topo.ChanID]uint64
+	labels [][]Label
+	scores []uint64
 }
 
 // Build computes the Quiver for the routing snapshot: for every ordered
@@ -69,20 +69,27 @@ type Quiver struct {
 // gains a (src, dst, cf) label.
 func Build(r *topo.Routes) *Quiver {
 	t := r.Topo()
+	nchan := 2 * len(t.Links)
 	q := &Quiver{
 		routes: r,
-		labels: map[topo.ChanID]map[Label]struct{}{},
-		scores: map[topo.ChanID]uint64{},
+		labels: make([][]Label, nchan),
+		scores: make([]uint64, nchan),
 	}
+	// t.Leaves is in ascending NodeID order (nodes are numbered as they
+	// are added), so pairs arrive in ascending (Src, Dst) order and each
+	// channel's list stays canonical by settling only its tail.
+	var buf []topo.ChanID
 	for _, src := range t.Leaves {
 		for _, dst := range t.Leaves {
 			if src == dst {
 				continue
 			}
-			for _, path := range r.Paths(src, dst) {
+			buf = r.AppendPaths(buf[:0], src, dst)
+			hops := r.Dist(src, dst)
+			for p := 0; p < len(buf); p += hops {
 				// Bottleneck capacity from src up to (but excluding) each hop.
 				inCap := units.Rate(0) // 0 = no upstream yet (source vertex)
-				for _, cid := range path {
+				for _, cid := range buf[p : p+hops] {
 					c := t.Chan(cid)
 					cf := Infinity
 					if inCap > 0 {
@@ -96,81 +103,87 @@ func Build(r *topo.Routes) *Quiver {
 			}
 		}
 	}
-	q.computeScores()
+	for c, labels := range q.labels {
+		if len(labels) > 0 {
+			q.scores[c] = score(labels)
+		}
+	}
 	return q
 }
 
+// addLabel adds l to channel c's label set. Every label already on c has
+// a (Src, Dst) pair no greater than l's, so l's place is inside the tail
+// run of its own pair, ordered by CF.
 func (q *Quiver) addLabel(c topo.ChanID, l Label) {
-	set := q.labels[c]
-	if set == nil {
-		set = map[Label]struct{}{}
-		q.labels[c] = set
+	labels := q.labels[c]
+	i := len(labels)
+	for i > 0 && labels[i-1].Src == l.Src && labels[i-1].Dst == l.Dst && cfLess(l.CF, labels[i-1].CF) {
+		i--
 	}
-	set[l] = struct{}{}
+	if i > 0 && labels[i-1] == l {
+		return
+	}
+	q.labels[c] = slices.Insert(labels, i, l)
 }
 
-// computeScores hashes each channel's sorted label set to a 64-bit score;
+// cfLess orders capacity factors by (Num, Den), as labels of one pair are
+// ordered.
+func cfLess(a, b CapFactor) bool {
+	return a.Num < b.Num || a.Num == b.Num && a.Den < b.Den
+}
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvPrimePow[k] is fnvPrime64 to the k-th power (mod 2⁶⁴).
+var fnvPrimePow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime64
+	}
+	return pow
+}()
+
+// score hashes a canonically ordered label set to 64 bits with FNV-1a
+// over each label's Src, Dst, CF.Num and CF.Den as little-endian int64s;
 // equal scores ⇔ equal label sets (modulo hash collisions, which the
 // 64-bit space makes negligible at datacenter scale).
-func (q *Quiver) computeScores() {
-	//drill:allow nondeterminism each iteration writes its own scores entry; order-independent
-	for c, set := range q.labels {
-		labels := make([]Label, 0, len(set))
-		//drill:allow nondeterminism label collection is order-independent; sorted below
-		for l := range set {
-			labels = append(labels, l)
-		}
-		sortLabels(labels)
-		h := fnv.New64a()
-		var buf [8]byte
-		put := func(v int64) {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-		for _, l := range labels {
-			put(int64(l.Src))
-			put(int64(l.Dst))
-			put(l.CF.Num)
-			put(l.CF.Den)
-		}
-		q.scores[c] = h.Sum64()
+func score(labels []Label) uint64 {
+	h := uint64(fnvOffset64)
+	for _, l := range labels {
+		h = fnvPut(h, int64(l.Src))
+		h = fnvPut(h, int64(l.Dst))
+		h = fnvPut(h, l.CF.Num)
+		h = fnvPut(h, l.CF.Den)
 	}
+	return h
+}
+
+// fnvPut folds v's eight little-endian bytes into the FNV-1a state h. A
+// zero byte only multiplies the state by the prime, so the high zero
+// bytes of a small v fold into one multiplication by a power of it.
+func fnvPut(h uint64, v int64) uint64 {
+	u := uint64(v)
+	n := 0
+	for ; u != 0; n++ {
+		h ^= u & 0xff
+		h *= fnvPrime64
+		u >>= 8
+	}
+	return h * fnvPrimePow[8-n]
 }
 
 // Score returns the label-set score of a channel (0 if the channel carries
 // no shortest-path traffic).
 func (q *Quiver) Score(c topo.ChanID) uint64 { return q.scores[c] }
 
-// Labels returns a copy of the channel's label set, sorted, for
-// inspection.
+// Labels returns a copy of the channel's label set, sorted lexicographically
+// by (Src, Dst, CF), for inspection.
 func (q *Quiver) Labels(c topo.ChanID) []Label {
-	out := make([]Label, 0, len(q.labels[c]))
-	//drill:allow nondeterminism label collection is order-independent; sorted below
-	for l := range q.labels[c] {
-		out = append(out, l)
-	}
-	sortLabels(out)
-	return out
-}
-
-// sortLabels orders labels lexicographically by (Src, Dst, CF), the
-// canonical order score hashing and inspection share.
-func sortLabels(labels []Label) {
-	sort.Slice(labels, func(i, j int) bool {
-		a, b := labels[i], labels[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.CF.Num != b.CF.Num {
-			return a.CF.Num < b.CF.Num
-		}
-		return a.CF.Den < b.CF.Den
-	})
+	return append(make([]Label, 0, len(q.labels[c])), q.labels[c]...)
 }
 
 // Symmetric reports whether two paths (channel sequences) are symmetric:
@@ -203,39 +216,57 @@ type Component struct {
 
 // Decompose partitions the shortest paths from node src toward leaf dst
 // into symmetric components and assigns capacity-proportional weights
-// (§3.4.1 step 2). It returns nil when src has no path to dst.
+// (§3.4.1 step 2). Components come in order of their first path, and each
+// component's paths in enumeration order. It returns nil when src has no
+// path to dst.
 func (q *Quiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
-	t := q.routes.Topo()
-	paths := q.routes.Paths(src, dst)
-	if len(paths) == 0 || src == dst {
+	if src == dst {
 		return nil
 	}
-	// Group paths by score vector.
-	byScore := map[string]*Component{}
-	var order []string
-	for _, p := range paths {
-		key := make([]byte, 0, 8*len(p))
-		for _, cid := range p {
-			s := q.Score(cid)
-			for i := 0; i < 8; i++ {
-				key = append(key, byte(s>>(8*i)))
+	buf := q.routes.AppendPaths(nil, src, dst)
+	if len(buf) == 0 {
+		return nil
+	}
+	hops := q.routes.Dist(src, dst)
+	n := len(buf) / hops
+	// comp[i] is path i's component; rep[c] is component c's first path,
+	// which every later member must match score for score.
+	scratch := make([]int32, 2*n)
+	comp, rep := scratch[:n], scratch[n:n]
+	for i := range comp {
+		p := buf[i*hops : (i+1)*hops]
+		c := 0
+		for ; c < len(rep); c++ {
+			if r := int(rep[c]) * hops; q.Symmetric(buf[r:r+hops], p) {
+				break
 			}
 		}
-		k := string(key)
-		comp := byScore[k]
-		if comp == nil {
-			comp = &Component{}
-			byScore[k] = comp
-			order = append(order, k)
+		if c == len(rep) {
+			rep = append(rep, int32(i))
 		}
-		comp.Paths = append(comp.Paths, p)
-		comp.Capacity += pathCapacity(t, p)
+		comp[i] = int32(c)
 	}
-	comps := make([]Component, 0, len(byScore))
-	for _, k := range order {
-		c := byScore[k]
-		c.FirstHops = distinctFirstHops(c.Paths)
-		comps = append(comps, *c)
+	// Every component's Paths and FirstHops are windows of one array each.
+	t := q.routes.Topo()
+	comps := make([]Component, len(rep))
+	paths := make([][]topo.ChanID, 0, n)
+	firstHops := make([]topo.ChanID, 0, n)
+	for c := range comps {
+		p0, f0 := len(paths), len(firstHops)
+		for i, ci := range comp {
+			if int(ci) != c {
+				continue
+			}
+			p := buf[i*hops : (i+1)*hops : (i+1)*hops]
+			paths = append(paths, p)
+			comps[c].Capacity += pathCapacity(t, p)
+			if !slices.Contains(firstHops[f0:], p[0]) {
+				firstHops = append(firstHops, p[0])
+			}
+		}
+		comps[c].Paths = paths[p0:len(paths):len(paths)]
+		comps[c].FirstHops = firstHops[f0:len(firstHops):len(firstHops)]
+		slices.Sort(comps[c].FirstHops)
 	}
 	assignWeights(comps)
 	return comps
@@ -250,19 +281,6 @@ func pathCapacity(t *topo.Topology, p []topo.ChanID) units.Rate {
 		}
 	}
 	return capR
-}
-
-func distinctFirstHops(paths [][]topo.ChanID) []topo.ChanID {
-	seen := map[topo.ChanID]bool{}
-	var out []topo.ChanID
-	for _, p := range paths {
-		if !seen[p[0]] {
-			seen[p[0]] = true
-			out = append(out, p[0])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // assignWeights scales component capacities down to small integers with

@@ -242,3 +242,68 @@ func TestScoresDistinguishLabeledLinks(t *testing.T) {
 		t.Fatal("S1→L1 missing the L0→L1 label")
 	}
 }
+
+// fatTreeRoutes returns the routes of a symmetric k-ary fat-tree of 10G
+// links, whose leaves reach leaves in other pods over (k/2)² paths.
+func fatTreeRoutes(k int) *topo.Routes {
+	return topo.ComputeRoutes(topo.FatTree(topo.FatTreeConfig{K: k, LinkRate: 10 * units.Gbps}))
+}
+
+// TestDecomposeAllocs bounds Decompose's allocations per call on a
+// symmetric k=8 fat-tree, across pods where 16 paths join one component:
+// the flat path buffer, the grouping scratch and one array each for the
+// components, their paths and their first hops — never one per path.
+func TestDecomposeAllocs(t *testing.T) {
+	r := fatTreeRoutes(8)
+	q := Build(r)
+	leaves := r.Topo().Leaves
+	src, dst := leaves[0], leaves[len(leaves)-1]
+	if n := len(r.Paths(src, dst)); n != 16 {
+		t.Fatalf("%d paths across pods, want 16", n)
+	}
+	var comps []Component
+	allocs := testing.AllocsPerRun(100, func() { comps = q.Decompose(src, dst) })
+	if len(comps) != 1 || len(comps[0].Paths) != 16 {
+		t.Fatalf("symmetric fat-tree: %d components", len(comps))
+	}
+	if allocs > 5 {
+		t.Fatalf("Decompose allocates %v times per call, want at most 5", allocs)
+	}
+}
+
+var (
+	sinkQuiver *Quiver
+	sinkComps  []Component
+)
+
+// BenchmarkBuild labels a k=12 fat-tree: 72 leaves, 5112 ordered pairs,
+// 36 paths between pods.
+func BenchmarkBuild(b *testing.B) {
+	r := fatTreeRoutes(12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkQuiver = Build(r)
+	}
+}
+
+// BenchmarkDecompose decomposes every switch's paths toward every leaf of
+// a k=12 fat-tree, the work of one DRILL table build.
+func BenchmarkDecompose(b *testing.B) {
+	r := fatTreeRoutes(12)
+	q := Build(r)
+	tp := r.Topo()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, nd := range tp.Nodes {
+			if nd.Kind == topo.Host {
+				continue
+			}
+			for _, leaf := range tp.Leaves {
+				if leaf != nd.ID {
+					sinkComps = q.Decompose(nd.ID, leaf)
+				}
+			}
+		}
+	}
+}

@@ -63,7 +63,10 @@ func ComputeRoutes(t *Topology) *Routes {
 			if dist[u] == unreachable || dist[u] == 0 {
 				continue
 			}
-			for _, cid := range t.Out(NodeID(u)) {
+			for _, cid := range t.OutAll(NodeID(u)) {
+				if !t.Links[cid/2].Up {
+					continue
+				}
 				c := t.Chan(cid)
 				if t.Nodes[c.To].Kind == Host {
 					continue
@@ -98,29 +101,77 @@ func (r *Routes) NextHops(node, dstLeaf NodeID) []ChanID {
 	return r.next[r.topo.LeafIndex(dstLeaf)][node]
 }
 
-// Paths enumerates every shortest path from node src to leaf dst as channel
-// sequences. In Clos fabrics path counts are small (≤ spines for 2-stage,
-// ≤ aggs×cores for 3-stage), so full enumeration is cheap; it feeds the
-// Quiver construction (§3.4.1) and Presto's source routing.
+// Paths returns every shortest path from node src to leaf dst as channel
+// sequences, in AppendPaths order; src == dst has the single empty path.
+// Each path is a window of one shared buffer. It serves callers that keep
+// paths (Presto's source routes, WCMP's port weights, inspection tools);
+// the Quiver walks the flat AppendPaths buffer directly.
 func (r *Routes) Paths(src, dst NodeID) [][]ChanID {
 	if src == dst {
 		return [][]ChanID{{}}
 	}
-	var out [][]ChanID
-	var walk func(at NodeID, acc []ChanID)
-	walk = func(at NodeID, acc []ChanID) {
-		if at == dst {
-			path := make([]ChanID, len(acc))
-			copy(path, acc)
-			out = append(out, path)
-			return
+	buf := r.AppendPaths(nil, src, dst)
+	if len(buf) == 0 {
+		return nil
+	}
+	hops := r.Dist(src, dst)
+	out := make([][]ChanID, len(buf)/hops)
+	for i := range out {
+		out[i] = buf[i*hops : (i+1)*hops : (i+1)*hops]
+	}
+	return out
+}
+
+// AppendPaths appends every shortest path from node src to leaf dst to buf,
+// back to back, each Dist(src, dst) channels long, and returns the extended
+// buffer. Paths come in depth-first order over each node's NextHops, the
+// order Paths returns. buf grows at most once, to the exact size. Nothing
+// is appended when dst is unreachable or src == dst (whose one shortest
+// path is empty). In Clos fabrics path counts are small (≤ spines for
+// 2-stage, ≤ aggs×cores for 3-stage); the paths feed the Quiver (§3.4.1)
+// and Presto's source routing.
+func (r *Routes) AppendPaths(buf []ChanID, src, dst NodeID) []ChanID {
+	hops := r.Dist(src, dst)
+	if hops <= 0 {
+		return buf
+	}
+	next := r.next[r.topo.LeafIndex(dst)]
+	if n := r.countPaths(next, src, hops) * hops; cap(buf)-len(buf) < n {
+		buf = append(make([]ChanID, 0, len(buf)+n), buf...)
+	}
+	return r.appendWalk(buf, next, src, len(buf), 0, hops)
+}
+
+// countPaths counts the shortest paths from at, hops away from the
+// destination whose next-hop table is next.
+func (r *Routes) countPaths(next [][]ChanID, at NodeID, hops int) int {
+	if hops == 1 {
+		return len(next[at])
+	}
+	n := 0
+	for _, cid := range next[at] {
+		n += r.countPaths(next, r.topo.Chan(cid).To, hops-1)
+	}
+	return n
+}
+
+// appendWalk extends the partial path buf[p:p+d], which ends at node at
+// and is buf's tail, along every shortest continuation. The first
+// completed path reuses the prefix in place; each later one starts with a
+// copy of it.
+func (r *Routes) appendWalk(buf []ChanID, next [][]ChanID, at NodeID, p, d, hops int) []ChanID {
+	for k, cid := range next[at] {
+		q := p
+		if k > 0 {
+			q = len(buf)
+			buf = append(buf, buf[p:p+d]...)
 		}
-		for _, cid := range r.NextHops(at, dst) {
-			walk(r.topo.Chan(cid).To, append(acc, cid))
+		buf = append(buf, cid)
+		if d+1 < hops {
+			buf = r.appendWalk(buf, next, r.topo.Chan(cid).To, q, d+1, hops)
 		}
 	}
-	walk(src, nil)
-	return out
+	return buf
 }
 
 // PathNodes converts a channel-sequence path to the node sequence it visits,

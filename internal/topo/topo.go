@@ -193,17 +193,6 @@ func (t *Topology) LeafIndex(leaf NodeID) int {
 	return i
 }
 
-// HostsUnder returns the hosts attached to the given leaf.
-func (t *Topology) HostsUnder(leaf NodeID) []NodeID {
-	var hs []NodeID
-	for _, h := range t.Hosts {
-		if t.HostLeaf[h] == leaf {
-			hs = append(hs, h)
-		}
-	}
-	return hs
-}
-
 // NumSwitches reports how many nodes are switches (non-hosts).
 func (t *Topology) NumSwitches() int {
 	n := 0

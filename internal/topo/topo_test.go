@@ -247,6 +247,36 @@ func TestPathsMatchNextHops(t *testing.T) {
 	}
 }
 
+func TestAppendPathsKeepsPrefix(t *testing.T) {
+	// AppendPaths extends what buf already holds, grows it exactly once
+	// to fit, and appends nothing for src == dst or an unreachable leaf.
+	tp := FatTree(FatTreeConfig{K: 4})
+	r := ComputeRoutes(tp)
+	e0, e2 := tp.Leaves[0], tp.Leaves[2]
+	buf := r.AppendPaths([]ChanID{-1}, e0, e2)
+	if len(buf) != 1+4*4 || cap(buf) != len(buf) || buf[0] != -1 {
+		t.Fatalf("AppendPaths onto one entry: len %d cap %d head %d, want 17 17 -1", len(buf), cap(buf), buf[0])
+	}
+	for i, p := range r.Paths(e0, e2) {
+		for j, c := range p {
+			if buf[1+4*i+j] != c {
+				t.Fatalf("path %d hop %d: flat %d, Paths %d", i, j, buf[1+4*i+j], c)
+			}
+		}
+	}
+	if got := r.AppendPaths(buf[:1], e0, e0); len(got) != 1 {
+		t.Errorf("src == dst appended %d channels", len(got)-1)
+	}
+	for _, cid := range tp.OutAll(e2) {
+		if tp.Nodes[tp.Chan(cid).To].Kind != Host {
+			tp.FailLink(tp.Chan(cid).Link)
+		}
+	}
+	if got := ComputeRoutes(tp).AppendPaths(buf[:1], e0, e2); len(got) != 1 {
+		t.Errorf("unreachable leaf appended %d channels", len(got)-1)
+	}
+}
+
 func TestOutFiltersFailedLinks(t *testing.T) {
 	tp := leafSpine224()
 	l0 := tp.Leaves[0]
