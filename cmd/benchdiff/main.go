@@ -1,6 +1,9 @@
 // Command benchdiff compares two BENCH_*.json performance snapshots and
-// reports per-cell deltas against the regression tolerances (events/s
-// within 10%, allocs/event within +0.1, micro allocs within +0.1).
+// reports per-cell deltas against the regression tolerances: event-loop
+// ns/packet and allocs/packet within +10%, set-up allocations within +1%,
+// and, at equal seed, no rise in a sharded cell's windows or exchanged
+// packets; micro allocs/op within +0.1. Event counts are reported, never
+// gated.
 //
 // Usage:
 //

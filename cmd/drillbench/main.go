@@ -5,12 +5,15 @@
 //
 //	drillbench -out BENCH_baseline.json [-seed 1] [-q]
 //
-// Each cell reports events/sec, ns/event, allocs and bytes per event, peak
-// heap, and packet-pool traffic; the micro section reports allocs/op for
-// the timer re-arm, packet recycle, and send→deliver paths (the first two
-// are pinned at zero by alloc-ceiling tests). Event counts and pool
-// traffic are deterministic per seed; wall-clock-derived rates vary with
-// the machine, so compare BENCH files from the same hardware.
+// Each cell reports set-up wall time and allocations (everything before
+// RunCfg.Hook), the event loop's ns, allocations and events per packet
+// sent, the older per-event rates, peak heap, and packet-pool traffic;
+// sharded cells add windows and exchanged packets. The micro section
+// reports allocs/op for the timer re-arm, packet recycle, and
+// send→deliver paths (the first two are pinned at zero by alloc-ceiling
+// tests). Event, packet and shard-protocol counts and pool traffic are
+// deterministic per seed; wall-clock-derived rates vary with the machine,
+// so compare BENCH files from the same hardware.
 package main
 
 import (

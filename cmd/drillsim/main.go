@@ -37,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -106,6 +107,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drillsim: -trace-sample must be positive (got %v)\n", *traceSample)
 		os.Exit(2)
 	}
+	loadList, err := parseLoads(*loads)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drillsim: -loads: %v\n", err)
+		os.Exit(2)
+	}
 	// Sim runs are CPU-bound, so more workers than cores only adds
 	// scheduling churn.
 	resolved := *workers
@@ -153,7 +159,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drillsim: -shards is ignored with -trace (traced runs use the sequential engine)\n")
 	}
 
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Reps: *reps, Workers: resolved, Shards: *shards}
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Reps: *reps, Workers: resolved, Shards: *shards, Loads: loadList}
 	if *campaign != "" {
 		var c *experiments.Campaign
 		if name, ok := strings.CutPrefix(*campaign, "@"); ok {
@@ -255,17 +261,6 @@ func main() {
 		man.StartedAt = time.Now().UTC().Format(time.RFC3339) //drill:allow simtime manifest start stamp is wall provenance, never a sim timestamp
 		opts.Manifest = man
 	}
-	if *loads != "" {
-		for _, part := range strings.Split(*loads, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "drillsim: bad load %q: %v\n", part, err)
-				os.Exit(2)
-			}
-			opts.Loads = append(opts.Loads, v)
-		}
-	}
-
 	var ids []string
 	if *exp == "all" {
 		for _, e := range experiments.All() {
@@ -332,4 +327,25 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "drillsim: wrote %s %s\n", *manifestOut, man)
 	}
+}
+
+// parseLoads parses the -loads list. Every load must be a positive, finite
+// fraction of capacity: a zero, negative, infinite or NaN load would run a
+// sweep cell with no (or nonsensical) traffic and report it as a result.
+func parseLoads(list string) ([]float64, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var out []float64
+	for _, part := range strings.Split(list, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad load %q: %v", part, err)
+		}
+		if !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("load %q must be positive and finite", strings.TrimSpace(part))
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

@@ -23,6 +23,35 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// TestRejectsBadLoads: a load that is not a positive, finite number is a
+// one-line error naming -loads and exit status 2, never a table of empty
+// cells at a negative load (or a scheduler panic).
+func TestRejectsBadLoads(t *testing.T) {
+	for _, args := range []string{
+		"-exp fig10 -loads -0.2",
+		"-exp fig10 -loads 0",
+		"-exp fig6a -loads 0.5,-1",
+		"-exp fig6a -loads +Inf",
+		"-exp fig6a -loads NaN",
+		"-exp fig6a -loads 0.5,x",
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), mainArgsEnv+"="+args)
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("drillsim %s: %v, want exit status 2; output:\n%s", args, err, out.String())
+			continue
+		}
+		got := strings.TrimSpace(out.String())
+		if strings.Contains(got, "\n") || strings.Contains(got, "panic:") || !strings.HasPrefix(got, "drillsim: -loads: ") {
+			t.Errorf("drillsim %s: want one drillsim: -loads line, got:\n%s", args, got)
+		}
+	}
+}
+
 // TestRejectsNonPositiveSampling holds the sampling flags to the same
 // contract as -reps, -workers and -shards: a non-positive interval is a
 // one-line error and exit status 2, not a scheduler panic (-metrics-sample)

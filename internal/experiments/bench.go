@@ -15,10 +15,11 @@ import (
 )
 
 // This file is the perf-trajectory harness: cmd/drillbench runs the
-// canonical cells below and writes a BENCH_*.json snapshot (events/sec,
-// ns/event, allocs/event, peak heap, packet-pool traffic). The committed
-// BENCH_baseline.json is the first point of that trajectory; future PRs
-// that touch the packet path regenerate it and diff.
+// canonical cells below and writes a BENCH_*.json snapshot (set-up time
+// and allocations, event-loop ns/packet and allocs/packet, events/packet,
+// peak heap, packet-pool traffic). The committed BENCH_shard.json is the
+// point of that trajectory the CI gate diffs against; changes that touch
+// the packet path regenerate it.
 
 // BenchSchemaVersion identifies the BENCH_*.json layout.
 const BenchSchemaVersion = "drill-bench/v1"
@@ -95,6 +96,18 @@ type BenchCellResult struct {
 	NsPerEvent   float64 `json:"ns_per_event"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	Flows        int64   `json:"flows"`
+	Sent         int64   `json:"sent"` // packets hosts handed to their NICs
+
+	// Set-up is everything before RunCfg.Hook (topology, routes, tables,
+	// fabric, transport, workload), measured as bench/ measures it; the
+	// per-packet columns cover only the event loop after it. Packets,
+	// unlike events, are a unit of simulated work that an engine change
+	// cannot shrink, so these are the columns the gate compares.
+	SetupNs      int64   `json:"setup_ns"`
+	SetupAllocs  uint64  `json:"setup_allocs"`
+	NsPerPkt     float64 `json:"ns_per_pkt"`
+	AllocsPerPkt float64 `json:"allocs_per_pkt"`
+	EventsPerPkt float64 `json:"events_per_pkt"`
 
 	Mallocs        uint64  `json:"mallocs"`
 	AllocBytes     uint64  `json:"alloc_bytes"`
@@ -107,12 +120,14 @@ type BenchCellResult struct {
 	PacketGets   int64 `json:"packet_gets"`
 	PacketAllocs int64 `json:"packet_allocs"`
 
-	// Engine observatory summary, sharded cells only: windows run, wall
+	// Engine observatory summary, sharded cells only: windows run and
+	// packets exchanged across shards (both deterministic per seed), wall
 	// time parked at barriers as a share of total shard wall time, and the
-	// max/mean per-shard event imbalance. Informational — benchdiff
-	// compares only its named metrics, so snapshots without these fields
-	// stay diffable.
+	// max/mean per-shard event imbalance. Snapshots without these fields
+	// stay diffable: benchdiff gates a column only where the baseline has
+	// it.
 	Windows         uint64  `json:"windows,omitempty"`
+	Exchanged       uint64  `json:"exchanged,omitempty"`
 	BarrierStallPct float64 `json:"barrier_stall_pct,omitempty"`
 	ShardImbalance  float64 `json:"shard_imbalance,omitempty"`
 }
@@ -126,9 +141,10 @@ type MicroAllocs struct {
 	// PoolGetPut: one packet recycle round trip (Get, fill nothing, Put).
 	PoolGetPut float64 `json:"pool_get_put"`
 	// SendDeliver: one pool-allocated packet pushed host→leaf→host through
-	// a warm two-host fabric, including every event closure the data plane
-	// schedules for it (enqueue visibility, txDone, arrive). This is the
-	// whole per-packet event cost, the number future PRs should shrink.
+	// a warm two-host fabric, including every event the data plane
+	// schedules for it (txDone and the wire arrival per hop; visibility
+	// updates are settled when read and schedule nothing). This is the
+	// whole per-packet cost, the number future PRs should shrink.
 	SendDeliver float64 `json:"send_deliver"`
 	// ShardWindow: one cross-shard packet delivered through a warm 2-shard
 	// fabric via the window protocol — ~25 barriers (worker handoffs,
@@ -165,11 +181,15 @@ type BenchReport struct {
 // RunBenchCell executes one cell and measures it. The heap is settled with
 // a forced GC before the run so malloc/byte deltas belong to the run
 // alone; peak heap is sampled every 500µs of simulated time from inside
-// the run.
+// the run. The Hook splits the run into set-up and event loop.
 func RunBenchCell(c BenchCell) BenchCellResult {
 	cfg := c.Cfg
 	var peak uint64
+	var hookAt time.Time
+	var atHook runtime.MemStats
 	cfg.Hook = func(reg *transport.Registry, until units.Time) {
+		hookAt = time.Now() //drill:allow simtime wall timing of the bench cell, never a sim timestamp
+		runtime.ReadMemStats(&atHook)
 		sim.NewTicker(reg.Sim, 500*units.Microsecond, func(units.Time) {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
@@ -199,6 +219,10 @@ func RunBenchCell(c BenchCell) BenchCellResult {
 		Events: res.Events,
 		WallNs: wall.Nanoseconds(),
 		Flows:  res.Flows,
+		Sent:   res.Sent,
+
+		SetupNs:     hookAt.Sub(started).Nanoseconds(),
+		SetupAllocs: atHook.Mallocs - before.Mallocs,
 
 		Mallocs:       after.Mallocs - before.Mallocs,
 		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
@@ -215,8 +239,19 @@ func RunBenchCell(c BenchCell) BenchCellResult {
 	if secs := wall.Seconds(); secs > 0 {
 		out.EventsPerSec = float64(res.Events) / secs
 	}
+	if res.Sent > 0 {
+		pkts := float64(res.Sent)
+		out.NsPerPkt = float64(wall.Nanoseconds()-out.SetupNs) / pkts
+		out.AllocsPerPkt = float64(after.Mallocs-atHook.Mallocs) / pkts
+		out.EventsPerPkt = float64(res.Events) / pkts
+	}
 	if rep := res.EngineRep; rep != nil && len(rep.Shards) > 0 {
 		out.Windows = rep.WindowCount
+		for _, row := range rep.Exchange {
+			for _, n := range row {
+				out.Exchanged += n
+			}
+		}
 		out.BarrierStallPct = rep.StallPct()
 		out.ShardImbalance = rep.Imbalance()
 	}
@@ -240,12 +275,12 @@ func RunBench(seed int64, progress func(format string, args ...any)) BenchReport
 		if progress != nil {
 			suffix := ""
 			if r.Windows > 0 {
-				suffix = fmt.Sprintf("  windows %d  stall %.1f%%  imb %.2f",
-					r.Windows, r.BarrierStallPct, r.ShardImbalance)
+				suffix = fmt.Sprintf("  windows %d  exchanged %d  stall %.1f%%  imb %.2f",
+					r.Windows, r.Exchanged, r.BarrierStallPct, r.ShardImbalance)
 			}
-			progress("%-14s %8.3g ev/s  %6.1f ns/ev  %6.3f allocs/ev  peak %5.1f MB%s",
-				r.Name, r.EventsPerSec, r.NsPerEvent, r.AllocsPerEvent,
-				float64(r.PeakHeapBytes)/1e6, suffix)
+			progress("%-17s setup %6.3fs %7d allocs  loop %6.0f ns/pkt  %6.3f allocs/pkt  %5.2f ev/pkt  peak %5.1f MB%s",
+				r.Name, float64(r.SetupNs)/1e9, r.SetupAllocs, r.NsPerPkt, r.AllocsPerPkt,
+				r.EventsPerPkt, float64(r.PeakHeapBytes)/1e6, suffix)
 		}
 		rep.Cells = append(rep.Cells, r)
 		rep.Provenance.Add(obs.CellSummary{

@@ -11,20 +11,35 @@ import (
 // the committed baseline with tolerances wide enough to absorb runner
 // noise but tight enough to catch a real hot-path regression. CI runs it
 // with -strict as a blocking gate: a regression turns the build red.
-// Wall-clock rates still depend on the machine that produced each
+//
+// Every gated column is per packet or per set-up, never per event: a
+// packet is simulated work no engine change can remove, while an event is
+// an implementation detail, so a change that dispatches fewer events for
+// the same packets must read as progress, not as a lower event rate.
+// Wall-clock columns still depend on the machine that produced each
 // snapshot, so the diff reports — as warnings, never failures — when the
-// two snapshots disagree on CPU count or GOMAXPROCS.
+// two snapshots disagree on CPU count or GOMAXPROCS. The allocation
+// columns are deterministic up to GC timing and the shard-protocol counts
+// exactly, so they are compared as they stand.
 
 const (
-	// BenchEvRateTol is the relative events/s slowdown tolerated before a
-	// cell is flagged (10%: same-hardware noise on the multi-second cells
-	// stays in the low single digits).
-	BenchEvRateTol = 0.10
-	// BenchAllocsTol is the absolute allocs/event increase tolerated
-	// (+0.1: the steady state is ~0.02 allocs/event, so a tenth of an
-	// allocation per event is a structural change, not jitter — the
-	// deterministic event counts make this column stable).
-	BenchAllocsTol = 0.1
+	// BenchNsPerPktTol is the relative rise in event-loop wall time per
+	// packet that regresses a cell. 10% clears run-to-run noise on
+	// dedicated hardware; a shared VM can exceed it, which calls for a
+	// snapshot taken on the gate's own runner class, not a wider bound.
+	BenchNsPerPktTol = 0.10
+	// BenchAllocsPerPktTol is the relative rise in event-loop allocations
+	// per packet that regresses a cell. The loop's steady state is a few
+	// hundredths of an allocation per packet, so a tenth more is a
+	// structural change, not jitter.
+	BenchAllocsPerPktTol = 0.10
+	// BenchSetupAllocsTol is the relative rise in set-up allocations that
+	// regresses a cell: set-up is deterministic code over a fixed
+	// topology, so 1% is already a real change.
+	BenchSetupAllocsTol = 0.01
+	// BenchMicroAllocsTol is the absolute allocs/op rise tolerated on the
+	// micro rows (all of which sit at small integers or zero).
+	BenchMicroAllocsTol = 0.1
 )
 
 // BenchFinding is one compared metric of one cell.
@@ -33,8 +48,9 @@ type BenchFinding struct {
 	Metric   string  `json:"metric"`
 	Baseline float64 `json:"baseline"`
 	Current  float64 `json:"current"`
-	// Delta is relative for rates (fraction of baseline), absolute for
-	// allocs/event.
+	// Delta is relative (a fraction of baseline) for the per-packet and
+	// set-up columns, absolute for the micro allocs/op rows and the shard
+	// protocol counts.
 	Delta     float64 `json:"delta"`
 	Regressed bool    `json:"regressed"`
 	Note      string  `json:"note,omitempty"`
@@ -48,6 +64,13 @@ type BenchDiff struct {
 	Regressions  int            `json:"regressions"`
 }
 
+// relativeMetrics are the columns whose Delta is a fraction of baseline.
+var relativeMetrics = map[string]bool{
+	"ns_per_pkt":     true,
+	"allocs_per_pkt": true,
+	"setup_allocs":   true,
+}
+
 // DiffBench compares current against baseline cell by cell (matched by
 // name) plus the micro allocs/op rows.
 func DiffBench(baseline, current *BenchReport) *BenchDiff {
@@ -58,14 +81,28 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 		}
 		d.Findings = append(d.Findings, f)
 	}
+	// rise gates a relative increase: tol or more (to float precision)
+	// regresses. A baseline without the column (zero) is reported, never
+	// gated.
+	rise := func(cell, metric string, base, cur, tol float64) {
+		f := BenchFinding{Cell: cell, Metric: metric, Baseline: base, Current: cur}
+		if base > 0 {
+			f.Delta = (cur - base) / base
+			f.Regressed = f.Delta >= tol-1e-9
+		} else {
+			f.Note = "baseline lacks this column"
+		}
+		add(f)
+	}
+	sameSeed := baseline.Seed == current.Seed
 
-	// Machine mismatch is a warning, not a regression: the events/s
+	// Machine mismatch is a warning, not a regression: the wall-clock
 	// columns are only meaningful between snapshots from comparable
 	// hardware, and CI containers often differ from the baseline machine.
 	if baseline.NumCPU != current.NumCPU || baseline.GoMaxProcs != current.GoMaxProcs {
 		add(BenchFinding{Cell: "machine", Metric: "cpus",
 			Baseline: float64(baseline.NumCPU), Current: float64(current.NumCPU),
-			Note: fmt.Sprintf("snapshots from different machines (num_cpu %d/gomaxprocs %d vs %d/%d): events/s deltas are advisory",
+			Note: fmt.Sprintf("snapshots from different machines (num_cpu %d/gomaxprocs %d vs %d/%d): ns/pkt deltas are advisory",
 				baseline.NumCPU, baseline.GoMaxProcs, current.NumCPU, current.GoMaxProcs)})
 	}
 
@@ -82,29 +119,39 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 		}
 		delete(cur, b.Name)
 
-		// events/s: relative, slower-only (faster is progress, not noise
-		// to flag — but it is still reported for the trend line).
-		f := BenchFinding{Cell: b.Name, Metric: "events_per_sec",
-			Baseline: b.EventsPerSec, Current: c.EventsPerSec}
-		if b.EventsPerSec > 0 {
-			f.Delta = (c.EventsPerSec - b.EventsPerSec) / b.EventsPerSec
-			f.Regressed = f.Delta < -BenchEvRateTol
+		// Slower or hungrier only: faster is progress, not noise to flag,
+		// but it is still reported for the trend line.
+		rise(b.Name, "ns_per_pkt", b.NsPerPkt, c.NsPerPkt, BenchNsPerPktTol)
+		rise(b.Name, "allocs_per_pkt", b.AllocsPerPkt, c.AllocsPerPkt, BenchAllocsPerPktTol)
+		rise(b.Name, "setup_allocs", float64(b.SetupAllocs), float64(c.SetupAllocs), BenchSetupAllocsTol)
+
+		if !sameSeed {
+			continue
 		}
-		add(f)
-
-		// allocs/event: absolute increase.
-		f = BenchFinding{Cell: b.Name, Metric: "allocs_per_event",
-			Baseline: b.AllocsPerEvent, Current: c.AllocsPerEvent,
-			Delta: c.AllocsPerEvent - b.AllocsPerEvent}
-		f.Regressed = f.Delta > BenchAllocsTol
-		add(f)
-
-		// Deterministic columns: same seed must reproduce event counts
-		// exactly; a drift is information (the sim changed), never noise.
-		if baseline.Seed == current.Seed && b.Events != c.Events {
+		// Shard-protocol counts are pure functions of seed and partition:
+		// at equal seed any rise is the engine doing more barrier work for
+		// the same simulation.
+		for _, m := range []struct {
+			name     string
+			base, cu uint64
+		}{
+			{"windows", b.Windows, c.Windows},
+			{"exchanged", b.Exchanged, c.Exchanged},
+		} {
+			if m.base == 0 {
+				continue
+			}
+			add(BenchFinding{Cell: b.Name, Metric: m.name,
+				Baseline: float64(m.base), Current: float64(m.cu),
+				Delta: float64(m.cu) - float64(m.base), Regressed: m.cu > m.base})
+		}
+		// Event counts are information (the engine changed how it
+		// dispatches the same work), never a verdict.
+		if b.Events != c.Events {
 			add(BenchFinding{Cell: b.Name, Metric: "events",
 				Baseline: float64(b.Events), Current: float64(c.Events),
-				Note: "event count changed at equal seed: the simulation's behaviour changed"})
+				Delta: float64(c.Events) - float64(b.Events),
+				Note:  "event count changed at equal seed: the engine's dispatch changed"})
 		}
 	}
 	for name := range cur {
@@ -123,37 +170,46 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 	}
 	for _, m := range micro {
 		add(BenchFinding{Cell: "micro", Metric: m.name, Baseline: m.base, Current: m.cu,
-			Delta: m.cu - m.base, Regressed: m.cu-m.base > BenchAllocsTol})
+			Delta: m.cu - m.base, Regressed: m.cu-m.base > BenchMicroAllocsTol})
 	}
 	return d
+}
+
+// formatDelta renders a finding's delta: a percentage for relative
+// columns, a signed number otherwise.
+func (f BenchFinding) formatDelta() string {
+	if relativeMetrics[f.Metric] {
+		return fmt.Sprintf("%+.1f%%", f.Delta*100)
+	}
+	return fmt.Sprintf("%+.3g", f.Delta)
+}
+
+// tolerances is the verdict line's summary of the gate.
+func tolerances() string {
+	return fmt.Sprintf("ns/pkt tol +%.0f%%, allocs/pkt tol +%.0f%%, setup allocs tol +%.0f%%, windows/exchanged may not rise",
+		BenchNsPerPktTol*100, BenchAllocsPerPktTol*100, BenchSetupAllocsTol*100)
 }
 
 // Format renders the diff as an aligned text table with a verdict line.
 func (d *BenchDiff) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "bench diff (baseline seed %d, current seed %d)\n", d.BaselineSeed, d.CurrentSeed)
-	fmt.Fprintf(&b, "%-16s %-22s %14s %14s %10s  %s\n", "cell", "metric", "baseline", "current", "delta", "verdict")
+	fmt.Fprintf(&b, "%-17s %-22s %14s %14s %10s  %s\n", "cell", "metric", "baseline", "current", "delta", "verdict")
 	for _, f := range d.Findings {
 		verdict := "ok"
 		if f.Regressed {
 			verdict = "REGRESSED"
 		}
-		delta := fmt.Sprintf("%+.3g", f.Delta)
-		if f.Metric == "events_per_sec" {
-			delta = fmt.Sprintf("%+.1f%%", f.Delta*100)
-		}
-		fmt.Fprintf(&b, "%-16s %-22s %14.6g %14.6g %10s  %s", f.Cell, f.Metric, f.Baseline, f.Current, delta, verdict)
+		fmt.Fprintf(&b, "%-17s %-22s %14.6g %14.6g %10s  %s", f.Cell, f.Metric, f.Baseline, f.Current, f.formatDelta(), verdict)
 		if f.Note != "" {
 			fmt.Fprintf(&b, " (%s)", f.Note)
 		}
 		b.WriteByte('\n')
 	}
 	if d.Regressions == 0 {
-		fmt.Fprintf(&b, "verdict: no regressions (events/s tol ±%.0f%%, allocs/event tol +%.1f)\n",
-			BenchEvRateTol*100, BenchAllocsTol)
+		fmt.Fprintf(&b, "verdict: no regressions (%s)\n", tolerances())
 	} else {
-		fmt.Fprintf(&b, "verdict: %d regression(s) (events/s tol ±%.0f%%, allocs/event tol +%.1f)\n",
-			d.Regressions, BenchEvRateTol*100, BenchAllocsTol)
+		fmt.Fprintf(&b, "verdict: %d regression(s) (%s)\n", d.Regressions, tolerances())
 	}
 	return b.String()
 }
@@ -170,22 +226,16 @@ func (d *BenchDiff) FormatMarkdown() string {
 		if f.Regressed {
 			verdict = "**REGRESSED**"
 		}
-		delta := fmt.Sprintf("%+.3g", f.Delta)
-		if f.Metric == "events_per_sec" {
-			delta = fmt.Sprintf("%+.1f%%", f.Delta*100)
-		}
 		fmt.Fprintf(&b, "| %s | %s | %.6g | %.6g | %s | %s |\n",
-			f.Cell, f.Metric, f.Baseline, f.Current, delta, verdict)
+			f.Cell, f.Metric, f.Baseline, f.Current, f.formatDelta(), verdict)
 		if f.Note != "" {
 			fmt.Fprintf(&b, "| | | | | | %s |\n", f.Note)
 		}
 	}
 	if d.Regressions == 0 {
-		fmt.Fprintf(&b, "\n**Verdict: no regressions** (events/s tol ±%.0f%%, allocs/event tol +%.1f)\n",
-			BenchEvRateTol*100, BenchAllocsTol)
+		fmt.Fprintf(&b, "\n**Verdict: no regressions** (%s)\n", tolerances())
 	} else {
-		fmt.Fprintf(&b, "\n**Verdict: %d regression(s)** (events/s tol ±%.0f%%, allocs/event tol +%.1f)\n",
-			d.Regressions, BenchEvRateTol*100, BenchAllocsTol)
+		fmt.Fprintf(&b, "\n**Verdict: %d regression(s)** (%s)\n", d.Regressions, tolerances())
 	}
 	return b.String()
 }

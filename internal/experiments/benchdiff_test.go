@@ -11,8 +11,10 @@ func benchFixture() *BenchReport {
 	return &BenchReport{
 		Schema: BenchSchemaVersion, Seed: 1,
 		Cells: []BenchCellResult{
-			{Name: "ecmp-load0.5", EventsPerSec: 2e6, AllocsPerEvent: 0.10, Events: 1000},
-			{Name: "drill-load0.5", EventsPerSec: 1e6, AllocsPerEvent: 0.20, Events: 2000},
+			{Name: "ecmp-load0.5", NsPerPkt: 2000, AllocsPerPkt: 0.10, SetupAllocs: 50_000, Events: 1200, Sent: 100},
+			{Name: "drill-load0.5", NsPerPkt: 2500, AllocsPerPkt: 0.20, SetupAllocs: 60_000, Events: 2400, Sent: 200},
+			{Name: "fattree16-shards4", Shards: 4, NsPerPkt: 4000, AllocsPerPkt: 0.11, SetupAllocs: 400_000,
+				Events: 17_600, Sent: 1000, Windows: 30_000, Exchanged: 1800},
 		},
 		Micro: MicroAllocs{TimerResetStop: 0, PoolGetPut: 0, SendDeliver: 6},
 	}
@@ -33,9 +35,11 @@ func findDiff(t *testing.T, d *BenchDiff, cell, metric string) BenchFinding {
 func TestDiffBenchCleanPass(t *testing.T) {
 	base := benchFixture()
 	cur := benchFixture()
-	// 8% slower and +0.05 allocs: inside both tolerances.
-	cur.Cells[0].EventsPerSec *= 0.92
-	cur.Cells[0].AllocsPerEvent += 0.05
+	// 8% slower, 5% more loop allocations and 0.5% more set-up
+	// allocations per packet: inside every tolerance.
+	cur.Cells[0].NsPerPkt *= 1.08
+	cur.Cells[0].AllocsPerPkt *= 1.05
+	cur.Cells[0].SetupAllocs += base.Cells[0].SetupAllocs / 200
 	d := DiffBench(base, cur)
 	if d.Regressions != 0 {
 		t.Fatalf("clean diff found %d regressions: %s", d.Regressions, d.Format())
@@ -74,11 +78,11 @@ func TestDiffBenchCPUMismatchWarns(t *testing.T) {
 func TestDiffBenchMarkdown(t *testing.T) {
 	base := benchFixture()
 	cur := benchFixture()
-	cur.Cells[0].EventsPerSec *= 0.5
+	cur.Cells[0].NsPerPkt *= 2
 	md := DiffBench(base, cur).FormatMarkdown()
 	for _, want := range []string{
 		"| cell | metric | baseline | current | delta | verdict |",
-		"| ecmp-load0.5 | events_per_sec |",
+		"| ecmp-load0.5 | ns_per_pkt | 2000 | 4000 | +100.0% | **REGRESSED** |",
 		"**REGRESSED**",
 		"**Verdict: 1 regression(s)**",
 	} {
@@ -94,15 +98,15 @@ func TestDiffBenchMarkdown(t *testing.T) {
 func TestDiffBenchFlagsRegressions(t *testing.T) {
 	base := benchFixture()
 	cur := benchFixture()
-	cur.Cells[0].EventsPerSec = base.Cells[0].EventsPerSec * 0.5 // −50% > 25% tol
-	cur.Cells[1].AllocsPerEvent = base.Cells[1].AllocsPerEvent + 1.0
+	cur.Cells[0].NsPerPkt = base.Cells[0].NsPerPkt * 1.5 // +50% > 10% tol
+	cur.Cells[1].AllocsPerPkt = base.Cells[1].AllocsPerPkt * 2
 	cur.Micro.PoolGetPut = 1.0
 	d := DiffBench(base, cur)
-	if !findDiff(t, d, "ecmp-load0.5", "events_per_sec").Regressed {
-		t.Error("50% events/s drop not flagged")
+	if !findDiff(t, d, "ecmp-load0.5", "ns_per_pkt").Regressed {
+		t.Error("+50% ns/pkt not flagged")
 	}
-	if !findDiff(t, d, "drill-load0.5", "allocs_per_event").Regressed {
-		t.Error("+1.0 allocs/event not flagged")
+	if !findDiff(t, d, "drill-load0.5", "allocs_per_pkt").Regressed {
+		t.Error("doubled allocs/pkt not flagged")
 	}
 	if !findDiff(t, d, "micro", "micro.pool_get_put").Regressed {
 		t.Error("micro alloc regression not flagged")
@@ -110,11 +114,97 @@ func TestDiffBenchFlagsRegressions(t *testing.T) {
 	if d.Regressions != 3 {
 		t.Errorf("regressions = %d, want 3:\n%s", d.Regressions, d.Format())
 	}
-	// Faster is never a regression.
+	// Faster and leaner is never a regression.
 	fast := benchFixture()
-	fast.Cells[0].EventsPerSec *= 2
+	fast.Cells[0].NsPerPkt /= 2
+	fast.Cells[0].AllocsPerPkt /= 2
+	fast.Cells[0].SetupAllocs /= 2
+	fast.Cells[2].Windows /= 2
+	fast.Cells[2].Exchanged /= 2
 	if d := DiffBench(base, fast); d.Regressions != 0 {
-		t.Errorf("a 2x speedup was flagged:\n%s", d.Format())
+		t.Errorf("a 2x improvement was flagged:\n%s", d.Format())
+	}
+}
+
+// TestDiffBenchFewerEventsSamePacketCost is the case the per-packet gate
+// exists for: an engine that dispatches a third fewer events for the same
+// packets at the same ns/pkt halves no rate the gate reads, so it passes,
+// and the event drop is reported as information only.
+func TestDiffBenchFewerEventsSamePacketCost(t *testing.T) {
+	base := benchFixture()
+	cur := benchFixture()
+	for i := range cur.Cells {
+		c := &cur.Cells[i]
+		c.Events -= c.Events / 3
+		// The per-event rate the old gate read falls by a third.
+		c.NsPerEvent = c.NsPerPkt * float64(c.Sent) / float64(c.Events)
+	}
+	d := DiffBench(base, cur)
+	if d.Regressions != 0 {
+		t.Fatalf("fewer events at equal ns/pkt regressed:\n%s", d.Format())
+	}
+	ev := findDiff(t, d, "fattree16-shards4", "events")
+	if ev.Regressed || ev.Delta != -float64(base.Cells[2].Events/3) {
+		t.Errorf("event drop should be an informational finding of -%d, got %+v", base.Cells[2].Events/3, ev)
+	}
+}
+
+// TestDiffBenchFatTreeAllocsPerPkt pins the allocation gate at its bound:
+// a 10% rise in the fat-tree's loop allocations per packet fails, 9%
+// passes, and set-up allocations fail at a 1% rise.
+func TestDiffBenchFatTreeAllocsPerPkt(t *testing.T) {
+	base := benchFixture()
+	for _, c := range []struct {
+		rise float64
+		want bool
+	}{{0.09, false}, {0.10, true}, {0.25, true}} {
+		cur := benchFixture()
+		cur.Cells[2].AllocsPerPkt *= 1 + c.rise
+		f := findDiff(t, DiffBench(base, cur), "fattree16-shards4", "allocs_per_pkt")
+		if f.Regressed != c.want {
+			t.Errorf("allocs/pkt +%.0f%%: regressed=%v, want %v (%+v)", c.rise*100, f.Regressed, c.want, f)
+		}
+	}
+	cur := benchFixture()
+	cur.Cells[2].SetupAllocs += base.Cells[2].SetupAllocs / 100
+	if !findDiff(t, DiffBench(base, cur), "fattree16-shards4", "setup_allocs").Regressed {
+		t.Error("+1% set-up allocations not flagged")
+	}
+}
+
+// TestDiffBenchShardCounts: at equal seed a sharded cell may not run more
+// windows or exchange more packets; at a different seed the counts are not
+// comparable and are not gated.
+func TestDiffBenchShardCounts(t *testing.T) {
+	base := benchFixture()
+	cur := benchFixture()
+	cur.Cells[2].Windows++
+	cur.Cells[2].Exchanged++
+	d := DiffBench(base, cur)
+	for _, m := range []string{"windows", "exchanged"} {
+		if !findDiff(t, d, "fattree16-shards4", m).Regressed {
+			t.Errorf("a rise in %s at equal seed not flagged", m)
+		}
+	}
+	cur.Seed = 2
+	if d := DiffBench(base, cur); d.Regressions != 0 {
+		t.Errorf("shard counts gated across seeds:\n%s", d.Format())
+	}
+}
+
+// TestDiffBenchOldBaselineNotGated: a baseline written before the
+// per-packet columns existed is reported against, never gated on them.
+func TestDiffBenchOldBaselineNotGated(t *testing.T) {
+	base := benchFixture()
+	for i := range base.Cells {
+		base.Cells[i].NsPerPkt, base.Cells[i].AllocsPerPkt, base.Cells[i].SetupAllocs = 0, 0, 0
+	}
+	d := DiffBench(base, benchFixture())
+	if d.Regressions != 0 {
+		t.Fatalf("columns absent from the baseline were gated:\n%s", d.Format())
+	}
+	if f := findDiff(t, d, "ecmp-load0.5", "ns_per_pkt"); !strings.Contains(f.Note, "baseline lacks") {
+		t.Errorf("missing baseline column not noted: %+v", f)
 	}
 }
 
@@ -128,7 +218,7 @@ func TestDiffBenchCellDrift(t *testing.T) {
 		t.Error("missing cell not flagged")
 	}
 	ev := findDiff(t, d, "ecmp-load0.5", "events")
-	if ev.Regressed || !strings.Contains(ev.Note, "behaviour changed") {
+	if ev.Regressed || !strings.Contains(ev.Note, "dispatch changed") {
 		t.Errorf("event-count drift should be an informational finding, got %+v", ev)
 	}
 }

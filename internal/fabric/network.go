@@ -249,13 +249,14 @@ func (n *Network) build() {
 			n.chanPort[c.ID] = p.Index
 			n.Ports = append(n.Ports, p)
 			// The port's reusable event callbacks: the only closures the
-			// data plane ever allocates, one set per port for the network's
-			// life, interned in the scheduler's permanent registry so hot
-			// events carry a plain id instead of a pointer. Queue-side
-			// events live in the source node's scheduler; the wire arrival
-			// fires at the far end, so it lives in the destination's.
+			// data plane ever allocates, one pair per port for the
+			// network's life, interned in the scheduler's permanent
+			// registry so hot events carry a plain id instead of a pointer.
+			// The transmission lives in the source node's scheduler; the
+			// wire arrival fires at the far end, so it lives in the
+			// destination's. Visibility needs no callback: it is settled
+			// when read (Port.settleVisibility).
 			p.txID = p.dom.sim.Register(func() { n.txDone(p) })
-			p.visID = p.dom.sim.Register(func() { n.visFire(p) })
 			p.wireID = p.dstDom.sim.Register(func() { n.wireFire(p) })
 		}
 	}
@@ -534,35 +535,10 @@ func (n *Network) enqueue(p *Port, pkt *Packet) {
 	if n.tracer != nil {
 		n.tracer.Packet(trace.Enqueue, pkt.enqAt, p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
 	}
-	if p.visDelay <= 0 {
-		p.applyVisibility(pkt.Size)
-	} else {
-		// Reserve the tie-break key now — the slot sim.After would have
-		// taken — and park the update on the port's visibility ring; the
-		// ring's callback fires it at exactly that (time, key).
-		e := visEntry{at: d.sim.Now() + p.visDelay, key: d.sim.ReserveKey(), size: pkt.Size}
-		idle := p.visRing.empty()
-		p.visRing.push(e)
-		if idle {
-			d.sim.AtKeyID(e.at, e.key, p.visID)
-		}
-	}
+	p.pushVisibility(pkt.Size)
 	if !p.busy {
 		n.transmit(p)
 	}
-}
-
-// visFire applies the head of the port's visibility ring and re-arms the
-// timer for the next entry at its reserved (time, seq) slot.
-//
-//drill:hotpath
-func (n *Network) visFire(p *Port) {
-	e := p.visRing.pop()
-	if !p.visRing.empty() {
-		h := p.visRing.peek()
-		p.dom.sim.AtKeyID(h.at, h.key, p.visID)
-	}
-	p.applyVisibility(e.size)
 }
 
 // transmit serializes the head-of-line packet onto the link.

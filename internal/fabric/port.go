@@ -23,8 +23,16 @@ import (
 // placement evict the flow's next packet to a different port, a
 // self-displacement artifact that manufactures reordering the hardware
 // does not exhibit.) Because the visibility delay is constant per port,
-// visibility events fire in FIFO order and the skip-counter reconciliation
-// below is exact.
+// visibility updates take effect in FIFO order and the skip-counter
+// reconciliation below is exact.
+//
+// Visibility updates are settled when read, not dispatched as events:
+// enqueue parks each update on visRing under the key sim.ReserveKey
+// reserves for it, and VisibleBytes and departVisibility first apply every
+// parked update the scheduler's frontier has passed (sim.Sim.Reached). The
+// counters they then act on are exactly those a scheduler firing one event
+// per update would hold at that point; the raw VisPkts/VisBytes fields can
+// trail them until the next such read.
 type Port struct {
 	Index    int32 // position in Network.Ports
 	Chan     topo.ChanID
@@ -43,26 +51,25 @@ type Port struct {
 
 	VisPkts  int32
 	VisBytes int64
-	visSkip  int32 // departures that outran their visibility event
+	visSkip  int32 // departures that outran their visibility update
 
 	visDelay units.Time
 	busy     bool
 	up       bool
 
-	// Batched event plumbing (see Network.visFire/wireFire): each port owns
-	// three reusable callbacks — for the serialization in progress, the
-	// head of the visibility ring, and the head of the wire ring — instead
-	// of allocating a closure per packet per hop. The rings hold the
-	// pending (at, seq, payload) triples in FIFO order; firing one re-arms
-	// the callback for the next at its reserved (at, seq) via sim.AtSeqID,
-	// so dispatch is byte-identical to the one-event-per-packet path.
-	// Registered ids, not sim.Timers: these are only ever armed when
-	// unarmed (fire-and-rearm), so they need none of a Timer's location
-	// tracking — which would otherwise be maintained on every heap sift of
-	// every packet event — and interning them keeps the scheduler's event
-	// records pointer-free.
+	// Batched event plumbing (see Network.wireFire): each port owns two
+	// reusable callbacks — for the serialization in progress and for the
+	// head of the wire ring — instead of allocating a closure per packet
+	// per hop. The wire ring holds the packets in flight in FIFO order;
+	// firing one re-arms the callback for the next at its arrival (at,
+	// key) via sim.AtKeyID, so dispatch is byte-identical to the
+	// one-event-per-packet path. Registered ids, not sim.Timers: these are
+	// only ever armed when unarmed (fire-and-rearm), so they need none of
+	// a Timer's location tracking — which would otherwise be maintained on
+	// every heap sift of every packet event — and interning them keeps the
+	// scheduler's event records pointer-free. The visibility ring holds
+	// parked updates and arms nothing.
 	txID     sim.FnID
-	visID    sim.FnID
 	wireID   sim.FnID
 	visRing  fifo[visEntry]
 	wireRing fifo[wireEntry]
@@ -92,8 +99,15 @@ func (p *Port) Up() bool { return p.up }
 func (p *Port) QueueLen() int32 { return p.QPkts }
 
 // VisibleBytes reports the occupancy in bytes as a forwarding engine sees
-// it — the load signal DRILL compares.
-func (p *Port) VisibleBytes() int64 { return p.VisBytes }
+// it — the load signal DRILL compares — after settling the updates due by
+// now. Call it only from the scheduler that owns the port (an event of
+// the port's shard, or a barrier).
+//
+//drill:hotpath
+func (p *Port) VisibleBytes() int64 {
+	p.settleVisibility()
+	return p.VisBytes
+}
 
 //drill:hotpath
 //drill:allocs 1 queue growth amortizes; capacity is retained across pops
@@ -116,7 +130,37 @@ func (p *Port) popQueue() *Packet {
 
 func (p *Port) queueEmpty() bool { return p.head == len(p.queue) }
 
-// applyVisibility is the deferred counter update scheduled at enqueue time.
+// pushVisibility parks the visibility update of a packet of the given size
+// enqueued now: it takes effect visDelay later, at the key an event
+// scheduled now would have taken.
+//
+//drill:hotpath
+func (p *Port) pushVisibility(size units.ByteSize) {
+	if p.visDelay <= 0 {
+		p.applyVisibility(size)
+		return
+	}
+	s := p.dom.sim
+	at := s.Now() + p.visDelay
+	p.visRing.push(visEntry{at: at, key: s.ReserveKey(at), size: size})
+}
+
+// settleVisibility applies, in FIFO order, every parked visibility update
+// the port's scheduler has passed.
+//
+//drill:hotpath
+func (p *Port) settleVisibility() {
+	for !p.visRing.empty() {
+		e := p.visRing.peek()
+		if !p.dom.sim.Reached(e.at, e.key) {
+			return
+		}
+		p.applyVisibility(e.size)
+		p.visRing.pop()
+	}
+}
+
+// applyVisibility is one visibility update taking effect.
 //
 //drill:hotpath
 func (p *Port) applyVisibility(size units.ByteSize) {
@@ -128,11 +172,12 @@ func (p *Port) applyVisibility(size units.ByteSize) {
 	p.VisBytes += int64(size)
 }
 
-// departVisibility reconciles the visible counters when a packet finishes
-// transmission, possibly before its visibility event fired.
+// departVisibility reconciles the visible counters when a packet leaves
+// the waiting queue, possibly before its visibility update took effect.
 //
 //drill:hotpath
 func (p *Port) departVisibility(size units.ByteSize) {
+	p.settleVisibility()
 	if p.VisPkts > 0 {
 		p.VisPkts--
 		p.VisBytes -= int64(size)

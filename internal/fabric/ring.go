@@ -42,7 +42,8 @@ func (f *fifo[T]) peek() *T { return &f.buf[f.head] }
 // visEntry is one pending delayed-visibility update: packet size to credit
 // to the port's visible occupancy at time at, under the FIFO tie-break key
 // reserved when the packet enqueued. Visibility delay is constant per
-// port, so entries are pushed — and therefore fire — in (at, key) order.
+// port, so entries are pushed — and therefore settled — in (at, key)
+// order.
 type visEntry struct {
 	at   units.Time
 	key  uint64

@@ -39,6 +39,14 @@
 // earlier than m+L >= W, i.e. always in a later window, always injectable
 // at a barrier before the destination shard reaches it.
 //
+// Settled-when-read state (see Reached) lives in the shard that owns it
+// and is read either by that shard's own events or by global events at a
+// barrier. Every shard is parked at the barrier instant T with its
+// frontier at (T, 0) while the globals at T run — the sequential
+// scheduler's pre-local slot again — and after the final, inclusive pass
+// every shard's frontier covers all of the horizon, as Sim.RunUntil's
+// does.
+//
 // This file is the one place in the simulation core where goroutines and
 // channels are legal (the drillvet nondeterminism analyzer exempts it by
 // name): shards run on persistent workers, and the coordinator's channel
@@ -225,6 +233,17 @@ func (g *ShardGroup) Close() {
 	g.cmds = nil
 }
 
+// park moves an idle shard to t: before every event at t for a window,
+// past all of t for the inclusive final pass (the shard has nothing at t,
+// so RunUntil dispatches nothing).
+func park(s *Sim, t units.Time, inclusive bool) {
+	if inclusive {
+		s.RunUntil(t)
+	} else {
+		s.AdvanceTo(t)
+	}
+}
+
 // runShards dispatches one window to every shard that has work before t
 // and parks the idle ones at t. A single busy shard runs inline — the
 // common case on small topologies, where a goroutine handoff would cost
@@ -241,7 +260,7 @@ func (g *ShardGroup) runShards(t units.Time, inclusive bool) {
 	}
 	if nBusy == 0 {
 		for _, s := range g.Shards {
-			s.AdvanceTo(t)
+			park(s, t, inclusive)
 		}
 		return
 	}
@@ -260,7 +279,7 @@ func (g *ShardGroup) runShards(t units.Time, inclusive bool) {
 				g.stats[i].Events += s.Executed - e0
 				pprof.SetGoroutineLabels(g.ctxBarrier)
 			} else {
-				s.AdvanceTo(t)
+				park(s, t, inclusive)
 			}
 		}
 		wall := time.Since(start).Nanoseconds() //drill:allow nondeterminism wall-time window telemetry; never converted to sim time
@@ -283,7 +302,7 @@ func (g *ShardGroup) runShards(t units.Time, inclusive bool) {
 			g.cmds[i] <- cmd
 		} else {
 			g.dispatched[i] = false
-			s.AdvanceTo(t)
+			park(s, t, inclusive)
 		}
 	}
 	g.wg.Wait()
@@ -367,9 +386,16 @@ func (g *ShardGroup) RunUntil(until units.Time) {
 		T = W
 	}
 
-	// Final pass: the loop left every clock at `until` with only events
-	// at exactly `until` pending (globals first, then shard events; any
-	// arrivals they generate land strictly after `until`).
+	// The loop stops early only when nothing is pending before `until`
+	// anywhere; park the shards at `until` so the globals there read
+	// shard state from the same frontier either way.
+	for _, s := range g.Shards {
+		s.AdvanceTo(until)
+	}
+
+	// Final pass: every clock is at `until` with only events at exactly
+	// `until` pending (globals first, then shard events; any arrivals they
+	// generate land strictly after `until`).
 	g.barriers++
 	pprof.SetGoroutineLabels(g.ctxExchange)
 	g.Exchange()

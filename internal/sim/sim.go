@@ -4,8 +4,10 @@
 // tie-breaking (a binary-heap overflow tier catches far-future events),
 // cancellable re-armable Timers whose entries are location-tracked across
 // every tier (so a Reset or Stop relocates/deletes the live entry instead
-// of abandoning a tombstone), and seeded random-number streams so every
-// run is reproducible.
+// of abandoning a tombstone), a dispatch frontier that lets state updates
+// be settled when they are read instead of dispatched as events (see
+// Reached), and seeded random-number streams so every run is
+// reproducible.
 //
 // # Scheduler structure
 //
@@ -19,8 +21,8 @@
 //     it opened). Dispatch interleaves the two by direct (time, seq)
 //     comparison, so the exact total order is enforced here.
 //   - wheel: a calendar queue of fixed-width buckets covering the short
-//     horizon that dominates a packet simulation (tx-done, link-depart,
-//     visibility updates, RTO resets). Insertion and timer cancellation
+//     horizon that dominates a packet simulation (tx-done, wire arrivals,
+//     RTO resets). Insertion and timer cancellation
 //     are O(1) appends/swap-removes; a bucket's events are poured into
 //     the near tier when the cursor reaches it.
 //   - far: the index-tracked heap retained from the pre-wheel scheduler,
@@ -37,6 +39,21 @@
 // and only feeds the wheel. Hence the wheel scheduler dispatches in
 // exactly the order the plain heap would; the package tests keep a
 // heap-only scheduler as the oracle that asserts it, byte for byte.
+//
+// # Settled-when-read updates
+//
+// Some state changes are fixed at the instant they are caused but take
+// effect later, and matter only to whoever next reads the state: the
+// fabric's delayed queue-visibility counters (§3.2.1) are the case in
+// point. Scheduling one event per update would cost a dispatch each for
+// a change most schemes never read. Instead the producer reserves the
+// update's key with ReserveKey — the key an event scheduled at that
+// instant would have taken — parks the update, and the reader applies,
+// in order, every parked update that Reached reports as already passed.
+// The frontier Reached consults is the (at, key) of the event being
+// dispatched, or the instant a run loop parked the clock at, and it never
+// moves backwards, so the reader observes exactly the state a
+// one-event-per-update scheduler would have produced by that point.
 package sim
 
 import (
@@ -137,7 +154,12 @@ func less(a, b *event) bool {
 // Sim is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; run independent simulations in separate Sim instances.
 type Sim struct {
-	now     units.Time
+	now units.Time
+	// front is the key half of the dispatch frontier (now, front): the
+	// highest key dispatched at now, 0 when a run loop parked the clock at
+	// now before anything there dispatched (no event key is 0), or ^0 when
+	// everything at now has dispatched. See Reached.
+	front   uint64
 	seq     uint64
 	seed    int64
 	rng     *rand.Rand
@@ -169,6 +191,11 @@ type Sim struct {
 	perms []func() // permanent callbacks interned by Register
 
 	heapOnly bool // route everything through the near heap (the tests' oracle)
+
+	// tailAt/tailKey is the latest (at, key) reserved with ReserveKey; Run
+	// drains up to it as if it were a pending event. tailKey 0: none yet.
+	tailAt  units.Time
+	tailKey uint64
 
 	sched SchedStats // scheduler-internal traffic counters
 
@@ -277,16 +304,58 @@ func (s *Sim) Register(fn func()) FnID {
 }
 
 // ReserveKey allocates and returns the next local-class event key, exactly
-// as scheduling a local event now would. It exists for batched event
-// sources (the fabric's per-port visibility rings): a producer reserves
-// the key at the instant it would otherwise schedule one event per entry,
-// hands it to AtKeyID when the entry reaches the head of its ring, and
-// dispatch order stays byte-identical to scheduling every entry on its own.
+// as scheduling a local event at time at would, but schedules nothing. It
+// is the producer half of a settled-when-read update (the fabric's
+// per-port visibility ring): the producer parks the update under (at,
+// key), and whoever reads the state first applies every parked update
+// that Reached reports as passed. No other key moves, so every event
+// dispatches in the slot it would have taken had each update been an
+// event of its own. at must not be in the past; Run treats the latest
+// reserved (at, key) as pending work.
 //
 //drill:hotpath
-func (s *Sim) ReserveKey() uint64 {
+func (s *Sim) ReserveKey(at units.Time) uint64 {
+	if at < s.now {
+		panic("sim: key reserved in the past")
+	}
 	s.seq++
-	return classLocal | s.seq<<keyShift
+	key := classLocal | s.seq<<keyShift
+	if at >= s.tailAt {
+		s.tailAt, s.tailKey = at, key
+	}
+	return key
+}
+
+// Reached reports whether (at, key) sorts at or before the dispatch
+// frontier: for a key reserved with ReserveKey, whether an event scheduled
+// under it would already have dispatched. The frontier is
+//
+//   - while an event runs: that event's (at, key);
+//   - after RunBefore(t) or AdvanceTo(t) moved the clock to t: the start
+//     of t, before every event at t — a sharded run parks its shards
+//     there while the barrier's global events at t run, and those sort
+//     before every shard event at t;
+//   - after RunUntil(t): all of t;
+//   - after Run drains: the latest key reserved with ReserveKey, if the
+//     last event did not pass it.
+//
+// It never moves backwards: an event dispatched under a key that sorts
+// before the frontier (scheduled at the current instant under a lower
+// class, or after RunUntil passed the instant) leaves it where it is.
+// Readers of settled-when-read state call this on the scheduler that owns
+// that state.
+//
+//drill:hotpath
+func (s *Sim) Reached(at units.Time, key uint64) bool {
+	return at < s.now || at == s.now && key <= s.front
+}
+
+// parkAt moves the clock forward to t with the frontier at front, unless
+// that would move the frontier backwards.
+func (s *Sim) parkAt(t units.Time, front uint64) {
+	if t > s.now || t == s.now && front > s.front {
+		s.now, s.front = t, front
+	}
 }
 
 // ArrivalKey builds the event key for a wire arrival on directed port
@@ -332,14 +401,13 @@ func (s *Sim) AtID(t units.Time, id FnID) {
 func (s *Sim) AfterID(d units.Time, id FnID) { s.AtID(s.now+d, id) }
 
 // AtKeyID schedules the callback registered under id at absolute time t
-// under an event key previously allocated with ReserveKey (or built with
-// ArrivalKey). It is the batched producers' zero-alloc arm operation: a
-// ring that reserved its entries' keys at the instant each entry would
-// have been scheduled on its own re-arms one registered callback per
-// firing, and the (t, key) pair lands every dispatch in exactly the slot a
-// per-entry event would have taken. Arming with a stale key is legitimate
-// precisely because the ring preserved FIFO order; t must not be in the
-// past.
+// under an event key built with ArrivalKey. It is the wire rings'
+// zero-alloc arm operation: a port that computed each in-flight packet's
+// arrival key at departure re-arms one registered callback per arrival,
+// and the (t, key) pair lands every dispatch in exactly the slot a
+// per-packet event would have taken. Arming with an earlier-computed key
+// is legitimate precisely because the ring preserved FIFO order; t must
+// not be in the past.
 //
 //drill:hotpath
 func (s *Sim) AtKeyID(t units.Time, key uint64, id FnID) {
@@ -525,42 +593,60 @@ func (s *Sim) ensureNear() bool {
 }
 
 // Run dispatches events in time order until only daemon events remain or
-// Halt is called. Entering Run clears any previous halt, so a Sim halted
-// mid-run can be resumed.
+// Halt is called. Keys reserved with ReserveKey count as pending work: with
+// only daemon events left, Run still dispatches those that sort before
+// the latest reserved key, then moves the clock and frontier to it — where
+// a scheduler running one event per update would have stopped.
+// Entering Run clears any previous halt, so a Sim halted mid-run can be
+// resumed.
 func (s *Sim) Run() {
 	s.halted = false
-	for s.Pending() > s.daemons && !s.halted {
-		if !s.ensureNear() {
+	for !s.halted {
+		if s.Pending() > s.daemons {
+			if !s.ensureNear() {
+				return
+			}
+			s.step()
+			continue
+		}
+		if s.tailKey == 0 || s.Reached(s.tailAt, s.tailKey) {
 			return
 		}
-		s.step()
+		if s.ensureNear() && less(s.peek(), &event{at: s.tailAt, key: s.tailKey}) {
+			s.step()
+			continue
+		}
+		s.parkAt(s.tailAt, s.tailKey)
+		return
 	}
 }
 
-// RunUntil dispatches events with time <= t, then advances the clock to t.
-// Like Run, it clears any previous halt on entry.
+// RunUntil dispatches events with time <= t, then advances the clock to t
+// with the frontier past all of t. Like Run, it clears any previous halt
+// on entry.
 func (s *Sim) RunUntil(t units.Time) {
 	s.halted = false
-	for !s.halted && s.ensureNear() && s.peekAt() <= t {
+	for !s.halted && s.ensureNear() && s.peek().at <= t {
 		s.step()
 	}
-	if !s.halted && s.now < t {
-		s.now = t
+	if !s.halted {
+		s.parkAt(t, ^uint64(0))
 	}
 }
 
 // RunBefore dispatches events with time strictly less than t, then
-// advances the clock to t. It is the shard window primitive: a shard runs
-// everything inside the window [now, t) and parks exactly at the barrier,
-// leaving events at t itself for the window that opens there (barriers run
-// global events at t first). Like Run, it clears any previous halt.
+// advances the clock to t with the frontier before every event at t. It is
+// the shard window primitive: a shard runs everything inside the window
+// [now, t) and parks exactly at the barrier, leaving events at t itself
+// for the window that opens there (barriers run global events at t
+// first). Like Run, it clears any previous halt.
 func (s *Sim) RunBefore(t units.Time) {
 	s.halted = false
-	for !s.halted && s.ensureNear() && s.peekAt() < t {
+	for !s.halted && s.ensureNear() && s.peek().at < t {
 		s.step()
 	}
-	if !s.halted && s.now < t {
-		s.now = t
+	if !s.halted {
+		s.parkAt(t, 0)
 	}
 }
 
@@ -572,31 +658,25 @@ func (s *Sim) NextAt() (units.Time, bool) {
 	if !s.ensureNear() {
 		return 0, false
 	}
-	return s.peekAt(), true
+	return s.peek().at, true
 }
 
-// AdvanceTo moves the clock forward to t without dispatching anything. It
-// is only correct when no pending event lies before t — the window
-// synchronizer uses it to park idle shards at a barrier without paying a
-// goroutine dispatch. Moving backwards is a no-op.
-func (s *Sim) AdvanceTo(t units.Time) {
-	if t > s.now {
-		s.now = t
-	}
-}
+// AdvanceTo moves the clock forward to t, with the frontier before every
+// event at t, without dispatching anything. It is only correct when no
+// pending event lies before t — the window synchronizer uses it to park
+// idle shards at a barrier without paying a goroutine dispatch. Moving
+// backwards is a no-op.
+func (s *Sim) AdvanceTo(t units.Time) { s.parkAt(t, 0) }
 
-// peekAt returns the earliest pending event time; ensureNear must have
-// returned true.
+// peek returns the earliest pending event; ensureNear must have returned
+// true.
 //
 //drill:hotpath
-func (s *Sim) peekAt() units.Time {
-	if s.dlHead < len(s.dl) {
-		if len(s.near.ev) > 0 && less(&s.near.ev[0], &s.dl[s.dlHead]) {
-			return s.near.ev[0].at
-		}
-		return s.dl[s.dlHead].at
+func (s *Sim) peek() *event {
+	if s.dlHead < len(s.dl) && (len(s.near.ev) == 0 || !less(&s.near.ev[0], &s.dl[s.dlHead])) {
+		return &s.dl[s.dlHead]
 	}
-	return s.near.ev[0].at
+	return &s.near.ev[0]
 }
 
 //drill:hotpath
@@ -618,7 +698,12 @@ func (s *Sim) step() {
 	if ev.key&keyDaemon != 0 {
 		s.daemons--
 	}
-	s.now = ev.at
+	// The frontier follows the dispatch, never backwards: an event that
+	// sorts before the frontier (scheduled at this instant under a lower
+	// class) leaves it where it is.
+	if ev.at != s.now || ev.key > s.front {
+		s.now, s.front = ev.at, ev.key
+	}
 	if ev.key&keySilent == 0 {
 		s.Executed++
 	}

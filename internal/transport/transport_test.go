@@ -245,8 +245,8 @@ func TestNoStaleRTOEventsAtCompletion(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("flow did not complete")
 	}
-	// Generous bound: port visibility events and the tail of the ACK path
-	// may still be in flight, but nothing proportional to the flow length.
+	// Generous bound: the tail of the ACK path may still be in flight, but
+	// nothing proportional to the flow length.
 	if pendingAtDone > 16 {
 		t.Fatalf("%d events pending at flow completion; want O(1), not O(packets) — stale RTO closures are accumulating again", pendingAtDone)
 	}
