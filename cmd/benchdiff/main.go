@@ -9,12 +9,15 @@
 //
 //	benchdiff -baseline BENCH_shard.json -current BENCH_new.json [-json diff.json] [-md summary.md] [-strict]
 //
-// Without -strict the exit status is 0 even when regressions are found,
-// so callers can treat the diff as advisory; -strict exits 1 on any
+// The baseline defaults to BENCH_shard.json, the snapshot CI gates
+// against. Without -strict the exit status is 0 even when regressions are
+// found, so callers can treat the diff as advisory; -strict exits 1 on any
 // regression, which is how the blocking bench-regress CI job turns the
-// build red. -md appends the diff as a markdown table to the given file
-// (pass $GITHUB_STEP_SUMMARY in CI). Snapshots from machines with
-// different CPU counts are compared anyway, with a warning row.
+// build red. -strict also exits 2 when the baseline lacks a gated column
+// (an older snapshot), since a gate that checks nothing cannot pass. -md
+// appends the diff as a markdown table to the given file (pass
+// $GITHUB_STEP_SUMMARY in CI). Snapshots from machines with different CPU
+// counts are compared anyway, with a warning row.
 package main
 
 import (
@@ -28,11 +31,11 @@ import (
 
 func main() {
 	var (
-		baseline = flag.String("baseline", "BENCH_baseline.json", "baseline snapshot to compare against")
+		baseline = flag.String("baseline", "BENCH_shard.json", "baseline snapshot to compare against")
 		current  = flag.String("current", "", "fresh drillbench snapshot to judge")
 		jsonOut  = flag.String("json", "", "also write the diff as JSON to this file")
 		mdOut    = flag.String("md", "", "append the diff as a markdown table to this file")
-		strict   = flag.Bool("strict", false, "exit 1 when any tolerance is exceeded")
+		strict   = flag.Bool("strict", false, "exit 1 when any tolerance is exceeded, 2 when the baseline lacks a gated column")
 	)
 	flag.Parse()
 	if *current == "" {
@@ -75,7 +78,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 			os.Exit(1)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	if *strict && d.Unchecked > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: -strict: %s lacks %d gated column(s); compare against a snapshot that has them\n",
+			*baseline, d.Unchecked)
+		os.Exit(2)
 	}
 	if *strict && d.Regressions > 0 {
 		os.Exit(1)

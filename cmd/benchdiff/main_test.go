@@ -1,0 +1,108 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"drill/internal/experiments"
+)
+
+// mainArgsEnv, when set, makes the test binary run benchdiff's main with
+// these newline-separated arguments instead of the tests, so a test can
+// observe the command's exit status and output from a child process.
+const mainArgsEnv = "BENCHDIFF_TEST_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"benchdiff"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runBenchdiff runs benchdiff with args from the repository root, where
+// the committed snapshots and the default baseline resolve, and returns
+// its standard output, standard error and exit status.
+func runBenchdiff(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe)
+	cmd.Dir = filepath.Join("..", "..")
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\n"))
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatalf("benchdiff %v: %v", args, err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// tripledSnapshot writes BENCH_shard.json with every gated cell column —
+// loop ns and allocations per packet, set-up allocations — tripled, and
+// returns the file's absolute path.
+func tripledSnapshot(t *testing.T) string {
+	t.Helper()
+	rep, err := experiments.ReadBenchReport(filepath.Join("..", "..", "BENCH_shard.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rep.Cells {
+		c := &rep.Cells[i]
+		c.NsPerPkt *= 3
+		c.AllocsPerPkt *= 3
+		c.SetupAllocs *= 3
+	}
+	buf, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_tripled.json")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestDefaultBaselineGates: without -baseline, benchdiff compares against
+// BENCH_shard.json, the snapshot CI gates against, so tripled gated
+// columns fail -strict with exit status 1.
+func TestDefaultBaselineGates(t *testing.T) {
+	out, errOut, code := runBenchdiff(t, "-current", tripledSnapshot(t), "-strict")
+	if code != 1 || !strings.Contains(out, "REGRESSED") || strings.Contains(out, "baseline lacks") {
+		t.Fatalf("benchdiff -strict against the default baseline: exit %d, want 1 with regressions\nstdout:\n%s\nstderr:\n%s",
+			code, out, errOut)
+	}
+}
+
+// TestStrictRefusesBaselineWithoutColumns: BENCH_baseline.json predates
+// the gated columns, so -strict cannot judge anything against it. It says
+// so in one benchdiff: line and exits 2 rather than reporting no
+// regressions; without -strict the diff stays advisory and exits 0.
+func TestStrictRefusesBaselineWithoutColumns(t *testing.T) {
+	cur := tripledSnapshot(t)
+	out, errOut, code := runBenchdiff(t, "-baseline", "BENCH_baseline.json", "-current", cur, "-strict")
+	got := strings.TrimSpace(errOut)
+	if code != 2 || strings.Contains(got, "\n") || !strings.HasPrefix(got, "benchdiff: ") {
+		t.Fatalf("benchdiff -strict against a baseline without the gated columns: exit %d, want 2 and one benchdiff: line\nstdout:\n%s\nstderr:\n%s",
+			code, out, errOut)
+	}
+	if _, errOut, code := runBenchdiff(t, "-baseline", "BENCH_baseline.json", "-current", cur); code != 0 {
+		t.Fatalf("benchdiff without -strict: exit %d, want 0\nstderr:\n%s", code, errOut)
+	}
+}

@@ -132,9 +132,9 @@ type BenchCellResult struct {
 	ShardImbalance  float64 `json:"shard_imbalance,omitempty"`
 }
 
-// MicroAllocs are testing.AllocsPerRun measurements of the three hot paths
-// the pool/timer work targets. Each is allocations per operation at steady
-// state; the alloc-ceiling tests pin the first two at zero.
+// MicroAllocs are testing.AllocsPerRun measurements of the hot paths the
+// pool/timer/wheel work targets. Each is allocations per operation at
+// steady state; the alloc-ceiling tests pin all four at zero.
 type MicroAllocs struct {
 	// TimerResetStop: one RTO re-arm + disarm on a warm sim heap.
 	TimerResetStop float64 `json:"timer_reset_stop"`
@@ -144,7 +144,9 @@ type MicroAllocs struct {
 	// a warm two-host fabric, including every event the data plane
 	// schedules for it (txDone and the wire arrival per hop; visibility
 	// updates are settled when read and schedule nothing). This is the
-	// whole per-packet cost, the number future PRs should shrink.
+	// whole per-packet cost. Pinned at zero by the send→deliver
+	// alloc-ceiling test: each op's events land in wheel buckets the
+	// previous ones have not used, and those draw chunks from the pool.
 	SendDeliver float64 `json:"send_deliver"`
 	// ShardWindow: one cross-shard packet delivered through a warm 2-shard
 	// fabric via the window protocol — ~25 barriers (worker handoffs,
@@ -326,32 +328,16 @@ func BenchMicroAllocs() MicroAllocs {
 
 	// One pool packet host→leaf→host through a warm fabric, drained.
 	{
-		sc, _ := SchemeByName("ECMP")
-		tp := topo.LeafSpine(topo.LeafSpineConfig{
-			Spines: 1, Leaves: 1, HostsPerLeaf: 2,
-			CoreRate: 10 * units.Gbps, HostRate: 10 * units.Gbps,
-		})
-		s := sim.New(1)
-		net := fabric.New(s, tp, fabric.Config{Balancer: sc.New()})
-		src, dst := net.Host(tp.Hosts[0]), tp.Hosts[1]
-		send := func() {
-			pkt := src.AllocPacket()
-			pkt.FlowID = 1
-			pkt.Hash = 7
-			pkt.Dst = dst
-			pkt.Size = 1518 * units.Byte
-			src.Send(pkt)
-			s.Run()
-		}
-		send() // warm queues, heap, and pool
+		send := sendDeliverOp()
+		send() // warm queues, heap, wheel chunks, and pool
 		m.SendDeliver = testing.AllocsPerRun(500, send)
 	}
 
-	// One window-protocol round trip across a warm 2-shard fabric. Warm-up
-	// must cover one full timing-wheel revolution (~4.2ms of sim time, ~850
-	// ops at 5µs each) so every calendar bucket of every shard's wheel has
-	// grown its high-water array; only then does a remaining allocation
-	// belong to the barrier path rather than to wheel warm-up.
+	// One window-protocol round trip across a warm 2-shard fabric. The
+	// warm-up lets retired packets settle into the opposite domain's pool
+	// and the rings, outboxes and wheel chunk pools reach their high-water
+	// sizes; only then does a remaining allocation belong to the barrier
+	// path.
 	{
 		op, done := shardWindowOp()
 		for i := 0; i < 5000; i++ {
@@ -361,6 +347,31 @@ func BenchMicroAllocs() MicroAllocs {
 		done()
 	}
 	return m
+}
+
+// sendDeliverOp builds a two-host, one-leaf fabric and returns an
+// operation that sends one pool packet host→leaf→host and runs the
+// simulation until it is delivered and every event it caused has
+// dispatched. Each op starts where the last one drained, so its events
+// land in wheel buckets the previous op did not use.
+func sendDeliverOp() func() {
+	sc, _ := SchemeByName("ECMP")
+	tp := topo.LeafSpine(topo.LeafSpineConfig{
+		Spines: 1, Leaves: 1, HostsPerLeaf: 2,
+		CoreRate: 10 * units.Gbps, HostRate: 10 * units.Gbps,
+	})
+	s := sim.New(1)
+	net := fabric.New(s, tp, fabric.Config{Balancer: sc.New()})
+	src, dst := net.Host(tp.Hosts[0]), tp.Hosts[1]
+	return func() {
+		pkt := src.AllocPacket()
+		pkt.FlowID = 1
+		pkt.Hash = 7
+		pkt.Dst = dst
+		pkt.Size = 1518 * units.Byte
+		src.Send(pkt)
+		s.Run()
+	}
 }
 
 // shardWindowOp builds a minimal 2-shard fabric (two leaves with one host

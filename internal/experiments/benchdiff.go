@@ -62,6 +62,9 @@ type BenchDiff struct {
 	CurrentSeed  int64          `json:"current_seed"`
 	Findings     []BenchFinding `json:"findings"`
 	Regressions  int            `json:"regressions"`
+	// Unchecked counts gated cell columns the baseline lacks: reported,
+	// but judged against nothing.
+	Unchecked int `json:"unchecked"`
 }
 
 // relativeMetrics are the columns whose Delta is a fraction of baseline.
@@ -91,6 +94,7 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 			f.Regressed = f.Delta >= tol-1e-9
 		} else {
 			f.Note = "baseline lacks this column"
+			d.Unchecked++
 		}
 		add(f)
 	}

@@ -14,20 +14,24 @@
 // Events live in one of three tiers, picked by how far ahead of the wheel
 // cursor they land:
 //
-//   - near: the current wheel bucket's window, split between a sorted
+//   - near: the open wheel bucket's 32ns window, split between a sorted
 //     dispatch list (the bucket's untracked events, ordered once at pour
 //     time and consumed by a cursor) and a small index-tracked min-heap
 //     (Timer-owned entries, plus anything scheduled into the window after
 //     it opened). Dispatch interleaves the two by direct (time, seq)
 //     comparison, so the exact total order is enforced here.
-//   - wheel: a calendar queue of fixed-width buckets covering the short
-//     horizon that dominates a packet simulation (tx-done, wire arrivals,
-//     RTO resets). Insertion and timer cancellation
-//     are O(1) appends/swap-removes; a bucket's events are poured into
-//     the near tier when the cursor reaches it.
+//   - wheel: a calendar queue of 32ns buckets covering the next 131µs,
+//     the horizon of a packet's own events (serializations, wire
+//     arrivals, ACKs). A bucket is a list of fixed-size chunks drawn from
+//     one pool per Sim, so storage follows the pending events, and an
+//     occupancy bitmap lets the cursor jump straight to the next
+//     non-empty bucket. Insertion and timer cancellation are O(1)
+//     appends/swap-removes; a bucket's events are poured into the near
+//     tier when the cursor reaches it, and its chunks go back to the pool.
 //   - far: the index-tracked heap retained from the pre-wheel scheduler,
-//     as the overflow tier for events beyond the wheel horizon. Events
-//     cascade from far into the wheel as the cursor advances.
+//     as the overflow tier for events beyond the wheel horizon (RTOs,
+//     control-plane reconvergence). Events cascade from far into the
+//     wheel as the cursor advances.
 //
 // Determinism argument: dispatch order is (at, seq) everywhere. The near
 // tier compares that key directly, whether an event sits in the sorted
@@ -35,10 +39,11 @@
 // window per revolution (anything nearer goes to the near tier, anything
 // farther goes to a later bucket or the far tier), and the whole bucket
 // is poured and ordered before any of it dispatches, so intra-bucket
-// insertion order never matters. The far tier is a heap on the same key
-// and only feeds the wheel. Hence the wheel scheduler dispatches in
-// exactly the order the plain heap would; the package tests keep a
-// heap-only scheduler as the oracle that asserts it, byte for byte.
+// insertion order — across chunks, or after a swap-removal — never
+// matters. The cursor skips only empty buckets. The far tier is a heap on
+// the same key and only feeds the wheel. Hence the wheel scheduler
+// dispatches in exactly the order the plain heap would; the package tests
+// keep a heap-only scheduler as the oracle that asserts it, byte for byte.
 //
 // # Settled-when-read updates
 //
@@ -57,25 +62,35 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 
 	"drill/internal/units"
 )
 
-// Wheel geometry. Buckets are 1.024µs wide — comparable to one MTU
-// serialization at 10Gbps, so back-to-back packet events land a bucket or
-// two ahead — and the 4096-bucket span covers ~4.2ms, which swallows RTO
-// re-arms (1ms floor) and control-plane reconvergence (1ms) on the O(1)
-// path. Only drain horizons and backed-off RTOs overflow to the far tier.
+// Wheel geometry. Buckets are 32ns wide, below the spacing of a packet's
+// own events: a 10G ACK serializes in 51ns, a hop's propagation takes
+// 200ns and an MTU serializes in 304ns (40G) to 1.2µs (10G), so each lands
+// in a later bucket and reaches the dispatch list, sorted once per bucket,
+// instead of the near heap. Only 40G ACKs (12.8ns) and back-to-back wire
+// re-arms still land in the open bucket. The 4096-bucket span covers
+// 131µs; RTO re-arms (1ms floor) and reconvergence overflow to the far
+// heap. A coarse second level that kept them on the wheel ran slower: they
+// are a small share of events, and cascading them costs more than the
+// heap does.
 const (
-	wheelShift = 10                                  // log2 bucket width in ns
+	wheelShift = 5                                   // log2 bucket width in ns
 	wheelBits  = 12                                  // log2 bucket count
 	wheelSize  = 1 << wheelBits                      // buckets per revolution
 	wheelMask  = wheelSize - 1                       // bucket index mask
 	bucketW    = units.Nanosecond << wheelShift      // bucket width
 	horizonW   = units.Time(wheelSize) << wheelShift // wheel span
+	occWords   = wheelSize / 64                      // occupancy bitmap words
 )
+
+// chunkSize is the number of events one wheel chunk holds.
+const chunkSize = 32
 
 // Event-key flag bits. The FIFO tie-break sequence number is packed above
 // the flag bits, so one uint64 comparison orders same-time events and
@@ -112,7 +127,7 @@ const (
 	tierNone  int8 = iota // not scheduled
 	tierNear              // near heap index Timer.idx
 	tierFar               // far heap index Timer.idx
-	tierWheel             // wheel bucket Timer.bucket, slot Timer.idx
+	tierWheel             // wheel chunk Timer.chunk, slot Timer.idx
 )
 
 // event is deliberately pointer-free: 24 bytes of plain data. The callback
@@ -120,7 +135,7 @@ const (
 // referenced by id. Events are copied constantly — heap sifts, bucket
 // pours, dispatch-list sorts — and keeping them POD means those copies are
 // raw memmoves with no write barriers, and none of the scheduler's arrays
-// (4096 wheel buckets, two heaps, the dispatch list) hold pointers the
+// (the wheel's chunk pool, two heaps, the dispatch list) hold pointers the
 // garbage collector has to scan.
 //
 // id >= 0 indexes Sim.slots (a per-event slot, recycled through a free
@@ -140,6 +155,17 @@ type slot struct {
 	fn    func()
 	timer *Timer // non-nil for Timer-owned (location-tracked) entries
 	next  int32  // free-list link when vacant
+}
+
+// chunk is a fixed-size block of one wheel bucket's events. A bucket is a
+// list of chunks, newest first, in which every chunk but the newest is
+// full; swap-removal refills a hole from the newest chunk, so that stays
+// true. Chunks live in Sim.chunks and link by index, which keeps the pool
+// pointer-free; vacant chunks chain through next into Sim.freeChunk.
+type chunk struct {
+	ev   [chunkSize]event
+	n    int32 // events in ev
+	next int32 // next older chunk of the bucket, or free-list link; -1 ends
 }
 
 // less orders events by (time, seq): the flag bits sit below the sequence
@@ -177,14 +203,20 @@ type Sim struct {
 	// location tracking (Timer-owned) or that are scheduled into the
 	// already-open window (they'd have to merge into a sorted prefix) go
 	// through the near heap, and the dispatch loop interleaves the two by
-	// (at, seq) comparison.
+	// (at, seq) comparison. It is the one scheduler array sized by the
+	// busiest bucket: every pour refills it from the start.
 	dl     []event
 	dlHead int
 
-	buckets [][]event  // wheel: wheelSize fixed-width calendar buckets
-	base    units.Time // start of the cursor bucket's window (bucketW-aligned)
-	cur     int32      // cursor bucket index
-	wcount  int        // events currently stored in wheel buckets
+	// The wheel: each bucket's newest chunk (-1 when empty), a bit per
+	// non-empty bucket, and the chunk pool every bucket draws from.
+	head      [wheelSize]int32
+	occ       [occWords]uint64
+	chunks    []chunk
+	freeChunk int32      // head of the vacant-chunk list; -1 when empty
+	base      units.Time // start of the cursor bucket's window (bucketW-aligned)
+	cur       int32      // cursor bucket index
+	wcount    int        // events currently stored in wheel buckets
 
 	slots []slot   // callback/timer storage for live events, by event id
 	free  int32    // head of the vacant-slot free list; -1 when empty
@@ -232,12 +264,15 @@ func (s *Sim) WheelOccupancy() int { return s.wcount }
 // New returns a simulator whose random streams derive from seed.
 func New(seed int64) *Sim {
 	s := &Sim{
-		rng:     rand.New(rand.NewSource(seed)),
-		seed:    seed,
-		near:    eventHeap{tier: tierNear},
-		far:     eventHeap{tier: tierFar},
-		buckets: make([][]event, wheelSize),
-		free:    -1,
+		rng:       rand.New(rand.NewSource(seed)),
+		seed:      seed,
+		near:      eventHeap{tier: tierNear},
+		far:       eventHeap{tier: tierFar},
+		free:      -1,
+		freeChunk: -1,
+	}
+	for b := range s.head {
+		s.head[b] = -1
 	}
 	s.near.s = s
 	s.far.s = s
@@ -475,7 +510,6 @@ func (s *Sim) AfterObserver(d units.Time, fn func()) {
 // schedule routes an event to its tier by distance from the wheel cursor.
 //
 //drill:hotpath
-//drill:allocs 1 bucket growth amortizes; wheel slices retain capacity across laps
 func (s *Sim) schedule(ev event) {
 	if s.heapOnly || ev.at < s.base+bucketW {
 		// Inside the current bucket window (or heap-only): the near
@@ -489,19 +523,55 @@ func (s *Sim) schedule(ev event) {
 	if ev.at < s.base+horizonW {
 		s.sched.Wheel++
 		b := int32(ev.at>>wheelShift) & wheelMask
-		bk := append(s.buckets[b], ev)
-		s.buckets[b] = bk
+		c := s.head[b]
+		if c < 0 || s.chunks[c].n == chunkSize {
+			if c < 0 {
+				s.occ[b>>6] |= 1 << (b & 63)
+			}
+			nc := s.newChunk()
+			s.chunks[nc].next = c
+			s.head[b] = nc
+			c = nc
+		}
+		ch := &s.chunks[c]
+		i := ch.n
+		ch.ev[i] = ev
+		ch.n++
 		if ev.key&keyTracked != 0 {
 			t := s.slots[ev.id].timer
 			t.tier = tierWheel
-			t.bucket = b
-			t.idx = int32(len(bk) - 1)
+			t.chunk = c
+			t.idx = i
 		}
 		s.wcount++
 		return
 	}
 	s.sched.Far++
 	s.far.push(ev)
+}
+
+// newChunk takes an empty chunk from the pool, growing the pool only when
+// every chunk is in use: the pool's size is the high-water mark of chunks
+// in use, which pending events bound, not the length of the run.
+//
+//drill:hotpath
+//drill:allocs 1 pool growth amortizes; vacant chunks are reused first
+func (s *Sim) newChunk() int32 {
+	if c := s.freeChunk; c >= 0 {
+		s.freeChunk = s.chunks[c].next
+		s.chunks[c].n = 0
+		return c
+	}
+	s.chunks = append(s.chunks, chunk{})
+	return int32(len(s.chunks) - 1)
+}
+
+// releaseChunk returns chunk c to the pool.
+//
+//drill:hotpath
+func (s *Sim) releaseChunk(c int32) {
+	s.chunks[c].next = s.freeChunk
+	s.freeChunk = c
 }
 
 // Halt stops the run loop after the currently executing event returns. A
@@ -538,58 +608,89 @@ func eventCmp(a, b event) int {
 }
 
 // ensureNear advances the wheel cursor — cascading overflow events in and
-// pouring reached buckets into the dispatch list / near heap — until one
-// of them holds the globally earliest pending event. It reports false when
-// no events are pending anywhere. Advancing never skips an event: a bucket
-// is emptied before the cursor moves past it, and the far tier is drained
-// of everything the widened horizon covers at each step.
+// pouring the reached bucket into the dispatch list / near heap — until
+// one of them holds the globally earliest pending event. It reports false
+// when no events are pending anywhere. The cursor jumps to the next
+// occupied bucket, or, with the wheel empty, to the earliest far event's
+// bucket. Advancing never skips an event: the far events a jump brings
+// inside the horizon lay beyond the old one, so they land behind the
+// bucket jumped to, which holds the earliest pending events.
 //
 //drill:hotpath
-//drill:allocs 1 in-place bucket compaction appends within retained capacity
 func (s *Sim) ensureNear() bool {
 	for len(s.near.ev) == 0 && s.dlHead == len(s.dl) {
 		if s.wcount == 0 {
 			if len(s.far.ev) == 0 {
 				return false
 			}
-			// Wheel idle: jump the cursor straight to the earliest far
-			// event's bucket instead of stepping through empty buckets.
 			at := s.far.ev[0].at
 			s.base = at &^ (bucketW - 1)
 			s.cur = int32(at>>wheelShift) & wheelMask
 		} else {
-			s.base += bucketW
-			s.cur = (s.cur + 1) & wheelMask
+			next := s.nextOccupied()
+			s.base += units.Time((next-s.cur)&wheelMask) << wheelShift
+			s.cur = next
 		}
 		// Cascade far-tier events the advanced horizon now covers.
 		for len(s.far.ev) > 0 && s.far.ev[0].at < s.base+horizonW {
 			s.sched.Cascades++
 			s.schedule(s.far.popMin())
 		}
-		// Pour the cursor bucket: Timer-owned entries go through the near
-		// heap (they keep index tracking so Reset/Stop can still find
-		// them); everything else becomes the new dispatch list, sorted
-		// once. The exhausted previous list's backing array is handed back
-		// to the bucket, so the two arrays rotate without allocating.
-		bk := s.buckets[s.cur]
-		if len(bk) > 0 {
-			s.sched.Pours++
-			s.sched.PouredEvents += uint64(len(bk))
-			s.wcount -= len(bk)
-			keep := bk[:0]
-			for i := range bk {
-				if bk[i].key&keyTracked != 0 {
-					s.near.push(bk[i])
-				} else {
-					keep = append(keep, bk[i])
-				}
-			}
-			slices.SortFunc(keep, eventCmp)
-			s.buckets[s.cur] = s.dl[:0]
-			s.dl, s.dlHead = keep, 0
+		if s.head[s.cur] >= 0 {
+			s.pour(s.cur)
 		}
 	}
 	return true
+}
+
+// nextOccupied returns the first non-empty bucket after the cursor in
+// wheel order, wrapping past the last bitmap word. The wheel must hold an
+// event; the cursor's own bucket is always empty.
+//
+//drill:hotpath
+func (s *Sim) nextOccupied() int32 {
+	b := (s.cur + 1) & wheelMask
+	w := b >> 6
+	if m := s.occ[w] >> (b & 63); m != 0 {
+		return b + int32(bits.TrailingZeros64(m))
+	}
+	for range occWords {
+		w = (w + 1) & (occWords - 1)
+		if m := s.occ[w]; m != 0 {
+			return w<<6 | int32(bits.TrailingZeros64(m))
+		}
+	}
+	panic("sim: wheel count without an occupied bucket")
+}
+
+// pour empties bucket b: Timer-owned entries go through the near heap
+// (they keep index tracking so Reset/Stop can still find them); the rest
+// are copied into the exhausted dispatch list, which is then sorted once.
+// The bucket's chunks go back to the pool.
+//
+//drill:hotpath
+//drill:allocs 1 dispatch-list growth amortizes; it is refilled from the start at every pour
+func (s *Sim) pour(b int32) {
+	s.sched.Pours++
+	s.dl, s.dlHead = s.dl[:0], 0
+	for c := s.head[b]; c >= 0; {
+		ch := &s.chunks[c]
+		for i := range ch.n {
+			if ch.ev[i].key&keyTracked != 0 {
+				s.near.push(ch.ev[i])
+			} else {
+				s.dl = append(s.dl, ch.ev[i])
+			}
+		}
+		s.wcount -= int(ch.n)
+		s.sched.PouredEvents += uint64(ch.n)
+		next := ch.next
+		s.releaseChunk(c)
+		c = next
+	}
+	s.head[b] = -1
+	s.occ[b>>6] &^= 1 << (b & 63)
+	slices.SortFunc(s.dl, eventCmp)
 }
 
 // Run dispatches events in time order until only daemon events remain or
@@ -722,27 +823,39 @@ func (s *Sim) step() {
 	fn()
 }
 
-// wheelRemove deletes slot i of bucket b (a cancelled timer entry) in O(1)
-// by swap-removal; bucket-internal order is irrelevant because a bucket is
-// re-ordered through the near heap before dispatch.
+// wheelRemove deletes slot i of chunk c (a cancelled timer entry) in O(1)
+// by swap-removal with the newest entry of its bucket; bucket-internal
+// order is irrelevant because a pour sorts the bucket before dispatch. A
+// newest chunk left empty goes back to the pool.
 //
 //drill:hotpath
-func (s *Sim) wheelRemove(b, i int32) {
-	bk := s.buckets[b]
-	if ev := &bk[i]; ev.id >= 0 {
+func (s *Sim) wheelRemove(c, i int32) {
+	ev := &s.chunks[c].ev[i]
+	if ev.id >= 0 {
 		if ev.key&keyTracked != 0 {
 			s.slots[ev.id].timer.tier = tierNone
 		}
 		s.release(ev.id)
 	}
-	last := int32(len(bk) - 1)
-	if i != last {
-		bk[i] = bk[last]
-		if ev := &bk[i]; ev.key&keyTracked != 0 {
-			s.slots[ev.id].timer.idx = i
+	b := int32(ev.at>>wheelShift) & wheelMask
+	h := s.head[b]
+	hc := &s.chunks[h]
+	last := hc.n - 1
+	if h != c || i != last {
+		*ev = hc.ev[last]
+		if ev.key&keyTracked != 0 {
+			t := s.slots[ev.id].timer
+			t.chunk, t.idx = c, i
 		}
 	}
-	s.buckets[b] = bk[:last]
+	hc.n = last
+	if last == 0 {
+		s.head[b] = hc.next
+		s.releaseChunk(h)
+		if s.head[b] < 0 {
+			s.occ[b>>6] &^= 1 << (b & 63)
+		}
+	}
 	s.wcount--
 }
 
@@ -874,11 +987,11 @@ func (h *eventHeap) removeAt(i int) {
 // A Timer belongs to the single-threaded Sim that created it; the zero
 // value is not usable.
 type Timer struct {
-	s      *Sim
-	fn     func()
-	tier   int8  // which tier holds the live entry; tierNone when unarmed
-	bucket int32 // wheel bucket (tierWheel only)
-	idx    int32 // heap index or bucket slot
+	s     *Sim
+	fn    func()
+	tier  int8  // which tier holds the live entry; tierNone when unarmed
+	chunk int32 // wheel chunk (tierWheel only)
+	idx   int32 // heap index or chunk slot
 }
 
 // NewTimer returns an unarmed timer that runs fn when it fires. The one
@@ -904,7 +1017,7 @@ func (t *Timer) detach() {
 	case tierFar:
 		t.s.far.removeAt(int(t.idx))
 	case tierWheel:
-		t.s.wheelRemove(t.bucket, t.idx)
+		t.s.wheelRemove(t.chunk, t.idx)
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 // same Pending and Executed counts, byte for byte. The tests here drive
 // both schedulers through the same scripted operation sequences — every
 // scheduling entry point the engine uses, spanning the near window, the
-// wheel horizon, the far overflow tier, timer churn, mid-run clock
-// advances, the fabric's batched wire rings and its settled-when-read
-// visibility queues — and diff the full dispatch transcripts. A frontier
-// probe rides along: at every dispatch, and after every RunUntil,
-// RunBefore and AdvanceTo, Reached must hold for exactly the events the
-// oracle has already dispatched.
+// wheel horizon, the far overflow tier, timer churn, bursts that fill a
+// bucket past one chunk, mid-run clock advances, the fabric's batched
+// wire rings and its settled-when-read visibility queues — and diff the
+// full dispatch transcripts. A frontier probe rides along: at every
+// dispatch, and after every RunUntil, RunBefore and AdvanceTo, Reached
+// must hold for exactly the events the oracle has already dispatched.
 
 // newHeapOnly returns a simulator that bypasses the timing wheel and runs
 // every event through the near heap — the pre-wheel scheduler, kept as
@@ -53,6 +53,7 @@ const (
 	opVisPush          // park an update on a visibility queue, from an event delay out
 	opWirePush         // push onto a wire ring, from an event delay out
 	opAdvanceTo        // AdvanceTo now+delay, capped at the next pending event
+	opBurst            // over a chunk of events at now+delay, with a timer reset among them
 	numWheelOps        // op count
 )
 
@@ -62,10 +63,11 @@ const wheelScriptTimers = 4
 
 // Ring and queue delays sit on the script's 256ns tie grid, so entries
 // land at the same instants as quantized script events and the keys
-// decide.
+// decide. All but the far visibility queue's are packet timescales that
+// land a few buckets to a few hundred buckets out.
 var (
-	visDelays  = [wheelScriptTimers]units.Time{256, 768, 3 * bucketW, horizonW + 512}
-	wireDelays = [wheelScriptTimers]units.Time{512, 16 * bucketW, 256, 2 * bucketW}
+	visDelays  = [wheelScriptTimers]units.Time{256, 768, 3072, horizonW + 512}
+	wireDelays = [wheelScriptTimers]units.Time{512, 16384, 256, 2048}
 )
 
 // portRing is a FIFO event source with a constant delay, modelled on the
@@ -270,14 +272,129 @@ func (p *frontierProbe) probe(where string, e event) {
 	}
 }
 
+// wheelCoverage counts the wheel storage paths the scripts reached.
+type wheelCoverage struct {
+	multiChunk   int // a bucket held more than one chunk
+	oldChunk     int // a Timer was stopped or reset from an older chunk than its bucket's newest
+	wrapJumps    int // the cursor jumped to an occupied bucket in an earlier bitmap word
+	cascadeJumps int // a jump widened the horizon over far events, which cascaded
+}
+
+// wheelWatch looks at the wheel simulator whenever the script holds
+// control — at the end of every callback and after every script op — to
+// count the storage paths it reached and check the storage itself. Two
+// looks see at most one cursor move between them: each move opens a
+// non-empty bucket, or the far tier's earliest event, before the next
+// dispatch.
+type wheelWatch struct {
+	s   *Sim
+	cov *wheelCoverage
+	err string // first storage violation
+	// The cursor, wheel population and cascade count at the last look.
+	cur      int32
+	wcount   int
+	cascades uint64
+}
+
+// look notes a cursor move since the last look.
+func (w *wheelWatch) look() {
+	if w == nil {
+		return
+	}
+	s := w.s
+	if s.cur != w.cur && w.wcount > 0 {
+		// The wheel held events at the last look, so the cursor jumped to
+		// an occupied bucket, not to the far tier's earliest event.
+		if s.cur>>6 < w.cur>>6 {
+			w.cov.wrapJumps++
+		}
+		if s.sched.Cascades > w.cascades {
+			w.cov.cascadeJumps++
+		}
+	}
+	w.cur, w.wcount, w.cascades = s.cur, s.wcount, s.sched.Cascades
+}
+
+// check records the first violation of the wheel's storage invariant.
+func (w *wheelWatch) check(where string) {
+	if w != nil && w.err == "" {
+		if msg := wheelInvariant(w.s); msg != "" {
+			w.err = where + ": " + msg
+		}
+	}
+}
+
+// noteBucket counts the bucket holding instant at if it spans chunks.
+func (w *wheelWatch) noteBucket(at units.Time) {
+	if w == nil {
+		return
+	}
+	if h := w.s.head[bucketOf(at)]; h >= 0 && w.s.chunks[h].next >= 0 {
+		w.cov.multiChunk++
+	}
+}
+
+// noteTimer counts a timer about to be stopped or reset whose wheel entry
+// sits in an older chunk than its bucket's newest.
+func (w *wheelWatch) noteTimer(t *Timer) {
+	if w == nil || t.tier != tierWheel {
+		return
+	}
+	if at := w.s.chunks[t.chunk].ev[t.idx].at; w.s.head[bucketOf(at)] != t.chunk {
+		w.cov.oldChunk++
+	}
+}
+
+func bucketOf(at units.Time) int32 { return int32(at>>wheelShift) & wheelMask }
+
+// wheelInvariant checks the wheel's storage against its bookkeeping: the
+// bitmap marks exactly the non-empty buckets, every chunk of a bucket is
+// full but the newest, which is not empty, every event sits in its own
+// instant's bucket, the buckets hold wcount events, and every chunk is in
+// exactly one bucket or on the free list.
+func wheelInvariant(s *Sim) string {
+	used, events := 0, 0
+	for b := int32(0); b < wheelSize; b++ {
+		h := s.head[b]
+		if occupied := s.occ[b>>6]>>(b&63)&1 != 0; occupied != (h >= 0) {
+			return fmt.Sprintf("bucket %d: newest chunk %d, bitmap bit %v", b, h, occupied)
+		}
+		for c := h; c >= 0; c = s.chunks[c].next {
+			ch := &s.chunks[c]
+			if c == h && ch.n == 0 || c != h && ch.n != chunkSize {
+				return fmt.Sprintf("bucket %d: chunk %d (newest %d) holds %d events", b, c, h, ch.n)
+			}
+			for i := range ch.n {
+				if bucketOf(ch.ev[i].at) != b {
+					return fmt.Sprintf("bucket %d: chunk %d slot %d holds an event at %d", b, c, i, ch.ev[i].at)
+				}
+			}
+			used++
+			events += int(ch.n)
+		}
+	}
+	if events != s.wcount {
+		return fmt.Sprintf("buckets hold %d events, wcount %d", events, s.wcount)
+	}
+	free := 0
+	for c := s.freeChunk; c >= 0; c = s.chunks[c].next {
+		free++
+	}
+	if used+free != len(s.chunks) {
+		return fmt.Sprintf("%d chunks in buckets + %d free, pool of %d", used, free, len(s.chunks))
+	}
+	return ""
+}
+
 // applyScript runs ops on s and returns the dispatch transcript: one line
 // per event in dispatch order, recording the label, the clock, the events
 // pending — scheduled, or parked behind a batched ring's head, so both
 // ring shapes count alike — Executed and the visibility updates settled so
 // far, observed at the end of the callback; plus a line per clock advance
 // and a trailer after Run drains the queue. Every callback settles the
-// visibility queues before it logs, as every fabric read does.
-func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe) []string {
+// visibility queues before it logs, as every fabric read does. watch is
+// nil for the oracle.
+func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe, watch *wheelWatch) []string {
 	var log []string
 	var vis [wheelScriptTimers]*visQueue
 	var wire [wheelScriptTimers]*portRing
@@ -296,6 +413,7 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe) []st
 	rec := func(label int) {
 		log = append(log, fmt.Sprint(label)+state())
 		probe.dispatched()
+		watch.look()
 	}
 	// do wraps an event body so the dispatch is logged after it runs:
 	// everything the body scheduled is pending when the probe looks.
@@ -336,8 +454,10 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe) []st
 		case opDaemon:
 			s.AfterDaemon(op.delay, do(label, nil))
 		case opReset:
+			watch.noteTimer(tms[tm])
 			tms[tm].Reset(op.delay)
 		case opStop:
+			watch.noteTimer(tms[tm])
 			tms[tm].Stop()
 		case opRunUntil:
 			t := s.Now() + op.delay
@@ -345,6 +465,7 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe) []st
 			s.RunUntil(t)
 			log = append(log, "adv"+state())
 			probe.parked("RunUntil", t, true)
+			watch.check("RunUntil")
 		case opGlobal:
 			s.AtGlobal(s.Now()+op.delay, do(label, nil))
 		case opObserver:
@@ -355,6 +476,7 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe) []st
 			s.RunBefore(t)
 			log = append(log, "bef"+state())
 			probe.parked("RunBefore", t, false)
+			watch.check("RunBefore")
 		case opAfterID:
 			s.AfterID(op.delay, ids[tm])
 		case opVisPush:
@@ -370,11 +492,33 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe) []st
 			s.AdvanceTo(t)
 			log = append(log, "park"+state())
 			probe.parked("AdvanceTo", t, false)
+		case opBurst:
+			// More events at one instant than a chunk holds, across
+			// classes, with timer tm re-armed among them: once the burst
+			// spills into a second chunk, the timer's entry sits in the
+			// bucket's older one.
+			at := s.Now() + op.delay
+			n := chunkSize + 1 + int(op.delay%16)
+			for j := 0; j < n; j++ {
+				if j == n/2 {
+					watch.noteTimer(tms[tm])
+					tms[tm].Reset(op.delay)
+				}
+				if j%3 == 0 {
+					s.AtGlobal(at, do(4_000_000+64*label+j, nil))
+				} else {
+					s.After(op.delay, do(4_000_000+64*label+j, nil))
+				}
+			}
+			watch.noteBucket(at)
 		}
+		watch.look()
 	}
 	probe.arm()
 	s.Run()
 	log = append(log, "end"+state())
+	watch.look()
+	watch.check("Run")
 	// Run drains up to the last reserved key: nothing is left unsettled.
 	for i, v := range vis {
 		if len(v.q) > 0 {
@@ -386,19 +530,24 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe) []st
 
 // diffScript applies ops to the heap-only oracle with one event per ring
 // entry and to a wheel simulator with batched rings, and returns the first
-// transcript divergence or frontier violation, or "" if none.
-func diffScript(ops []wheelOp) string {
+// transcript divergence, frontier violation or wheel storage violation, or
+// "" if none. It adds the wheel storage paths reached to cov.
+func diffScript(ops []wheelOp, cov *wheelCoverage) string {
 	h := newHeapOnly(42)
 	oracle := &frontierProbe{s: h, record: true}
-	hl := applyScript(h, ops, false, oracle)
+	hl := applyScript(h, ops, false, oracle, nil)
 	if oracle.err != "" {
 		return "oracle: " + oracle.err
 	}
 	w := New(42)
 	probe := &frontierProbe{s: w, seen: oracle.seen, pend: oracle.pend}
-	wl := applyScript(w, ops, true, probe)
+	watch := &wheelWatch{s: w, cov: cov}
+	wl := applyScript(w, ops, true, probe, watch)
 	if probe.err != "" {
 		return "frontier: " + probe.err
+	}
+	if watch.err != "" {
+		return "wheel storage after " + watch.err
 	}
 	if len(wl) != len(hl) {
 		return fmt.Sprintf("transcript lengths differ: wheel %d, heap %d", len(wl), len(hl))
@@ -412,15 +561,15 @@ func diffScript(ops []wheelOp) string {
 }
 
 // randScript generates an op sequence whose delays cover every tier
-// boundary: same-instant ties (0), the open bucket window, the wheel
-// horizon, and far-tier overflow, with coarse quantization so distinct
-// ops frequently collide on the same timestamp and exercise the FIFO
-// tie-break.
+// boundary: same-instant ties (0), the open bucket window, packet
+// timescales a few buckets out, the wheel horizon, and far-tier overflow,
+// with coarse quantization so distinct ops frequently collide on the same
+// timestamp and exercise the FIFO tie-break.
 func randScript(rng *rand.Rand, n int) []wheelOp {
 	ranges := []units.Time{
 		0,                // same-instant ties
 		bucketW,          // inside the open window
-		16 * bucketW,     // short wheel hop
+		64 * bucketW,     // packet timescales: the next 64 buckets
 		horizonW,         // anywhere on the wheel
 		3 * horizonW / 2, // beyond the horizon: far tier
 	}
@@ -442,19 +591,28 @@ func randScript(rng *rand.Rand, n int) []wheelOp {
 // TestWheelMatchesHeapReference is the equivalence property test: random
 // scripts over every scheduling entry point and both ring shapes must
 // dispatch identically — same order, same clocks, same Pending and
-// Executed counts — on the wheel and the reference heap.
+// Executed counts — on the wheel and the reference heap, and leave the
+// wheel's storage consistent. The scripts must reach every storage path
+// of the wheel: a bucket spanning chunks, a timer cancelled from an older
+// chunk, a cursor jump that wraps to an earlier bitmap word, and a jump
+// that cascades far events.
 func TestWheelMatchesHeapReference(t *testing.T) {
 	iters, n := 300, 120
 	if testing.Short() {
 		iters = 60
 	}
+	var cov wheelCoverage
 	for seed := 0; seed < iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ops := randScript(rng, n)
-		if d := diffScript(ops); d != "" {
+		if d := diffScript(ops, &cov); d != "" {
 			t.Fatalf("seed %d: wheel diverged from heap reference: %s", seed, d)
 		}
 	}
+	if cov.multiChunk == 0 || cov.oldChunk == 0 || cov.wrapJumps == 0 || cov.cascadeJumps == 0 {
+		t.Fatalf("scripts missed a wheel storage path: %+v", cov)
+	}
+	t.Logf("coverage: %+v", cov)
 }
 
 // FuzzWheelVsHeap decodes arbitrary bytes into an op script and asserts
@@ -479,6 +637,11 @@ func FuzzWheelVsHeap(f *testing.F) {
 	// the parked instant unsettled, RunUntil settles them, and events
 	// scheduled at the instant afterwards sort behind the frontier.
 	f.Add([]byte{0xca, 0, 0, 0xcc, 1, 0, 0xca, 1, 0, 0xc8, 2, 0, 0xc0, 0, 0, 0xc5, 1, 0, 0x06, 0, 0, 0x00, 0, 0, 0xcc, 3, 0})
+	// The chunked buckets: two bursts into one bucket 1.6µs out (timer 0
+	// re-armed inside each), timer 0 stopped from the bucket's older
+	// chunk, then far events one and two horizons out and a RunUntil past
+	// the first, so the cursor's jumps cascade them and wrap the bitmap.
+	f.Add([]byte{0x4d, 0, 100, 0x04, 0, 0, 0x4d, 4, 100, 0x03, 0, 0, 0x80, 0x40, 0, 0x80, 0x80, 0, 0x85, 0x60, 0, 0x4d, 1, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {
 			data = data[:3*512]
@@ -489,18 +652,18 @@ func FuzzWheelVsHeap(f *testing.F) {
 			var d units.Time
 			switch data[i] >> 6 {
 			case 0:
-				d = raw % bucketW
+				d = raw % bucketW // inside the open window
 			case 1:
 				d = (raw * 16) % horizonW
 			case 2:
-				d = raw * units.Time(1) << 10 // up to ~4 horizons out
+				d = raw * (horizonW >> 14) // up to 4 horizons out
 			case 3:
-				d = (raw &^ 255) % (4 * bucketW) // tie-heavy
+				d = (raw &^ 255) % 4096 // tie-heavy
 			}
 			kind := (data[i] & 63) % numWheelOps
 			ops = append(ops, wheelOp{kind: kind, delay: d, tm: int(data[i+1]) % wheelScriptTimers})
 		}
-		if d := diffScript(ops); d != "" {
+		if d := diffScript(ops, new(wheelCoverage)); d != "" {
 			t.Fatalf("wheel diverged from heap reference: %s", d)
 		}
 	})
@@ -508,14 +671,16 @@ func FuzzWheelVsHeap(f *testing.F) {
 
 // TestWheelScheduleZeroAllocs pins the scheduler's steady-state
 // allocation count at zero: events are pointer-free PODs, callbacks park
-// in recycled slots, and the wheel's bucket arrays rotate — so once the
-// arrays are warm, schedule/dispatch/cancel cycles on every tier must not
-// allocate at all.
+// in recycled slots, and wheel buckets draw their chunks from one pool —
+// so once the pool and arrays are warm, schedule/dispatch/cancel cycles on
+// every tier must not allocate at all, including the first use of a
+// bucket.
 func TestWheelScheduleZeroAllocs(t *testing.T) {
 	s := New(1)
 	n := 0
 	fn := func() { n++ }
-	// Warm every array: buckets, dispatch list, both heaps, the slot table.
+	// Warm every array: chunk pool, dispatch list, both heaps, the slot
+	// table.
 	for i := 0; i < 20000; i++ {
 		s.After(units.Time(i%4000), fn)
 	}
@@ -524,17 +689,25 @@ func TestWheelScheduleZeroAllocs(t *testing.T) {
 	s.Run()
 	tm.Stop()
 
+	// Run parks the clock on the far event, inside the open bucket.
+	before := s.Sched()
 	if a := testing.AllocsPerRun(2000, func() {
-		s.After(100, fn)        // near tier
+		s.After(0, fn)          // near tier: the open bucket
 		s.After(16*bucketW, fn) // wheel tier
 		s.After(2*horizonW, fn) // far tier
-		s.RunUntil(s.Now() + 3*horizonW)
+		s.Run()
 	}); a != 0 {
 		t.Fatalf("schedule/dispatch allocates %v allocs/op, want 0", a)
 	}
+	// 2001 ops, counting AllocsPerRun's warm-up call; the far event
+	// reaches the near tier by cascade once the wheel drains.
+	if d := s.Sched(); d.Near-before.Near != 2*2001 || d.Wheel-before.Wheel != 2001 || d.Far-before.Far != 2001 {
+		t.Fatalf("tier routing near/wheel/far %d/%d/%d over 2001 ops, want 4002/2001/2001",
+			d.Near-before.Near, d.Wheel-before.Wheel, d.Far-before.Far)
+	}
 	if a := testing.AllocsPerRun(2000, func() {
 		tm.Reset(8 * bucketW)  // wheel: O(1) insert
-		tm.Reset(200)          // near heap relocate
+		tm.Reset(0)            // near heap relocate
 		tm.Reset(2 * horizonW) // far heap relocate
 		tm.Stop()
 	}); a != 0 {
@@ -546,5 +719,80 @@ func TestWheelScheduleZeroAllocs(t *testing.T) {
 		s.RunUntil(s.Now() + 2*bucketW)
 	}); a != 0 {
 		t.Fatalf("AtKeyID arm/dispatch allocates %v allocs/op, want 0", a)
+	}
+
+	// A cold wheel: warm four buckets only, then put one event at a time
+	// into each bucket after them. Each takes the chunk the last one
+	// returned to the pool, so no bucket allocates on first use.
+	cold := New(1)
+	for i := 1; i <= 4; i++ {
+		cold.After(units.Time(i)*bucketW, fn)
+	}
+	cold.Run()
+	if a := testing.AllocsPerRun(wheelSize-6, func() {
+		cold.After(bucketW, fn) // the bucket after the last one
+		cold.Run()
+	}); a != 0 {
+		t.Fatalf("first use of a cold bucket allocates %v allocs/op, want 0", a)
+	}
+}
+
+// TestWheelMemoryFollowsPending: the wheel's chunk pool is sized by the
+// events pending at once, not by the buckets a run has touched. Each
+// pattern keeps exactly P events pending — every event re-arms itself one
+// period after it fires, half of them through Timers — while the clock
+// crosses 20 revolutions. The chunks in use never exceed one partial
+// chunk per occupied bucket plus the full ones, min(P, wheelSize) +
+// ⌈P/32⌉, and since the pattern repeats every period, the pool reaches its
+// size within the first revolution and never grows after it.
+func TestWheelMemoryFollowsPending(t *testing.T) {
+	const period = 97 * bucketW // an odd bucket count: the pattern walks every bucket
+	for _, tc := range []struct {
+		name   string
+		p      int
+		period units.Time
+		offset func(j int) units.Time // event j's first instant
+	}{
+		{"spread", 64, period, func(j int) units.Time { return units.Time(j) * period / 64 }},
+		{"one-bucket", 100, period, func(int) units.Time { return 0 }},
+		{"clusters", 400, period, func(j int) units.Time { return units.Time(j/40) * period / 10 }},
+		{"every-bucket", 6000, horizonW - bucketW, func(j int) units.Time {
+			return units.Time(j) * (horizonW - bucketW) / 6000
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			for j := 0; j < tc.p; j++ {
+				if j%2 == 0 {
+					var fire func()
+					fire = func() { s.After(tc.period, fire) }
+					s.At(tc.offset(j)+1, fire)
+					continue
+				}
+				var tm *Timer
+				tm = s.NewTimer(func() { tm.Reset(tc.period) })
+				tm.Reset(tc.offset(j) + 1)
+			}
+			bound := min(tc.p, wheelSize) + (tc.p+chunkSize-1)/chunkSize
+			var firstRev int
+			for rev := 1; rev <= 20; rev++ {
+				s.RunUntil(units.Time(rev) * horizonW)
+				if got := s.Pending(); got != tc.p {
+					t.Fatalf("revolution %d: %d events pending, want %d", rev, got, tc.p)
+				}
+				if len(s.chunks) > bound {
+					t.Fatalf("revolution %d: pool of %d chunks, bound %d for %d pending", rev, len(s.chunks), bound, tc.p)
+				}
+				if rev == 1 {
+					firstRev = len(s.chunks)
+				} else if len(s.chunks) != firstRev {
+					t.Fatalf("revolution %d: pool grew from %d to %d chunks after the first revolution", rev, firstRev, len(s.chunks))
+				}
+			}
+			if msg := wheelInvariant(s); msg != "" {
+				t.Fatal(msg)
+			}
+			t.Logf("%d pending: %d chunks (bound %d)", tc.p, len(s.chunks), bound)
+		})
 	}
 }
