@@ -112,6 +112,45 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drillsim: -loads: %v\n", err)
 		os.Exit(2)
 	}
+	if !(*scale >= 0 && *scale <= 1) {
+		fmt.Fprintf(os.Stderr, "drillsim: -scale must be within [0, 1] (got %g)\n", *scale)
+		os.Exit(2)
+	}
+	switch *format {
+	case "table", "csv", "json":
+	default:
+		fmt.Fprintf(os.Stderr, "drillsim: unknown -format %q (table, csv or json)\n", *format)
+		os.Exit(2)
+	}
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "drillsim: -shards must be >= 0 (got %d)\n", *shards)
+		os.Exit(2)
+	}
+	var exps []*experiments.Experiment
+	if *exp == "all" {
+		exps = experiments.All()
+	} else {
+		for _, id := range strings.Split(*exp, ",") {
+			e := experiments.Get(strings.TrimSpace(id))
+			if e == nil {
+				fmt.Fprintf(os.Stderr, "drillsim: unknown experiment %q (try -list)\n", id)
+				os.Exit(2)
+			}
+			exps = append(exps, e)
+		}
+	}
+	var camp *experiments.Campaign
+	if *campaign != "" {
+		if name, ok := strings.CutPrefix(*campaign, "@"); ok {
+			if camp, err = experiments.LoadCampaign(name); err != nil {
+				fmt.Fprintf(os.Stderr, "drillsim: -campaign: %v\n", err)
+				os.Exit(2)
+			}
+		} else if camp, ok = experiments.CampaignByName(*campaign); !ok {
+			fmt.Fprintf(os.Stderr, "drillsim: unknown campaign %q (presets: flapstorm, podfail, rollingdrain; or @file.json)\n", *campaign)
+			os.Exit(2)
+		}
+	}
 	// Sim runs are CPU-bound, so more workers than cores only adds
 	// scheduling churn.
 	resolved := *workers
@@ -149,34 +188,16 @@ func main() {
 		}()
 	}
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "drillsim: -shards must be >= 0 (got %d)\n", *shards)
-		os.Exit(2)
-	}
 	if *shards > 0 && *traceOut != "" {
 		// Full-kind tracing is a sequential-engine feature; a sharded run
 		// only admits the sampler kinds (see RunCfg.Shards).
 		fmt.Fprintf(os.Stderr, "drillsim: -shards is ignored with -trace (traced runs use the sequential engine)\n")
 	}
 
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Reps: *reps, Workers: resolved, Shards: *shards, Loads: loadList}
-	if *campaign != "" {
-		var c *experiments.Campaign
-		if name, ok := strings.CutPrefix(*campaign, "@"); ok {
-			var err error
-			if c, err = experiments.LoadCampaign(name); err != nil {
-				fmt.Fprintf(os.Stderr, "drillsim: -campaign: %v\n", err)
-				os.Exit(2)
-			}
-		} else if c, ok = experiments.CampaignByName(*campaign); !ok {
-			fmt.Fprintf(os.Stderr, "drillsim: unknown campaign %q (presets: flapstorm, podfail, rollingdrain; or @file.json)\n", *campaign)
-			os.Exit(2)
-		}
-		opts.Campaign = c
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "drillsim: campaign %s: %d set(s), %d action(s)\n",
-				c.Name, len(c.Sets), len(c.Timeline))
-		}
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Reps: *reps, Workers: resolved, Shards: *shards, Loads: loadList, Campaign: camp}
+	if camp != nil && !*quiet {
+		fmt.Fprintf(os.Stderr, "drillsim: campaign %s: %d set(s), %d action(s)\n",
+			camp.Name, len(camp.Sets), len(camp.Timeline))
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -261,24 +282,11 @@ func main() {
 		man.StartedAt = time.Now().UTC().Format(time.RFC3339) //drill:allow simtime manifest start stamp is wall provenance, never a sim timestamp
 		opts.Manifest = man
 	}
-	var ids []string
-	if *exp == "all" {
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-	} else {
-		ids = strings.Split(*exp, ",")
-	}
 	var hb *heartbeat
 	if *progressHB {
 		hb = startHeartbeat(reg, os.Stderr, 1*time.Second)
 	}
-	for _, id := range ids {
-		e := experiments.Get(strings.TrimSpace(id))
-		if e == nil {
-			fmt.Fprintf(os.Stderr, "drillsim: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
+	for _, e := range exps {
 		opts.ExpID = e.ID
 		start := time.Now() //drill:allow simtime wall timing of the experiment for the stderr progress line
 		rep := e.Run(opts)
@@ -303,9 +311,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Print(out)
-		default:
-			fmt.Fprintf(os.Stderr, "drillsim: unknown format %q\n", *format)
-			os.Exit(2)
 		}
 	}
 	if hb != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,5 +79,48 @@ func TestRejectsNonPositiveSampling(t *testing.T) {
 		if strings.Contains(out, "\n") || !strings.Contains(out, flag+" must be positive") {
 			t.Errorf("drillsim %s: want one line naming %s, got:\n%s", args, flag, out)
 		}
+	}
+}
+
+// TestRejectsBadFlags: every flag is checked before anything runs or any
+// file is opened. A -scale outside [0, 1] (NaN included), an unknown
+// -format or an unknown -exp id is one drillsim: line on stderr and exit
+// status 2, with nothing on stdout — no sweep run first, no scheduler
+// panic, and no -trace file truncated.
+func TestRejectsBadFlags(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "t.csv")
+	const keep = "existing trace\n"
+	if err := os.WriteFile(tracePath, []byte(keep), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range []string{
+		"-exp fig6a -scale NaN",
+		"-exp fig6a -scale -Inf",
+		"-exp fig6a -scale -1",
+		"-exp fig6a -scale 5",
+		"-exp fig6a -format xml",
+		"-exp fig6a,nope",
+		"-exp nope -trace " + tracePath,
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), mainArgsEnv+"="+args)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("drillsim %s: %v, want exit status 2; stderr:\n%s", args, err, stderr.String())
+			continue
+		}
+		got := strings.TrimSpace(stderr.String())
+		if strings.Contains(got, "\n") || strings.Contains(got, "panic:") || !strings.HasPrefix(got, "drillsim: ") {
+			t.Errorf("drillsim %s: want one drillsim: line, got:\n%s", args, got)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("drillsim %s: wrote to stdout:\n%s", args, stdout.String())
+		}
+	}
+	if b, err := os.ReadFile(tracePath); err != nil || string(b) != keep {
+		t.Errorf("rejected run touched the -trace file: %q, %v", b, err)
 	}
 }

@@ -39,9 +39,8 @@ type RunCfg struct {
 	Engines  int // forwarding engines per switch (default 1)
 	QueueCap int // per-port packet cap (default fabric's 256)
 
-	// Load and Sizes drive the background Poisson workload; Load 0 disables.
-	Load  float64
-	Sizes *workload.SizeDist
+	// Load drives the background Poisson workload; Load 0 disables.
+	Load float64
 
 	Warmup  units.Time
 	Measure units.Time
@@ -296,12 +295,9 @@ func Run(cfg RunCfg) *RunResult {
 	if cfg.Synthetic != nil {
 		syn = cfg.Synthetic(reg, end)
 	} else if cfg.Load > 0 {
-		sizes := cfg.Sizes
-		if sizes == nil {
-			// Default: the cache-follower trace with its tail truncated so
-			// millisecond windows can actually carry the offered load.
-			sizes = workload.Truncate(workload.FacebookCache, 2e6)
-		}
+		// The cache-follower trace with its tail truncated so millisecond
+		// windows can actually carry the offered load.
+		sizes := workload.Truncate(workload.FacebookCache, 2e6)
 		g := workload.NewGenerator(reg, sizes, workload.Load(cfg.Load), end)
 		g.Start()
 	}

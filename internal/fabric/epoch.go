@@ -70,18 +70,18 @@ func (n *Network) EpochSeq() uint64 {
 
 // Quiver returns the applied epoch's symmetric-component decomposition,
 // nil when the active scheme does not build one.
-func (n *Network) Quiver() *quiver.Quiver { return n.quiver }
+func (n *Network) Quiver() *quiver.Quiver { return n.epoch.Quiver }
 
 // BuildEpoch computes a fresh epoch from the topology's current link
 // state: routes, the balancer's forwarding tables, and — when the builder
 // installs one — the Quiver decomposition. The running network is not
-// modified: table installation is captured into the epoch (InstallTables
-// and InstallQuiver redirect while n.building is set), and n.Routes is
-// restored after the builder runs. Control-plane cost only; never call it
-// from the data-plane hot path.
+// modified: the builder's InstallGroups and InstallQuiver calls fill the
+// epoch under construction (n.building), and n.Routes is restored after
+// the builder runs. Control-plane cost only; never call it from the
+// data-plane hot path.
 func (n *Network) BuildEpoch() *Epoch {
 	e := &Epoch{
-		Seq:     n.epochSeq + 1,
+		Seq:     n.EpochSeq() + 1,
 		BuiltAt: n.Sim.Now(),
 		Scheme:  n.balancer.Name(),
 		LinkUp:  make([]bool, len(n.Topo.Links)),
@@ -91,7 +91,7 @@ func (n *Network) BuildEpoch() *Epoch {
 	}
 	e.Routes = topo.ComputeRoutes(n.Topo)
 	// Table builders read net.Routes; point them at the epoch's routes for
-	// the duration of the build, and capture their InstallTables calls.
+	// the duration of the build, and capture what they install.
 	saved := n.Routes
 	n.Routes = e.Routes
 	n.building = e
@@ -116,71 +116,74 @@ func (n *Network) BuildEpoch() *Epoch {
 // atomic with respect to all shards and touching cross-shard port and
 // stat state here is legal.
 //
-// Syncing a link down drains its ports exactly as FailLink does (packets
-// queued on a dead link are lost); syncing a link up kicks transmission if
-// anything is waiting. A flap shorter than an in-service packet's
-// serialization time is invisible to that packet: its txDone finds the
-// port up again and delivers normally.
+// Links sync through setLink, exactly as FailLink and RestoreLink do. A
+// flap shorter than an in-service packet's serialization time is
+// invisible to that packet: its txDone finds the port up again and
+// delivers normally.
 func (n *Network) ApplyEpoch(e *Epoch) {
-	for li := range e.LinkUp {
-		up := e.LinkUp[li]
-		n.Topo.Links[li].Up = up
-		for dir := int32(0); dir < 2; dir++ {
-			p := n.Ports[n.chanPort[2*int32(li)+dir]]
-			if p.up == up {
-				continue
-			}
-			p.up = up
-			if up {
-				if !p.busy && !p.queueEmpty() {
-					n.transmit(p)
-				}
-			} else if !p.busy {
-				n.drainPort(p)
-			}
-		}
+	for li, up := range e.LinkUp {
+		n.setLink(topo.LinkID(li), up)
 	}
 	n.Routes = e.Routes
-	n.quiver = e.Quiver
 	for i := range e.tables {
 		et := &e.tables[i]
 		sw := n.swByNode[et.node]
 		sw.tables = et.tables
-		sw.groupCount = et.groupCount
-		sw.resetEngineState()
+		// Group IDs may change meaning across table generations, so every
+		// engine restarts its per-group scheduler state.
+		for _, eng := range sw.engines {
+			eng.state = make([]any, et.groupCount)
+		}
 	}
 	n.epoch = e
-	n.epochSeq = e.Seq
 }
 
-// ApplyEpochAt schedules an atomic swap onto e at sim time t, as a
-// global-class event (a barrier under the sharded engine).
-func (n *Network) ApplyEpochAt(t units.Time, e *Epoch) {
-	n.Sim.AtGlobal(t, func() { n.ApplyEpoch(e) })
+// setLink puts link id and both of its ports in service (up) or out of
+// it. A port going down loses its waiting packets, unless one is in
+// service: that packet's txDone then drops it and drains the rest. A port
+// coming up resumes transmission if anything is waiting.
+func (n *Network) setLink(id topo.LinkID, up bool) {
+	n.Topo.Links[id].Up = up
+	for dir := int32(0); dir < 2; dir++ {
+		p := n.Ports[n.chanPort[2*int32(id)+dir]]
+		if p.up == up {
+			continue
+		}
+		p.up = up
+		if p.busy {
+			continue
+		}
+		if !up {
+			n.drainPort(p)
+		} else if !p.queue.empty() {
+			n.transmit(p)
+		}
+	}
 }
 
 // Reconverge recomputes routing and tables from the topology's current
 // link state and applies the result immediately — the idealized
 // zero-delay control-plane step. It is invoked at construction and by the
-// instant variants of FailLink/RestoreLink; the delayed variants go
-// through scheduleReconverge. Like ApplyEpoch, mid-run callers must be on
-// a global-class event.
+// instant variants of FailLink/RestoreLink. Like ApplyEpoch, mid-run
+// callers must be on a global-class event.
 func (n *Network) Reconverge() {
 	n.ApplyEpoch(n.BuildEpoch())
 }
 
-// scheduleReconverge arms one coalesced reconvergence RouteDelay from now.
-// Further failure or recovery events inside the window ride the same
-// pending epoch build instead of scheduling their own — the control plane
-// batches LSAs — so N flaps in a window rebuild every switch's tables
-// once, not N times. The epoch is built at fire time, from whatever the
-// link vector then is.
-func (n *Network) scheduleReconverge() {
-	if n.reconvergePending {
-		return
+// reconverge reconverges now (instant) or arms one coalesced
+// reconvergence RouteDelay from now. Further failure or recovery events
+// inside the window ride the same pending epoch build instead of
+// scheduling their own — the control plane batches LSAs — so N flaps in a
+// window rebuild every switch's tables once, not N times. The epoch is
+// built at fire time, from whatever the link vector then is.
+func (n *Network) reconverge(instant bool) {
+	switch {
+	case instant:
+		n.Reconverge()
+	case !n.reconvergePending:
+		n.reconvergePending = true
+		n.Sim.AfterGlobal(n.Cfg.RouteDelay, n.reconvergeFire)
 	}
-	n.reconvergePending = true
-	n.Sim.AfterGlobal(n.Cfg.RouteDelay, n.reconvergeFire)
 }
 
 func (n *Network) reconvergeFire() {
@@ -198,21 +201,8 @@ func (n *Network) FailLink(id topo.LinkID, instantReconverge bool) {
 	if !n.Topo.Links[id].Up {
 		return
 	}
-	n.Topo.FailLink(id)
-	for dir := int32(0); dir < 2; dir++ {
-		p := n.Ports[n.chanPort[2*int32(id)+dir]]
-		p.up = false
-		// If a packet is mid-transmission its txDone event is in flight;
-		// that event drops it and drains the rest. Otherwise drain now.
-		if !p.busy {
-			n.drainPort(p)
-		}
-	}
-	if instantReconverge {
-		n.Reconverge()
-	} else {
-		n.scheduleReconverge()
-	}
+	n.setLink(id, false)
+	n.reconverge(instantReconverge)
 }
 
 // RestoreLink is FailLink's missing inverse: it returns a link to service
@@ -226,28 +216,13 @@ func (n *Network) RestoreLink(id topo.LinkID, instantReconverge bool) {
 	if n.Topo.Links[id].Up {
 		return
 	}
-	n.Topo.RestoreLink(id)
-	for dir := int32(0); dir < 2; dir++ {
-		p := n.Ports[n.chanPort[2*int32(id)+dir]]
-		p.up = true
-		if !p.busy && !p.queueEmpty() {
-			n.transmit(p)
-		}
-	}
-	if instantReconverge {
-		n.Reconverge()
-	} else {
-		n.scheduleReconverge()
-	}
+	n.setLink(id, true)
+	n.reconverge(instantReconverge)
 }
 
-// InstallQuiver records the decomposition a table builder computed, so the
-// epoch (and Network.Quiver) expose it for inspection and experiments.
-// DRILLAsym calls it from BuildTables.
+// InstallQuiver records the decomposition a table builder computed in the
+// epoch under construction, so the epoch (and Network.Quiver) expose it
+// for inspection and experiments. DRILLAsym calls it from BuildTables.
 func (n *Network) InstallQuiver(q *quiver.Quiver) {
-	if n.building != nil {
-		n.building.Quiver = q
-		return
-	}
-	n.quiver = q
+	n.building.Quiver = q
 }

@@ -1,9 +1,12 @@
 package fabric
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"drill/internal/quiver"
+	"drill/internal/sim"
 	"drill/internal/topo"
 	"drill/internal/units"
 )
@@ -189,7 +192,7 @@ func TestApplyEpochAtSwapsAtomically(t *testing.T) {
 	if p := n.PortOfChan(topo.ChanID(2 * int32(l))); p.Up() {
 		t.Fatal("link still up after FailLink")
 	}
-	n.ApplyEpochAt(25*units.Microsecond, healthy)
+	s.AtGlobal(25*units.Microsecond, func() { n.ApplyEpoch(healthy) })
 	s.Run()
 	if n.Epoch() != healthy {
 		t.Fatal("scheduled epoch was not applied")
@@ -226,5 +229,93 @@ func TestSentCounterClosesConservation(t *testing.T) {
 	}
 	if n.Hops.TotalDrops() == 0 {
 		t.Fatal("flap produced no drops; the cycle did not bite")
+	}
+}
+
+// lowestPorts returns the switch's three lowest output ports, in order.
+func lowestPorts(sw *Switch) (a, b, c int32) {
+	out := slices.Clone(sw.OutPorts)
+	slices.Sort(out)
+	return out[0], out[1], out[2]
+}
+
+// layoutLB is a TableBuilder whose groups exercise InstallGroups' table
+// format: unsorted port sets, one set repeated toward two leaves, and no
+// groups toward leaf 0.
+type layoutLB struct{ randomLB }
+
+func (layoutLB) BuildTables(net *Network) {
+	net.InstallGroups(func(sw *Switch, leaf topo.NodeID) []Group {
+		a, b, c := lowestPorts(sw)
+		switch net.Topo.LeafIndex(leaf) {
+		case 0:
+			return nil
+		case 1:
+			return []Group{{Ports: []int32{c, a}, Weight: 2}, {Ports: []int32{b}, Weight: 1}}
+		case 2:
+			return []Group{{Ports: []int32{b}, Weight: 3}}
+		default:
+			return []Group{{Ports: []int32{c, b, a}, Weight: 1}, {Ports: []int32{a, c}, Weight: 4}}
+		}
+	})
+}
+
+// TestInstallGroupsLayout: InstallGroups sorts every port set, gives equal
+// sets one ID and distinct sets dense IDs in first-seen order (leaf by
+// leaf, group by group), leaves an unreachable leaf without groups, and
+// sizes every engine's per-group state to the distinct sets.
+func TestInstallGroupsLayout(t *testing.T) {
+	tp := topo.LeafSpine(topo.LeafSpineConfig{Spines: 2, Leaves: 4, HostsPerLeaf: 1,
+		HostRate: 10 * units.Gbps, CoreRate: 40 * units.Gbps})
+	n := New(sim.New(1), tp, Config{Balancer: layoutLB{}, Engines: 2})
+
+	for _, sw := range n.SwitchList() {
+		ids := map[string]int32{} // port set → the ID it first got
+		for li, leaf := range tp.Leaves {
+			groups := sw.Groups(int32(li))
+			if li == 0 || leaf == sw.Node {
+				if len(groups) != 0 {
+					t.Errorf("switch %d, leaf %d: %d groups, want none", sw.Node, li, len(groups))
+				}
+				continue
+			}
+			for _, g := range groups {
+				if !slices.IsSorted(g.Ports) {
+					t.Errorf("switch %d, leaf %d: ports %v not sorted", sw.Node, li, g.Ports)
+				}
+				key := fmt.Sprint(g.Ports)
+				id, seen := ids[key]
+				if !seen {
+					id = int32(len(ids))
+					ids[key] = id
+				}
+				if g.ID != id {
+					t.Errorf("switch %d, leaf %d: set %v has ID %d, want %d", sw.Node, li, g.Ports, g.ID, id)
+				}
+			}
+		}
+		for _, e := range sw.Engines() {
+			if len(e.state) != len(ids) {
+				t.Errorf("switch %d engine %d: %d state slots, want %d distinct sets", sw.Node, e.Index, len(e.state), len(ids))
+			}
+		}
+	}
+
+	// A spine skips no leaf, so its whole layout is fixed.
+	sw := n.Switches[tp.Nodes[0].ID]
+	if sw.Kind != topo.Spine {
+		t.Fatalf("fixture: node 0 is a %v, want a spine", sw.Kind)
+	}
+	a, b, c := lowestPorts(sw)
+	want := [][]Group{
+		nil,
+		{{ID: 0, Ports: []int32{a, c}, Weight: 2}, {ID: 1, Ports: []int32{b}, Weight: 1}},
+		{{ID: 1, Ports: []int32{b}, Weight: 3}},
+		{{ID: 2, Ports: []int32{a, b, c}, Weight: 1}, {ID: 0, Ports: []int32{a, c}, Weight: 4}},
+	}
+	for li := range want {
+		if got := sw.Groups(int32(li)); fmt.Sprint(got) != fmt.Sprint(want[li]) {
+			t.Errorf("spine, leaf %d: groups %v, want %v", li, got, want[li])
+		}
 	}
 }

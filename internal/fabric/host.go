@@ -60,6 +60,3 @@ func (h *Host) Send(pkt *Packet) {
 	}
 	h.net.enqueue(h.NIC, pkt)
 }
-
-// NICBacklog reports packets waiting in (or being serialized onto) the NIC.
-func (h *Host) NICBacklog() int32 { return h.NIC.QueueLen() }

@@ -6,6 +6,7 @@ import (
 
 	"drill/internal/sim"
 	"drill/internal/topo"
+	"drill/internal/trace"
 	"drill/internal/units"
 )
 
@@ -157,5 +158,82 @@ func TestVisibilityNeverExceedsWaiting(t *testing.T) {
 	}
 	if violations > 0 {
 		t.Fatalf("%d visibility invariant violations", violations)
+	}
+}
+
+// TestEveryPortDropCountsOnce covers each way a port loses packets: a full
+// queue, an enqueue onto a down port before the control plane reconverges,
+// the link failing under the packet in service, and the drain of the
+// packets waiting behind it. Host 0 sends at t=0 over a 40G NIC into
+// 10G leaf uplinks, and the fixed balancer forwards everything on one
+// uplink p. At the checkpoint, before anything can be delivered, each
+// cause must have grown p's drops, its hop class's drops, the tracer's
+// Drop count and the pool's recycled packets by exactly the packets lost,
+// and Sent == Delivered + drops + queued + in flight.
+func TestEveryPortDropCountsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		queueCap int
+		sends    int
+		failAt   units.Time // when p's link fails (reconverging after 1ms); 0 = never
+		waiting  int32      // packets queued on p (in service included) when it fails
+		lost     int64
+	}{
+		// Arrivals at the leaf every 303.6ns from 503.6ns; the first holds
+		// the 1214.4ns uplink serialization, one waits, two overflow.
+		{name: "full queue", queueCap: 2, sends: 4, lost: 2},
+		{name: "down port before reconvergence", sends: 3, failAt: 1, lost: 3},
+		{name: "link fails under the packet in service", sends: 1, failAt: 600, waiting: 1, lost: 1},
+		// The in-service packet plus the two drained behind it.
+		{name: "drain of the waiting packets", sends: 3, failAt: 1200, waiting: 3, lost: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tp := topo.LeafSpine(topo.LeafSpineConfig{Spines: 2, Leaves: 2, HostsPerLeaf: 2,
+				HostRate: 40 * units.Gbps, CoreRate: 10 * units.Gbps})
+			s := sim.New(1)
+			tr := trace.New(nil)
+			n := New(s, tp, Config{Balancer: fixedLB{}, QueueCap: tc.queueCap, Tracer: tr})
+			src, dst := n.Host(tp.Hosts[0]), tp.Hosts[2]
+			n.Host(dst).Handler = &sink{}
+			p := n.Ports[n.Switches[tp.Leaves[0]].Groups(1)[0].Ports[0]]
+			if tc.failAt > 0 {
+				s.AtGlobal(tc.failAt, func() {
+					if tc.waiting > 0 && (!p.busy || p.QPkts != tc.waiting) {
+						t.Fatalf("fixture: p busy=%v with %d queued at the failure, want busy with %d",
+							p.busy, p.QPkts, tc.waiting)
+					}
+					n.FailLink(topo.LinkID(p.Chan/2), false)
+				})
+			}
+			for i := 0; i < tc.sends; i++ {
+				pkt := src.AllocPacket()
+				pkt.FlowID, pkt.Dst, pkt.Size, pkt.Seq = 1, dst, 1518, int64(i)
+				src.Send(pkt)
+			}
+			s.RunUntil(3 * units.Microsecond)
+
+			if n.Delivered != 0 || src.NIC.QPkts != 0 {
+				t.Fatalf("fixture: at the checkpoint %d delivered, %d still on the NIC; want 0 and 0",
+					n.Delivered, src.NIC.QPkts)
+			}
+			drops := n.Hops.TotalDrops()
+			if got := n.Delivered + drops + n.QueuedPackets() + n.InFlightPackets(); got != n.Sent {
+				t.Errorf("conservation: sent=%d, delivered+drops+queued+inflight=%d", n.Sent, got)
+			}
+			for _, c := range []struct {
+				what string
+				got  int64
+			}{
+				{"port drops", p.Drops},
+				{"hop-class drops", n.Hops.Drops[p.Hop]},
+				{"all drops", drops},
+				{"traced drops", tr.Count(trace.Drop)},
+				{"recycled packets", n.Pool().Puts},
+			} {
+				if c.got != tc.lost {
+					t.Errorf("%s = %d, want %d", c.what, c.got, tc.lost)
+				}
+			}
+		})
 	}
 }

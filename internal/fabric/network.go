@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"drill/internal/metrics"
-	"drill/internal/quiver"
 	"drill/internal/sim"
 	"drill/internal/topo"
 	"drill/internal/trace"
@@ -24,8 +23,9 @@ type Balancer interface {
 }
 
 // TableBuilder is implemented by balancers that install their own
-// forwarding groups (e.g. DRILL's symmetric-component decomposition).
-// Others get the default single-group-of-all-next-hops tables.
+// forwarding groups (e.g. DRILL's symmetric-component decomposition) by
+// calling InstallGroups from BuildTables. Others get the default
+// single-group-of-all-next-hops tables.
 type TableBuilder interface {
 	BuildTables(net *Network)
 }
@@ -50,12 +50,10 @@ type SendHook interface {
 
 // Config parameterizes a Network.
 type Config struct {
-	Engines      int     // forwarding engines per switch (default 1)
-	QueueCap     int     // per-switch-port packet cap (default 256)
-	HostQueueCap int     // host NIC queue cap (default 4096)
-	VisFactor    float64 // visibility delay as a multiple of MTU serialization (default 0.05)
-	MTU          units.ByteSize
-	RouteDelay   units.Time // control-plane reconvergence delay after failures
+	Engines    int        // forwarding engines per switch (default 1)
+	QueueCap   int        // per-switch-port packet cap (default 256)
+	VisFactor  float64    // visibility delay as a multiple of MTU serialization (default 0.05)
+	RouteDelay units.Time // control-plane reconvergence delay after failures
 
 	// ECNThreshold, when > 0, marks packets (ECN CE) that enqueue behind at
 	// least that many packets — the switch half of DCTCP. An extension: the
@@ -84,9 +82,6 @@ func (c *Config) defaults() {
 		// contrast of Fig. 6(c).
 		c.QueueCap = 256
 	}
-	if c.HostQueueCap == 0 {
-		c.HostQueueCap = 4096
-	}
 	if c.VisFactor == 0 {
 		// A packet becomes visible to engines once its enqueue completes;
 		// the write itself is a small fraction of MTU serialization (§3.2.1
@@ -94,13 +89,15 @@ func (c *Config) defaults() {
 		// values model slower counter paths — see the ablvis experiment.
 		c.VisFactor = 0.05
 	}
-	if c.MTU == 0 {
-		c.MTU = 1518 * units.Byte
-	}
 	if c.RouteDelay == 0 {
 		c.RouteDelay = 1 * units.Millisecond
 	}
 }
+
+const (
+	hostQueueCap = 4096              // host NIC queue cap, in packets
+	mtu          = 1518 * units.Byte // the frame whose serialization VisFactor scales
+)
 
 // Network binds a topology, routing state, and a balancer into a running
 // data plane on a simulator.
@@ -160,16 +157,13 @@ type Network struct {
 	exchPairs [][]uint64
 
 	// Live-reconfiguration state (see epoch.go). epoch is the applied
-	// generation; building, when non-nil, redirects InstallTables and
-	// InstallQuiver into the epoch under construction instead of the
-	// running switches; reconvergePending coalesces scheduled
-	// reconvergences so N failures in one RouteDelay window build one
-	// epoch, not N.
+	// generation; building is the epoch under construction, which
+	// InstallGroups and InstallQuiver fill while BuildEpoch runs the table
+	// builder; reconvergePending coalesces scheduled reconvergences so N
+	// failures in one RouteDelay window build one epoch, not N.
 	epoch             *Epoch
-	epochSeq          uint64
 	building          *Epoch
 	reconvergePending bool
-	quiver            *quiver.Quiver
 }
 
 // Pool exposes the packet free list's counters (alloc-avoidance telemetry).
@@ -240,9 +234,9 @@ func (n *Network) build() {
 				up:  l.Up,
 			}
 			if t.Nodes[c.From].Kind == topo.Host {
-				p.Cap = cfg.HostQueueCap
+				p.Cap = hostQueueCap
 			}
-			p.visDelay = units.Time(float64(units.TxTime(cfg.MTU, c.Rate)) * cfg.VisFactor)
+			p.visDelay = units.Time(float64(units.TxTime(mtu, c.Rate)) * cfg.VisFactor)
 			p.dom = n.domByNode[c.From]
 			p.dstDom = n.domByNode[c.To]
 			p.boundary = p.dom != p.dstDom
@@ -396,70 +390,60 @@ func (n *Network) SwitchList() []*Switch {
 // leaf, a single group containing all equal-cost next hops — classic ECMP
 // tables, which Random/RR/DRILL-symmetric share.
 func (n *Network) BuildDefaultTables() {
+	n.InstallGroups(func(sw *Switch, leaf topo.NodeID) []Group {
+		hops := n.Routes.NextHops(sw.Node, leaf)
+		if len(hops) == 0 {
+			return nil // unreachable (partitioned by failures)
+		}
+		ports := make([]int32, len(hops))
+		for i, c := range hops {
+			ports[i] = n.chanPort[c]
+		}
+		return []Group{{Ports: ports, Weight: 1}}
+	})
+}
+
+// InstallGroups builds every switch's forwarding tables into the epoch
+// under construction: groupsFor returns the groups toward one destination
+// leaf (nil when it is unreachable), each a port set and its weight. The
+// fabric owns the table format: it sorts each port set and gives every
+// distinct set at a switch a dense ID, in first-seen order, which engines
+// key their per-group state on. A TableBuilder calls it from BuildTables;
+// only BuildEpoch runs those.
+func (n *Network) InstallGroups(groupsFor func(sw *Switch, leaf topo.NodeID) []Group) {
 	for _, sw := range n.SwitchList() {
 		tables := make([][]Group, len(n.Topo.Leaves))
-		ded := NewGroupDeduper()
+		ids := map[string]int32{}
 		for li, leaf := range n.Topo.Leaves {
 			if sw.Node == leaf {
 				continue
 			}
-			hops := n.Routes.NextHops(sw.Node, leaf)
-			if len(hops) == 0 {
-				continue // unreachable (partitioned by failures)
+			groups := groupsFor(sw, leaf)
+			if len(groups) == 0 {
+				continue
 			}
-			ports := make([]int32, len(hops))
-			for i, c := range hops {
-				ports[i] = n.chanPort[c]
+			for i := range groups {
+				g := &groups[i]
+				slices.Sort(g.Ports)
+				// The lookup key is built on the stack, so only a port set
+				// seen for the first time allocates.
+				var stack [64]byte
+				key := stack[:0]
+				for _, p := range g.Ports {
+					key = append(key, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+				}
+				id, ok := ids[string(key)]
+				if !ok {
+					id = int32(len(ids))
+					ids[string(key)] = id
+				}
+				g.ID = id
 			}
-			slices.Sort(ports)
-			tables[li] = []Group{{ID: ded.ID(ports), Ports: ports, Weight: 1}}
+			tables[li] = groups
 		}
-		n.InstallTables(sw, tables, ded.Count())
-	}
-}
-
-// InstallTables lets a TableBuilder install custom groups at a switch.
-// Groups' IDs are assigned by port-set identity via the returned deduper.
-// During BuildEpoch the installation is captured into the epoch under
-// construction instead of touching the running switch (see epoch.go).
-func (n *Network) InstallTables(sw *Switch, tables [][]Group, groupCount int32) {
-	if n.building != nil {
 		n.building.tables = append(n.building.tables,
-			epochTable{node: sw.Node, tables: tables, groupCount: groupCount})
-		return
+			epochTable{node: sw.Node, tables: tables, groupCount: int32(len(ids))})
 	}
-	sw.tables = tables
-	sw.groupCount = groupCount
-	sw.resetEngineState()
-}
-
-// GroupDeduper assigns dense IDs to unique port sets within one switch.
-type GroupDeduper struct {
-	ids   map[string]int32
-	count int32
-}
-
-// NewGroupDeduper returns an empty deduper for one switch's tables.
-func NewGroupDeduper() *GroupDeduper { return &GroupDeduper{ids: map[string]int32{}} }
-
-// Count reports how many unique groups have been assigned.
-func (d *GroupDeduper) Count() int32 { return d.count }
-
-// ID assigns/returns the dense ID for a sorted port set. The lookup key is
-// built on the stack, so only a port set seen for the first time allocates.
-func (d *GroupDeduper) ID(ports []int32) int32 {
-	var stack [64]byte
-	key := stack[:0]
-	for _, p := range ports {
-		key = append(key, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-	}
-	if id, ok := d.ids[string(key)]; ok {
-		return id
-	}
-	id := d.count
-	d.ids[string(key)] = id
-	d.count++
-	return id
 }
 
 // dropHopClass buckets a packet dropped *at* a switch — no output port
@@ -505,30 +489,15 @@ func classifyHop(t *topo.Topology, c topo.Chan) metrics.HopClass {
 //
 //drill:hotpath
 func (n *Network) enqueue(p *Port, pkt *Packet) {
-	d := p.dom
-	if !p.up {
-		p.Drops++
-		d.hops.RecordDrop(p.Hop)
-		if n.tracer != nil {
-			n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
-		}
-		d.pool.Put(pkt)
+	if !p.up || (p.Cap > 0 && int(p.QPkts) >= p.Cap) {
+		n.drop(p, pkt)
 		return
 	}
-	if p.Cap > 0 && int(p.QPkts) >= p.Cap {
-		p.Drops++
-		d.hops.RecordDrop(p.Hop)
-		if n.tracer != nil {
-			n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
-		}
-		d.pool.Put(pkt)
-		return
-	}
-	pkt.enqAt = d.sim.Now()
+	pkt.enqAt = p.dom.sim.Now()
 	if n.Cfg.ECNThreshold > 0 && int(p.QPkts) >= n.Cfg.ECNThreshold {
 		pkt.ECNCE = true
 	}
-	p.pushQueue(pkt)
+	p.queue.push(pkt)
 	p.EnqPackets++
 	p.QPkts++
 	p.QBytes += int64(pkt.Size)
@@ -546,7 +515,7 @@ func (n *Network) enqueue(p *Port, pkt *Packet) {
 //drill:hotpath
 func (n *Network) transmit(p *Port) {
 	d := p.dom
-	pkt := p.queue[p.head] // head stays queued while in service
+	pkt := *p.queue.peek() // head stays queued while in service
 	p.busy = true
 	wait := d.sim.Now() - pkt.enqAt
 	d.hops.RecordQueueing(p.Hop, wait)
@@ -570,7 +539,7 @@ func (n *Network) transmit(p *Port) {
 //drill:allocs 1 outbox growth amortizes across epochs
 func (n *Network) txDone(p *Port) {
 	d := p.dom
-	pkt := p.popQueue()
+	pkt := p.queue.pop()
 	p.QPkts--
 	p.QBytes -= int64(pkt.Size)
 	p.TxPackets++
@@ -602,18 +571,13 @@ func (n *Network) txDone(p *Port) {
 				d.sim.AtKeyID(at, key, p.wireID)
 			}
 		}
-		if !p.queueEmpty() {
+		if !p.queue.empty() {
 			n.transmit(p)
 		}
 		return
 	}
 	// Link died mid-flight: the packet is lost, and so is anything queued.
-	p.Drops++
-	d.hops.RecordDrop(p.Hop)
-	if n.tracer != nil {
-		n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
-	}
-	d.pool.Put(pkt)
+	n.drop(p, pkt)
 	n.drainPort(p)
 }
 
@@ -638,19 +602,28 @@ func (n *Network) wireFire(p *Port) {
 //
 //drill:hotpath
 func (n *Network) drainPort(p *Port) {
-	d := p.dom
-	for !p.queueEmpty() {
-		pkt := p.popQueue()
+	for !p.queue.empty() {
+		pkt := p.queue.pop()
 		p.QPkts--
 		p.QBytes -= int64(pkt.Size)
 		p.departVisibility(pkt.Size)
-		p.Drops++
-		d.hops.RecordDrop(p.Hop)
-		if n.tracer != nil {
-			n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
-		}
-		d.pool.Put(pkt)
+		n.drop(p, pkt)
 	}
+}
+
+// drop loses pkt at port p — on a down link, at a full queue, with its
+// link dying mid-transmission, or drained from a dead port: it counts the
+// drop on the port and its hop class, traces it, and recycles the packet.
+//
+//drill:hotpath
+func (n *Network) drop(p *Port, pkt *Packet) {
+	d := p.dom
+	p.Drops++
+	d.hops.RecordDrop(p.Hop)
+	if n.tracer != nil {
+		n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
+	}
+	d.pool.Put(pkt)
 }
 
 // arrive delivers a packet at node `at` having entered via channel `in`.

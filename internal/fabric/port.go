@@ -43,8 +43,7 @@ type Port struct {
 
 	Cap int // max queued packets (waiting + in service); 0 = unbounded
 
-	queue []*Packet
-	head  int // index of the first queued packet (amortized pop)
+	queue fifo[*Packet] // waiting packets, head first; the head stays while in service
 
 	QPkts  int32
 	QBytes int64
@@ -108,27 +107,6 @@ func (p *Port) VisibleBytes() int64 {
 	p.settleVisibility()
 	return p.VisBytes
 }
-
-//drill:hotpath
-//drill:allocs 1 queue growth amortizes; capacity is retained across pops
-func (p *Port) pushQueue(pkt *Packet) {
-	p.queue = append(p.queue, pkt)
-}
-
-//drill:hotpath
-func (p *Port) popQueue() *Packet {
-	pkt := p.queue[p.head]
-	p.queue[p.head] = nil
-	p.head++
-	if p.head > 64 && p.head*2 >= len(p.queue) {
-		n := copy(p.queue, p.queue[p.head:])
-		p.queue = p.queue[:n]
-		p.head = 0
-	}
-	return pkt
-}
-
-func (p *Port) queueEmpty() bool { return p.head == len(p.queue) }
 
 // pushVisibility parks the visibility update of a packet of the given size
 // enqueued now: it takes effect visDelay later, at the key an event

@@ -4,11 +4,11 @@ import (
 	"drill/internal/units"
 )
 
-// fifo is an amortized-zero-allocation FIFO used by the per-port event
-// rings. Pushes append; pops advance a head cursor and compact the backing
-// slice once the dead prefix dominates, the same scheme Port's packet
-// queue uses. After warm-up the backing array is reused indefinitely, so a
-// steady-state push/pop cycle allocates nothing.
+// fifo is an amortized-zero-allocation FIFO: each Port's packet queue and
+// its visibility and wire rings. Pushes append; pops advance a head cursor
+// and compact the backing slice once the dead prefix dominates. After
+// warm-up the backing array is reused indefinitely, so a steady-state
+// push/pop cycle allocates nothing.
 type fifo[T any] struct {
 	buf  []T
 	head int

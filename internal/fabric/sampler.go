@@ -10,7 +10,7 @@ import (
 // portReader is the one per-port reader behind the periodic samplers —
 // StartTraceSampler's trace samples and Metrics.Refresh's gauges. It
 // covers every switch output port; host NIC queues are excluded to bound
-// volume, their backlog being visible through Host.NICBacklog and the
+// volume, their backlog being visible through Host.NIC's QueueLen and the
 // host-nic enqueue events. Reads happen on observer ticks (window
 // barriers under the sharded engine), so they only ever see parked ports.
 type portReader struct {

@@ -43,8 +43,8 @@ type wireMsg struct {
 
 // ShardUnsafe marks balancers that cannot run under the sharded engine:
 // anything whose decisions read state outside the deciding switch's shard
-// (CONGA's leaf-to-leaf feedback, LetFlow's global clock reads, Presto's
-// host source-routing hook, per-flow DRILL's global flow table). NewSharded
+// (CONGA's leaf-to-leaf feedback, Presto's host source-routing hook,
+// per-flow DRILL's global flow table). NewSharded
 // refuses them; the sequential engine runs them unchanged.
 type ShardUnsafe interface{ ShardUnsafe() }
 

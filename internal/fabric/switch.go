@@ -13,9 +13,10 @@ import (
 // decomposition of §3.4 produces several after failures or with
 // heterogeneous links.
 type Group struct {
-	// ID identifies the unique port set within the switch; engines key their
-	// per-group state (DRILL memory, RR cursors) on it so state is shared
-	// across destinations that use the same physical ports.
+	// ID identifies the unique port set within the switch (InstallGroups
+	// assigns it); engines key their per-group state (DRILL memory, RR
+	// cursors) on it so state is shared across destinations that use the
+	// same physical ports.
 	ID     int32
 	Ports  []int32 // Network port indexes, sorted
 	Weight uint32  // relative share of flows hashed to this group
@@ -28,8 +29,8 @@ type Engine struct {
 	Rng   *rand.Rand
 
 	// state[groupID] holds the balancer's per-engine scheduler state for
-	// that port set (e.g. a DRILL selector or an RR cursor). The slice is
-	// sized to the switch's unique-group count at table-build time.
+	// that port set (e.g. a DRILL selector or an RR cursor). ApplyEpoch
+	// sizes it to the switch's distinct port sets.
 	state []any
 }
 
@@ -62,9 +63,6 @@ type Switch struct {
 	// switch's own leaf index — local delivery uses Network.hostNIC).
 	tables [][]Group
 
-	// groupCount is the number of unique port-set groups in tables.
-	groupCount int32
-
 	engines []*Engine
 
 	// chanPort maps this switch's outgoing channel IDs to port indexes
@@ -77,9 +75,6 @@ func (s *Switch) Engines() []*Engine { return s.engines }
 
 // Groups returns the forwarding groups toward dstLeafIdx.
 func (s *Switch) Groups(dstLeafIdx int32) []Group { return s.tables[dstLeafIdx] }
-
-// GroupCount returns the number of unique port-set groups at this switch.
-func (s *Switch) GroupCount() int32 { return s.groupCount }
 
 // GroupForFlow picks a group by flow hash, honoring weights — the "flow
 // classification" step of §3.4.2. It requires at least one group.
@@ -101,12 +96,4 @@ func GroupForFlow(groups []Group, hash uint32) *Group {
 		x -= groups[i].Weight
 	}
 	return &groups[len(groups)-1]
-}
-
-// resetEngineState clears all engines' per-group scheduler state; called
-// whenever tables are rebuilt (group IDs may have changed meaning).
-func (s *Switch) resetEngineState() {
-	for _, e := range s.engines {
-		e.state = make([]any, s.groupCount)
-	}
 }

@@ -2,10 +2,10 @@ package lb
 
 import (
 	"fmt"
-	"slices"
 
 	"drill/internal/fabric"
 	"drill/internal/quiver"
+	"drill/internal/topo"
 )
 
 // DRILLAsym is the full DRILL design of §3.4: the control plane decomposes
@@ -29,32 +29,16 @@ func (d *DRILLAsym) Name() string { return fmt.Sprintf("DRILL(%d,%d)+quiver", d.
 func (d *DRILLAsym) BuildTables(net *fabric.Network) {
 	q := quiver.Build(net.Routes)
 	net.InstallQuiver(q)
-	for _, sw := range net.SwitchList() {
-		tables := make([][]fabric.Group, len(net.Topo.Leaves))
-		ded := fabric.NewGroupDeduper()
-		for li, leaf := range net.Topo.Leaves {
-			if sw.Node == leaf {
-				continue
+	net.InstallGroups(func(sw *fabric.Switch, leaf topo.NodeID) []fabric.Group {
+		comps := q.Decompose(sw.Node, leaf)
+		groups := make([]fabric.Group, 0, len(comps))
+		for _, c := range comps {
+			ports := make([]int32, 0, len(c.FirstHops))
+			for _, cid := range c.FirstHops {
+				ports = append(ports, net.PortOfChan(cid).Index)
 			}
-			comps := q.Decompose(sw.Node, leaf)
-			if len(comps) == 0 {
-				continue
-			}
-			groups := make([]fabric.Group, 0, len(comps))
-			for _, c := range comps {
-				ports := make([]int32, 0, len(c.FirstHops))
-				for _, cid := range c.FirstHops {
-					ports = append(ports, net.PortOfChan(cid).Index)
-				}
-				slices.Sort(ports)
-				groups = append(groups, fabric.Group{
-					ID:     ded.ID(ports),
-					Ports:  ports,
-					Weight: c.Weight,
-				})
-			}
-			tables[li] = groups
+			groups = append(groups, fabric.Group{Ports: ports, Weight: c.Weight})
 		}
-		net.InstallTables(sw, tables, ded.Count())
-	}
+		return groups
+	})
 }

@@ -131,3 +131,23 @@ func (p *PerFlowDRILL) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabri
 	p.pins[key] = port
 	return port
 }
+
+// Compile-time interface checks for every balancer in the package.
+var (
+	_ fabric.Balancer       = ECMP{}
+	_ fabric.Balancer       = Random{}
+	_ fabric.Balancer       = RoundRobin{}
+	_ fabric.Balancer       = (*DRILL)(nil)
+	_ fabric.Balancer       = (*DRILLAsym)(nil)
+	_ fabric.TableBuilder   = (*DRILLAsym)(nil)
+	_ fabric.Balancer       = (*PerFlowDRILL)(nil)
+	_ fabric.Balancer       = WCMP{}
+	_ fabric.TableBuilder   = WCMP{}
+	_ fabric.Balancer       = (*Presto)(nil)
+	_ fabric.TableBuilder   = (*Presto)(nil)
+	_ fabric.SendHook       = (*Presto)(nil)
+	_ fabric.Balancer       = (*CONGA)(nil)
+	_ fabric.TableBuilder   = (*CONGA)(nil)
+	_ fabric.TxObserver     = (*CONGA)(nil)
+	_ fabric.ArriveObserver = (*CONGA)(nil)
+)

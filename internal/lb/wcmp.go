@@ -28,35 +28,20 @@ func (WCMP) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, p
 // BuildTables implements fabric.TableBuilder: one single-port group per
 // next hop, weighted by downstream path capacity.
 func (WCMP) BuildTables(net *fabric.Network) {
-	for _, sw := range net.SwitchList() {
-		tables := make([][]fabric.Group, len(net.Topo.Leaves))
-		ded := fabric.NewGroupDeduper()
-		for li, leaf := range net.Topo.Leaves {
-			if sw.Node == leaf {
-				continue
-			}
-			weights := portWeights(net, sw.Node, leaf)
-			if len(weights) == 0 {
-				continue
-			}
-			ports := make([]int32, 0, len(weights))
-			//drill:allow nondeterminism key collection is order-independent; sorted below
-			for p := range weights {
-				ports = append(ports, p)
-			}
-			slices.Sort(ports)
-			groups := make([]fabric.Group, 0, len(ports))
-			for _, p := range ports {
-				groups = append(groups, fabric.Group{
-					ID:     ded.ID([]int32{p}),
-					Ports:  []int32{p},
-					Weight: weights[p],
-				})
-			}
-			tables[li] = groups
+	net.InstallGroups(func(sw *fabric.Switch, leaf topo.NodeID) []fabric.Group {
+		weights := portWeights(net, sw.Node, leaf)
+		ports := make([]int32, 0, len(weights))
+		//drill:allow nondeterminism key collection is order-independent; sorted below
+		for p := range weights {
+			ports = append(ports, p)
 		}
-		net.InstallTables(sw, tables, ded.Count())
-	}
+		slices.Sort(ports)
+		groups := make([]fabric.Group, 0, len(ports))
+		for _, p := range ports {
+			groups = append(groups, fabric.Group{Ports: []int32{p}, Weight: weights[p]})
+		}
+		return groups
+	})
 }
 
 // portWeights sums bottleneck capacities of shortest paths per first-hop

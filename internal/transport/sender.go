@@ -72,8 +72,19 @@ func (s *Sender) Start() units.Time { return s.start }
 // FCT returns the completion time (valid once Done).
 func (s *Sender) FCT() units.Time { return s.fct }
 
+// Segment, window and timer constants of every sender.
+const (
+	mss      int32   = 1460 // payload bytes per segment
+	initCwnd float64 = 10   // initial window in segments
+	// maxCwnd caps the window in segments, modelling the socket buffer /
+	// receive window (128 ≈ 190KB).
+	maxCwnd float64 = 128
+	maxRTO          = 20 * units.Millisecond // RTO backoff cap
+	initRTO         = 1 * units.Millisecond  // RTO before the first RTT sample
+	dctcpG  float64 = 1.0 / 16               // DCTCP's α EWMA gain
+)
+
 func (s *Sender) segLen(seq int64) int32 {
-	mss := s.reg.Cfg.MSS
 	if s.size < 0 {
 		return mss
 	}
@@ -85,8 +96,7 @@ func (s *Sender) segLen(seq int64) int32 {
 }
 
 func (s *Sender) inflightSegs() int {
-	mss := int64(s.reg.Cfg.MSS)
-	return int((s.sndNxt - s.sndUna + mss - 1) / mss)
+	return int((s.sndNxt - s.sndUna + int64(mss) - 1) / int64(mss))
 }
 
 // trySend transmits new segments while the window allows.
@@ -161,8 +171,7 @@ func (s *Sender) onAck(pkt *fabric.Packet) {
 }
 
 func (s *Sender) newAck(ack int64) {
-	mss := float64(s.reg.Cfg.MSS)
-	ackedSegs := float64(ack-s.sndUna) / mss
+	ackedSegs := float64(ack-s.sndUna) / float64(mss)
 	s.sndUna = ack
 	s.backoff = 0
 	if s.inRecovery {
@@ -188,8 +197,8 @@ func (s *Sender) newAck(ack int64) {
 		} else {
 			s.cwnd += ackedSegs / s.cwnd // congestion avoidance
 		}
-		if s.cwnd > s.reg.Cfg.MaxCwnd {
-			s.cwnd = s.reg.Cfg.MaxCwnd
+		if s.cwnd > maxCwnd {
+			s.cwnd = maxCwnd
 		}
 	}
 	if s.sndNxt > s.sndUna {
@@ -251,8 +260,8 @@ func (s *Sender) sampleRTT(rtt units.Time) {
 	if rto < s.reg.Cfg.MinRTO {
 		rto = s.reg.Cfg.MinRTO
 	}
-	if rto > s.reg.Cfg.MaxRTO {
-		rto = s.reg.Cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	s.rto = rto
 }
@@ -263,8 +272,8 @@ func (s *Sender) sampleRTT(rtt units.Time) {
 //drill:hotpath
 func (s *Sender) armTimer() {
 	d := s.rto << uint(s.backoff)
-	if d > s.reg.Cfg.MaxRTO {
-		d = s.reg.Cfg.MaxRTO
+	if d > maxRTO {
+		d = maxRTO
 	}
 	s.rtoTimer.Reset(d)
 }
@@ -305,7 +314,7 @@ func (s *Sender) dctcpOnAck(pkt *fabric.Packet) {
 		return
 	}
 	// Window boundary: fold the observed fraction into α and react.
-	g := s.reg.Cfg.DCTCPg
+	g := dctcpG
 	frac := 0.0
 	if s.ackedInWin > 0 {
 		frac = float64(s.markedInWin) / float64(s.ackedInWin)

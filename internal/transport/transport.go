@@ -25,18 +25,12 @@ import (
 
 // Config parameterizes the host stacks of one experiment.
 type Config struct {
-	MSS      int32   // payload bytes per segment (default 1460)
-	InitCwnd float64 // initial window in segments (default 10)
-	MaxCwnd  float64 // window cap in segments, modelling the socket
-	//                     buffer / receive window (default 128 ≈ 190KB)
 	// MinRTO is the retransmission-timer floor (default 1ms). The paper's
 	// NSC Linux 2.6 stack used the stock 200ms floor, which is why its
 	// tail-FCT axes reach hundreds of ms on every loss; 1ms preserves the
 	// drop→timeout→tail amplification at simulation horizons a single
 	// machine can run. Set 200µs for modern datacenter-tuned stacks.
-	MinRTO  units.Time
-	MaxRTO  units.Time // RTO backoff cap (default 20ms)
-	InitRTO units.Time // RTO before the first RTT sample (default 1ms)
+	MinRTO units.Time
 
 	// ShimTimeout > 0 enables the receiver reordering shim with that hold
 	// timeout ("DRILL" vs "DRILL w/o shim", Presto's shim).
@@ -54,31 +48,11 @@ type Config struct {
 	// per-packet ECN marks and senders scale their window by the marked
 	// fraction (α) once per window. Pair with fabric.Config.ECNThreshold.
 	DCTCP bool
-	// DCTCPg is DCTCP's α EWMA gain (default 1/16).
-	DCTCPg float64
 }
 
 func (c *Config) defaults() {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 10
-	}
-	if c.MaxCwnd == 0 {
-		c.MaxCwnd = 128
-	}
 	if c.MinRTO == 0 {
 		c.MinRTO = 1 * units.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 20 * units.Millisecond
-	}
-	if c.InitRTO == 0 {
-		c.InitRTO = 1 * units.Millisecond
-	}
-	if c.DCTCPg == 0 {
-		c.DCTCPg = 1.0 / 16
 	}
 }
 
@@ -231,9 +205,9 @@ func (r *Registry) StartFlow(src, dst topo.NodeID, size int64, class string) *Se
 		reg: r, agent: a, id: id, dst: dst,
 		size: size, class: class,
 		hash:     flowHash(id, src, dst),
-		cwnd:     r.Cfg.InitCwnd,
+		cwnd:     initCwnd,
 		ssthresh: 1 << 30,
-		rto:      r.Cfg.InitRTO,
+		rto:      initRTO,
 		start:    r.Sim.Now(),
 		measured: r.Sim.Now() >= r.MeasureFrom,
 	}
