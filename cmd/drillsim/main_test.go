@@ -84,13 +84,21 @@ func TestRejectsNonPositiveSampling(t *testing.T) {
 
 // TestRejectsBadFlags: every flag is checked before anything runs or any
 // file is opened. A -scale outside [0, 1] (NaN included), an unknown
-// -format or an unknown -exp id is one drillsim: line on stderr and exit
-// status 2, with nothing on stdout — no sweep run first, no scheduler
-// panic, and no -trace file truncated.
+// -format, an unknown -exp id or a campaign action past the simulator's
+// clock is one drillsim: line on stderr and exit status 2, with nothing on
+// stdout — no sweep run first, no scheduler panic, and no -trace file
+// truncated.
 func TestRejectsBadFlags(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "t.csv")
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "t.csv")
 	const keep = "existing trace\n"
 	if err := os.WriteFile(tracePath, []byte(keep), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	campaignPath := filepath.Join(dir, "late.json")
+	const late = `{"name": "late", "sets": [{"id": "x", "uplinks": 1}],
+		"timeline": [{"atUs": 1e300, "op": "fail", "set": "x"}]}`
+	if err := os.WriteFile(campaignPath, []byte(late), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range []string{
@@ -101,6 +109,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		"-exp fig6a -format xml",
 		"-exp fig6a,nope",
 		"-exp nope -trace " + tracePath,
+		"-exp fig6c -campaign @" + campaignPath,
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), mainArgsEnv+"="+args)

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"drill/internal/queueing"
 )
@@ -29,6 +30,21 @@ func main() {
 		compare = flag.Bool("compare", false, "run DRILL(d,0) and DRILL(d,mem) side by side")
 	)
 	flag.Parse()
+	switch {
+	case *m < 1:
+		exitf("-m must be >= 1 (got %d)", *m)
+	case *n < 2:
+		exitf("-n must be >= 2 (got %d)", *n)
+	case *d < 1:
+		exitf("-d must be >= 1 (got %d)", *d)
+	case *mem < 0:
+		exitf("-mem must be >= 0 (got %d)", *mem)
+	case *slots < 10:
+		exitf("-slots must be >= 10 (got %d)", *slots)
+	case !(*load > 0) || float64(*m)*(*load) > 0.8:
+		// Theorem1Rates keeps the rates admissible only while m·load ≤ 0.8.
+		exitf("-load must be positive with -m × -load <= 0.8 (got -m %d, -load %g)", *m, *load)
+	}
 
 	arr, svc := queueing.Theorem1Rates(*m, *n, *load)
 	fmt.Printf("M=%d engines, N=%d queues, Theorem-1 adversarial rates (admissible)\n", *m, *n)
@@ -56,4 +72,10 @@ func main() {
 		return
 	}
 	run(*d, *mem)
+}
+
+// exitf reports a bad flag value on one line and exits with status 2.
+func exitf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "drillstab: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -102,7 +102,9 @@ func (c *Campaign) Validate() error {
 		if !ids[a.Set] {
 			return fmt.Errorf("campaign %q: action %d targets undeclared set %q", c.Name, i, a.Set)
 		}
-		if a.AtUs < 0 || a.AtFrac < 0 || a.AtFrac > 1 {
+		// Install converts atUs to int64 nanoseconds, which a time at or
+		// past math.MaxInt64 ns would wrap into the past.
+		if a.AtUs < 0 || a.AtUs*float64(units.Microsecond) >= math.MaxInt64 || a.AtFrac < 0 || a.AtFrac > 1 {
 			return fmt.Errorf("campaign %q: action %d has an out-of-range time", c.Name, i)
 		}
 		if a.AtUs == 0 && a.AtFrac == 0 {

@@ -34,6 +34,8 @@ func TestCampaignValidate(t *testing.T) {
 			Timeline: []CampaignAction{{Op: "fail", Set: "x"}}},
 		{Name: "dupset", Sets: []LinkSet{{ID: "x", Uplinks: 1}, {ID: "x", Uplinks: 2}},
 			Timeline: []CampaignAction{{AtFrac: 0.5, Op: "fail", Set: "x"}}},
+		{Name: "pastclock", Sets: []LinkSet{{ID: "x", Uplinks: 1}},
+			Timeline: []CampaignAction{{AtUs: 9.3e15, Op: "fail", Set: "x"}}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {

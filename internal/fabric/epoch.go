@@ -127,7 +127,7 @@ func (n *Network) ApplyEpoch(e *Epoch) {
 	n.Routes = e.Routes
 	for i := range e.tables {
 		et := &e.tables[i]
-		sw := n.swByNode[et.node]
+		sw := n.Switches[et.node]
 		sw.tables = et.tables
 		// Group IDs may change meaning across table generations, so every
 		// engine restarts its per-group scheduler state.

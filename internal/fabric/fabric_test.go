@@ -232,6 +232,94 @@ func TestFailLinkDropsAndReroutes(t *testing.T) {
 	}
 }
 
+// TestSourceRoutesFollowedHopByHop: forward takes a packet's Path one
+// channel per hop, and falls back to the tables when the next channel
+// leaves another switch or its link is down. fixedLB always picks the
+// lower-numbered spine, S0, so a packet that crosses S1 got there by its
+// route.
+func TestSourceRoutesFollowedHopByHop(t *testing.T) {
+	const N = 5
+	type hop [2]string // a channel, by its end nodes' names
+	for _, tc := range []struct {
+		name       string
+		route      []hop
+		failL0S1   bool  // fail L0–S1 first, reconverging at once
+		carried    []hop // channels that must carry all N packets
+		idle       []hop // channels that must carry none
+		pathIdxEnd int32 // PathIdx on delivery
+	}{
+		{
+			name:  "route through the spine the balancer would not pick",
+			route: []hop{{"L0", "S1"}, {"S1", "L1"}}, pathIdxEnd: 2,
+			carried: []hop{{"L0", "S1"}, {"S1", "L1"}},
+			idle:    []hop{{"L0", "S0"}, {"S0", "L1"}},
+		},
+		{
+			name:  "next channel starts at another switch",
+			route: []hop{{"S1", "L1"}}, pathIdxEnd: 0,
+			carried: []hop{{"L0", "S0"}, {"S0", "L1"}},
+			idle:    []hop{{"L0", "S1"}, {"S1", "L1"}},
+		},
+		{
+			// The broken hop still counts as taken: PathIdx passes it.
+			name:  "next channel's link is down",
+			route: []hop{{"L0", "S1"}, {"S1", "L1"}}, pathIdxEnd: 1, failL0S1: true,
+			carried: []hop{{"L0", "S0"}, {"S0", "L1"}},
+			idle:    []hop{{"L0", "S1"}, {"S1", "L1"}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, n, tp := newNet(t, Config{Balancer: fixedLB{}})
+			node := map[string]topo.NodeID{}
+			for _, nd := range tp.Nodes {
+				node[nd.Name] = nd.ID
+			}
+			port := func(h hop) *Port {
+				for _, c := range tp.OutAll(node[h[0]]) {
+					if tp.Chan(c).To == node[h[1]] {
+						return n.PortOfChan(c)
+					}
+				}
+				t.Fatalf("no channel %s→%s", h[0], h[1])
+				return nil
+			}
+			var route []topo.ChanID
+			for _, h := range tc.route {
+				route = append(route, port(h).Chan)
+			}
+			if tc.failL0S1 {
+				n.FailLink(tp.LinkBetween(node["L0"], node["S1"])[0], true)
+			}
+			dst := tp.Hosts[2] // under L1
+			rx := &sink{}
+			n.Host(dst).Handler = rx
+			for i := 0; i < N; i++ {
+				n.Host(tp.Hosts[0]).Send(&Packet{FlowID: 1, Hash: 7, Dst: dst, Size: 1518, Seq: int64(i), Path: route})
+			}
+			s.Run()
+
+			if len(rx.got) != N || n.Hops.TotalDrops() != 0 {
+				t.Fatalf("delivered %d, dropped %d; want all %d delivered", len(rx.got), n.Hops.TotalDrops(), N)
+			}
+			for _, h := range tc.carried {
+				if got := port(h).EnqPackets; got != N {
+					t.Errorf("%s→%s enqueued %d packets, want %d", h[0], h[1], got, N)
+				}
+			}
+			for _, h := range tc.idle {
+				if got := port(h).EnqPackets; got != 0 {
+					t.Errorf("%s→%s enqueued %d packets, want 0", h[0], h[1], got)
+				}
+			}
+			for _, p := range rx.got {
+				if p.PathIdx != tc.pathIdxEnd {
+					t.Errorf("seq %d delivered at PathIdx %d, want %d", p.Seq, p.PathIdx, tc.pathIdxEnd)
+				}
+			}
+		})
+	}
+}
+
 func TestDownlinksTo(t *testing.T) {
 	_, n, tp := newNet(t, Config{})
 	for _, leaf := range tp.Leaves {

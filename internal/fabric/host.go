@@ -39,7 +39,7 @@ func (h *Host) Net() *Network { return h.net }
 //drill:hotpath
 func (h *Host) AllocPacket() *Packet { return h.dom.pool.Get() }
 
-// Send stamps addressing/telemetry fields on pkt and queues it on the NIC.
+// Send stamps the addressing fields on pkt and queues it on the NIC.
 // Src must be this host; Dst must be another host.
 //
 //drill:hotpath
@@ -48,7 +48,6 @@ func (h *Host) Send(pkt *Packet) {
 	pkt.SrcLeaf = h.Leaf
 	pkt.DstLeaf = h.net.Topo.LeafOf(pkt.Dst)
 	pkt.DstLeafIdx = int32(h.net.Topo.LeafIndex(pkt.DstLeaf))
-	pkt.Sent = h.dom.sim.Now()
 	pkt.Hops = 0
 	pkt.PathIdx = 0
 	*h.dom.sent++
@@ -56,7 +55,7 @@ func (h *Host) Send(pkt *Packet) {
 		h.net.sendHook.OnSend(h.net, h, pkt)
 	}
 	if h.net.tracer != nil {
-		h.net.tracer.Packet(trace.Send, pkt.Sent, h.NIC.Index, uint8(h.NIC.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), h.NIC.QPkts)
+		h.net.tracer.Packet(trace.Send, h.dom.sim.Now(), h.NIC.Index, uint8(h.NIC.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), h.NIC.QPkts)
 	}
 	h.net.enqueue(h.NIC, pkt)
 }

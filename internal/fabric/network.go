@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"drill/internal/metrics"
 	"drill/internal/sim"
@@ -107,20 +106,16 @@ type Network struct {
 	Routes *topo.Routes
 	Cfg    Config
 
-	Ports    []*Port // indexed by Port.Index; one per directed channel
-	chanPort []int32 // channel ID → port index
+	Ports    []*Port   // indexed by Port.Index; one per directed channel
+	chanPort []int32   // channel ID → port index
+	Switches []*Switch // indexed by NodeID; nil for hosts
 
-	Switches map[topo.NodeID]*Switch
-	hosts    map[topo.NodeID]*Host
-
-	// Dense per-node/per-channel lookup tables shadowing the maps above:
-	// the arrive/forward path runs once per packet per hop, where a map
-	// lookup's hashing shows up in profiles. Indexed by NodeID / ChanID
-	// (both dense by construction in topo).
-	hostByNode []*Host   // nil for switches
-	swByNode   []*Switch // nil for hosts
-	hostNIC    []int32   // host NodeID → its leaf→host port; -1 elsewhere
-	inIdx      []int32   // arriving ChanID → dense input index at the switch
+	// Dense per-node/per-channel lookup tables: the arrive/forward path
+	// runs once per packet per hop. Indexed by NodeID / ChanID (both dense
+	// by construction in topo).
+	hostByNode []*Host // nil for switches
+	hostNIC    []int32 // host NodeID → its leaf→host port; -1 elsewhere
+	inIdx      []int32 // arriving ChanID → dense input index at the switch
 
 	Hops metrics.HopStats
 
@@ -180,8 +175,6 @@ func New(s *sim.Sim, t *topo.Topology, cfg Config) *Network {
 		Sim:      s,
 		Topo:     t,
 		Cfg:      cfg,
-		Switches: make(map[topo.NodeID]*Switch),
-		hosts:    make(map[topo.NodeID]*Host),
 		balancer: cfg.Balancer,
 		tracer:   cfg.Tracer,
 	}
@@ -217,7 +210,7 @@ func (n *Network) build() {
 		n.inIdx[i] = -1
 	}
 	n.hostByNode = make([]*Host, len(t.Nodes))
-	n.swByNode = make([]*Switch, len(t.Nodes))
+	n.Switches = make([]*Switch, len(t.Nodes))
 	n.hostNIC = make([]int32, len(t.Nodes))
 	for i := range n.hostNIC {
 		n.hostNIC[i] = -1
@@ -262,14 +255,12 @@ func (n *Network) build() {
 		}
 		sw := &Switch{
 			Node: nd.ID, Kind: nd.Kind,
-			dom:      n.domByNode[nd.ID],
-			dropHop:  dropHopClass(nd.Kind),
-			chanPort: map[topo.ChanID]int32{},
+			dom:     n.domByNode[nd.ID],
+			dropHop: dropHopClass(nd.Kind),
 		}
 		for i, cid := range t.OutAll(nd.ID) {
 			pi := n.chanPort[cid]
 			sw.OutPorts = append(sw.OutPorts, pi)
-			sw.chanPort[cid] = pi
 			c := t.Chan(cid)
 			if t.Nodes[c.To].Kind == topo.Host {
 				n.hostNIC[c.To] = pi
@@ -284,7 +275,6 @@ func (n *Network) build() {
 			})
 		}
 		n.Switches[nd.ID] = sw
-		n.swByNode[nd.ID] = sw
 	}
 
 	// Hosts.
@@ -296,15 +286,14 @@ func (n *Network) build() {
 		if nic == nil {
 			panic(fmt.Sprintf("fabric: host %d has no NIC link", h))
 		}
-		n.hosts[h] = &Host{net: n, ID: h, Leaf: t.LeafOf(h), NIC: nic, dom: n.domByNode[h]}
-		n.hostByNode[h] = n.hosts[h]
+		n.hostByNode[h] = &Host{net: n, ID: h, Leaf: t.LeafOf(h), NIC: nic, dom: n.domByNode[h]}
 	}
 
 	n.Reconverge()
 }
 
 // Host returns the host entity for node id.
-func (n *Network) Host(id topo.NodeID) *Host { return n.hosts[id] }
+func (n *Network) Host(id topo.NodeID) *Host { return n.hostByNode[id] }
 
 // PortOfChan returns the port carrying directed channel c.
 func (n *Network) PortOfChan(c topo.ChanID) *Port { return n.Ports[n.chanPort[c]] }
@@ -373,16 +362,15 @@ func (n *Network) DroppedPackets() int64 {
 	return s
 }
 
-// SwitchList returns the switches ordered by node ID. Table builders and
-// metric collectors iterate this instead of the Switches map so that
-// installation and reporting order never depends on map iteration order.
+// SwitchList returns the switches ordered by node ID: Switches without
+// the hosts' nil entries.
 func (n *Network) SwitchList() []*Switch {
-	out := make([]*Switch, 0, len(n.Switches))
-	//drill:allow nondeterminism collecting map values before sorting is order-independent
+	out := make([]*Switch, 0, len(n.Topo.Nodes)-len(n.Topo.Hosts))
 	for _, sw := range n.Switches {
-		out = append(out, sw)
+		if sw != nil {
+			out = append(out, sw)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 
@@ -519,7 +507,6 @@ func (n *Network) transmit(p *Port) {
 	p.busy = true
 	wait := d.sim.Now() - pkt.enqAt
 	d.hops.RecordQueueing(p.Hop, wait)
-	pkt.HopWaitNs[p.Hop] += int64(wait)
 	// The head leaves the waiting queue as it starts onto the wire.
 	p.departVisibility(pkt.Size)
 	if n.tracer != nil {
@@ -542,7 +529,6 @@ func (n *Network) txDone(p *Port) {
 	pkt := p.queue.pop()
 	p.QPkts--
 	p.QBytes -= int64(pkt.Size)
-	p.TxPackets++
 	p.TxBytes += int64(pkt.Size)
 	p.busy = false
 	if p.up {
@@ -646,7 +632,7 @@ func (n *Network) arrive(pkt *Packet, at topo.NodeID, in topo.ChanID) {
 		d.pool.Put(pkt)
 		return
 	}
-	sw := n.swByNode[at]
+	sw := n.Switches[at]
 	if n.tracer != nil {
 		n.tracer.Packet(trace.Arrive, d.sim.Now(), n.chanPort[in], uint8(n.Ports[n.chanPort[in]].Hop),
 			pkt.FlowID, pkt.Seq, int32(pkt.Size), 0)
@@ -691,10 +677,10 @@ func (n *Network) forward(sw *Switch, eng *Engine, pkt *Packet) {
 	}
 	// Source route (Presto).
 	if pkt.Path != nil && int(pkt.PathIdx) < len(pkt.Path) {
-		cid := pkt.Path[pkt.PathIdx]
-		if pi, ok := sw.chanPort[cid]; ok {
+		// The next channel must leave this switch; otherwise the route no
+		// longer matches where the packet is, and the tables take over.
+		if p := n.Ports[n.chanPort[pkt.Path[pkt.PathIdx]]]; p.From == sw.Node {
 			pkt.PathIdx++
-			p := n.Ports[pi]
 			if p.up {
 				n.enqueue(p, pkt)
 				return

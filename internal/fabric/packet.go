@@ -22,7 +22,7 @@ const (
 
 // Packet is the unit the fabric forwards. Fields beyond the addressing
 // header are scratch space for the transport layer (Seq/AckNo/EchoTS), the
-// load balancers (Hash/CellSeq/Path/CE), and telemetry (Sent/enqAt).
+// load balancers (Hash/Path/CE), and the fabric itself (enqAt/Hops).
 type Packet struct {
 	FlowID uint64
 	Hash   uint32 // 5-tuple hash, fixed for the flow's lifetime
@@ -42,22 +42,13 @@ type Packet struct {
 	TxSeq  int32      // per-flow emission counter for wire-reorder metrics
 
 	// Load-balancer fields.
-	CellSeq int32         // Presto flowcell index
 	CE      uint8         // CONGA congestion-experienced metric
 	ECNCE   bool          // IP ECN congestion-experienced mark (DCTCP)
 	LBTag   int16         // CONGA: source leaf's uplink choice, echoed in feedback
 	Path    []topo.ChanID // source route (Presto); nil for hop-by-hop schemes
 	PathIdx int32
 
-	// Telemetry.
-	Sent  units.Time // when the source host handed the packet to its NIC
 	enqAt units.Time // when the packet entered its current queue
-
-	// HopWaitNs records the queueing wait experienced at each hop class,
-	// for reordering/root-cause analysis. int64 per hop: a single wait is a
-	// units.Time in nanoseconds, and anything ≥ 2.147 s would wrap an int32
-	// (RTO-backoff standing queues at failed-capacity hot spots get there).
-	HopWaitNs [6]int64
 
 	// Hops counts fabric switches traversed, to catch forwarding loops.
 	Hops int8

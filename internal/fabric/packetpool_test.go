@@ -25,9 +25,7 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 	p.CE = 3
 	p.Path = []topo.ChanID{1, 2, 3}
 	p.PathIdx = 2
-	p.HopWaitNs = [6]int64{1, 2, 3, 4, 5, 6}
 	p.Hops = 4
-	p.Sent = 99
 	p.enqAt = 98
 	pool.Put(p)
 
@@ -171,8 +169,8 @@ func pooledVsHandBuiltRun(t *testing.T, alloc func(h *Host) *Packet) (*Network, 
 	s, n, tp := newNet(t, Config{QueueCap: 8, ECNThreshold: 3, RouteDelay: 10 * units.Microsecond})
 	var log []string
 	echo := handlerFunc(func(h *Host, pkt *Packet) {
-		log = append(log, fmt.Sprintf("%d h%d f%d s%d k%d hops=%d wait=%v ecn=%v",
-			s.Now(), h.ID, pkt.FlowID, pkt.Seq, pkt.Kind, pkt.Hops, pkt.HopWaitNs, pkt.ECNCE))
+		log = append(log, fmt.Sprintf("%d h%d f%d s%d k%d hops=%d ecn=%v",
+			s.Now(), h.ID, pkt.FlowID, pkt.Seq, pkt.Kind, pkt.Hops, pkt.ECNCE))
 		if pkt.Kind == Data && pkt.Len > 0 {
 			ack := alloc(h)
 			ack.FlowID, ack.Hash, ack.Kind = pkt.FlowID, pkt.Hash, Ack
@@ -206,8 +204,7 @@ func pooledVsHandBuiltRun(t *testing.T, alloc func(h *Host) *Packet) (*Network, 
 // is the fresh-allocation baseline; the same traffic allocated through
 // Host.AllocPacket — recycled at every delivery and drop site, on a run
 // that drops, marks ECN and loses a link mid-flight — must deliver the
-// same packets, with the same hop counts, per-hop waits and marks, at the
-// same instants.
+// same packets, with the same hop counts and marks, at the same instants.
 func TestPooledMatchesHandBuilt(t *testing.T) {
 	pooled, got := pooledVsHandBuiltRun(t, (*Host).AllocPacket)
 	fresh, want := pooledVsHandBuiltRun(t, func(*Host) *Packet { return &Packet{} })
@@ -238,8 +235,8 @@ func TestPooledMatchesHandBuilt(t *testing.T) {
 
 // TestHopWaitNoInt32Overflow is the regression test for the per-hop wait
 // accounting: a queueing wait beyond 2.147 s (int32 nanoseconds) must not
-// wrap negative. 200 packets serialized at 1 Mbps make the NIC queue's
-// tail wait tens of seconds.
+// wrap. 200 packets serialized at 1 Mbps make the NIC queue's tail wait
+// seconds, and the hop class's total minutes.
 func TestHopWaitNoInt32Overflow(t *testing.T) {
 	tp := topo.LeafSpine(topo.LeafSpineConfig{Spines: 1, Leaves: 1, HostsPerLeaf: 2,
 		HostRate: 1 * units.Mbps, CoreRate: 1 * units.Mbps})
@@ -261,18 +258,14 @@ func TestHopWaitNoInt32Overflow(t *testing.T) {
 	if len(rx.got) != N {
 		t.Fatalf("delivered %d, want %d", len(rx.got), N)
 	}
-	last := rx.got[N-1]
-	wait := last.HopWaitNs[metrics.HostUp]
-	if wait < 0 {
-		t.Fatalf("hop wait wrapped negative: %d ns", wait)
-	}
-	if wait < int64(2200*units.Millisecond) {
+	txTime := int64(units.TxTime(1518, 1*units.Mbps))
+	if tail := txTime * (N - 1); tail < int64(2200*units.Millisecond) {
 		t.Fatalf("tail wait %v too small to exercise the int32 boundary; fixture drifted",
-			units.Time(wait))
+			units.Time(tail))
 	}
-	txTime := units.TxTime(1518, 1*units.Mbps)
-	if want := int64(txTime) * (N - 1); wait != want {
-		t.Fatalf("tail NIC wait = %d ns, want exactly %d (%d×serialization)",
-			wait, want, N-1)
+	// Packet i waits i serializations, so the NIC hop's total is
+	// txTime·N(N−1)/2.
+	if got, want := n.Hops.QueueingNs[metrics.HostUp], txTime*N*(N-1)/2; got != want {
+		t.Fatalf("NIC queueing total = %d ns, want exactly %d", got, want)
 	}
 }

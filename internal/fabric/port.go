@@ -86,7 +86,6 @@ type Port struct {
 
 	// Counters.
 	EnqPackets int64 // packets accepted into the queue
-	TxPackets  int64
 	TxBytes    int64
 	Drops      int64
 }

@@ -69,8 +69,6 @@ func NewSharded(global *sim.Sim, shards []*sim.Sim, assign []int, t *topo.Topolo
 		Sim:      global,
 		Topo:     t,
 		Cfg:      cfg,
-		Switches: make(map[topo.NodeID]*Switch),
-		hosts:    make(map[topo.NodeID]*Host),
 		balancer: cfg.Balancer,
 		tracer:   cfg.Tracer,
 		sharded:  true,

@@ -64,10 +64,6 @@ type Switch struct {
 	tables [][]Group
 
 	engines []*Engine
-
-	// chanPort maps this switch's outgoing channel IDs to port indexes
-	// (used by source-routed schemes).
-	chanPort map[topo.ChanID]int32
 }
 
 // Engines returns the switch's forwarding engines.

@@ -25,7 +25,6 @@ type AdaptiveReorderer struct {
 
 	// holdStart tracks when the current gap opened, to measure fill delay.
 	holdStart units.Time
-	holding   bool
 }
 
 // NewAdaptiveReorderer returns an adaptive shim starting from an initial
@@ -56,9 +55,6 @@ func (a *AdaptiveReorderer) Expected() int64 { return a.r.Expected() }
 
 // Held returns the number of buffered segments.
 func (a *AdaptiveReorderer) Held() int { return a.r.Held() }
-
-// FlushCount reports timeout flushes of the underlying shim.
-func (a *AdaptiveReorderer) FlushCount() int64 { return a.r.Flushes }
 
 // CurrentHold reports the adaptive hold in effect.
 func (a *AdaptiveReorderer) CurrentHold() units.Time { return a.r.timeout }

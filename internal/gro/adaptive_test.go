@@ -22,8 +22,8 @@ func TestAdaptiveShrinkToFastSkew(t *testing.T) {
 	if a.CurrentHold() > 60*units.Microsecond {
 		t.Fatalf("hold did not adapt down: %v", a.CurrentHold())
 	}
-	if a.FlushCount() != 0 {
-		t.Fatalf("spurious flushes: %d", a.FlushCount())
+	if a.r.Flushes != 0 {
+		t.Fatalf("spurious flushes: %d", a.r.Flushes)
 	}
 	if len(got) != 80 {
 		t.Fatalf("delivered %d", len(got))
@@ -52,8 +52,8 @@ func TestAdaptiveLossStillFlushes(t *testing.T) {
 	a.Push(seg(0, 100))
 	a.Push(seg(200, 100)) // hole at 100 — lost, never fills
 	c.advance(c.now + 200*units.Microsecond)
-	if a.FlushCount() != 1 {
-		t.Fatalf("flushes = %d", a.FlushCount())
+	if a.r.Flushes != 1 {
+		t.Fatalf("flushes = %d", a.r.Flushes)
 	}
 	if len(got) != 2 {
 		t.Fatalf("delivered %d", len(got))

@@ -56,10 +56,6 @@ func NewReorderer(clock Clock, timeout units.Time, deliver func(Segment)) *Reord
 // Expected returns the next in-order sequence number.
 func (r *Reorderer) Expected() int64 { return r.expected }
 
-// FlushCount reports timeout-triggered flushes (telemetry accessor shared
-// with AdaptiveReorderer).
-func (r *Reorderer) FlushCount() int64 { return r.Flushes }
-
 // Held returns the number of buffered out-of-order segments.
 func (r *Reorderer) Held() int { return len(r.buf) }
 

@@ -128,7 +128,6 @@ func (p *Presto) OnSend(net *fabric.Network, host *fabric.Host, pkt *fabric.Pack
 		p.flows[pkt.FlowID] = f
 	}
 	cell := int32(pkt.Seq / int64(p.CellSize))
-	pkt.CellSeq = cell
 	path := list[(uint32(cell)+f.offset)%uint32(len(list))]
 	pkt.Path = path.chans
 	pkt.PathIdx = 0

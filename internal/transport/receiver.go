@@ -38,8 +38,6 @@ type Receiver struct {
 	// fresh counters, so they only count if they genuinely overtake).
 	txMax      int32
 	inversions int
-	prevWaits  [6]int64
-	prevArrive units.Time
 
 	// lastDataTS echoes the send-timestamp of the packet that triggered the
 	// current ACK (per-packet echo → valid sender RTT samples, even for
@@ -57,7 +55,6 @@ type Receiver struct {
 // shimLayer abstracts the fixed and adaptive reordering shims.
 type shimLayer interface {
 	Push(gro.Segment)
-	FlushCount() int64
 }
 
 type span struct{ lo, hi int64 }
@@ -96,21 +93,9 @@ func (r *Receiver) onData(pkt *fabric.Packet) {
 		if m := r.agent.reg.met; m != nil {
 			m.oooDepth.Observe(float64(len(r.sacked)))
 		}
-		// Blame the hop where the late packet waited longest relative to
-		// the packet it arrived behind.
-		best, bestD := 0, int64(-1<<63)
-		for h := 0; h < 6; h++ {
-			if d := pkt.HopWaitNs[h] - r.prevWaits[h]; d > bestD {
-				bestD = d
-				best = h
-			}
-		}
-		r.agent.stats.InversionBlame[best]++
 	} else {
 		r.txMax = pkt.TxSeq
 	}
-	r.prevWaits = pkt.HopWaitNs
-	r.prevArrive = r.agent.sim.Now()
 	seg := gro.Segment{Seq: pkt.Seq, Len: pkt.Len, Payload: pkt.EchoTS}
 	if r.shim != nil {
 		r.shim.Push(seg)
@@ -214,9 +199,6 @@ func (r *Receiver) close() {
 			r.batcher.Close()
 			stats.GROBatches += r.batcher.Batches
 			stats.GROSegments += r.batcher.Segments
-		}
-		if r.shim != nil {
-			stats.ShimFlushes += r.shim.FlushCount()
 		}
 	}
 	delete(r.agent.receivers, r.id)

@@ -70,16 +70,9 @@ type Stats struct {
 	// duplicate-ACK amplification).
 	WireReorders metrics.IntHist
 
-	// InversionBlame counts, per hop class, how often that hop contributed
-	// the largest wait difference of an inverted packet pair.
-	InversionBlame [6]int64
-
 	// GROBatches / GROSegments accumulate batching telemetry.
 	GROBatches  int64
 	GROSegments int64
-
-	// ShimFlushes counts shim timeouts (order could not be restored in time).
-	ShimFlushes int64
 
 	Retransmits   int64
 	Timeouts      int64
@@ -255,12 +248,8 @@ func (r *Registry) Fold() {
 		}
 		r.Stats.DupAcks.Merge(&ss.DupAcks)
 		r.Stats.WireReorders.Merge(&ss.WireReorders)
-		for h := range ss.InversionBlame {
-			r.Stats.InversionBlame[h] += ss.InversionBlame[h]
-		}
 		r.Stats.GROBatches += ss.GROBatches
 		r.Stats.GROSegments += ss.GROSegments
-		r.Stats.ShimFlushes += ss.ShimFlushes
 		r.Stats.Retransmits += ss.Retransmits
 		r.Stats.Timeouts += ss.Timeouts
 		r.Stats.FlowsFinished += ss.FlowsFinished
