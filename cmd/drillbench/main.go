@@ -6,7 +6,10 @@
 //	drillbench -out BENCH_current.json [-seed 1] [-q]
 //
 // Write a fresh file: the committed BENCH_*.json files are the history
-// that benchdiff compares against. Each cell reports set-up wall time and
+// that benchdiff compares against. The report is written to <out>.tmp,
+// created before the first cell runs so an unwritable -out fails at once,
+// and renamed to <out> when the run ends, so a run that dies part-way
+// leaves an existing <out> untouched. Each cell reports set-up wall time and
 // allocations (everything before RunCfg.Hook), the event loop's ns,
 // allocations and events per packet sent, the older per-event rates, peak
 // heap, and packet-pool traffic; sharded cells add windows and exchanged
@@ -35,6 +38,15 @@ func main() {
 	)
 	flag.Parse()
 
+	var f *os.File
+	if *out != "" {
+		var err error
+		if f, err = os.OpenFile(*out+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "drillbench: -out: %v\n", err)
+			os.Exit(1)
+		}
+	}
+
 	var progress func(format string, args ...any)
 	if !*quiet {
 		progress = func(format string, args ...any) {
@@ -45,15 +57,26 @@ func main() {
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
+		if f != nil {
+			os.Remove(f.Name())
+		}
 		fmt.Fprintf(os.Stderr, "drillbench: encode: %v\n", err)
 		os.Exit(1)
 	}
 	buf = append(buf, '\n')
-	if *out == "" {
+	if f == nil {
 		os.Stdout.Write(buf)
 		return
 	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	_, err = f.Write(buf)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), *out)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		fmt.Fprintf(os.Stderr, "drillbench: %v\n", err)
 		os.Exit(1)
 	}

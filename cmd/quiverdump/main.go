@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -60,6 +61,11 @@ func main() {
 		return t.Leaves[i]
 	}
 
+	// Resolve every -fail entry to a link, and the -pair to its leaves,
+	// before failing or printing anything: a rejected input leaves stdout
+	// empty. A repeated leaf–spine pair takes the next up parallel link.
+	var failed []topo.LinkID
+	var failedNames []string
 	if *fails != "" {
 		for _, f := range strings.Split(*fails, ",") {
 			parts := strings.SplitN(strings.TrimSpace(f), "-", 2)
@@ -74,13 +80,35 @@ func main() {
 			if si < 0 || si >= len(spineIDs) {
 				exitf("spine S%d out of range", si)
 			}
-			links := t.LinkBetween(leafAt(li), spineIDs[si])
+			links := slices.DeleteFunc(t.LinkBetween(leafAt(li), spineIDs[si]), func(l topo.LinkID) bool {
+				return slices.Contains(failed, l)
+			})
 			if len(links) == 0 {
 				exitf("no up link L%d-S%d", li, si)
 			}
-			t.FailLink(links[0])
-			fmt.Printf("failed L%d-S%d\n", li, si)
+			failed = append(failed, links[0])
+			failedNames = append(failedNames, fmt.Sprintf("L%d-S%d", li, si))
 		}
+	}
+	var src, dst topo.NodeID
+	if *pair != "" {
+		parts := strings.SplitN(*pair, "-", 2)
+		if len(parts) != 2 {
+			exitf("bad -pair (want L3-L1)")
+		}
+		si, err1 := strconv.Atoi(strings.TrimPrefix(parts[0], "L"))
+		di, err2 := strconv.Atoi(strings.TrimPrefix(parts[1], "L"))
+		if err1 != nil || err2 != nil {
+			exitf("bad -pair (want L3-L1)")
+		}
+		src, dst = leafAt(si), leafAt(di)
+		if src == dst {
+			exitf("-pair needs two different leaves")
+		}
+	}
+	for i, l := range failed {
+		t.FailLink(l)
+		fmt.Printf("failed %s\n", failedNames[i])
 	}
 
 	r := topo.ComputeRoutes(t)
@@ -103,19 +131,6 @@ func main() {
 	}
 
 	if *pair != "" {
-		parts := strings.SplitN(*pair, "-", 2)
-		if len(parts) != 2 {
-			exitf("bad -pair (want L3-L1)")
-		}
-		si, err1 := strconv.Atoi(strings.TrimPrefix(parts[0], "L"))
-		di, err2 := strconv.Atoi(strings.TrimPrefix(parts[1], "L"))
-		if err1 != nil || err2 != nil {
-			exitf("bad -pair (want L3-L1)")
-		}
-		src, dst := leafAt(si), leafAt(di)
-		if src == dst {
-			exitf("-pair needs two different leaves")
-		}
 		show(src, dst)
 		return
 	}

@@ -25,13 +25,19 @@ func TestMain(m *testing.M) {
 
 // TestRejectsBadInput holds every flag to one line on stderr and exit
 // status 2: a -pair without a destination, a -fail naming a spine the
-// fabric lacks, a -pair of one leaf with itself, and a fabric too small
-// to hold a leaf pair.
+// fabric lacks, a -fail whose later entry names a missing leaf or a link
+// an earlier entry already failed, a -pair of one leaf with itself, and a
+// fabric too small to hold a leaf pair. Nothing reaches stdout, not even
+// the failed lines of the entries before the bad one.
 func TestRejectsBadInput(t *testing.T) {
 	for _, args := range []string{
 		"-pair L3",
 		"-fail L0-S9",
 		"-fail L0-S-1",
+		"-fail L0-S0,L9-S0",
+		"-fail L0-S0,L0-S0",
+		"-topo hetero -spines 4 -leaves 4 -fail L0-S0,L0-S0,L0-S0",
+		"-fail L0-S0 -pair L9-L1",
 		"-pair L3-L3",
 		"-spines -1",
 		"-leaves 1",

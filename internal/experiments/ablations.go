@@ -8,8 +8,9 @@ import (
 )
 
 // flowcellDRILL is the ablation hybrid of §3.1's factor split: Presto's
-// flowcell granularity with DRILL's load awareness — each 64KB cell is
-// pinned to the port a DRILL(2,1) pick chose for its first packet.
+// flowcell granularity with DRILL's load awareness — each flowcell
+// (lb.PrestoCellSize) is pinned to the port a DRILL(2,1) pick chose for
+// its first packet.
 type flowcellDRILL struct {
 	inner *lb.DRILL
 	pins  map[cellKey]int32
@@ -28,7 +29,7 @@ func newFlowcellDRILL() *flowcellDRILL {
 func (f *flowcellDRILL) Name() string { return "flowcell-DRILL" }
 
 func (f *flowcellDRILL) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, pkt *fabric.Packet) int32 {
-	cell := int32(pkt.Seq / (64 * 1024))
+	cell := int32(pkt.Seq / int64(lb.PrestoCellSize))
 	key := cellKey{sw: int32(sw.Node), flow: pkt.FlowID, cell: cell}
 	if port, ok := f.pins[key]; ok && net.Ports[port].Up() {
 		return port

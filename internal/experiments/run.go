@@ -347,7 +347,6 @@ func Run(cfg RunCfg) *RunResult {
 		s.RunUntil(end)
 		s.RunUntil(end + cfg.DrainLimit)
 	}
-	s.Halt()
 	if snap != nil {
 		// Publish the terminal state even if the run ended mid-interval.
 		snap.Final(s.Now())

@@ -39,8 +39,8 @@ func table1Cfg(o Options, pattern string, sc Scheme, seed int64) RunCfg {
 			case "shuffle":
 				// Run the first few phases concurrently to create the
 				// all-to-all contention the full shuffle exhibits.
-				syn.Run(workload.ShufflePhase(t, nil, 0))
-				syn.Run(workload.ShufflePhase(t, nil, 1))
+				syn.Run(workload.ShufflePhase(t, 0))
+				syn.Run(workload.ShufflePhase(t, 1))
 			}
 			return syn
 		},

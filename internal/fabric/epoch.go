@@ -30,9 +30,6 @@ type Epoch struct {
 	// gap between the triggering event and the ApplyEpoch that installs it.
 	BuiltAt units.Time
 
-	// Scheme is the balancer the tables were built for.
-	Scheme string
-
 	// LinkUp is the link up/down vector the epoch was computed from,
 	// indexed by topo.LinkID. ApplyEpoch syncs the data plane to it.
 	LinkUp []bool
@@ -83,7 +80,6 @@ func (n *Network) BuildEpoch() *Epoch {
 	e := &Epoch{
 		Seq:     n.EpochSeq() + 1,
 		BuiltAt: n.Sim.Now(),
-		Scheme:  n.balancer.Name(),
 		LinkUp:  make([]bool, len(n.Topo.Links)),
 	}
 	for i := range n.Topo.Links {

@@ -44,8 +44,6 @@ type Reorderer struct {
 
 	// Flushes counts timeout-triggered flushes (telemetry).
 	Flushes int64
-	// HeldPeak is the maximum number of simultaneously buffered segments.
-	HeldPeak int
 }
 
 // NewReorderer returns a shim for one flow starting at sequence 0.
@@ -84,9 +82,6 @@ func (r *Reorderer) Push(s Segment) {
 		return
 	}
 	r.insert(s)
-	if len(r.buf) > r.HeldPeak {
-		r.HeldPeak = len(r.buf)
-	}
 	if !r.armed {
 		r.arm()
 	}

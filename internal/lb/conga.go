@@ -29,7 +29,6 @@ type CONGA struct {
 	dre    []float64 // per-port DRE accumulator
 	quant  []uint8   // per-port quantized congestion (0..7)
 	leaves map[topo.NodeID]*congaLeaf
-	ticker *sim.Ticker
 }
 
 type congaLeaf struct {
@@ -69,7 +68,7 @@ func (c *CONGA) BuildTables(net *fabric.Network) {
 	if c.dre == nil {
 		c.dre = make([]float64, len(net.Ports))
 		c.quant = make([]uint8, len(net.Ports))
-		c.ticker = sim.NewTicker(net.Sim, c.DREInterval, func(units.Time) { c.decay() })
+		sim.NewTicker(net.Sim, c.DREInterval, func(units.Time) { c.decay() })
 	}
 	c.leaves = map[topo.NodeID]*congaLeaf{}
 	for _, leaf := range net.Topo.Leaves {

@@ -111,7 +111,7 @@ func TestPrestoWeightsInHeterogeneousFabric(t *testing.T) {
 	// first channels: leaf0 has 2+2+1+1 = 6 uplink channels.
 	firsts := map[int32]int{}
 	for _, path := range list {
-		firsts[int32(path.chans[0])]++
+		firsts[int32(path[0])]++
 	}
 	if len(firsts) != 6 {
 		t.Fatalf("distinct first hops = %d, want 6", len(firsts))

@@ -8,6 +8,9 @@ import (
 	"drill/internal/units"
 )
 
+// PrestoCellSize is the payload size of Presto's flowcells.
+const PrestoCellSize = 64 * units.KiB
+
 // Presto (He et al., SIGCOMM'15) moves load balancing to the sending edge:
 // flows are chopped into 64KB flowcells, and each flowcell is source-routed
 // round-robin across all shortest paths — fine-grained but load-oblivious.
@@ -19,27 +22,12 @@ import (
 // ACKs and any packet whose source route broke mid-failure fall back to
 // ECMP over the default tables.
 type Presto struct {
-	// CellSize is the flowcell payload size (default 64KiB).
-	CellSize units.ByteSize
-
 	// paths[src][dst] is the weight-expanded path list between leaf indexes.
-	paths [][][]prestoPath
-
-	flows map[uint64]*prestoFlow
+	paths [][][][]topo.ChanID
 }
 
-type prestoPath struct {
-	chans []topo.ChanID
-}
-
-type prestoFlow struct {
-	offset uint32
-}
-
-// NewPresto returns Presto with 64KiB flowcells.
-func NewPresto() *Presto {
-	return &Presto{CellSize: 64 * units.KiB, flows: map[uint64]*prestoFlow{}}
-}
+// NewPresto returns Presto with PrestoCellSize flowcells.
+func NewPresto() *Presto { return &Presto{} }
 
 // Name implements fabric.Balancer.
 func (p *Presto) Name() string { return "Presto" }
@@ -53,9 +41,9 @@ func (p *Presto) ShardUnsafe() {}
 func (p *Presto) BuildTables(net *fabric.Network) {
 	net.BuildDefaultTables()
 	nl := len(net.Topo.Leaves)
-	p.paths = make([][][]prestoPath, nl)
+	p.paths = make([][][][]topo.ChanID, nl)
 	for si, src := range net.Topo.Leaves {
-		p.paths[si] = make([][]prestoPath, nl)
+		p.paths[si] = make([][][]topo.ChanID, nl)
 		for di, dst := range net.Topo.Leaves {
 			if si == di {
 				continue
@@ -81,19 +69,19 @@ func (p *Presto) BuildTables(net *fabric.Network) {
 			if g == 0 {
 				g = 1
 			}
-			var list []prestoPath
+			var list [][]topo.ChanID
 			for i, path := range raw {
 				w := int(int64(caps[i]) / g)
 				if w == 0 {
 					w = 1
 				}
 				for k := 0; k < w; k++ {
-					list = append(list, prestoPath{chans: path})
+					list = append(list, path)
 				}
 			}
 			// Deterministic order for reproducibility.
 			sort.Slice(list, func(a, b int) bool {
-				x, y := list[a].chans, list[b].chans
+				x, y := list[a], list[b]
 				for i := 0; i < len(x) && i < len(y); i++ {
 					if x[i] != y[i] {
 						return x[i] < y[i]
@@ -107,8 +95,9 @@ func (p *Presto) BuildTables(net *fabric.Network) {
 }
 
 // OnSend implements fabric.SendHook: assign the packet's flowcell to a
-// source route. The per-flow random offset decorrelates flows; consecutive
-// cells of one flow rotate round-robin, striping the flow across all paths.
+// source route. The flow's hash, which every packet of the flow carries,
+// offsets its rotation to decorrelate flows; consecutive cells of one flow
+// rotate round-robin, striping the flow across all paths.
 func (p *Presto) OnSend(net *fabric.Network, host *fabric.Host, pkt *fabric.Packet) {
 	if pkt.Kind != fabric.Data {
 		return
@@ -122,14 +111,8 @@ func (p *Presto) OnSend(net *fabric.Network, host *fabric.Host, pkt *fabric.Pack
 	if len(list) == 0 {
 		return
 	}
-	f := p.flows[pkt.FlowID]
-	if f == nil {
-		f = &prestoFlow{offset: pkt.Hash}
-		p.flows[pkt.FlowID] = f
-	}
-	cell := int32(pkt.Seq / int64(p.CellSize))
-	path := list[(uint32(cell)+f.offset)%uint32(len(list))]
-	pkt.Path = path.chans
+	cell := uint32(pkt.Seq / int64(PrestoCellSize))
+	pkt.Path = list[(cell+pkt.Hash)%uint32(len(list))]
 	pkt.PathIdx = 0
 }
 

@@ -1,14 +1,16 @@
 // Package quiver implements DRILL's control-plane handling of topological
 // asymmetry (§3.4): it builds the labeled multidigraph the paper calls the
-// Quiver, scores links by their label sets, and decomposes each switch's
-// shortest paths toward each destination into symmetric components —
-// maximal sets of paths with identical hop-by-hop label scores. The data
-// plane then hashes flows to a component (weighted by aggregate capacity)
-// and micro-load-balances only inside it, degrading gracefully from pure
-// DRILL (one component) to ECMP (every component a single path).
+// Quiver, scores links by their label sets (keeping the scores, not the
+// sets), and decomposes each switch's shortest paths toward each
+// destination into symmetric components — maximal sets of paths with
+// identical hop-by-hop label scores. The data plane then hashes flows to
+// a component (weighted by aggregate capacity) and micro-load-balances
+// only inside it, degrading gracefully from pure DRILL (one component) to
+// ECMP (every component a single path).
 package quiver
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -47,37 +49,42 @@ func (c CapFactor) String() string {
 	return fmt.Sprintf("%d/%d", c.Num, c.Den)
 }
 
-// Label marks one use of a directed link: it lies on a shortest path from
-// leaf Src to leaf Dst with the given capacity factor (§3.4.1, §3.4.3).
-type Label struct {
-	Src, Dst topo.NodeID
-	CF       CapFactor
-}
-
-// Quiver is the labeled multidigraph: per directed channel, the set of
-// labels of shortest leaf-to-leaf paths traversing it, plus the hash score
-// used for fast path-symmetry checks. Both are dense, indexed by ChanID;
-// each channel's labels are kept in the canonical (Src, Dst, CF) order.
+// Quiver is the labeled multidigraph of §3.4.1, kept as what the
+// symmetry check reads: one hash score per directed channel, dense by
+// ChanID, over the (src, dst, cf) labels of the shortest leaf-to-leaf
+// paths traversing it. The label sets themselves are never stored.
 type Quiver struct {
 	routes *topo.Routes
-	labels [][]Label
 	scores []uint64
 }
 
 // Build computes the Quiver for the routing snapshot: for every ordered
 // leaf pair and every shortest path between them, each traversed channel
-// gains a (src, dst, cf) label.
+// gains a (src, dst, cf) label, folded into the channel's score as soon
+// as the pair's paths are walked.
+//
+// A score is FNV-1a 64 over the channel's label set in canonical (Src,
+// Dst, CF) order, each label as four little-endian int64s: Src, Dst,
+// CF.Num, CF.Den. Equal scores ⇔ equal label sets, modulo hash
+// collisions, which the 64-bit space makes negligible at datacenter
+// scale. A channel on no shortest path scores 0.
 func Build(r *topo.Routes) *Quiver {
 	t := r.Topo()
 	nchan := 2 * len(t.Links)
-	q := &Quiver{
-		routes: r,
-		labels: make([][]Label, nchan),
-		scores: make([]uint64, nchan),
-	}
+	q := &Quiver{routes: r, scores: make([]uint64, nchan)}
 	// t.Leaves is in ascending NodeID order (nodes are numbered as they
-	// are added), so pairs arrive in ascending (Src, Dst) order and each
-	// channel's list stays canonical by settling only its tail.
+	// are added), so pairs arrive in ascending (Src, Dst) order and a
+	// pair's labels follow every earlier pair's on each channel. Per
+	// channel, cfs holds the pair in progress's capacity factors, sorted
+	// by (Num, Den) and de-duplicated; two slots each from one array
+	// cover a uniform fabric. touched lists the channels they are on.
+	cfs := make([][]CapFactor, nchan)
+	slots := make([]CapFactor, 2*nchan)
+	for c := range cfs {
+		cfs[c] = slots[2*c : 2*c : 2*c+2]
+	}
+	folded := make([]bool, nchan)
+	var touched []topo.ChanID
 	var buf []topo.ChanID
 	for _, src := range t.Leaves {
 		for _, dst := range t.Leaves {
@@ -95,41 +102,38 @@ func Build(r *topo.Routes) *Quiver {
 					if inCap > 0 {
 						cf = NewCapFactor(inCap, c.Rate)
 					}
-					q.addLabel(cid, Label{Src: src, Dst: dst, CF: cf})
+					if len(cfs[cid]) == 0 {
+						touched = append(touched, cid)
+					}
+					i, found := slices.BinarySearchFunc(cfs[cid], cf, func(a, b CapFactor) int {
+						return cmp.Or(cmp.Compare(a.Num, b.Num), cmp.Compare(a.Den, b.Den))
+					})
+					if !found {
+						cfs[cid] = slices.Insert(cfs[cid], i, cf)
+					}
 					if inCap == 0 || c.Rate < inCap {
 						inCap = c.Rate
 					}
 				}
 			}
-		}
-	}
-	for c, labels := range q.labels {
-		if len(labels) > 0 {
-			q.scores[c] = score(labels)
+			for _, cid := range touched {
+				h := q.scores[cid]
+				if !folded[cid] {
+					h, folded[cid] = fnvOffset64, true
+				}
+				for _, cf := range cfs[cid] {
+					h = fnvPut(h, int64(src))
+					h = fnvPut(h, int64(dst))
+					h = fnvPut(h, cf.Num)
+					h = fnvPut(h, cf.Den)
+				}
+				q.scores[cid] = h
+				cfs[cid] = cfs[cid][:0]
+			}
+			touched = touched[:0]
 		}
 	}
 	return q
-}
-
-// addLabel adds l to channel c's label set. Every label already on c has
-// a (Src, Dst) pair no greater than l's, so l's place is inside the tail
-// run of its own pair, ordered by CF.
-func (q *Quiver) addLabel(c topo.ChanID, l Label) {
-	labels := q.labels[c]
-	i := len(labels)
-	for i > 0 && labels[i-1].Src == l.Src && labels[i-1].Dst == l.Dst && cfLess(l.CF, labels[i-1].CF) {
-		i--
-	}
-	if i > 0 && labels[i-1] == l {
-		return
-	}
-	q.labels[c] = slices.Insert(labels, i, l)
-}
-
-// cfLess orders capacity factors by (Num, Den), as labels of one pair are
-// ordered.
-func cfLess(a, b CapFactor) bool {
-	return a.Num < b.Num || a.Num == b.Num && a.Den < b.Den
 }
 
 // FNV-1a 64-bit parameters.
@@ -146,21 +150,6 @@ var fnvPrimePow = func() (pow [9]uint64) {
 	}
 	return pow
 }()
-
-// score hashes a canonically ordered label set to 64 bits with FNV-1a
-// over each label's Src, Dst, CF.Num and CF.Den as little-endian int64s;
-// equal scores ⇔ equal label sets (modulo hash collisions, which the
-// 64-bit space makes negligible at datacenter scale).
-func score(labels []Label) uint64 {
-	h := uint64(fnvOffset64)
-	for _, l := range labels {
-		h = fnvPut(h, int64(l.Src))
-		h = fnvPut(h, int64(l.Dst))
-		h = fnvPut(h, l.CF.Num)
-		h = fnvPut(h, l.CF.Den)
-	}
-	return h
-}
 
 // fnvPut folds v's eight little-endian bytes into the FNV-1a state h. A
 // zero byte only multiplies the state by the prime, so the high zero
@@ -179,12 +168,6 @@ func fnvPut(h uint64, v int64) uint64 {
 // Score returns the label-set score of a channel (0 if the channel carries
 // no shortest-path traffic).
 func (q *Quiver) Score(c topo.ChanID) uint64 { return q.scores[c] }
-
-// Labels returns a copy of the channel's label set, sorted lexicographically
-// by (Src, Dst, CF), for inspection.
-func (q *Quiver) Labels(c topo.ChanID) []Label {
-	return append(make([]Label, 0, len(q.labels[c])), q.labels[c]...)
-}
 
 // Symmetric reports whether two paths (channel sequences) are symmetric:
 // same hop count with pairwise equal link scores (§3.4.1's definition).

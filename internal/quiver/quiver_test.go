@@ -214,7 +214,8 @@ func TestHeterogeneousLinksSplitComponents(t *testing.T) {
 func TestScoresDistinguishLabeledLinks(t *testing.T) {
 	tp, leaves, spines := fig4()
 	tp.FailLink(tp.LinkBetween(leaves[0], spines[0])[0])
-	q := Build(topo.ComputeRoutes(tp))
+	r := topo.ComputeRoutes(tp)
+	q := Build(r)
 	// S0→L1 lacks L0-sourced labels; S1→L1 has them.
 	s0l1 := topo.ChanID(-1)
 	s1l1 := topo.ChanID(-1)
@@ -231,7 +232,7 @@ func TestScoresDistinguishLabeledLinks(t *testing.T) {
 	if q.Score(s0l1) == q.Score(s1l1) {
 		t.Fatal("scores fail to distinguish asymmetric links")
 	}
-	lbl := q.Labels(s1l1)
+	lbl := buildReference(r).Labels(s1l1)
 	foundL0 := false
 	for _, l := range lbl {
 		if l.Src == leaves[0] && l.Dst == leaves[1] {
@@ -271,6 +272,16 @@ func TestDecomposeAllocs(t *testing.T) {
 	}
 }
 
+// TestBuildAllocs bounds Build's allocations on a symmetric k=8 fat-tree:
+// the scores and a few per-channel arrays, plus the growth of the path
+// buffer and the touched list — never one per channel or per label.
+func TestBuildAllocs(t *testing.T) {
+	r := fatTreeRoutes(8)
+	if allocs := testing.AllocsPerRun(10, func() { sinkQuiver = Build(r) }); allocs > 32 {
+		t.Fatalf("Build allocates %v times, want at most 32", allocs)
+	}
+}
+
 var (
 	sinkQuiver *Quiver
 	sinkComps  []Component
@@ -281,6 +292,7 @@ var (
 func BenchmarkBuild(b *testing.B) {
 	r := fatTreeRoutes(12)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkQuiver = Build(r)
 	}

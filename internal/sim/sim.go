@@ -188,7 +188,6 @@ type Sim struct {
 	front   uint64
 	seq     uint64
 	seed    int64
-	rng     *rand.Rand
 	halted  bool
 	daemons int // scheduled daemon events (they never keep Run alive)
 
@@ -264,7 +263,6 @@ func (s *Sim) WheelOccupancy() int { return s.wcount }
 // New returns a simulator whose random streams derive from seed.
 func New(seed int64) *Sim {
 	s := &Sim{
-		rng:       rand.New(rand.NewSource(seed)),
 		seed:      seed,
 		near:      eventHeap{tier: tierNear},
 		far:       eventHeap{tier: tierFar},
@@ -281,9 +279,6 @@ func New(seed int64) *Sim {
 
 // Now returns the current simulated time.
 func (s *Sim) Now() units.Time { return s.now }
-
-// Rand returns the simulator's primary random stream.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Stream returns an independent deterministic random stream identified by id.
 // Distinct ids yield decorrelated streams for the same simulator seed, so

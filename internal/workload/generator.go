@@ -37,11 +37,10 @@ func CoreUpCapacity(t *topo.Topology) units.Rate {
 // gaps — the ON/OFF burstiness datacenter measurements report ([62], [25])
 // and the microburst driver the paper's evaluation depends on. BurstMean 1
 // degenerates to a plain Poisson process. The long-run offered load always
-// equals Load × core capacity.
+// equals NewGenerator's load × core capacity.
 type Generator struct {
 	Reg   *transport.Registry
 	Sizes *SizeDist
-	Load  Load
 	Class string
 
 	// BurstMean is the mean flows per burst (default 8).
@@ -52,7 +51,6 @@ type Generator struct {
 
 	rng       *rand.Rand
 	meanGapNs float64 // mean gap between bursts
-	hosts     []topo.NodeID
 	byLeaf    map[topo.NodeID][]topo.NodeID
 	leaves    []topo.NodeID
 
@@ -68,11 +66,10 @@ func NewGenerator(reg *transport.Registry, sizes *SizeDist, load Load, until uni
 	demandBits := float64(load) * coreBits
 	flowsPerSec := demandBits / (sizes.Mean() * 8)
 	g := &Generator{
-		Reg: reg, Sizes: sizes, Load: load, Until: until,
+		Reg: reg, Sizes: sizes, Until: until,
 		BurstMean: 8,
 		rng:       reg.Sim.Stream(0x10ad),
 		meanGapNs: float64(units.Second) / flowsPerSec, // per flow; scaled by burst in next()
-		hosts:     t.Hosts,
 		byLeaf:    map[topo.NodeID][]topo.NodeID{},
 		leaves:    t.Leaves,
 	}

@@ -97,7 +97,7 @@ func Bijection(t *topo.Topology, rng *rand.Rand) pairs {
 // ShufflePhase returns round r of an all-to-all shuffle: server i sends to
 // its r-th destination in a per-server random order. The full shuffle is
 // n-1 phases; experiments run the first few.
-func ShufflePhase(t *topo.Topology, rng *rand.Rand, r int) pairs {
+func ShufflePhase(t *topo.Topology, r int) pairs {
 	n := len(t.Hosts)
 	ps := make(pairs, 0, n)
 	for i, src := range t.Hosts {
@@ -109,7 +109,6 @@ func ShufflePhase(t *topo.Topology, rng *rand.Rand, r int) pairs {
 		}
 		ps = append(ps, [2]topo.NodeID{src, t.Hosts[j]})
 	}
-	_ = rng
 	return ps
 }
 

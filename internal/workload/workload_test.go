@@ -199,7 +199,7 @@ func TestShufflePhases(t *testing.T) {
 	for i, src := range tp.Hosts {
 		seen := map[topo.NodeID]bool{}
 		for r := 0; r < n-1; r++ {
-			ps := ShufflePhase(tp, nil, r)
+			ps := ShufflePhase(tp, r)
 			if ps[i][0] != src {
 				t.Fatal("pair order changed")
 			}
