@@ -7,38 +7,6 @@ import (
 	"drill/internal/lb"
 )
 
-// flowcellDRILL is the ablation hybrid of §3.1's factor split: Presto's
-// flowcell granularity with DRILL's load awareness — each flowcell
-// (lb.PrestoCellSize) is pinned to the port a DRILL(2,1) pick chose for
-// its first packet.
-type flowcellDRILL struct {
-	inner *lb.DRILL
-	pins  map[cellKey]int32
-}
-
-type cellKey struct {
-	sw   int32
-	flow uint64
-	cell int32
-}
-
-func newFlowcellDRILL() *flowcellDRILL {
-	return &flowcellDRILL{inner: lb.NewDRILL(), pins: map[cellKey]int32{}}
-}
-
-func (f *flowcellDRILL) Name() string { return "flowcell-DRILL" }
-
-func (f *flowcellDRILL) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, pkt *fabric.Packet) int32 {
-	cell := int32(pkt.Seq / int64(lb.PrestoCellSize))
-	key := cellKey{sw: int32(sw.Node), flow: pkt.FlowID, cell: cell}
-	if port, ok := f.pins[key]; ok && net.Ports[port].Up() {
-		return port
-	}
-	port := f.inner.Choose(net, sw, eng, pkt)
-	f.pins[key] = port
-	return port
-}
-
 func init() {
 	register(&Experiment{
 		ID:    "ablgran",
@@ -50,12 +18,11 @@ func init() {
 				gran, aware string
 				scheme      Scheme
 			}{
-				{"flow", "blind", mustScheme("ECMP")},
-				{"flow", "aware", mustScheme("per-flow DRILL")},
-				{"flowcell", "blind", mustScheme("Presto before shim")},
-				{"flowcell", "aware", Scheme{Name: "flowcell-DRILL",
-					New: func() fabric.Balancer { return newFlowcellDRILL() }}},
-				{"packet", "blind", mustScheme("Random")},
+				{"flow", "blind", MustScheme("ECMP")},
+				{"flow", "aware", MustScheme("per-flow DRILL")},
+				{"flowcell", "blind", MustScheme("Presto before shim")},
+				{"flowcell", "aware", MustScheme("flowcell-DRILL")},
+				{"packet", "blind", MustScheme("Random")},
 				{"packet", "aware", drillScheme(2, 1)},
 			}
 			rep := &Report{ID: "ablgran",
@@ -94,7 +61,7 @@ func init() {
 			schemes := []Scheme{
 				mk("DRILL naive (no quiver)", func() fabric.Balancer { return lb.NewDRILL() }),
 				mk("DRILL (quiver)", func() fabric.Balancer { return lb.NewDRILLAsym() }),
-				mustScheme("ECMP"),
+				MustScheme("ECMP"),
 			}
 			rep := &Report{ID: "ablasym",
 				Title:   "One failed leaf-spine link, 70% load",

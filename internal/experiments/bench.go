@@ -37,12 +37,8 @@ type BenchCell struct {
 // each cell dispatches millions of events.
 func BenchCells(seed int64) []BenchCell {
 	mk := func(name, scheme string, load float64) BenchCell {
-		sc, ok := SchemeByName(scheme)
-		if !ok {
-			panic("experiments: unknown bench scheme " + scheme)
-		}
 		return BenchCell{Name: name, Cfg: RunCfg{
-			Topo: fig6Topo(0), Scheme: sc, Seed: seed, Load: load,
+			Topo: fig6Topo(0), Scheme: MustScheme(scheme), Seed: seed, Load: load,
 			Warmup:  200 * units.Microsecond,
 			Measure: 2 * units.Millisecond,
 		}}
@@ -63,10 +59,7 @@ func BenchCells(seed int64) []BenchCell {
 // ratio degenerates to the window protocol's overhead (≈1.0×); on the
 // multi-core machines CI uses it is the parallel scaling number.
 func BenchShardCells(seed int64) []BenchCell {
-	sc, ok := SchemeByName("DRILL")
-	if !ok {
-		panic("experiments: DRILL scheme missing")
-	}
+	sc := MustScheme("DRILL")
 	mk := func(name string, shards int) BenchCell {
 		return BenchCell{Name: name, Cfg: RunCfg{
 			Topo: func() *topo.Topology {
@@ -355,7 +348,7 @@ func BenchMicroAllocs() MicroAllocs {
 // dispatched. Each op starts where the last one drained, so its events
 // land in wheel buckets the previous op did not use.
 func sendDeliverOp() func() {
-	sc, _ := SchemeByName("ECMP")
+	sc := MustScheme("ECMP")
 	tp := topo.LeafSpine(topo.LeafSpineConfig{
 		Spines: 1, Leaves: 1, HostsPerLeaf: 2,
 		CoreRate: 10 * units.Gbps, HostRate: 10 * units.Gbps,
@@ -382,7 +375,7 @@ func sendDeliverOp() func() {
 // retired packets symmetrically and neither ever grows. The second return
 // stops the shard workers.
 func shardWindowOp() (op func(), done func()) {
-	sc, _ := SchemeByName("ECMP")
+	sc := MustScheme("ECMP")
 	tp := topo.LeafSpine(topo.LeafSpineConfig{
 		Spines: 1, Leaves: 2, HostsPerLeaf: 1,
 		CoreRate: 10 * units.Gbps, HostRate: 10 * units.Gbps,

@@ -227,7 +227,7 @@ func TestCampaignOptionMergesWithCellCampaign(t *testing.T) {
 	}
 
 	cell := RunCfg{
-		Topo: campaignTopo, Scheme: mustScheme("DRILL"), Seed: 5, Load: 0.5,
+		Topo: campaignTopo, Scheme: MustScheme("DRILL"), Seed: 5, Load: 0.5,
 		Warmup: 50 * units.Microsecond, Measure: 200 * units.Microsecond,
 		RouteDelay: 20 * units.Microsecond, Campaign: own,
 	}

@@ -139,7 +139,7 @@ func TestClaimQuiverNotWorseUnderFailure(t *testing.T) {
 			Seed: int64(s + 1), Load: 0.7, Warmup: 200 * units.Microsecond,
 			Measure: 1500 * units.Microsecond}
 		cfgQ := cfgN
-		cfgQ.Scheme = mustScheme("DRILL w/o shim")
+		cfgQ.Scheme = MustScheme("DRILL w/o shim")
 		rn, rq := Run(cfgN), Run(cfgQ)
 		if naive == nil {
 			naive, quiver = rn, rq

@@ -20,11 +20,13 @@ func confTopo() *topo.Topology {
 // drop-heavy cell and a mid-run link-failure cell, so the compared paths
 // include overflow drops, retransmissions, dead-link drains, and
 // reconvergence — every code path a shard boundary could reorder, not just
-// happy-path delivery. Ends with ReconfigCells.
+// happy-path delivery. One short cell each then covers the other schemes
+// that shard: RR's per-engine cursors, WCMP's weighted tables and Presto's
+// source routes with its shim. Ends with ReconfigCells.
 func Cells() []experiments.RunCfg {
 	var cells []experiments.RunCfg
 	for si, name := range []string{"ECMP", "DRILL", "Random"} {
-		sc, _ := experiments.SchemeByName(name)
+		sc := experiments.MustScheme(name)
 		for seed := int64(1); seed <= 2; seed++ {
 			cells = append(cells, experiments.RunCfg{
 				Topo: confTopo, Scheme: sc,
@@ -34,19 +36,25 @@ func Cells() []experiments.RunCfg {
 			})
 		}
 	}
-	lossy, _ := experiments.SchemeByName("ECMP")
 	cells = append(cells, experiments.RunCfg{
-		Topo: confTopo, Scheme: lossy, Seed: 11, Load: 0.9, QueueCap: 8,
+		Topo: confTopo, Scheme: experiments.MustScheme("ECMP"), Seed: 11, Load: 0.9, QueueCap: 8,
 		Warmup:  100 * units.Microsecond,
 		Measure: 400 * units.Microsecond,
 	})
-	fail, _ := experiments.SchemeByName("DRILL")
 	cells = append(cells, experiments.RunCfg{
-		Topo: confTopo, Scheme: fail, Seed: 12, Load: 0.5,
+		Topo: confTopo, Scheme: experiments.MustScheme("DRILL"), Seed: 12, Load: 0.5,
 		Campaign: experiments.UplinkFailure(1, 200*units.Microsecond, false),
 		Warmup:   100 * units.Microsecond,
 		Measure:  400 * units.Microsecond,
 	})
+	for si, name := range []string{"RR", "WCMP", "Presto"} {
+		cells = append(cells, experiments.RunCfg{
+			Topo: confTopo, Scheme: experiments.MustScheme(name),
+			Seed: int64(21 + si), Load: 0.3,
+			Warmup:  100 * units.Microsecond,
+			Measure: 200 * units.Microsecond,
+		})
+	}
 	cells = append(cells, ReconfigCells()...)
 	return cells
 }
@@ -58,8 +66,6 @@ func Cells() []experiments.RunCfg {
 // cycles tighter than the RouteDelay so the coalesced-reconvergence path
 // is exercised too.
 func ReconfigCells() []experiments.RunCfg {
-	drill, _ := experiments.SchemeByName("DRILL")
-	ecmp, _ := experiments.SchemeByName("ECMP")
 	flap := &experiments.Campaign{
 		Name: "conf-flap",
 		Sets: []experiments.LinkSet{{ID: "flap", Uplinks: 2}},
@@ -70,14 +76,14 @@ func ReconfigCells() []experiments.RunCfg {
 	}
 	return []experiments.RunCfg{
 		{
-			Topo: confTopo, Scheme: drill, Seed: 13, Load: 0.5,
+			Topo: confTopo, Scheme: experiments.MustScheme("DRILL"), Seed: 13, Load: 0.5,
 			Campaign:   flap,
 			RouteDelay: 50 * units.Microsecond,
 			Warmup:     100 * units.Microsecond,
 			Measure:    400 * units.Microsecond,
 		},
 		{
-			Topo: confTopo, Scheme: ecmp, Seed: 14, Load: 0.8, QueueCap: 16,
+			Topo: confTopo, Scheme: experiments.MustScheme("ECMP"), Seed: 14, Load: 0.8, QueueCap: 16,
 			Campaign:   experiments.FlapStorm(2, 3),
 			RouteDelay: 80 * units.Microsecond,
 			Warmup:     100 * units.Microsecond,

@@ -196,7 +196,8 @@ func sumPoints(s *obs.Snapshot, name string) (sum float64, series int) {
 
 // TestInvarianceMatrix is the one invariance harness. Every cell of
 // Cells() — the scheme × seed sweep, a drop-heavy cell, a mid-run uplink
-// failure, and the fail → restore reconfiguration campaigns — runs its
+// failure, the RR, WCMP and Presto cells, and the fail → restore
+// reconfiguration campaigns — runs its
 // plain sequential reference once, and every setting that must not change
 // the output is held fingerprint-identical to it:
 //

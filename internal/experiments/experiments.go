@@ -129,8 +129,8 @@ func (o *Options) runAll(cfgs []RunCfg, done func(i int, res *RunResult)) []*Run
 		}
 	}
 	if o.Shards > 0 && o.TraceSink == nil {
-		// Shard-unsafe balancers (CONGA's global feedback, Presto's send
-		// hook, ...) keep the sequential engine; because both engines
+		// Shard-unsafe balancers (CONGA, per-flow and flowcell DRILL)
+		// keep the sequential engine; because both engines
 		// produce identical bytes, a sweep mixing engines per cell is
 		// still one coherent report. The fallback is announced — once per
 		// scheme — and the engine each cell actually ran on is recorded in

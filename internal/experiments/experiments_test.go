@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,7 +112,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestSchemeByName(t *testing.T) {
 	for _, name := range []string{"ECMP", "CONGA", "Presto", "DRILL", "DRILL w/o shim",
-		"Random", "RR", "WCMP", "per-flow DRILL", "Presto before shim"} {
+		"Random", "RR", "WCMP", "per-flow DRILL", "flowcell-DRILL", "Presto before shim"} {
 		if _, ok := SchemeByName(name); !ok {
 			t.Errorf("scheme %q missing", name)
 		}
@@ -125,6 +126,12 @@ func TestSchemeByName(t *testing.T) {
 	if sc, _ := SchemeByName("DRILL w/o shim"); sc.Shim != 0 {
 		t.Error("DRILL w/o shim must not carry the shim")
 	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "unknown scheme nope") {
+			t.Errorf("MustScheme(\"nope\") panicked with %v, want the unknown name", r)
+		}
+	}()
+	MustScheme("nope")
 }
 
 func TestRunMinimal(t *testing.T) {

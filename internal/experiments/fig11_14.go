@@ -21,8 +21,7 @@ func init() {
 			names := []string{"Random", "RR", "Presto before shim", "DRILL w/o shim", "DRILL", "ECMP", "CONGA"}
 			var cfgs []RunCfg
 			for si, name := range names {
-				sc, _ := SchemeByName(name)
-				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: sc,
+				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: MustScheme(name),
 					Seed: o.Seed + int64(si), Load: 0.8, Warmup: w, Measure: m})
 			}
 			results := o.runAll(cfgs, func(i int, res *RunResult) {
@@ -99,14 +98,12 @@ func init() {
 		Run: func(o Options) *Report {
 			o.defaults()
 			w, m := sweepTimes(o)
-			wcmp, _ := SchemeByName("WCMP")
-			conga, _ := SchemeByName("CONGA")
-			presto, _ := SchemeByName("Presto")
-			drillNoShim, _ := SchemeByName("DRILL w/o shim")
-			drill, _ := SchemeByName("DRILL")
-			sw := &fctSweep{topo: heteroTopo(o.Scale),
-				schemes: []Scheme{presto, wcmp, conga, drillNoShim, drill},
-				loads:   sweepLoads(o), warmup: w, measure: m}
+			var schemes []Scheme
+			for _, n := range []string{"Presto", "WCMP", "CONGA", "DRILL w/o shim", "DRILL"} {
+				schemes = append(schemes, MustScheme(n))
+			}
+			sw := &fctSweep{topo: heteroTopo(o.Scale), schemes: schemes,
+				loads: sweepLoads(o), warmup: w, measure: m}
 			cells := sw.run(o)
 			rep := &Report{ID: "fig13", Title: "Mean FCT [ms], heterogeneous fabric"}
 			sw.tabulate(rep, cells, meanFCT)

@@ -37,8 +37,7 @@ func fig2(id string, load float64) *Experiment {
 			o.defaults()
 			schemes := []Scheme{}
 			for _, n := range []string{"ECMP", "Random", "RR"} {
-				s, _ := SchemeByName(n)
-				schemes = append(schemes, s)
+				schemes = append(schemes, MustScheme(n))
 			}
 			schemes = append(schemes, drillScheme(2, 1), drillScheme(12, 1), drillScheme(2, 11))
 			engines := engineSweep(o)

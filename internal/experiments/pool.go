@@ -31,32 +31,28 @@ func Workers(n, jobs int) int {
 
 // ForEach invokes fn(i) for every i in [0, n) on Workers(w, n) goroutines.
 // Indices are handed out in submission order; w = 1 degenerates to a plain
-// sequential loop on the caller's goroutine. The first error stops the
+// sequential loop on the caller's goroutine. A panic in fn stops the
 // hand-out of further indices (in-flight calls still finish) and is
-// returned. A panic in fn is captured and re-raised on the caller's
-// goroutine once all workers have drained.
-func ForEach(n, w int, fn func(i int) error) error {
+// re-raised on the caller's goroutine once all workers have drained.
+func ForEach(n, w int, fn func(i int)) {
 	w = Workers(w, n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
+			fn(i)
 		}
-		return nil
+		return
 	}
 
 	var (
 		mu       sync.Mutex
 		next     int
-		firstErr error
 		panicked any
 		wg       sync.WaitGroup
 	)
 	take := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if firstErr != nil || panicked != nil || next >= n {
+		if panicked != nil || next >= n {
 			return 0, false
 		}
 		i := next
@@ -72,12 +68,8 @@ func ForEach(n, w int, fn func(i int) error) error {
 				if !ok {
 					return
 				}
-				err, pv := call(fn, i)
-				if err != nil || pv != nil {
+				if pv := call(fn, i); pv != nil {
 					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
 					if panicked == nil {
 						panicked = pv
 					}
@@ -91,52 +83,43 @@ func ForEach(n, w int, fn func(i int) error) error {
 	if panicked != nil {
 		panic(panicked)
 	}
-	return firstErr
 }
 
 // call runs fn(i), converting a panic into a returned value so the pool
 // can re-raise it on the caller's goroutine instead of crashing a worker.
-func call(fn func(int) error, i int) (err error, panicked any) {
+func call(fn func(int), i int) (panicked any) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = r
 		}
 	}()
-	return fn(i), nil
+	fn(i)
+	return nil
 }
 
 // Fan builds out[i] = fn(i) for every i in [0, n) on Workers(w, n)
 // goroutines and returns the slice in submission order. done, when
 // non-nil, observes each completed cell as it finishes (completion order)
 // serialized under the pool's mutex — progress callbacks and other shared
-// mutable state need no further locking. On error the partial slice is
-// returned along with the first error; cells that never ran hold zero
-// values.
-func Fan[T any](n, w int, fn func(i int) (T, error), done func(i int, v T)) ([]T, error) {
+// mutable state need no further locking.
+func Fan[T any](n, w int, fn func(i int) T, done func(i int, v T)) []T {
 	out := make([]T, n)
 	var mu sync.Mutex
-	err := ForEach(n, w, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
+	ForEach(n, w, func(i int) {
+		v := fn(i)
 		out[i] = v
 		if done != nil {
 			mu.Lock()
 			done(i, v)
 			mu.Unlock()
 		}
-		return nil
 	})
-	return out, err
+	return out
 }
 
 // RunAll executes every RunCfg on Workers(w, len(cfgs)) goroutines and
 // returns the results indexed exactly like cfgs. done, when non-nil, is
 // invoked once per completed run, serialized (see Fan).
 func RunAll(cfgs []RunCfg, w int, done func(i int, res *RunResult)) []*RunResult {
-	out, _ := Fan(len(cfgs), w, func(i int) (*RunResult, error) {
-		return Run(cfgs[i]), nil
-	}, done)
-	return out
+	return Fan(len(cfgs), w, func(i int) *RunResult { return Run(cfgs[i]) }, done)
 }

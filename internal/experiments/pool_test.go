@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"drill/internal/units"
 )
@@ -31,10 +28,7 @@ func TestWorkersResolve(t *testing.T) {
 
 func TestFanOrderedResults(t *testing.T) {
 	for _, w := range []int{1, 3, 8} {
-		out, err := Fan(50, w, func(i int) (int, error) { return i * i, nil }, nil)
-		if err != nil {
-			t.Fatalf("w=%d: unexpected error %v", w, err)
-		}
+		out := Fan(50, w, func(i int) int { return i * i }, nil)
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("w=%d: out[%d] = %d, want %d", w, i, v, i*i)
@@ -48,52 +42,13 @@ func TestFanDoneSerialized(t *testing.T) {
 	// the pool serializes them.
 	var seen []int
 	sum := 0
-	_, err := Fan(100, 8, func(i int) (int, error) { return i, nil },
+	Fan(100, 8, func(i int) int { return i },
 		func(i int, v int) {
 			seen = append(seen, i)
 			sum += v
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(seen) != 100 || sum != 99*100/2 {
 		t.Fatalf("done saw %d cells, sum %d", len(seen), sum)
-	}
-}
-
-func TestForEachErrorPropagation(t *testing.T) {
-	boom := errors.New("boom")
-	var calls atomic.Int64
-	err := ForEach(1000, 4, func(i int) error {
-		calls.Add(1)
-		if i == 3 {
-			return boom
-		}
-		// Slow the healthy cells down so the error is registered long
-		// before the grid could drain.
-		time.Sleep(100 * time.Microsecond)
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	// The error must stop the hand-out of further indices: only a small
-	// prefix of the 1000 cells may have started.
-	if n := calls.Load(); n >= 500 {
-		t.Fatalf("error did not stop dispatch: %d calls", n)
-	}
-	// Sequential path returns the first error immediately.
-	err = ForEach(10, 1, func(i int) error {
-		if i == 2 {
-			return fmt.Errorf("seq: %w", boom)
-		}
-		if i > 2 {
-			t.Fatalf("sequential ForEach continued past error (i=%d)", i)
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("sequential err = %v", err)
 	}
 }
 
@@ -105,11 +60,10 @@ func TestForEachPanicPropagation(t *testing.T) {
 					t.Errorf("w=%d: recovered %v, want kapow", w, r)
 				}
 			}()
-			_ = ForEach(10, w, func(i int) error {
+			ForEach(10, w, func(i int) {
 				if i == 5 {
 					panic("kapow")
 				}
-				return nil
 			})
 			t.Errorf("w=%d: ForEach returned instead of panicking", w)
 		}()

@@ -34,8 +34,7 @@ func init() {
 			o.defaults()
 			schemes := []Scheme{}
 			for _, n := range []string{"ECMP", "Random"} {
-				s, _ := SchemeByName(n)
-				schemes = append(schemes, s)
+				schemes = append(schemes, MustScheme(n))
 			}
 			schemes = append(schemes, drillScheme(2, 1))
 

@@ -20,7 +20,8 @@ func StdSchemes() []Scheme {
 }
 
 // SchemeByName returns a scheme from StdSchemes plus the extras used by
-// individual experiments (WCMP, Random, RR, per-flow DRILL, raw DRILL(d,m)).
+// individual experiments (Random, RR, WCMP, per-flow and flowcell DRILL,
+// Presto without its shim).
 func SchemeByName(name string) (Scheme, bool) {
 	for _, s := range StdSchemes() {
 		if s.Name == name {
@@ -35,12 +36,24 @@ func SchemeByName(name string) (Scheme, bool) {
 	return Scheme{}, false
 }
 
+// MustScheme is SchemeByName for the names the program itself spells: an
+// unknown one is a bug, so it panics naming it rather than hand back a
+// zero Scheme whose nil New would panic deep inside Run.
+func MustScheme(name string) Scheme {
+	s, ok := SchemeByName(name)
+	if !ok {
+		panic("experiments: unknown scheme " + name)
+	}
+	return s
+}
+
 func extraSchemes() []Scheme {
 	return []Scheme{
 		{Name: "Random", New: func() fabric.Balancer { return lb.Random{} }},
 		{Name: "RR", New: func() fabric.Balancer { return lb.RoundRobin{} }},
 		{Name: "WCMP", New: func() fabric.Balancer { return lb.WCMP{} }},
 		{Name: "per-flow DRILL", New: func() fabric.Balancer { return lb.NewPerFlowDRILL() }},
+		{Name: "flowcell-DRILL", New: func() fabric.Balancer { return lb.NewFlowcellDRILL() }},
 		{Name: "Presto before shim", New: func() fabric.Balancer { return lb.NewPresto() }},
 	}
 }

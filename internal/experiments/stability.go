@@ -34,7 +34,7 @@ func init() {
 				half, final int64
 				thr, lyap   float64
 			}
-			rows, _ := Fan(len(policies), o.Workers, func(i int) (stabCell, error) {
+			rows := Fan(len(policies), o.Workers, func(i int) stabCell {
 				cfg := policies[i]
 				s := queueing.New(m, n, cfg.d, cfg.q, arr, svc, o.Seed)
 				s.Run(slots / 2)
@@ -45,7 +45,7 @@ func init() {
 					final: int64(s.TotalQueue()),
 					thr:   float64(s.TotalServed) / float64(s.TotalArrived),
 					lyap:  s.Lyapunov(),
-				}, nil
+				}
 			}, func(i int, c stabCell) {
 				o.progress("stability %s done", policies[i].name)
 			})

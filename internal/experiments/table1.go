@@ -74,8 +74,7 @@ func init() {
 			var cfgs []RunCfg
 			for _, pattern := range patterns {
 				for si, name := range schemes {
-					sc, _ := SchemeByName(name)
-					cfgs = append(cfgs, table1Cfg(o, pattern, sc, o.Seed+int64(si)))
+					cfgs = append(cfgs, table1Cfg(o, pattern, MustScheme(name), o.Seed+int64(si)))
 				}
 			}
 			results := o.runAll(cfgs, func(i int, res *RunResult) {
@@ -160,7 +159,7 @@ func init() {
 			}{{"DRILL (OSPF delay)", false}, {"ideal-DRILL (instant)", true}}
 			var cfgs []RunCfg
 			for _, v := range variants {
-				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: mustScheme("DRILL"),
+				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: MustScheme("DRILL"),
 					Seed: o.Seed, Load: 0.7, Warmup: w, Measure: m,
 					Campaign: UplinkFailure(fails, failAt, v.instant)})
 			}
@@ -176,12 +175,4 @@ func init() {
 			return rep
 		},
 	})
-}
-
-func mustScheme(name string) Scheme {
-	s, ok := SchemeByName(name)
-	if !ok {
-		panic("experiments: unknown scheme " + name)
-	}
-	return s
 }

@@ -141,7 +141,7 @@ func (n *Network) ApplyEpoch(e *Epoch) {
 func (n *Network) setLink(id topo.LinkID, up bool) {
 	n.Topo.Links[id].Up = up
 	for dir := int32(0); dir < 2; dir++ {
-		p := n.Ports[n.chanPort[2*int32(id)+dir]]
+		p := n.Ports[2*int32(id)+dir]
 		if p.up == up {
 			continue
 		}

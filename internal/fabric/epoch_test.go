@@ -56,7 +56,7 @@ func TestRestoreLinkRecovers(t *testing.T) {
 
 	n.FailLink(l, true)
 	for dir := int32(0); dir < 2; dir++ {
-		if p := n.PortOfChan(topo.ChanID(2*int32(l) + dir)); p.Up() {
+		if p := n.Ports[2*int32(l)+dir]; p.Up() {
 			t.Fatalf("direction %d still up after FailLink", dir)
 		}
 	}
@@ -69,7 +69,7 @@ func TestRestoreLinkRecovers(t *testing.T) {
 
 	n.RestoreLink(l, true)
 	for dir := int32(0); dir < 2; dir++ {
-		if p := n.PortOfChan(topo.ChanID(2*int32(l) + dir)); !p.Up() {
+		if p := n.Ports[2*int32(l)+dir]; !p.Up() {
 			t.Fatalf("direction %d still down after RestoreLink", dir)
 		}
 	}
@@ -189,7 +189,7 @@ func TestApplyEpochAtSwapsAtomically(t *testing.T) {
 		t.Fatalf("BuildEpoch mutated the live network (seq %d)", n.EpochSeq())
 	}
 	n.FailLink(l, true)
-	if p := n.PortOfChan(topo.ChanID(2 * int32(l))); p.Up() {
+	if p := n.Ports[2*int32(l)]; p.Up() {
 		t.Fatal("link still up after FailLink")
 	}
 	s.AtGlobal(25*units.Microsecond, func() { n.ApplyEpoch(healthy) })
@@ -197,7 +197,7 @@ func TestApplyEpochAtSwapsAtomically(t *testing.T) {
 	if n.Epoch() != healthy {
 		t.Fatal("scheduled epoch was not applied")
 	}
-	if p := n.PortOfChan(topo.ChanID(2 * int32(l))); !p.Up() {
+	if p := n.Ports[2*int32(l)]; !p.Up() {
 		t.Fatal("applying the healthy epoch did not revive the link")
 	}
 	if !n.Topo.Links[l].Up {

@@ -277,7 +277,7 @@ func TestSourceRoutesFollowedHopByHop(t *testing.T) {
 			port := func(h hop) *Port {
 				for _, c := range tp.OutAll(node[h[0]]) {
 					if tp.Chan(c).To == node[h[1]] {
-						return n.PortOfChan(c)
+						return n.Ports[c]
 					}
 				}
 				t.Fatalf("no channel %s→%s", h[0], h[1])
@@ -384,6 +384,66 @@ func TestHopClassification(t *testing.T) {
 		metrics.Down2, metrics.Hop2, metrics.Hop3} {
 		if classes[c] == 0 {
 			t.Errorf("no ports classified %v", c)
+		}
+	}
+}
+
+// TestPortIndexIsChannel holds the layout every port lookup relies on:
+// the fabric builds one port per directed channel in channel order, so
+// Ports is indexed by ChanID on both engines — including parallel links
+// and three-tier fabrics.
+func TestPortIndexIsChannel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tp   func() *topo.Topology
+	}{
+		{"leaf-spine", func() *topo.Topology {
+			return topo.LeafSpine(topo.LeafSpineConfig{Spines: 3, Leaves: 4, HostsPerLeaf: 2})
+		}},
+		{"fat-tree", func() *topo.Topology { return topo.FatTree(topo.FatTreeConfig{K: 4}) }},
+		{"vl2", func() *topo.Topology {
+			return topo.VL2(topo.VL2Config{ToRs: 4, Aggs: 4, Ints: 2, HostsPerToR: 2})
+		}},
+		{"heterogeneous", func() *topo.Topology {
+			return topo.Heterogeneous(topo.HeterogeneousConfig{Spines: 4, Leaves: 4, HostsPerLeaf: 2, ExtraLinks: 2})
+		}},
+	} {
+		for _, shards := range []int{0, 2} {
+			tp := tc.tp()
+			cfg := Config{Balancer: randomLB{}}
+			var n *Network
+			if shards == 0 {
+				n = New(sim.New(1), tp, cfg)
+			} else {
+				assign, nsh := tp.Partition(shards)
+				sims := make([]*sim.Sim, nsh)
+				for i := range sims {
+					sims[i] = sim.New(1)
+				}
+				n = NewSharded(sim.New(1), sims, assign, tp, cfg)
+			}
+			if len(n.Ports) != 2*len(tp.Links) {
+				t.Fatalf("%s shards=%d: %d ports for %d channels", tc.name, shards, len(n.Ports), 2*len(tp.Links))
+			}
+			for i, p := range n.Ports {
+				if c := tp.Chan(topo.ChanID(i)); p.Index != int32(i) || p.Chan != c.ID || p.From != c.From || p.To != c.To {
+					t.Fatalf("%s shards=%d: Ports[%d] is port %d on channel %d (%d→%d), want channel %d (%d→%d)",
+						tc.name, shards, i, p.Index, p.Chan, p.From, p.To, c.ID, c.From, c.To)
+				}
+			}
+			for _, sw := range n.SwitchList() {
+				for k, c := range tp.OutAll(sw.Node) {
+					if sw.OutPorts[k] != int32(c) {
+						t.Fatalf("%s shards=%d: switch %d output %d is port %d, want channel %d",
+							tc.name, shards, sw.Node, k, sw.OutPorts[k], c)
+					}
+				}
+			}
+			for _, h := range tp.Hosts {
+				if nic := n.Host(h).NIC; nic != n.Ports[tp.OutAll(h)[0]] {
+					t.Fatalf("%s shards=%d: host %d NIC is port %d, want channel %d", tc.name, shards, h, nic.Index, tp.OutAll(h)[0])
+				}
+			}
 		}
 	}
 }

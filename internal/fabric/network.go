@@ -106,8 +106,7 @@ type Network struct {
 	Routes *topo.Routes
 	Cfg    Config
 
-	Ports    []*Port   // indexed by Port.Index; one per directed channel
-	chanPort []int32   // channel ID → port index
+	Ports    []*Port   // one per directed channel, indexed by ChanID (= Port.Index)
 	Switches []*Switch // indexed by NodeID; nil for hosts
 
 	// Dense per-node/per-channel lookup tables: the arrive/forward path
@@ -202,11 +201,10 @@ func (n *Network) build() {
 	n.arriveObs, _ = cfg.Balancer.(ArriveObserver)
 	n.sendHook, _ = cfg.Balancer.(SendHook)
 
-	// One port per directed channel.
-	n.chanPort = make([]int32, 2*len(t.Links))
+	// One port per directed channel, built in channel order (2*link+dir),
+	// so a port's index is its channel ID.
 	n.inIdx = make([]int32, 2*len(t.Links))
-	for i := range n.chanPort {
-		n.chanPort[i] = -1
+	for i := range n.inIdx {
 		n.inIdx[i] = -1
 	}
 	n.hostByNode = make([]*Host, len(t.Nodes))
@@ -219,7 +217,7 @@ func (n *Network) build() {
 		for dir := 0; dir < 2; dir++ {
 			c := t.Chan(topo.ChanID(2*int32(l.ID) + int32(dir)))
 			p := &Port{
-				Index: int32(len(n.Ports)),
+				Index: int32(c.ID),
 				Chan:  c.ID, From: c.From, To: c.To,
 				Rate: c.Rate, Prop: c.Prop,
 				Hop: classifyHop(t, c),
@@ -233,7 +231,6 @@ func (n *Network) build() {
 			p.dom = n.domByNode[c.From]
 			p.dstDom = n.domByNode[c.To]
 			p.boundary = p.dom != p.dstDom
-			n.chanPort[c.ID] = p.Index
 			n.Ports = append(n.Ports, p)
 			// The port's reusable event callbacks: the only closures the
 			// data plane ever allocates, one pair per port for the
@@ -259,7 +256,7 @@ func (n *Network) build() {
 			dropHop: dropHopClass(nd.Kind),
 		}
 		for i, cid := range t.OutAll(nd.ID) {
-			pi := n.chanPort[cid]
+			pi := int32(cid)
 			sw.OutPorts = append(sw.OutPorts, pi)
 			c := t.Chan(cid)
 			if t.Nodes[c.To].Kind == topo.Host {
@@ -281,7 +278,7 @@ func (n *Network) build() {
 	for _, h := range t.Hosts {
 		var nic *Port
 		for _, cid := range t.OutAll(h) {
-			nic = n.Ports[n.chanPort[cid]]
+			nic = n.Ports[cid]
 		}
 		if nic == nil {
 			panic(fmt.Sprintf("fabric: host %d has no NIC link", h))
@@ -294,9 +291,6 @@ func (n *Network) build() {
 
 // Host returns the host entity for node id.
 func (n *Network) Host(id topo.NodeID) *Host { return n.hostByNode[id] }
-
-// PortOfChan returns the port carrying directed channel c.
-func (n *Network) PortOfChan(c topo.ChanID) *Port { return n.Ports[n.chanPort[c]] }
 
 // Balancer returns the active load-balancing policy.
 func (n *Network) Balancer() Balancer { return n.balancer }
@@ -385,7 +379,7 @@ func (n *Network) BuildDefaultTables() {
 		}
 		ports := make([]int32, len(hops))
 		for i, c := range hops {
-			ports[i] = n.chanPort[c]
+			ports[i] = int32(c)
 		}
 		return []Group{{Ports: ports, Weight: 1}}
 	})
@@ -621,7 +615,7 @@ func (n *Network) arrive(pkt *Packet, at topo.NodeID, in topo.ChanID) {
 	if h := n.hostByNode[at]; h != nil {
 		*d.delivered++
 		if n.tracer != nil {
-			n.tracer.Packet(trace.Deliver, d.sim.Now(), n.chanPort[in], uint8(n.Ports[n.chanPort[in]].Hop),
+			n.tracer.Packet(trace.Deliver, d.sim.Now(), int32(in), uint8(n.Ports[in].Hop),
 				pkt.FlowID, pkt.Seq, int32(pkt.Size), 0)
 		}
 		if h.Handler != nil {
@@ -634,7 +628,7 @@ func (n *Network) arrive(pkt *Packet, at topo.NodeID, in topo.ChanID) {
 	}
 	sw := n.Switches[at]
 	if n.tracer != nil {
-		n.tracer.Packet(trace.Arrive, d.sim.Now(), n.chanPort[in], uint8(n.Ports[n.chanPort[in]].Hop),
+		n.tracer.Packet(trace.Arrive, d.sim.Now(), int32(in), uint8(n.Ports[in].Hop),
 			pkt.FlowID, pkt.Seq, int32(pkt.Size), 0)
 	}
 	pkt.Hops++
@@ -679,7 +673,7 @@ func (n *Network) forward(sw *Switch, eng *Engine, pkt *Packet) {
 	if pkt.Path != nil && int(pkt.PathIdx) < len(pkt.Path) {
 		// The next channel must leave this switch; otherwise the route no
 		// longer matches where the packet is, and the tables take over.
-		if p := n.Ports[n.chanPort[pkt.Path[pkt.PathIdx]]]; p.From == sw.Node {
+		if p := n.Ports[pkt.Path[pkt.PathIdx]]; p.From == sw.Node {
 			pkt.PathIdx++
 			if p.up {
 				n.enqueue(p, pkt)

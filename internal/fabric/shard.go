@@ -43,9 +43,9 @@ type wireMsg struct {
 
 // ShardUnsafe marks balancers that cannot run under the sharded engine:
 // anything whose decisions read state outside the deciding switch's shard
-// (CONGA's leaf-to-leaf feedback, Presto's host source-routing hook,
-// per-flow DRILL's global flow table). NewSharded
-// refuses them; the sequential engine runs them unchanged.
+// (CONGA's leaf-to-leaf feedback, the pin table per-flow and flowcell
+// DRILL share across switches). NewSharded refuses them; the sequential
+// engine runs them unchanged.
 type ShardUnsafe interface{ ShardUnsafe() }
 
 // NewSharded assembles a network partitioned into one domain per entry of

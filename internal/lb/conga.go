@@ -20,11 +20,6 @@ import (
 // 3-stage fabrics only source leaves apply CONGA while interior switches
 // use ECMP (matching the paper's footnote 5 for its VL2 experiment).
 type CONGA struct {
-	FlowletGap    units.Time // idle gap that opens a new flowlet (500µs)
-	DREInterval   units.Time // DRE decay period
-	DREAlpha      float64    // DRE decay factor
-	FeedbackDelay units.Time // leaf-to-leaf metric propagation delay
-
 	net    *fabric.Network
 	dre    []float64 // per-port DRE accumulator
 	quant  []uint8   // per-port quantized congestion (0..7)
@@ -43,15 +38,16 @@ type flowlet struct {
 	last units.Time
 }
 
+// CONGA's paper-standard constants.
+const (
+	congaFlowletGap    = 500 * units.Microsecond // idle gap that opens a new flowlet
+	congaDREInterval   = 50 * units.Microsecond  // DRE decay period
+	congaDREAlpha      = 0.5                     // DRE decay factor
+	congaFeedbackDelay = 10 * units.Microsecond  // leaf-to-leaf metric propagation delay
+)
+
 // NewCONGA returns CONGA with the paper-standard constants.
-func NewCONGA() *CONGA {
-	return &CONGA{
-		FlowletGap:    500 * units.Microsecond,
-		DREInterval:   50 * units.Microsecond,
-		DREAlpha:      0.5,
-		FeedbackDelay: 10 * units.Microsecond,
-	}
-}
+func NewCONGA() *CONGA { return &CONGA{} }
 
 // Name implements fabric.Balancer.
 func (c *CONGA) Name() string { return "CONGA" }
@@ -68,7 +64,7 @@ func (c *CONGA) BuildTables(net *fabric.Network) {
 	if c.dre == nil {
 		c.dre = make([]float64, len(net.Ports))
 		c.quant = make([]uint8, len(net.Ports))
-		sim.NewTicker(net.Sim, c.DREInterval, func(units.Time) { c.decay() })
+		sim.NewTicker(net.Sim, congaDREInterval, func(units.Time) { c.decay() })
 	}
 	c.leaves = map[topo.NodeID]*congaLeaf{}
 	for _, leaf := range net.Topo.Leaves {
@@ -91,7 +87,7 @@ func (c *CONGA) BuildTables(net *fabric.Network) {
 // decay applies the DRE discount and refreshes the quantized metrics.
 func (c *CONGA) decay() {
 	for i := range c.dre {
-		c.dre[i] *= 1 - c.DREAlpha
+		c.dre[i] *= 1 - congaDREAlpha
 		c.quant[i] = c.quantize(int32(i))
 	}
 }
@@ -100,7 +96,7 @@ func (c *CONGA) decay() {
 // product (τ = interval/α, the estimator's time constant).
 func (c *CONGA) quantize(port int32) uint8 {
 	p := c.net.Ports[port]
-	tau := float64(c.DREInterval) / c.DREAlpha
+	tau := float64(congaDREInterval) / congaDREAlpha
 	capacityBytes := float64(p.Rate) / 8 * tau / float64(units.Second)
 	if capacityBytes <= 0 {
 		return 0
@@ -140,7 +136,7 @@ func (c *CONGA) OnArrive(net *fabric.Network, sw *fabric.Switch, pkt *fabric.Pac
 	dstIdx := pkt.DstLeafIdx
 	tag := pkt.LBTag
 	ce := pkt.CE
-	net.Sim.After(c.FeedbackDelay, func() {
+	net.Sim.After(congaFeedbackDelay, func() {
 		if int(tag) < len(src.congToLeaf[dstIdx]) {
 			src.congToLeaf[dstIdx][tag] = ce
 		}
@@ -158,7 +154,7 @@ func (c *CONGA) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engin
 	cl := c.leaves[sw.Node]
 	now := net.Sim.Now()
 	fl := cl.flowlets[pkt.FlowID]
-	if fl != nil && now-fl.last < c.FlowletGap && net.Ports[fl.port].Up() {
+	if fl != nil && now-fl.last < congaFlowletGap && net.Ports[fl.port].Up() {
 		fl.last = now
 		pkt.LBTag = fl.tag
 		return fl.port

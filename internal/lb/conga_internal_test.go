@@ -18,7 +18,7 @@ func TestCONGADREDecayAndQuantization(t *testing.T) {
 	port := n.LeafUplinks(tp.Leaves[0])[0]
 
 	// Saturate: feed the DRE at line rate for several decay periods.
-	tau := float64(c.DREInterval) / c.DREAlpha
+	tau := float64(congaDREInterval) / congaDREAlpha
 	lineBytes := float64(port.Rate) / 8 * tau / float64(units.Second)
 	c.dre[port.Index] = lineBytes // exactly the rate-time constant product
 	c.decay()
@@ -87,7 +87,7 @@ func TestCONGANewFlowletAfterGap(t *testing.T) {
 		t.Fatal("flowlet moved within gap")
 	}
 	// After the gap: must avoid the congested uplink.
-	s.RunUntil(s.Now() + 2*c.FlowletGap)
+	s.RunUntil(s.Now() + 2*congaFlowletGap)
 	if got := c.Choose(n, sw, eng, mk()); got == first {
 		t.Fatal("CONGA ignored remote congestion after flowlet gap")
 	}

@@ -35,7 +35,7 @@ func (d *DRILLAsym) BuildTables(net *fabric.Network) {
 		for _, c := range comps {
 			ports := make([]int32, 0, len(c.FirstHops))
 			for _, cid := range c.FirstHops {
-				ports = append(ports, net.PortOfChan(cid).Index)
+				ports = append(ports, int32(cid))
 			}
 			groups = append(groups, fabric.Group{Ports: ports, Weight: c.Weight})
 		}

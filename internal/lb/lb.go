@@ -1,8 +1,8 @@
 // Package lb implements the load-balancing policies the DRILL paper
 // compares: ECMP, per-packet Random, per-packet Round-Robin, WCMP, Presto,
-// CONGA, the per-flow DRILL strawman, and DRILL itself (via internal/core's
-// selector, with the Quiver-based symmetric decomposition for asymmetric
-// fabrics). All policies implement fabric.Balancer.
+// CONGA, DRILL pinned per flow or per flowcell, and DRILL itself (via
+// internal/core's selector, with the Quiver-based symmetric decomposition
+// for asymmetric fabrics). All policies implement fabric.Balancer.
 package lb
 
 import (
@@ -84,50 +84,59 @@ func (d *DRILL) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engin
 	return g.Ports[i]
 }
 
-// pinKey identifies a flow's pin at one switch.
+// pinKey identifies a pin at one switch: a flow, and for flowcell pins
+// the flowcell's index within it (0 for whole flows).
 type pinKey struct {
 	sw   int32
 	flow uint64
+	cell int64
 }
 
-// PerFlowDRILL is the strawman of §4: a load-aware decision for the first
-// packet of each flow, after which the flow is pinned — flow granularity
-// with load awareness. Pins live in the switch's (shared) flow table, not
-// per engine.
-type PerFlowDRILL struct {
-	D, M int
-	pins map[pinKey]int32
+// PinnedDRILL makes a DRILL(2,1) decision for the first packet of each
+// flow or flowcell and pins the rest of it to that port while the port is
+// up — coarse granularity with load awareness. Per flow it is the
+// strawman of §4; per flowcell (PrestoCellSize) it is the ablation hybrid
+// of §3.1's factor split, Presto's granularity with DRILL's load signal.
+// Pins live in one table across every switch, not per engine.
+type PinnedDRILL struct {
+	drill     DRILL
+	flowcells bool
+	pins      map[pinKey]int32
 }
 
-// NewPerFlowDRILL returns the per-flow strawman with DRILL(2,1) sampling.
-func NewPerFlowDRILL() *PerFlowDRILL {
-	return &PerFlowDRILL{D: 2, M: 1, pins: map[pinKey]int32{}}
+// NewPerFlowDRILL returns the per-flow strawman.
+func NewPerFlowDRILL() *PinnedDRILL {
+	return &PinnedDRILL{drill: *NewDRILL(), pins: map[pinKey]int32{}}
+}
+
+// NewFlowcellDRILL returns flowcell-DRILL, which pins each flowcell.
+func NewFlowcellDRILL() *PinnedDRILL {
+	return &PinnedDRILL{drill: *NewDRILL(), flowcells: true, pins: map[pinKey]int32{}}
 }
 
 // Name implements fabric.Balancer.
-func (p *PerFlowDRILL) Name() string { return "per-flow DRILL" }
-
-// ShardUnsafe marks per-flow DRILL as sequential-only: its per-flow port
-// memory is shared across every switch rather than per-shard.
-func (p *PerFlowDRILL) ShardUnsafe() {}
-
-// Choose implements fabric.Balancer.
-func (p *PerFlowDRILL) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, pkt *fabric.Packet) int32 {
-	key := pinKey{sw: int32(sw.Node), flow: pkt.FlowID}
-	if port, ok := p.pins[key]; ok {
-		if net.Ports[port].Up() {
-			return port
-		}
-		delete(p.pins, key) // repin after a failure
+func (p *PinnedDRILL) Name() string {
+	if p.flowcells {
+		return "flowcell-DRILL"
 	}
-	g := fabric.GroupForFlow(sw.Groups(pkt.DstLeafIdx), pkt.Hash)
-	sel := eng.State(g.ID, func() any {
-		return core.NewSelector(p.D, p.M, eng.Rng)
-	}).(*core.Selector)
-	i := sel.Pick(len(g.Ports), func(q int) int64 {
-		return net.Ports[g.Ports[q]].VisibleBytes()
-	})
-	port := g.Ports[i]
+	return "per-flow DRILL"
+}
+
+// ShardUnsafe marks pinned DRILL as sequential-only: its pin table is
+// shared across every switch rather than per shard.
+func (p *PinnedDRILL) ShardUnsafe() {}
+
+// Choose implements fabric.Balancer: the pinned port while it is up,
+// otherwise a fresh DRILL pick, pinned in its place.
+func (p *PinnedDRILL) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, pkt *fabric.Packet) int32 {
+	key := pinKey{sw: int32(sw.Node), flow: pkt.FlowID}
+	if p.flowcells {
+		key.cell = pkt.Seq / int64(PrestoCellSize)
+	}
+	if port, ok := p.pins[key]; ok && net.Ports[port].Up() {
+		return port
+	}
+	port := p.drill.Choose(net, sw, eng, pkt)
 	p.pins[key] = port
 	return port
 }
@@ -140,7 +149,7 @@ var (
 	_ fabric.Balancer       = (*DRILL)(nil)
 	_ fabric.Balancer       = (*DRILLAsym)(nil)
 	_ fabric.TableBuilder   = (*DRILLAsym)(nil)
-	_ fabric.Balancer       = (*PerFlowDRILL)(nil)
+	_ fabric.Balancer       = (*PinnedDRILL)(nil)
 	_ fabric.Balancer       = WCMP{}
 	_ fabric.TableBuilder   = WCMP{}
 	_ fabric.Balancer       = (*Presto)(nil)

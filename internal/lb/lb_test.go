@@ -13,7 +13,7 @@ import (
 func allBalancers() []fabric.Balancer {
 	return []fabric.Balancer{
 		ECMP{}, Random{}, RoundRobin{}, NewDRILL(), NewPerFlowDRILL(),
-		NewDRILLAsym(), WCMP{}, NewPresto(), NewCONGA(),
+		NewFlowcellDRILL(), NewDRILLAsym(), WCMP{}, NewPresto(), NewCONGA(),
 	}
 }
 
@@ -265,7 +265,7 @@ func TestCONGAFlowletStickinessAndGap(t *testing.T) {
 		}
 	}
 	// After the gap a heavily congested port must be avoided.
-	s.RunUntil(s.Now() + 2*c.FlowletGap)
+	s.RunUntil(s.Now() + 2*congaFlowletGap)
 	for i := 0; i < 400; i++ { // saturate DRE on `first`
 		c.dre[first] += 1 << 14
 	}
@@ -289,7 +289,7 @@ func TestCONGAFeedbackUpdatesRemoteTable(t *testing.T) {
 	if cl.congToLeaf[pkt.DstLeafIdx][1] != 0 {
 		t.Fatal("feedback applied with no delay")
 	}
-	s.RunUntil(c.FeedbackDelay + 1)
+	s.RunUntil(congaFeedbackDelay + 1)
 	if cl.congToLeaf[pkt.DstLeafIdx][1] != 6 {
 		t.Fatalf("feedback not applied: %d", cl.congToLeaf[pkt.DstLeafIdx][1])
 	}
@@ -328,5 +328,40 @@ func TestPerFlowDRILLPins(t *testing.T) {
 		if got := p.Choose(n, sw, eng, pkt); got != first {
 			t.Fatal("per-flow DRILL moved a pinned flow")
 		}
+	}
+	// The pin holds across flowcells, even once its port is the busiest.
+	n.Ports[first].VisBytes = 1 << 20
+	pkt.Seq = 3 * int64(PrestoCellSize)
+	if got := p.Choose(n, sw, eng, pkt); got != first {
+		t.Fatalf("per-flow DRILL moved a flow between flowcells: %d → %d", first, got)
+	}
+}
+
+func TestFlowcellDRILLPins(t *testing.T) {
+	tp := smallClos()
+	s := sim.New(1)
+	p := NewFlowcellDRILL()
+	n := fabric.New(s, tp, fabric.Config{Balancer: p})
+	sw := n.Switches[tp.Leaves[0]]
+	eng := sw.Engines()[0]
+	pkt := &fabric.Packet{FlowID: 77, Hash: 3, DstLeafIdx: 1}
+	first := p.Choose(n, sw, eng, pkt)
+	// The rest of the flowcell keeps its port, even once it is the busiest.
+	n.Ports[first].VisBytes = 1 << 20
+	pkt.Seq = int64(PrestoCellSize) - 1460
+	if got := p.Choose(n, sw, eng, pkt); got != first {
+		t.Fatalf("flowcell-DRILL moved a packet within its flowcell: %d → %d", first, got)
+	}
+	// The next flowcell's first packet is a fresh DRILL(2,1) pick: two
+	// distinct samples of three ports always include an idle one.
+	pkt.Seq = int64(PrestoCellSize)
+	next := p.Choose(n, sw, eng, pkt)
+	if next == first {
+		t.Fatal("flowcell-DRILL kept the busiest port for a new flowcell")
+	}
+	// A pin whose port went down is picked again, among the ports still up.
+	n.FailLink(topo.LinkID(n.Ports[next].Chan/2), true)
+	if got := p.Choose(n, sw, eng, pkt); got == next || !n.Ports[got].Up() {
+		t.Fatalf("flowcell-DRILL kept its pin on down port %d (picked %d)", next, got)
 	}
 }

@@ -32,10 +32,6 @@ func NewPresto() *Presto { return &Presto{} }
 // Name implements fabric.Balancer.
 func (p *Presto) Name() string { return "Presto" }
 
-// ShardUnsafe marks Presto as sequential-only: its host send hook assigns
-// source routes from spanning-tree state shared across the fabric.
-func (p *Presto) ShardUnsafe() {}
-
 // BuildTables implements fabric.TableBuilder: default (ECMP) tables for
 // non-source-routed traffic plus the per-leaf-pair weighted path lists.
 func (p *Presto) BuildTables(net *fabric.Network) {
@@ -54,28 +50,14 @@ func (p *Presto) BuildTables(net *fabric.Network) {
 			}
 			// Weight = bottleneck capacity, normalized; expand multiplicity.
 			caps := make([]units.Rate, len(raw))
-			var g int64
+			var g units.Rate
 			for i, path := range raw {
-				var b units.Rate
-				for _, cid := range path {
-					r := net.Topo.Chan(cid).Rate
-					if b == 0 || r < b {
-						b = r
-					}
-				}
-				caps[i] = b
-				g = gcd64(g, int64(b))
-			}
-			if g == 0 {
-				g = 1
+				caps[i] = net.Topo.Bottleneck(path)
+				g = topo.GCD(g, caps[i])
 			}
 			var list [][]topo.ChanID
 			for i, path := range raw {
-				w := int(int64(caps[i]) / g)
-				if w == 0 {
-					w = 1
-				}
-				for k := 0; k < w; k++ {
+				for k := topo.Weight(caps[i], g); k > 0; k-- {
 					list = append(list, path)
 				}
 			}
@@ -119,6 +101,5 @@ func (p *Presto) OnSend(net *fabric.Network, host *fabric.Host, pkt *fabric.Pack
 // Choose implements fabric.Balancer: only reached by ACKs and packets whose
 // source route was pruned by a failure — ECMP semantics.
 func (p *Presto) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, pkt *fabric.Packet) int32 {
-	g := fabric.GroupForFlow(sw.Groups(pkt.DstLeafIdx), pkt.Hash)
-	return g.Ports[pkt.Hash%uint32(len(g.Ports))]
+	return ECMP{}.Choose(net, sw, eng, pkt)
 }

@@ -1,8 +1,6 @@
 package lb
 
 import (
-	"slices"
-
 	"drill/internal/fabric"
 	"drill/internal/topo"
 	"drill/internal/units"
@@ -26,61 +24,26 @@ func (WCMP) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, p
 }
 
 // BuildTables implements fabric.TableBuilder: one single-port group per
-// next hop, weighted by downstream path capacity.
+// next hop, in ascending port order, weighted by the summed bottleneck
+// capacity of the shortest paths through it.
 func (WCMP) BuildTables(net *fabric.Network) {
 	net.InstallGroups(func(sw *fabric.Switch, leaf topo.NodeID) []fabric.Group {
-		weights := portWeights(net, sw.Node, leaf)
-		ports := make([]int32, 0, len(weights))
-		//drill:allow nondeterminism key collection is order-independent; sorted below
-		for p := range weights {
-			ports = append(ports, p)
+		hops := net.Routes.NextHops(sw.Node, leaf)
+		// NextHops lists channels (= ports) in ascending order, and Paths
+		// groups paths by first hop in that order.
+		paths := net.Routes.Paths(sw.Node, leaf)
+		caps := make([]units.Rate, len(hops))
+		var g units.Rate
+		for k, c := range hops {
+			for ; len(paths) > 0 && paths[0][0] == c; paths = paths[1:] {
+				caps[k] += net.Topo.Bottleneck(paths[0])
+			}
+			g = topo.GCD(g, caps[k])
 		}
-		slices.Sort(ports)
-		groups := make([]fabric.Group, 0, len(ports))
-		for _, p := range ports {
-			groups = append(groups, fabric.Group{Ports: []int32{p}, Weight: weights[p]})
+		groups := make([]fabric.Group, len(hops))
+		for k, c := range hops {
+			groups[k] = fabric.Group{Ports: []int32{int32(c)}, Weight: topo.Weight(caps[k], g)}
 		}
 		return groups
 	})
-}
-
-// portWeights sums bottleneck capacities of shortest paths per first-hop
-// port and normalizes them to small integers.
-func portWeights(net *fabric.Network, src, dst topo.NodeID) map[int32]uint32 {
-	caps := map[int32]units.Rate{}
-	for _, path := range net.Routes.Paths(src, dst) {
-		var bottleneck units.Rate
-		for _, cid := range path {
-			r := net.Topo.Chan(cid).Rate
-			if bottleneck == 0 || r < bottleneck {
-				bottleneck = r
-			}
-		}
-		caps[net.PortOfChan(path[0]).Index] += bottleneck
-	}
-	var g int64
-	//drill:allow nondeterminism gcd is commutative and associative
-	for _, c := range caps {
-		g = gcd64(g, int64(c))
-	}
-	if g == 0 {
-		g = 1
-	}
-	out := make(map[int32]uint32, len(caps))
-	//drill:allow nondeterminism per-key map rebuild is order-independent
-	for p, c := range caps {
-		w := uint32(int64(c) / g)
-		if w == 0 {
-			w = 1
-		}
-		out[p] = w
-	}
-	return out
-}
-
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -145,7 +145,7 @@ func checkDecomposition(t *testing.T, q *Quiver, tp *topo.Topology,
 		firstHops := map[topo.ChanID]bool{}
 		for _, p := range c.Paths {
 			got[pathKey(p)]++
-			ccap += pathCapacity(tp, p)
+			ccap += tp.Bottleneck(p)
 			firstHops[p[0]] = true
 			if !q.Symmetric(c.Paths[0], p) {
 				t.Fatalf("%d→%d: component %d holds asymmetric paths %v and %v",
@@ -191,24 +191,24 @@ func checkDecomposition(t *testing.T, q *Quiver, tp *topo.Topology,
 
 	// Weights: capacity divided by the gcd of all component capacities
 	// (floored at 1), hence coprime whenever no flooring occurred.
-	var g int64
+	var g units.Rate
 	for _, c := range comps {
-		g = gcd(g, int64(c.Capacity))
+		g = topo.GCD(g, c.Capacity)
 	}
 	if g == 0 {
 		g = 1
 	}
-	var wg int64
+	var wg units.Rate
 	for ci, c := range comps {
-		want := int64(c.Capacity) / g
+		want := c.Capacity / g
 		if want == 0 {
 			want = 1
 		}
-		if int64(c.Weight) != want {
+		if units.Rate(c.Weight) != want {
 			t.Fatalf("%d→%d: component %d weight %d, want %v/%d = %d",
 				src, dst, ci, c.Weight, c.Capacity, g, want)
 		}
-		wg = gcd(wg, int64(c.Weight))
+		wg = topo.GCD(wg, units.Rate(c.Weight))
 	}
 	if wg != 1 {
 		t.Fatalf("%d→%d: component weights share common factor %d", src, dst, wg)

@@ -28,18 +28,10 @@ type CapFactor struct {
 // Infinity is the capacity factor at the path's source vertex.
 var Infinity = CapFactor{1, 0}
 
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // NewCapFactor reduces in/out to lowest terms.
 func NewCapFactor(in, out units.Rate) CapFactor {
-	n, d := int64(in), int64(out)
-	g := gcd(n, d)
-	return CapFactor{n / g, d / g}
+	g := topo.GCD(in, out)
+	return CapFactor{int64(in / g), int64(out / g)}
 }
 
 func (c CapFactor) String() string {
@@ -242,7 +234,7 @@ func (q *Quiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
 			}
 			p := buf[i*hops : (i+1)*hops : (i+1)*hops]
 			paths = append(paths, p)
-			comps[c].Capacity += pathCapacity(t, p)
+			comps[c].Capacity += t.Bottleneck(p)
 			if !slices.Contains(firstHops[f0:], p[0]) {
 				firstHops = append(firstHops, p[0])
 			}
@@ -255,31 +247,14 @@ func (q *Quiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
 	return comps
 }
 
-func pathCapacity(t *topo.Topology, p []topo.ChanID) units.Rate {
-	var capR units.Rate
-	for _, cid := range p {
-		r := t.Chan(cid).Rate
-		if capR == 0 || r < capR {
-			capR = r
-		}
-	}
-	return capR
-}
-
 // assignWeights scales component capacities down to small integers with
 // gcd 1, as a hardware WCMP-style table would store them.
 func assignWeights(comps []Component) {
-	var g int64
+	var g units.Rate
 	for i := range comps {
-		g = gcd(g, int64(comps[i].Capacity))
-	}
-	if g == 0 {
-		g = 1
+		g = topo.GCD(g, comps[i].Capacity)
 	}
 	for i := range comps {
-		comps[i].Weight = uint32(int64(comps[i].Capacity) / g)
-		if comps[i].Weight == 0 {
-			comps[i].Weight = 1
-		}
+		comps[i].Weight = topo.Weight(comps[i].Capacity, g)
 	}
 }

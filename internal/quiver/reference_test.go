@@ -23,8 +23,8 @@ type Label struct {
 // hash/fnv, over paths enumerated one slice per path, decomposed by
 // grouping paths under string keys of their score vectors. It is the
 // straightforward reading of §3.4.1, kept beside the score-only
-// production code as its oracle. pathCapacity and assignWeights are
-// shared.
+// production code as its oracle. Topology.Bottleneck and assignWeights
+// are shared.
 type refQuiver struct {
 	routes *topo.Routes
 	labels map[topo.ChanID]map[Label]struct{}
@@ -175,7 +175,7 @@ func (q *refQuiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
 			order = append(order, k)
 		}
 		comp.Paths = append(comp.Paths, p)
-		comp.Capacity += pathCapacity(t, p)
+		comp.Capacity += t.Bottleneck(p)
 	}
 	comps := make([]Component, 0, len(byScore))
 	for _, k := range order {

@@ -154,6 +154,38 @@ func (t *Topology) Chan(id ChanID) Chan {
 	return c
 }
 
+// Bottleneck returns the lowest link rate along path (0 for the empty
+// path): the capacity that WCMP, Presto's failover and the Quiver's
+// components weigh paths by.
+func (t *Topology) Bottleneck(path []ChanID) units.Rate {
+	var b units.Rate
+	for _, c := range path {
+		if r := t.Links[c/2].Rate; b == 0 || r < b {
+			b = r
+		}
+	}
+	return b
+}
+
+// GCD returns the greatest common divisor of two rates; GCD(0, r) is r,
+// so folding it over a table's capacities from 0 yields their divisor.
+func GCD(a, b units.Rate) units.Rate {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// Weight expresses capacity c in units of g, the GCD of its table's
+// capacities: the small integer a hardware WCMP-style table stores, c/g,
+// at least 1. A table whose capacities are all zero (g = 0) weighs 1.
+func Weight(c, g units.Rate) uint32 {
+	if g == 0 {
+		return 1
+	}
+	return max(uint32(c/g), 1)
+}
+
 // Out returns the directed channels leaving node n over links that are up.
 func (t *Topology) Out(n NodeID) []ChanID {
 	chans := t.out[n]

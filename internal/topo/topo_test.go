@@ -289,3 +289,36 @@ func TestOutFiltersFailedLinks(t *testing.T) {
 		t.Errorf("OutAll = %d, want %d", got, before)
 	}
 }
+
+// TestCapacityWeights pins the one capacity rule WCMP, Presto and the
+// Quiver share: a path's capacity is its slowest link, and a weight is a
+// capacity over its table's GCD, never below 1.
+func TestCapacityWeights(t *testing.T) {
+	tp := New()
+	a, b, c := tp.AddNode(Leaf, "a"), tp.AddNode(Spine, "b"), tp.AddNode(Leaf, "c")
+	ab := tp.AddLink(a, b, 40*units.Gbps, 0)
+	bc := tp.AddLink(b, c, 10*units.Gbps, 0)
+	if got := tp.Bottleneck([]ChanID{ChanID(2 * ab), ChanID(2 * bc)}); got != 10*units.Gbps {
+		t.Fatalf("bottleneck of a 40G then 10G path = %v, want 10G", got)
+	}
+	if got := tp.Bottleneck(nil); got != 0 {
+		t.Fatalf("bottleneck of the empty path = %v, want 0", got)
+	}
+	g := GCD(GCD(0, 40*units.Gbps), 10*units.Gbps)
+	if g != 10*units.Gbps {
+		t.Fatalf("GCD(40G, 10G) = %v, want 10G", g)
+	}
+	for _, tc := range []struct {
+		c, g units.Rate
+		want uint32
+	}{
+		{40 * units.Gbps, g, 4},
+		{10 * units.Gbps, g, 1},
+		{0, g, 1}, // a capacity below the GCD still gets a share
+		{0, 0, 1}, // an all-zero table weighs 1 everywhere
+	} {
+		if got := Weight(tc.c, tc.g); got != tc.want {
+			t.Errorf("Weight(%v, %v) = %d, want %d", tc.c, tc.g, got, tc.want)
+		}
+	}
+}
