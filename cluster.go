@@ -22,17 +22,8 @@ type Options struct {
 	ShimTimeout Time
 	// RouteDelay is the control-plane reconvergence delay after failures.
 	RouteDelay Time
-	// MinRTO overrides the TCP retransmission-timer floor.
-	MinRTO Time
 	// TrackGRO enables GRO batching telemetry.
 	TrackGRO bool
-	// ECNThreshold enables switch ECN marking above that many queued
-	// packets; pair with DCTCP (extension — see DESIGN.md).
-	ECNThreshold int
-	// DCTCP switches senders to DCTCP congestion control.
-	DCTCP bool
-	// AdaptiveShim upgrades ShimTimeout to the skew-tracking variant.
-	AdaptiveShim bool
 }
 
 // Cluster is a running simulated data center: topology + switches + host
@@ -53,18 +44,14 @@ func NewCluster(t *Topology, o Options) *Cluster {
 	}
 	s := sim.New(o.Seed)
 	net := fabric.New(s, t, fabric.Config{
-		Balancer:     o.Balancer,
-		Engines:      o.Engines,
-		QueueCap:     o.QueueCap,
-		RouteDelay:   o.RouteDelay,
-		ECNThreshold: o.ECNThreshold,
+		Balancer:   o.Balancer,
+		Engines:    o.Engines,
+		QueueCap:   o.QueueCap,
+		RouteDelay: o.RouteDelay,
 	})
 	reg := transport.NewRegistry(s, net, transport.Config{
-		ShimTimeout:  o.ShimTimeout,
-		MinRTO:       o.MinRTO,
-		TrackGRO:     o.TrackGRO,
-		DCTCP:        o.DCTCP,
-		AdaptiveShim: o.AdaptiveShim,
+		ShimTimeout: o.ShimTimeout,
+		TrackGRO:    o.TrackGRO,
 	})
 	return &Cluster{sim: s, net: net, reg: reg}
 }

@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"drill/internal/metrics"
@@ -443,6 +446,61 @@ func TestPortIndexIsChannel(t *testing.T) {
 				if nic := n.Host(h).NIC; nic != n.Ports[tp.OutAll(h)[0]] {
 					t.Fatalf("%s shards=%d: host %d NIC is port %d, want channel %d", tc.name, shards, h, nic.Index, tp.OutAll(h)[0])
 				}
+			}
+		}
+	}
+}
+
+// TestConfigRejectsOutOfRange holds both constructors to one rule: a value
+// no network can run with panics at construction, naming the field and the
+// value, instead of surfacing mid-run (a division by zero at the first
+// forwarding decision, a reconvergence timer in the past, queues that
+// never drop). Zero still means the default.
+func TestConfigRejectsOutOfRange(t *testing.T) {
+	build := func(shards int, cfg Config) *Network {
+		tp := topo.LeafSpine(topo.LeafSpineConfig{Spines: 2, Leaves: 2, HostsPerLeaf: 2})
+		if shards == 0 {
+			return New(sim.New(1), tp, cfg)
+		}
+		assign, nsh := tp.Partition(shards)
+		sims := make([]*sim.Sim, nsh)
+		for i := range sims {
+			sims[i] = sim.New(1)
+		}
+		return NewSharded(sim.New(1), sims, assign, tp, cfg)
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, "Balancer"},
+		{Config{Balancer: randomLB{}, Engines: -1}, "Engines -1"},
+		{Config{Balancer: randomLB{}, QueueCap: -1}, "QueueCap -1"},
+		{Config{Balancer: randomLB{}, VisFactor: -1}, "VisFactor -1"},
+		{Config{Balancer: randomLB{}, VisFactor: math.NaN()}, "VisFactor NaN"},
+		{Config{Balancer: randomLB{}, VisFactor: math.Inf(1)}, "VisFactor +Inf"},
+		{Config{Balancer: randomLB{}, RouteDelay: -units.Microsecond}, "RouteDelay -1us"},
+	} {
+		for _, shards := range []int{0, 2} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, tc.want) {
+						t.Errorf("shards=%d %+v: panic %q, want one naming %q", shards, tc.cfg, msg, tc.want)
+					}
+				}()
+				build(shards, tc.cfg)
+			}()
+		}
+	}
+	for _, shards := range []int{0, 2} {
+		n := build(shards, Config{Balancer: randomLB{}})
+		if c := n.Cfg; c.Engines != 1 || c.QueueCap != 256 || c.VisFactor != 0.05 || c.RouteDelay != units.Millisecond {
+			t.Errorf("shards=%d: zero config resolved to %+v, want the defaults", shards, c)
+		}
+		for _, p := range n.Ports {
+			if p.Cap <= 0 {
+				t.Fatalf("shards=%d: port %d has cap %d", shards, p.Index, p.Cap)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"drill/internal/metrics"
@@ -52,13 +53,7 @@ type Config struct {
 	Engines    int        // forwarding engines per switch (default 1)
 	QueueCap   int        // per-switch-port packet cap (default 256)
 	VisFactor  float64    // visibility delay as a multiple of MTU serialization (default 0.05)
-	RouteDelay units.Time // control-plane reconvergence delay after failures
-
-	// ECNThreshold, when > 0, marks packets (ECN CE) that enqueue behind at
-	// least that many packets — the switch half of DCTCP. An extension: the
-	// paper's §4 cites ECN-based incast mitigations as the alternative that
-	// DRILL competes with.
-	ECNThreshold int
+	RouteDelay units.Time // control-plane reconvergence delay after failures (default 1ms)
 
 	Balancer Balancer
 
@@ -69,7 +64,23 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
+// defaults rejects the values no network can run with and fills in the
+// defaults. Zero means the default; a negative count, factor or delay
+// would otherwise surface mid-run as a division by zero, a timer in the
+// past, or queues that never drop.
 func (c *Config) defaults() {
+	switch {
+	case c.Balancer == nil:
+		panic("fabric: Config.Balancer is required")
+	case c.Engines < 0:
+		panic(fmt.Sprintf("fabric: Config.Engines %d is negative", c.Engines))
+	case c.QueueCap < 0:
+		panic(fmt.Sprintf("fabric: Config.QueueCap %d is negative", c.QueueCap))
+	case c.VisFactor < 0 || math.IsNaN(c.VisFactor) || math.IsInf(c.VisFactor, 0):
+		panic(fmt.Sprintf("fabric: Config.VisFactor %g is not a finite non-negative factor", c.VisFactor))
+	case c.RouteDelay < 0:
+		panic(fmt.Sprintf("fabric: Config.RouteDelay %v is negative", c.RouteDelay))
+	}
 	if c.Engines == 0 {
 		c.Engines = 1
 	}
@@ -167,9 +178,6 @@ func (n *Network) Pool() *PacketPool { return &n.pool }
 // computed from the topology's current (link up/down) state.
 func New(s *sim.Sim, t *topo.Topology, cfg Config) *Network {
 	cfg.defaults()
-	if cfg.Balancer == nil {
-		panic("fabric: Config.Balancer is required")
-	}
 	n := &Network{
 		Sim:      s,
 		Topo:     t,
@@ -471,14 +479,11 @@ func classifyHop(t *topo.Topology, c topo.Chan) metrics.HopClass {
 //
 //drill:hotpath
 func (n *Network) enqueue(p *Port, pkt *Packet) {
-	if !p.up || (p.Cap > 0 && int(p.QPkts) >= p.Cap) {
+	if !p.up || int(p.QPkts) >= p.Cap {
 		n.drop(p, pkt)
 		return
 	}
 	pkt.enqAt = p.dom.sim.Now()
-	if n.Cfg.ECNThreshold > 0 && int(p.QPkts) >= n.Cfg.ECNThreshold {
-		pkt.ECNCE = true
-	}
 	p.queue.push(pkt)
 	p.EnqPackets++
 	p.QPkts++

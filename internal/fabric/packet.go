@@ -43,7 +43,6 @@ type Packet struct {
 
 	// Load-balancer fields.
 	CE      uint8         // CONGA congestion-experienced metric
-	ECNCE   bool          // IP ECN congestion-experienced mark (DCTCP)
 	LBTag   int16         // CONGA: source leaf's uplink choice, echoed in feedback
 	Path    []topo.ChanID // source route (Presto); nil for hop-by-hop schemes
 	PathIdx int32

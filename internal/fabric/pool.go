@@ -15,7 +15,7 @@ package fabric
 //     through Put untouched, so pooling is invisible to them.
 //   - Put zeroes the entire packet before shelving it. Recycled packets
 //     are indistinguishable from fresh ones: Path (a slice owned by the
-//     balancer's path table), ECN/CONGA scratch, and the enqueue stamp
+//     balancer's path table), CONGA scratch, and the enqueue stamp
 //     must not leak between packet lifetimes, or recycling would perturb
 //     determinism. Hand-built packets are the fresh-allocation
 //     reference that proves it doesn't: the same traffic sent through

@@ -41,7 +41,7 @@ type Port struct {
 	Prop     units.Time
 	Hop      metrics.HopClass
 
-	Cap int // max queued packets (waiting + in service); 0 = unbounded
+	Cap int // max queued packets (waiting + in service); always positive
 
 	queue fifo[*Packet] // waiting packets, head first; the head stays while in service
 

@@ -56,9 +56,6 @@ type ShardUnsafe interface{ ShardUnsafe() }
 // seed so derived random streams are engine-invariant.
 func NewSharded(global *sim.Sim, shards []*sim.Sim, assign []int, t *topo.Topology, cfg Config) *Network {
 	cfg.defaults()
-	if cfg.Balancer == nil {
-		panic("fabric: Config.Balancer is required")
-	}
 	if _, bad := cfg.Balancer.(ShardUnsafe); bad {
 		panic(fmt.Sprintf("fabric: balancer %s cannot run sharded (reads cross-shard state)", cfg.Balancer.Name()))
 	}

@@ -1,8 +1,8 @@
 // Package gro models the receiver-host mechanisms the paper discusses in
 // §3.3: the Generic Receive Offload batching optimization whose efficiency
-// packet reordering destroys, and the optional reordering-resilient shim
-// layer (as in Presto's vSwitch shim / Juggler) that buffers out-of-order
-// packets briefly to restore in-order delivery before TCP sees them.
+// packet reordering destroys, and the optional fixed-hold reordering shim
+// (as in Presto's vSwitch shim) that buffers out-of-order packets briefly
+// to restore in-order delivery before TCP sees them.
 package gro
 
 import (
@@ -151,8 +151,6 @@ func (r *Reorderer) flush() {
 // byte is the CPU-overhead proxy the paper reports ("DRILL increases the
 // number of batches by less than 0.5%").
 type Batcher struct {
-	Threshold units.ByteSize // flush when a batch reaches this size (64KB)
-
 	expected int64
 	batchLen int64
 
@@ -161,14 +159,17 @@ type Batcher struct {
 	Segments int64
 }
 
+// groMax is the batch size at which GRO flushes (the standard 64KB).
+const groMax = 64 * units.KiB
+
 // NewBatcher returns a GRO model with the standard 64KB threshold.
-func NewBatcher() *Batcher { return &Batcher{Threshold: 64 * units.KiB} }
+func NewBatcher() *Batcher { return &Batcher{} }
 
 // Push folds one arriving segment into the current batch.
 func (b *Batcher) Push(seq int64, length int32) {
 	b.Segments++
 	inOrder := seq == b.expected
-	if !inOrder || b.batchLen+int64(length) > int64(b.Threshold) {
+	if !inOrder || b.batchLen+int64(length) > int64(groMax) {
 		if b.batchLen > 0 {
 			b.Batches++
 		}

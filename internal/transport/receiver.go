@@ -43,18 +43,9 @@ type Receiver struct {
 	// current ACK (per-packet echo → valid sender RTT samples, even for
 	// retransmitted or shim-delayed copies).
 	lastDataTS units.Time
-	// lastECN echoes the latest data packet's ECN CE mark back to the
-	// sender (DCTCP's per-packet accurate echo, simplified past the
-	// delayed-ACK state machine since this receiver ACKs every packet).
-	lastECN bool
 
-	shim    shimLayer    // nil when the shim is disabled
-	batcher *gro.Batcher // nil unless Cfg.TrackGRO
-}
-
-// shimLayer abstracts the fixed and adaptive reordering shims.
-type shimLayer interface {
-	Push(gro.Segment)
+	shim    *gro.Reorderer // nil when the shim is disabled
+	batcher *gro.Batcher   // nil unless Cfg.TrackGRO
 }
 
 type span struct{ lo, hi int64 }
@@ -66,12 +57,7 @@ func newReceiver(a *Agent, first *fabric.Packet) *Receiver {
 	}
 	cfg := a.reg.Cfg
 	if cfg.ShimTimeout > 0 {
-		if cfg.AdaptiveShim {
-			r.shim = gro.NewAdaptiveReorderer(simClock{a},
-				cfg.ShimTimeout/4, cfg.ShimTimeout/10, cfg.ShimTimeout, r.tcpRx)
-		} else {
-			r.shim = gro.NewReorderer(simClock{a}, cfg.ShimTimeout, r.tcpRx)
-		}
+		r.shim = gro.NewReorderer(simClock{a}, cfg.ShimTimeout, r.tcpRx)
 	}
 	if cfg.TrackGRO {
 		r.batcher = gro.NewBatcher()
@@ -83,7 +69,6 @@ func newReceiver(a *Agent, first *fabric.Packet) *Receiver {
 //
 //drill:hotpath
 func (r *Receiver) onData(pkt *fabric.Packet) {
-	r.lastECN = pkt.ECNCE
 	if pkt.TxSeq < r.txMax {
 		r.inversions++
 		r.agent.stats.OutOfOrder++
@@ -182,7 +167,6 @@ func (r *Receiver) sendAck() {
 	ack.Size = fabric.AckBytes
 	ack.AckNo = r.rcvNxt
 	ack.EchoTS = r.lastDataTS
-	ack.ECNCE = r.lastECN
 	r.agent.host.Send(ack)
 }
 

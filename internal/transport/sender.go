@@ -43,15 +43,6 @@ type Sender struct {
 	done     bool
 	measured bool
 	txSeq    int32 // emission counter for wire-reorder accounting
-
-	// DCTCP state (active when Cfg.DCTCP): per-window mark fraction α.
-	dctcpAlpha  float64
-	ackedInWin  int64
-	markedInWin int64
-	winEnd      int64
-
-	// Retransmits counts segments resent by this flow.
-	Retransmits int64
 }
 
 // ID returns the flow identifier.
@@ -81,7 +72,12 @@ const (
 	maxCwnd float64 = 128
 	maxRTO          = 20 * units.Millisecond // RTO backoff cap
 	initRTO         = 1 * units.Millisecond  // RTO before the first RTT sample
-	dctcpG  float64 = 1.0 / 16               // DCTCP's α EWMA gain
+	// minRTO is the retransmission-timer floor. The paper's NSC Linux 2.6
+	// stack used the stock 200ms floor, which is why its tail-FCT axes
+	// reach hundreds of ms on every loss; 1ms preserves the
+	// drop→timeout→tail amplification at simulation horizons a single
+	// machine can run.
+	minRTO = 1 * units.Millisecond
 )
 
 func (s *Sender) segLen(seq int64) int32 {
@@ -149,10 +145,6 @@ func (s *Sender) onAck(pkt *fabric.Packet) {
 	// RTT sample from the echoed per-packet timestamp: valid even for
 	// retransmissions, since the echo identifies the copy that arrived.
 	s.sampleRTT(now - pkt.EchoTS)
-
-	if s.reg.Cfg.DCTCP {
-		s.dctcpOnAck(pkt)
-	}
 
 	ack := pkt.AckNo
 	switch {
@@ -230,7 +222,6 @@ func (s *Sender) retransmit() {
 	if l <= 0 {
 		return
 	}
-	s.Retransmits++
 	s.agent.stats.Retransmits++
 	if tr := s.reg.tracer; tr != nil {
 		tr.Flow(trace.Retransmit, s.agent.sim.Now(), s.id, s.sndUna, float64(l))
@@ -257,8 +248,8 @@ func (s *Sender) sampleRTT(rtt units.Time) {
 		s.srtt += (rtt - s.srtt) / 8
 	}
 	rto := s.srtt + 4*s.rttvar
-	if rto < s.reg.Cfg.MinRTO {
-		rto = s.reg.Cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	if rto > maxRTO {
 		rto = maxRTO
@@ -297,38 +288,6 @@ func (s *Sender) onTimeout() {
 	// receiver's cumulative ACK over its buffered out-of-order data then
 	// advances the window past everything that actually arrived.
 	s.retransmit()
-}
-
-// dctcpOnAck maintains DCTCP's marked-fraction estimate and applies the
-// proportional window reduction once per window of data.
-func (s *Sender) dctcpOnAck(pkt *fabric.Packet) {
-	if pkt.AckNo <= s.sndUna {
-		return // duplicates handled by loss recovery
-	}
-	acked := pkt.AckNo - s.sndUna
-	s.ackedInWin += acked
-	if pkt.ECNCE {
-		s.markedInWin += acked
-	}
-	if pkt.AckNo < s.winEnd {
-		return
-	}
-	// Window boundary: fold the observed fraction into α and react.
-	g := dctcpG
-	frac := 0.0
-	if s.ackedInWin > 0 {
-		frac = float64(s.markedInWin) / float64(s.ackedInWin)
-	}
-	s.dctcpAlpha = (1-g)*s.dctcpAlpha + g*frac
-	if s.markedInWin > 0 && !s.inRecovery {
-		s.cwnd *= 1 - s.dctcpAlpha/2
-		if s.cwnd < 1 {
-			s.cwnd = 1
-		}
-		s.ssthresh = s.cwnd
-	}
-	s.ackedInWin, s.markedInWin = 0, 0
-	s.winEnd = s.sndNxt
 }
 
 func maxf(a, b float64) float64 {

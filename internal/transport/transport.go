@@ -3,7 +3,8 @@
 // avoidance, triple-duplicate-ACK fast retransmit/recovery, RTO with
 // SRTT/RTTVAR estimation), flow-completion-time accounting, duplicate-ACK
 // accounting for the Fig. 11(a) reordering analysis, and the optional
-// receiver-side reordering shim + GRO batching models from internal/gro.
+// fixed-hold receiver reordering shim and GRO batching model from
+// internal/gro.
 //
 // The paper ports Linux 2.6 TCP via the Network Simulation Cradle; NewReno
 // reproduces the behaviours the evaluation depends on — the 3-dup-ACK
@@ -25,35 +26,12 @@ import (
 
 // Config parameterizes the host stacks of one experiment.
 type Config struct {
-	// MinRTO is the retransmission-timer floor (default 1ms). The paper's
-	// NSC Linux 2.6 stack used the stock 200ms floor, which is why its
-	// tail-FCT axes reach hundreds of ms on every loss; 1ms preserves the
-	// drop→timeout→tail amplification at simulation horizons a single
-	// machine can run. Set 200µs for modern datacenter-tuned stacks.
-	MinRTO units.Time
-
 	// ShimTimeout > 0 enables the receiver reordering shim with that hold
 	// timeout ("DRILL" vs "DRILL w/o shim", Presto's shim).
 	ShimTimeout units.Time
 
-	// AdaptiveShim upgrades the shim to the Juggler-style adaptive variant:
-	// the hold tracks observed reordering skew between ShimTimeout/10 and
-	// ShimTimeout, so losses stall flows for less than the fixed hold would.
-	AdaptiveShim bool
-
 	// TrackGRO enables GRO batch accounting.
 	TrackGRO bool
-
-	// DCTCP enables DCTCP congestion control on senders: receivers echo
-	// per-packet ECN marks and senders scale their window by the marked
-	// fraction (α) once per window. Pair with fabric.Config.ECNThreshold.
-	DCTCP bool
-}
-
-func (c *Config) defaults() {
-	if c.MinRTO == 0 {
-		c.MinRTO = 1 * units.Millisecond
-	}
 }
 
 // Stats aggregates transport-level measurements across all hosts.
@@ -127,7 +105,6 @@ type Registry struct {
 
 // NewRegistry attaches a transport agent to every host in the network.
 func NewRegistry(s *sim.Sim, net *fabric.Network, cfg Config) *Registry {
-	cfg.defaults()
 	r := &Registry{Sim: s, Net: net, Cfg: cfg, agents: map[topo.NodeID]*Agent{},
 		tracer: net.Tracer()}
 	if net.Sharded() {

@@ -113,6 +113,17 @@ func TestReorderingCountsDupAcks(t *testing.T) {
 	}
 }
 
+func TestWireReorderZeroForECMP(t *testing.T) {
+	s, _, r, tp := testbed(t, lb.ECMP{}, Config{})
+	for i := 0; i < 8; i++ {
+		r.StartFlow(tp.Hosts[i%4], tp.Hosts[4+i%4], 100*1460, "")
+	}
+	s.Run()
+	if got := r.Stats.WireReorders.FracAtLeast(1); got != 0 {
+		t.Fatalf("ECMP wire reorder fraction = %v", got)
+	}
+}
+
 func TestShimSuppressesDupAcks(t *testing.T) {
 	// Force reordering: random per-packet spraying with concurrent load.
 	load := func(shim units.Time) (flowsWithDups float64, finished int) {
@@ -158,6 +169,26 @@ func TestRTOFiresWhenAllAcksLost(t *testing.T) {
 	}
 	t.Logf("drops=%d retx=%d timeouts=%d", n.Hops.TotalDrops(),
 		r.Stats.Retransmits, r.Stats.Timeouts)
+}
+
+// TestRTOFloor holds the retransmission timer to its 1ms floor: on this
+// testbed a 100-segment flow's smoothed RTT settles in the tens of
+// microseconds, so the estimator alone would arm a timer far shorter than
+// minRTO.
+func TestRTOFloor(t *testing.T) {
+	s, _, r, tp := testbed(t, lb.ECMP{}, Config{})
+	f := r.StartFlow(tp.Hosts[0], tp.Hosts[4], 100*1460, "")
+	s.Run()
+	if !f.Done() {
+		t.Fatal("flow did not complete")
+	}
+	if est := f.srtt + 4*f.rttvar; f.srtt <= 0 || est >= minRTO {
+		t.Fatalf("srtt=%v rttvar=%v: the estimate %v does not sit below the floor", f.srtt, f.rttvar, est)
+	}
+	if f.rto != minRTO {
+		t.Fatalf("rto = %v with srtt %v, want the %v floor", f.rto, f.srtt, minRTO)
+	}
+	t.Logf("srtt=%v rttvar=%v rto=%v", f.srtt, f.rttvar, f.rto)
 }
 
 func TestElephantThroughputApproachesLine(t *testing.T) {
