@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation engine underlying the
 // DRILL fabric models. It offers a nanosecond-resolution virtual clock, an
-// O(1) hierarchical timing-wheel scheduler with deterministic FIFO
-// tie-breaking (a binary-heap overflow tier catches far-future events),
+// O(1) single-level timing-wheel scheduler with deterministic FIFO
+// tie-breaking (a 4-ary-heap overflow tier catches far-future events),
 // cancellable re-armable Timers whose entries are location-tracked across
 // every tier (so a Reset or Stop relocates/deletes the live entry instead
 // of abandoning a tombstone), a dispatch frontier that lets state updates
@@ -14,9 +14,9 @@
 // Events live in one of three tiers, picked by how far ahead of the wheel
 // cursor they land:
 //
-//   - near: the open wheel bucket's 32ns window, split between a sorted
-//     dispatch list (the bucket's untracked events, ordered once at pour
-//     time and consumed by a cursor) and a small index-tracked min-heap
+//   - near: the open wheel bucket's 32ns window, split between a dispatch
+//     list (the bucket's untracked events, put in order once at pour time
+//     and consumed by a cursor) and a small index-tracked 4-ary min-heap
 //     (Timer-owned entries, plus anything scheduled into the window after
 //     it opened). Dispatch interleaves the two by direct (time, seq)
 //     comparison, so the exact total order is enforced here.
@@ -34,16 +34,17 @@
 //     wheel as the cursor advances.
 //
 // Determinism argument: dispatch order is (at, seq) everywhere. The near
-// tier compares that key directly, whether an event sits in the sorted
+// tier compares that key directly, whether an event sits in the dispatch
 // list or the heap. A wheel bucket only ever holds events of one bucket
 // window per revolution (anything nearer goes to the near tier, anything
 // farther goes to a later bucket or the far tier), and the whole bucket
-// is poured and ordered before any of it dispatches, so intra-bucket
-// insertion order — across chunks, or after a swap-removal — never
-// matters. The cursor skips only empty buckets. The far tier is a heap on
-// the same key and only feeds the wheel. Hence the wheel scheduler
-// dispatches in exactly the order the plain heap would; the package tests
-// keep a heap-only scheduler as the oracle that asserts it, byte for byte.
+// is poured and ordered — by offset within the window, then by key —
+// before any of it dispatches, so intra-bucket insertion order — across
+// chunks, or after a swap-removal — never matters. The cursor skips only
+// empty buckets. The far tier is a heap on the same key and only feeds the
+// wheel. Hence the wheel scheduler dispatches in exactly the order the
+// plain heap would; the package tests keep a heap-only scheduler as the
+// oracle that asserts it, byte for byte.
 //
 // # Settled-when-read updates
 //
@@ -64,7 +65,6 @@ package sim
 import (
 	"math/bits"
 	"math/rand"
-	"slices"
 
 	"drill/internal/units"
 )
@@ -72,7 +72,7 @@ import (
 // Wheel geometry. Buckets are 32ns wide, below the spacing of a packet's
 // own events: a 10G ACK serializes in 51ns, a hop's propagation takes
 // 200ns and an MTU serializes in 304ns (40G) to 1.2µs (10G), so each lands
-// in a later bucket and reaches the dispatch list, sorted once per bucket,
+// in a later bucket and reaches the dispatch list, ordered once per bucket,
 // instead of the near heap. Only 40G ACKs (12.8ns) and back-to-back wire
 // re-arms still land in the open bucket. The 4096-bucket span covers
 // 131µs; RTO re-arms (1ms floor) and reconvergence overflow to the far
@@ -133,10 +133,10 @@ const (
 // event is deliberately pointer-free: 24 bytes of plain data. The callback
 // (and owning Timer, for tracked entries) lives in the Sim's slot table,
 // referenced by id. Events are copied constantly — heap sifts, bucket
-// pours, dispatch-list sorts — and keeping them POD means those copies are
-// raw memmoves with no write barriers, and none of the scheduler's arrays
-// (the wheel's chunk pool, two heaps, the dispatch list) hold pointers the
-// garbage collector has to scan.
+// pours — and keeping them POD means those copies are raw memmoves with no
+// write barriers, and none of the scheduler's arrays (the wheel's chunk
+// pool, two heaps, the dispatch list) hold pointers the garbage collector
+// has to scan.
 //
 // id >= 0 indexes Sim.slots (a per-event slot, recycled through a free
 // list when the event dispatches or is cancelled); id < 0 is ^id into
@@ -195,15 +195,15 @@ type Sim struct {
 	far  eventHeap // events beyond the wheel horizon
 
 	// dl is the dispatch list: the cursor bucket's untracked events,
-	// sorted once at pour time and consumed by advancing dlHead. Most
-	// events take this path — one append at schedule, one sort pass
-	// amortized over the bucket, one cursor increment at dispatch —
-	// instead of O(log n) heap sifts in and out. Only events that need
-	// location tracking (Timer-owned) or that are scheduled into the
-	// already-open window (they'd have to merge into a sorted prefix) go
-	// through the near heap, and the dispatch loop interleaves the two by
-	// (at, seq) comparison. It is the one scheduler array sized by the
-	// busiest bucket: every pour refills it from the start.
+	// put in (at, key) order once at pour time and consumed by advancing
+	// dlHead. Most events take this path — one append at schedule, a
+	// linear pour amortized over the bucket, one cursor increment at
+	// dispatch — instead of O(log n) heap sifts in and out. Only events
+	// that need location tracking (Timer-owned) or that are scheduled into
+	// the already-open window (they'd have to merge into an ordered
+	// prefix) go through the near heap, and the dispatch loop interleaves
+	// the two by (at, seq) comparison. It is the one scheduler array sized
+	// by the busiest bucket: every pour refills it from the start.
 	dl     []event
 	dlHead int
 
@@ -245,7 +245,7 @@ type SchedStats struct {
 	Near         uint64 // schedule calls routed to the near tier
 	Wheel        uint64 // schedule calls routed into a wheel bucket
 	Far          uint64 // schedule calls routed to the far overflow heap
-	DispatchList uint64 // dispatches consumed from the sorted dispatch list
+	DispatchList uint64 // dispatches consumed from the dispatch list
 	DispatchHeap uint64 // dispatches popped from the near heap
 	Cascades     uint64 // far-tier events re-routed as the horizon advanced
 	Pours        uint64 // non-empty cursor buckets poured at advancement
@@ -584,24 +584,6 @@ func (s *Sim) Pending() int {
 	return len(s.near.ev) + (len(s.dl) - s.dlHead) + s.wcount + len(s.far.ev)
 }
 
-// eventCmp is less as a three-way comparison, for sorting poured buckets.
-// Two events never compare equal: seqs are unique.
-func eventCmp(a, b event) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	}
-	if a.key < b.key {
-		return -1
-	}
-	if a.key > b.key {
-		return 1
-	}
-	return 0
-}
-
 // ensureNear advances the wheel cursor — cascading overflow events in and
 // pouring the reached bucket into the dispatch list / near heap — until
 // one of them holds the globally earliest pending event. It reports false
@@ -660,32 +642,80 @@ func (s *Sim) nextOccupied() int32 {
 
 // pour empties bucket b: Timer-owned entries go through the near heap
 // (they keep index tracking so Reset/Stop can still find them); the rest
-// are copied into the exhausted dispatch list, which is then sorted once.
-// The bucket's chunks go back to the pool.
+// fill the exhausted dispatch list in (at, key) order. The bucket's chunks
+// go back to the pool.
+//
+// Every event of a bucket lies in the one window of its revolution (see
+// schedule), so its offset at&31 alone orders it by time. A counting pass
+// places each event at its offset's slot, keeping storage order within an
+// offset — insertion order, nearly key order — and an insertion pass then
+// orders each equal-time run by key, which rarely moves anything. The cost
+// follows the events and the distinct offsets, not a comparison sort's
+// n log n.
 //
 //drill:hotpath
 //drill:allocs 1 dispatch-list growth amortizes; it is refilled from the start at every pour
 func (s *Sim) pour(b int32) {
+	const offMask = 1<<wheelShift - 1
 	s.sched.Pours++
-	s.dl, s.dlHead = s.dl[:0], 0
+	// Count the untracked events at each offset.
+	var end [1 << wheelShift]int32
+	var present uint32 // a bit per offset counted
+	for c := s.head[b]; c >= 0; c = s.chunks[c].next {
+		evs := s.chunks[c].ev[:s.chunks[c].n]
+		for i := range evs {
+			if evs[i].key&keyTracked != 0 {
+				s.near.push(evs[i])
+				continue
+			}
+			off := uint32(evs[i].at) & offMask
+			end[off]++
+			present |= 1 << off
+		}
+		s.wcount -= len(evs)
+		s.sched.PouredEvents += uint64(len(evs))
+	}
+	// end[off] becomes the end of off's slots.
+	var n int32
+	for m := present; m != 0; m &= m - 1 {
+		off := bits.TrailingZeros32(m)
+		n += end[off]
+		end[off] = n
+	}
+	if int(n) > cap(s.dl) {
+		s.dl = make([]event, n, 2*n)
+	}
+	dl := s.dl[:n]
+	s.dl, s.dlHead = dl, 0
+	// Fill each offset's slots from the back: newest chunk first, each
+	// chunk backwards, so an offset's events keep their storage order.
 	for c := s.head[b]; c >= 0; {
 		ch := &s.chunks[c]
-		for i := range ch.n {
-			if ch.ev[i].key&keyTracked != 0 {
-				s.near.push(ch.ev[i])
-			} else {
-				s.dl = append(s.dl, ch.ev[i])
+		evs := ch.ev[:ch.n]
+		for i := len(evs) - 1; i >= 0; i-- {
+			if evs[i].key&keyTracked == 0 {
+				off := uint32(evs[i].at) & offMask
+				end[off]--
+				dl[end[off]] = evs[i]
 			}
 		}
-		s.wcount -= int(ch.n)
-		s.sched.PouredEvents += uint64(ch.n)
 		next := ch.next
 		s.releaseChunk(c)
 		c = next
 	}
 	s.head[b] = -1
 	s.occ[b>>6] &^= 1 << (b & 63)
-	slices.SortFunc(s.dl, eventCmp)
+	// Order each equal-time run by key.
+	for i := 1; i < len(dl); i++ {
+		if !less(&dl[i], &dl[i-1]) {
+			continue
+		}
+		ev, j := dl[i], i
+		for ; j > 0 && less(&ev, &dl[j-1]); j-- {
+			dl[j] = dl[j-1]
+		}
+		dl[j] = ev
+	}
 }
 
 // Run dispatches events in time order until only daemon events remain or
@@ -820,8 +850,8 @@ func (s *Sim) step() {
 
 // wheelRemove deletes slot i of chunk c (a cancelled timer entry) in O(1)
 // by swap-removal with the newest entry of its bucket; bucket-internal
-// order is irrelevant because a pour sorts the bucket before dispatch. A
-// newest chunk left empty goes back to the pool.
+// order is irrelevant because a pour orders the bucket by (at, key) before
+// dispatch. A newest chunk left empty goes back to the pool.
 //
 //drill:hotpath
 func (s *Sim) wheelRemove(c, i int32) {
@@ -854,7 +884,7 @@ func (s *Sim) wheelRemove(c, i int32) {
 	s.wcount--
 }
 
-// eventHeap is a hand-rolled binary min-heap keyed on (at, seq).
+// eventHeap is a hand-rolled 4-ary min-heap keyed on (at, seq).
 // container/heap's interface indirection costs measurably at the tens of
 // millions of events a single experiment point dispatches. Entries owned
 // by a Timer are flagged in their key; their owning timer (found through

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -54,12 +55,21 @@ const (
 	opWirePush         // push onto a wire ring, from an event delay out
 	opAdvanceTo        // AdvanceTo now+delay, capped at the next pending event
 	opBurst            // over a chunk of events at now+delay, with a timer reset among them
+	opSpread           // over a chunk of events across every offset of one window, same-instant pairs out of key order
 	numWheelOps        // op count
 )
 
 // wheelScriptTimers is how many timers, registered callbacks, rings and
 // queues of each kind a script drives.
 const wheelScriptTimers = 4
+
+// spreadEvents is how many offsets an opSpread walks: every offset of the
+// window, then some a second time. spreadPort is the lower of the two
+// ports its arrivals come from, past the wire rings' ports.
+const (
+	spreadEvents = 40
+	spreadPort   = wheelScriptTimers
+)
 
 // Ring and queue delays sit on the script's 256ns tie grid, so entries
 // land at the same instants as quantized script events and the keys
@@ -278,6 +288,7 @@ type wheelCoverage struct {
 	oldChunk     int // a Timer was stopped or reset from an older chunk than its bucket's newest
 	wrapJumps    int // the cursor jumped to an occupied bucket in an earlier bitmap word
 	cascadeJumps int // a jump widened the horizon over far events, which cascaded
+	spreadPours  int // a pour ordered a bucket spanning half the offsets, with a same-time pair stored out of key order
 }
 
 // wheelWatch looks at the wheel simulator whenever the script holds
@@ -290,10 +301,15 @@ type wheelWatch struct {
 	s   *Sim
 	cov *wheelCoverage
 	err string // first storage violation
-	// The cursor, wheel population and cascade count at the last look.
-	cur      int32
-	wcount   int
-	cascades uint64
+	// The cursor, wheel population and cascade and pour counts at the
+	// last look, and the bucket the next cursor move pours, if the wheel
+	// held events, with whether spreadBucket held for it.
+	cur        int32
+	wcount     int
+	cascades   uint64
+	pours      uint64
+	next       int32
+	nextSpread bool
 }
 
 // look notes a cursor move since the last look.
@@ -312,7 +328,45 @@ func (w *wheelWatch) look() {
 			w.cov.cascadeJumps++
 		}
 	}
-	w.cur, w.wcount, w.cascades = s.cur, s.wcount, s.sched.Cascades
+	// Nothing touches the wheel between a look and the cursor move after
+	// it, so a bucket poured since the last look held what it held then.
+	if s.sched.Pours != w.pours && s.cur == w.next && w.nextSpread {
+		w.cov.spreadPours++
+	}
+	w.cur, w.wcount, w.cascades, w.pours = s.cur, s.wcount, s.sched.Cascades, s.sched.Pours
+	w.next, w.nextSpread = -1, false
+	if s.wcount > 0 {
+		w.next = s.nextOccupied()
+		w.nextSpread = spreadBucket(s, w.next)
+	}
+}
+
+// spreadBucket reports whether bucket b's untracked events — the ones a
+// pour places by offset — span at least half the window's offsets and
+// store a same-time pair out of key order, which the pour's insertion pass
+// must swap.
+func spreadBucket(s *Sim, b int32) bool {
+	var chunks []int32
+	for c := s.head[b]; c >= 0; c = s.chunks[c].next {
+		chunks = append(chunks, c)
+	}
+	var offsets uint32
+	var top [bucketW]uint64 // the highest key stored so far at each offset
+	inverted := false
+	for k := len(chunks) - 1; k >= 0; k-- { // oldest chunk first
+		ch := &s.chunks[chunks[k]]
+		for i := range ch.n {
+			ev := &ch.ev[i]
+			if ev.key&keyTracked != 0 {
+				continue
+			}
+			off := ev.at & (bucketW - 1)
+			offsets |= 1 << off
+			inverted = inverted || ev.key < top[off]
+			top[off] = max(top[off], ev.key)
+		}
+	}
+	return bits.OnesCount32(offsets) >= int(bucketW/2) && inverted
 }
 
 // check records the first violation of the wheel's storage invariant.
@@ -350,8 +404,10 @@ func bucketOf(at units.Time) int32 { return int32(at>>wheelShift) & wheelMask }
 // wheelInvariant checks the wheel's storage against its bookkeeping: the
 // bitmap marks exactly the non-empty buckets, every chunk of a bucket is
 // full but the newest, which is not empty, every event sits in its own
-// instant's bucket, the buckets hold wcount events, and every chunk is in
-// exactly one bucket or on the free list.
+// instant's bucket, all of a bucket's events lie in one 32ns window inside
+// the wheel's span [base+bucketW, base+horizonW) — which a pour's ordering
+// by offset relies on — the buckets hold wcount events, and every chunk is
+// in exactly one bucket or on the free list.
 func wheelInvariant(s *Sim) string {
 	used, events := 0, 0
 	for b := int32(0); b < wheelSize; b++ {
@@ -359,14 +415,26 @@ func wheelInvariant(s *Sim) string {
 		if occupied := s.occ[b>>6]>>(b&63)&1 != 0; occupied != (h >= 0) {
 			return fmt.Sprintf("bucket %d: newest chunk %d, bitmap bit %v", b, h, occupied)
 		}
+		var first units.Time // the at of the bucket's first event seen
 		for c := h; c >= 0; c = s.chunks[c].next {
 			ch := &s.chunks[c]
 			if c == h && ch.n == 0 || c != h && ch.n != chunkSize {
 				return fmt.Sprintf("bucket %d: chunk %d (newest %d) holds %d events", b, c, h, ch.n)
 			}
 			for i := range ch.n {
-				if bucketOf(ch.ev[i].at) != b {
-					return fmt.Sprintf("bucket %d: chunk %d slot %d holds an event at %d", b, c, i, ch.ev[i].at)
+				at := ch.ev[i].at
+				if bucketOf(at) != b {
+					return fmt.Sprintf("bucket %d: chunk %d slot %d holds an event at %d", b, c, i, at)
+				}
+				if at < s.base+bucketW || at >= s.base+horizonW {
+					return fmt.Sprintf("bucket %d: chunk %d slot %d holds an event at %d, outside the wheel's span [%d, %d)",
+						b, c, i, at, s.base+bucketW, s.base+horizonW)
+				}
+				if c == h && i == 0 {
+					first = at
+				} else if at>>wheelShift != first>>wheelShift {
+					return fmt.Sprintf("bucket %d: chunk %d slot %d holds an event at %d, in another window than one at %d",
+						b, c, i, at, first)
 				}
 			}
 			used++
@@ -427,6 +495,7 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe, watc
 	}
 	var tms [wheelScriptTimers]*Timer
 	var ids [wheelScriptTimers]FnID
+	var spreadSent uint64 // arrivals per opSpread port so far
 	for i := range tms {
 		i := i
 		tms[i] = s.NewTimer(do(-1-i, nil))
@@ -511,6 +580,40 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe, watc
 				}
 			}
 			watch.noteBucket(at)
+		case opSpread:
+			// Over a chunk of events across every offset of the window
+			// three buckets past now+delay, in scrambled offset order, some
+			// offsets twice. At one instant a global event follows a local
+			// one, at another a higher port's arrival precedes a lower
+			// one's: both pairs are stored out of key order. Timer tm is
+			// re-armed into the window midway; timer tm+1, armed into it
+			// first, is stopped from the bucket's older chunk at the end.
+			w := (s.Now()+op.delay)&^(bucketW-1) + 3*bucketW
+			stop := tms[(tm+1)%wheelScriptTimers]
+			watch.noteTimer(stop)
+			stop.Reset(w + op.delay%bucketW - s.Now())
+			for j := 0; j < spreadEvents; j++ {
+				at := w + (units.Time(j)*13+op.delay)%bucketW
+				l := 5_000_000 + 256*label + 4*j
+				switch j % 3 {
+				case 0:
+					s.At(at, do(l, nil))
+				case 1:
+					s.At(at, do(l, nil))
+					s.AtGlobal(at, do(l+1, nil))
+				case 2:
+					s.AtKeyID(at, ArrivalKey(spreadPort+1, spreadSent), ids[0])
+					s.AtKeyID(at, ArrivalKey(spreadPort, spreadSent), ids[1])
+					spreadSent++
+				}
+				if j == spreadEvents/2 {
+					watch.noteTimer(tms[tm])
+					tms[tm].Reset(at - s.Now())
+				}
+			}
+			watch.noteBucket(w)
+			watch.noteTimer(stop)
+			stop.Stop()
 		}
 		watch.look()
 	}
@@ -594,8 +697,9 @@ func randScript(rng *rand.Rand, n int) []wheelOp {
 // Executed counts — on the wheel and the reference heap, and leave the
 // wheel's storage consistent. The scripts must reach every storage path
 // of the wheel: a bucket spanning chunks, a timer cancelled from an older
-// chunk, a cursor jump that wraps to an earlier bitmap word, and a jump
-// that cascades far events.
+// chunk, a cursor jump that wraps to an earlier bitmap word, a jump that
+// cascades far events, and a pour of a bucket spread over half the
+// window's offsets that stores a same-time pair out of key order.
 func TestWheelMatchesHeapReference(t *testing.T) {
 	iters, n := 300, 120
 	if testing.Short() {
@@ -609,7 +713,7 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 			t.Fatalf("seed %d: wheel diverged from heap reference: %s", seed, d)
 		}
 	}
-	if cov.multiChunk == 0 || cov.oldChunk == 0 || cov.wrapJumps == 0 || cov.cascadeJumps == 0 {
+	if cov.multiChunk == 0 || cov.oldChunk == 0 || cov.wrapJumps == 0 || cov.cascadeJumps == 0 || cov.spreadPours == 0 {
 		t.Fatalf("scripts missed a wheel storage path: %+v", cov)
 	}
 	t.Logf("coverage: %+v", cov)
@@ -642,6 +746,12 @@ func FuzzWheelVsHeap(f *testing.F) {
 	// chunk, then far events one and two horizons out and a RunUntil past
 	// the first, so the cursor's jumps cascade them and wrap the bitmap.
 	f.Add([]byte{0x4d, 0, 100, 0x04, 0, 0, 0x4d, 4, 100, 0x03, 0, 0, 0x80, 0x40, 0, 0x80, 0x80, 0, 0x85, 0x60, 0, 0x4d, 1, 7})
+	// The spread buckets: every offset of a window 416ns out, then of one
+	// 352ns out, each with same-instant pairs stored out of key order, a
+	// timer re-armed into it and one stopped from its older chunk; then a
+	// RunUntil to 432ns, halfway into the first window, before Run drains
+	// the rest.
+	f.Add([]byte{0x4e, 0, 20, 0xce, 1, 0, 0x45, 0, 27})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {
 			data = data[:3*512]
@@ -793,6 +903,47 @@ func TestWheelMemoryFollowsPending(t *testing.T) {
 				t.Fatal(msg)
 			}
 			t.Logf("%d pending: %d chunks (bound %d)", tc.p, len(s.chunks), bound)
+		})
+	}
+}
+
+// BenchmarkPour times a wheel bucket's round trip — schedule n events into
+// one 32ns window a few buckets out, pour the bucket and dispatch it — per
+// event. 37 and 54 events are the mean pours of the leaf–spine and
+// fat-tree workloads, 4 a sharded run's. Offsets are scrambled and every
+// fourth event shares its predecessor's instant; events alternate between
+// local ones and arrivals from scrambled ports, so some same-time pairs
+// are stored out of key order, as the data plane's are.
+func BenchmarkPour(b *testing.B) {
+	for _, n := range []int{1, 4, 37, 54, 256} {
+		b.Run(fmt.Sprintf("events=%d", n), func(b *testing.B) {
+			s := New(1)
+			id := s.Register(func() {})
+			rng := rand.New(rand.NewSource(int64(n)))
+			offs := make([]units.Time, n)
+			for j := range offs {
+				offs[j] = units.Time(rng.Intn(int(bucketW)))
+				if j%4 == 3 {
+					offs[j] = offs[j-1]
+				}
+			}
+			var sent [11]uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := s.base + 4*bucketW
+				for j, off := range offs {
+					if j%2 == 0 {
+						s.AtID(w+off, id)
+						continue
+					}
+					port := j * 7 % len(sent)
+					s.AtKeyID(w+off, ArrivalKey(uint64(port), sent[port]), id)
+					sent[port]++
+				}
+				s.Run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
 		})
 	}
 }
