@@ -46,10 +46,13 @@ type Epoch struct {
 	tables []epochTable
 }
 
-// epochTable is one switch's forwarding state within an epoch.
+// epochTable is one switch's forwarding table within an epoch, in the
+// format Switch.fwd describes; groupCount is its number of distinct port
+// sets.
 type epochTable struct {
 	node       topo.NodeID
-	tables     [][]Group
+	fwd, off   []int32
+	groups     []Group
 	groupCount int32
 }
 
@@ -124,11 +127,11 @@ func (n *Network) ApplyEpoch(e *Epoch) {
 	for i := range e.tables {
 		et := &e.tables[i]
 		sw := n.Switches[et.node]
-		sw.tables = et.tables
+		sw.fwd, sw.off, sw.groups = et.fwd, et.off, et.groups
 		// Group IDs may change meaning across table generations, so every
 		// engine restarts its per-group scheduler state.
 		for _, eng := range sw.engines {
-			eng.state = make([]any, et.groupCount)
+			eng.groups = make([]groupState, et.groupCount)
 		}
 	}
 	n.epoch = e

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"drill/internal/metrics"
 	"drill/internal/quiver"
 	"drill/internal/sim"
 	"drill/internal/topo"
@@ -239,45 +240,77 @@ func lowestPorts(sw *Switch) (a, b, c int32) {
 	return out[0], out[1], out[2]
 }
 
+// chans converts ports to the channel IDs InstallGroups' add takes.
+func chans(ports ...int32) []topo.ChanID {
+	out := make([]topo.ChanID, len(ports))
+	for i, p := range ports {
+		out[i] = topo.ChanID(p)
+	}
+	return out
+}
+
 // layoutLB is a TableBuilder whose groups exercise InstallGroups' table
-// format: unsorted port sets, one set repeated toward two leaves, and no
-// groups toward leaf 0.
+// format: unsorted port sets, one set repeated toward two leaves, a
+// single-port entry, and no groups toward leaf 0. It checks that add
+// leaves the caller's slice as it was.
 type layoutLB struct{ randomLB }
 
 func (layoutLB) BuildTables(net *Network) {
-	net.InstallGroups(func(sw *Switch, leaf topo.NodeID) []Group {
+	net.InstallGroups(func(sw *Switch, leaf topo.NodeID, add func([]topo.ChanID, uint32)) {
 		a, b, c := lowestPorts(sw)
+		addCopy := func(ports []topo.ChanID, weight uint32) {
+			kept := slices.Clone(ports)
+			add(ports, weight)
+			if !slices.Equal(ports, kept) {
+				panic(fmt.Sprintf("add changed its argument %v to %v", kept, ports))
+			}
+		}
 		switch net.Topo.LeafIndex(leaf) {
 		case 0:
-			return nil
 		case 1:
-			return []Group{{Ports: []int32{c, a}, Weight: 2}, {Ports: []int32{b}, Weight: 1}}
+			addCopy(chans(c, a), 2)
+			addCopy(chans(b), 1)
 		case 2:
-			return []Group{{Ports: []int32{b}, Weight: 3}}
+			addCopy(chans(b), 3)
 		default:
-			return []Group{{Ports: []int32{c, b, a}, Weight: 1}, {Ports: []int32{a, c}, Weight: 4}}
+			addCopy(chans(c, b, a), 1)
+			addCopy(chans(a, c), 4)
 		}
 	})
 }
 
-// TestInstallGroupsLayout: InstallGroups sorts every port set, gives equal
-// sets one ID and distinct sets dense IDs in first-seen order (leaf by
-// leaf, group by group), leaves an unreachable leaf without groups, and
-// sizes every engine's per-group state to the distinct sets.
-func TestInstallGroupsLayout(t *testing.T) {
+// newLayoutNet builds the 4-leaf, 2-spine fabric under layoutLB.
+func newLayoutNet(engines int) (*Network, *topo.Topology) {
 	tp := topo.LeafSpine(topo.LeafSpineConfig{Spines: 2, Leaves: 4, HostsPerLeaf: 1,
 		HostRate: 10 * units.Gbps, CoreRate: 40 * units.Gbps})
-	n := New(sim.New(1), tp, Config{Balancer: layoutLB{}, Engines: 2})
+	return New(sim.New(1), tp, Config{Balancer: layoutLB{}, Engines: engines}), tp
+}
+
+// TestInstallGroupsLayout: InstallGroups sorts every port set, gives equal
+// sets one ID and one stored copy, distinct sets dense IDs in first-seen
+// order (leaf by leaf, group by group), leaves an unreachable leaf without
+// groups, puts a single-port entry's port itself in the flat table, and
+// sizes every engine's per-group state to the distinct sets.
+func TestInstallGroupsLayout(t *testing.T) {
+	n, tp := newLayoutNet(2)
 
 	for _, sw := range n.SwitchList() {
-		ids := map[string]int32{} // port set → the ID it first got
+		ids := map[string]int32{}    // port set → the ID it first got
+		stored := map[int32]*int32{} // ID → its set's stored copy
 		for li, leaf := range tp.Leaves {
 			groups := sw.Groups(int32(li))
 			if li == 0 || leaf == sw.Node {
-				if len(groups) != 0 {
-					t.Errorf("switch %d, leaf %d: %d groups, want none", sw.Node, li, len(groups))
+				if len(groups) != 0 || sw.fwd[li] != noRoute {
+					t.Errorf("switch %d, leaf %d: %d groups, entry %d; want none, noRoute", sw.Node, li, len(groups), sw.fwd[li])
 				}
 				continue
+			}
+			want := viaBalancer
+			if len(groups) == 1 && len(groups[0].Ports) == 1 {
+				want = groups[0].Ports[0]
+			}
+			if sw.fwd[li] != want {
+				t.Errorf("switch %d, leaf %d: flat entry %d, want %d", sw.Node, li, sw.fwd[li], want)
 			}
 			for _, g := range groups {
 				if !slices.IsSorted(g.Ports) {
@@ -288,15 +321,19 @@ func TestInstallGroupsLayout(t *testing.T) {
 				if !seen {
 					id = int32(len(ids))
 					ids[key] = id
+					stored[id] = &g.Ports[0]
 				}
 				if g.ID != id {
 					t.Errorf("switch %d, leaf %d: set %v has ID %d, want %d", sw.Node, li, g.Ports, g.ID, id)
 				}
+				if &g.Ports[0] != stored[id] {
+					t.Errorf("switch %d, leaf %d: set %v stored twice", sw.Node, li, g.Ports)
+				}
 			}
 		}
 		for _, e := range sw.Engines() {
-			if len(e.state) != len(ids) {
-				t.Errorf("switch %d engine %d: %d state slots, want %d distinct sets", sw.Node, e.Index, len(e.state), len(ids))
+			if len(e.groups) != len(ids) {
+				t.Errorf("switch %d engine %d: %d state slots, want %d distinct sets", sw.Node, e.Index, len(e.groups), len(ids))
 			}
 		}
 	}
@@ -318,4 +355,126 @@ func TestInstallGroupsLayout(t *testing.T) {
 			t.Errorf("spine, leaf %d: groups %v, want %v", li, got, want[li])
 		}
 	}
+}
+
+// countingLB sprays like randomLB and counts Choose calls per switch.
+type countingLB struct {
+	randomLB
+	calls map[topo.NodeID]int
+}
+
+func (c *countingLB) Choose(n *Network, sw *Switch, eng *Engine, pkt *Packet) int32 {
+	c.calls[sw.Node]++
+	return c.randomLB.Choose(n, sw, eng, pkt)
+}
+
+// TestFlatTableForwarding: forward consults the balancer only for entries
+// with a choice. On the default tables of a leaf–spine fabric every
+// leaf-to-leaf packet has one (two spines at its source leaf) and none
+// afterwards (one port down each spine), so Choose runs once per packet,
+// never at a spine.
+func TestFlatTableForwarding(t *testing.T) {
+	lb := &countingLB{calls: map[topo.NodeID]int{}}
+	s, n, tp := newNet(t, Config{Balancer: lb})
+	src, dst := n.Host(tp.Hosts[0]), tp.Hosts[2]
+	n.Host(dst).Handler = &sink{}
+	const pkts = 40
+	for i := 0; i < pkts; i++ {
+		src.Send(&Packet{FlowID: uint64(i), Hash: uint32(i), Dst: dst, Size: 1518})
+	}
+	s.Run()
+	if n.Delivered != pkts {
+		t.Fatalf("delivered %d of %d", n.Delivered, pkts)
+	}
+	if got := lb.calls[src.Leaf]; got != pkts || len(lb.calls) != 1 {
+		t.Fatalf("Choose calls per switch %v, want %d at the source leaf %d only", lb.calls, pkts, src.Leaf)
+	}
+}
+
+// TestUnreachableDropsAtSwitchTier: a packet toward a leaf the switch has
+// no entry for is dropped at the switch, booked against its own
+// forwarding tier, without a balancer call or a port drop.
+func TestUnreachableDropsAtSwitchTier(t *testing.T) {
+	n, tp := newLayoutNet(1)
+	dst := tp.Hosts[0] // on leaf 0, which layoutLB leaves unreachable
+	for _, sw := range n.SwitchList() {
+		if sw.Node == tp.Leaves[0] {
+			continue
+		}
+		before := n.Hops.Drops
+		n.forward(sw, sw.engines[0], &Packet{Hash: 1, Dst: dst, DstLeaf: tp.Leaves[0], DstLeafIdx: 0, Size: 1518})
+		for c := range n.Hops.Drops {
+			want := before[c]
+			if metrics.HopClass(c) == sw.dropHop {
+				want++
+			}
+			if n.Hops.Drops[c] != want {
+				t.Errorf("%v %d: hop class %d drops %d, want %d", sw.Kind, sw.Node, c, n.Hops.Drops[c], want)
+			}
+		}
+	}
+	for _, p := range n.Ports {
+		if p.Drops != 0 || p.QPkts != 0 {
+			t.Errorf("port %d: %d drops, %d queued; want none", p.Index, p.Drops, p.QPkts)
+		}
+	}
+	if leaf, spine := n.Switches[tp.Leaves[1]].dropHop, n.Switches[tp.Nodes[0].ID].dropHop; leaf != metrics.Hop1 || spine != metrics.Hop2 {
+		t.Fatalf("drop tiers: leaf %v, spine %v; want Hop1, Hop2", leaf, spine)
+	}
+}
+
+// TestEngineStateRestartsPerEpoch: an engine's typed per-group state has
+// one slot per distinct port set, creates a group's selector once and
+// without drawing from the engine's random stream, and starts over when
+// the next epoch is applied.
+func TestEngineStateRestartsPerEpoch(t *testing.T) {
+	n, _ := newLayoutNet(2)
+	twin, _ := newLayoutNet(2)
+	for _, sw := range n.SwitchList() {
+		for ei, e := range sw.Engines() {
+			sel := e.Selector(0, 2, 1)
+			if e.Selector(0, 2, 1) != sel || sel.D() != 2 || sel.M() != 1 {
+				t.Fatalf("switch %d engine %d: selector not kept, or not DRILL(2,1)", sw.Node, ei)
+			}
+			if got, want := e.Rng.Int63(), twin.Switches[sw.Node].engines[ei].Rng.Int63(); got != want {
+				t.Fatalf("switch %d engine %d: creating a selector moved the random stream", sw.Node, ei)
+			}
+			for want := 0; want < 3; want++ {
+				if got := e.NextRR(1); got != want {
+					t.Fatalf("switch %d engine %d: round-robin position %d, want %d", sw.Node, ei, got, want)
+				}
+			}
+		}
+	}
+	n.Reconverge()
+	for _, sw := range n.SwitchList() {
+		for ei, e := range sw.Engines() {
+			for gid, st := range e.groups {
+				if st != (groupState{}) {
+					t.Fatalf("switch %d engine %d: group %d state %+v survived the epoch", sw.Node, ei, gid, st)
+				}
+			}
+			if got := e.NextRR(1); got != 0 {
+				t.Fatalf("switch %d engine %d: round-robin restarts at %d, want 0", sw.Node, ei, got)
+			}
+		}
+	}
+}
+
+// TestInstallGroupsAllocs: building the default tables of a k=8 fat-tree
+// allocates per switch, not per (switch, leaf) entry: 80 switches × 31
+// remote leaves would be 2,480 entries.
+func TestInstallGroupsAllocs(t *testing.T) {
+	tp := topo.FatTree(topo.FatTreeConfig{K: 8})
+	n := New(sim.New(1), tp, Config{Balancer: randomLB{}})
+	switches := len(n.SwitchList())
+	allocs := testing.AllocsPerRun(5, func() {
+		n.building = &Epoch{}
+		n.BuildDefaultTables()
+	})
+	n.building = nil
+	if limit := 3 * float64(switches); allocs > limit {
+		t.Fatalf("default tables: %.0f allocations for %d switches, want at most %.0f", allocs, switches, limit)
+	}
+	t.Logf("%.0f allocations for %d switches", allocs, switches)
 }

@@ -57,6 +57,20 @@ func newNet(t *testing.T, cfg Config) (*sim.Sim, *Network, *topo.Topology) {
 	return s, n, tp
 }
 
+// TestSendToNonHostPanics: Send resolves a destination's leaf from a
+// per-node table, and a destination that is not a host panics, naming it.
+func TestSendToNonHostPanics(t *testing.T) {
+	_, n, tp := newNet(t, Config{})
+	leaf := tp.Leaves[1]
+	defer func() {
+		want := fmt.Sprintf("node %d is not a host", leaf)
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Fatalf("Send to leaf %d: panic %q, want one containing %q", leaf, msg, want)
+		}
+	}()
+	n.Host(tp.Hosts[0]).Send(&Packet{FlowID: 1, Dst: leaf, Size: 1518})
+}
+
 func TestEndToEndDelivery(t *testing.T) {
 	s, n, tp := newNet(t, Config{})
 	src := n.Host(tp.Hosts[0])

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+
 	"drill/internal/topo"
 	"drill/internal/trace"
 )
@@ -44,10 +46,14 @@ func (h *Host) AllocPacket() *Packet { return h.dom.pool.Get() }
 //
 //drill:hotpath
 func (h *Host) Send(pkt *Packet) {
+	dst := h.net.hostLeaf[pkt.Dst]
+	if dst.leaf < 0 {
+		panic(fmt.Sprintf("fabric: packet destination node %d is not a host", pkt.Dst))
+	}
 	pkt.Src = h.ID
 	pkt.SrcLeaf = h.Leaf
-	pkt.DstLeaf = h.net.Topo.LeafOf(pkt.Dst)
-	pkt.DstLeafIdx = int32(h.net.Topo.LeafIndex(pkt.DstLeaf))
+	pkt.DstLeaf = dst.leaf
+	pkt.DstLeafIdx = dst.idx
 	pkt.Hops = 0
 	pkt.PathIdx = 0
 	*h.dom.sent++

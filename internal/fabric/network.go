@@ -123,9 +123,10 @@ type Network struct {
 	// Dense per-node/per-channel lookup tables: the arrive/forward path
 	// runs once per packet per hop. Indexed by NodeID / ChanID (both dense
 	// by construction in topo).
-	hostByNode []*Host // nil for switches
-	hostNIC    []int32 // host NodeID → its leaf→host port; -1 elsewhere
-	inIdx      []int32 // arriving ChanID → dense input index at the switch
+	hostByNode []*Host   // nil for switches
+	hostNIC    []int32   // host NodeID → its leaf→host port; -1 elsewhere
+	hostLeaf   []leafRef // host NodeID → its leaf and leaf index; leaf -1 elsewhere
+	inIdx      []int32   // arriving ChanID → dense input index at the switch
 
 	Hops metrics.HopStats
 
@@ -218,8 +219,10 @@ func (n *Network) build() {
 	n.hostByNode = make([]*Host, len(t.Nodes))
 	n.Switches = make([]*Switch, len(t.Nodes))
 	n.hostNIC = make([]int32, len(t.Nodes))
+	n.hostLeaf = make([]leafRef, len(t.Nodes))
 	for i := range n.hostNIC {
 		n.hostNIC[i] = -1
+		n.hostLeaf[i] = leafRef{leaf: -1, idx: -1}
 	}
 	for _, l := range t.Links {
 		for dir := 0; dir < 2; dir++ {
@@ -291,10 +294,19 @@ func (n *Network) build() {
 		if nic == nil {
 			panic(fmt.Sprintf("fabric: host %d has no NIC link", h))
 		}
-		n.hostByNode[h] = &Host{net: n, ID: h, Leaf: t.LeafOf(h), NIC: nic, dom: n.domByNode[h]}
+		leaf := t.LeafOf(h)
+		n.hostByNode[h] = &Host{net: n, ID: h, Leaf: leaf, NIC: nic, dom: n.domByNode[h]}
+		n.hostLeaf[h] = leafRef{leaf: leaf, idx: int32(t.LeafIndex(leaf))}
 	}
 
 	n.Reconverge()
+}
+
+// leafRef is a host's leaf and that leaf's dense index: the addressing
+// Host.Send stamps on every packet bound for the host.
+type leafRef struct {
+	leaf topo.NodeID // -1 for a switch
+	idx  int32
 }
 
 // Host returns the host entity for node id.
@@ -380,59 +392,95 @@ func (n *Network) SwitchList() []*Switch {
 // leaf, a single group containing all equal-cost next hops — classic ECMP
 // tables, which Random/RR/DRILL-symmetric share.
 func (n *Network) BuildDefaultTables() {
-	n.InstallGroups(func(sw *Switch, leaf topo.NodeID) []Group {
-		hops := n.Routes.NextHops(sw.Node, leaf)
-		if len(hops) == 0 {
-			return nil // unreachable (partitioned by failures)
+	n.InstallGroups(func(sw *Switch, leaf topo.NodeID, add func([]topo.ChanID, uint32)) {
+		// No next hop: unreachable (partitioned by failures).
+		if hops := n.Routes.NextHops(sw.Node, leaf); len(hops) > 0 {
+			add(hops, 1)
 		}
-		ports := make([]int32, len(hops))
-		for i, c := range hops {
-			ports[i] = int32(c)
-		}
-		return []Group{{Ports: ports, Weight: 1}}
 	})
 }
 
-// InstallGroups builds every switch's forwarding tables into the epoch
-// under construction: groupsFor returns the groups toward one destination
-// leaf (nil when it is unreachable), each a port set and its weight. The
-// fabric owns the table format: it sorts each port set and gives every
-// distinct set at a switch a dense ID, in first-seen order, which engines
-// key their per-group state on. A TableBuilder calls it from BuildTables;
-// only BuildEpoch runs those.
-func (n *Network) InstallGroups(groupsFor func(sw *Switch, leaf topo.NodeID) []Group) {
-	for _, sw := range n.SwitchList() {
-		tables := make([][]Group, len(n.Topo.Leaves))
-		ids := map[string]int32{}
+// InstallGroups builds every switch's forwarding table into the epoch
+// under construction. For each switch and destination leaf, groupsFor
+// calls add once per group toward that leaf: a set of the switch's output
+// ports and the group's weight. A leaf it adds nothing for is unreachable.
+// add copies the port set and sorts its copy.
+//
+// The fabric owns the table format (see Switch.fwd): each switch keeps one
+// int32 per leaf, one array of groups and one array holding each distinct
+// port set once, so the tables allocate per switch, not per entry. Every
+// distinct set at a switch gets a dense ID, in first-seen order, which
+// engines key their per-group state on. A TableBuilder calls it from
+// BuildTables; only BuildEpoch runs those.
+func (n *Network) InstallGroups(groupsFor func(sw *Switch, leaf topo.NodeID, add func(ports []topo.ChanID, weight uint32))) {
+	switches := n.SwitchList()
+	nl := len(n.Topo.Leaves)
+	n.building.tables = slices.Grow(n.building.tables, len(switches))
+	// Every switch's fwd and off are windows of one array.
+	flat := make([]int32, len(switches)*(2*nl+1))
+
+	// Scratch for the switch being built, reused by the next one: its
+	// distinct port sets back to back in ports, each set's window in sets
+	// (indexed by ID), and its groups, whose IDs stand in for their Ports
+	// until the switch is done. A switch has few distinct sets (a k-ary
+	// fat-tree switch at most k), so add finds a set by linear search.
+	type window struct{ lo, hi int32 }
+	var (
+		ports  []int32
+		sets   []window
+		groups []Group
+	)
+	add := func(cs []topo.ChanID, weight uint32) {
+		lo := int32(len(ports))
+		for _, c := range cs {
+			ports = append(ports, int32(c))
+		}
+		set := ports[lo:]
+		slices.Sort(set)
+		id := int32(len(sets))
+		for i, w := range sets {
+			if slices.Equal(ports[w.lo:w.hi], set) {
+				id = int32(i)
+				break
+			}
+		}
+		if id < int32(len(sets)) {
+			ports = ports[:lo] // seen before: keep the first copy only
+		} else {
+			sets = append(sets, window{lo, int32(len(ports))})
+		}
+		groups = append(groups, Group{ID: id, Weight: weight})
+	}
+
+	for _, sw := range switches {
+		fwd, off := flat[:nl:nl], flat[nl:2*nl+1:2*nl+1]
+		flat = flat[2*nl+1:]
+		ports, sets, groups = ports[:0], sets[:0], groups[:0]
 		for li, leaf := range n.Topo.Leaves {
+			first := len(groups)
+			off[li] = int32(first)
+			fwd[li] = noRoute
 			if sw.Node == leaf {
 				continue
 			}
-			groups := groupsFor(sw, leaf)
-			if len(groups) == 0 {
-				continue
-			}
-			for i := range groups {
-				g := &groups[i]
-				slices.Sort(g.Ports)
-				// The lookup key is built on the stack, so only a port set
-				// seen for the first time allocates.
-				var stack [64]byte
-				key := stack[:0]
-				for _, p := range g.Ports {
-					key = append(key, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+			groupsFor(sw, leaf, add)
+			if added := groups[first:]; len(added) > 0 {
+				fwd[li] = viaBalancer
+				if w := sets[added[0].ID]; len(added) == 1 && w.hi-w.lo == 1 {
+					fwd[li] = ports[w.lo] // one single-port group: no choice to make
 				}
-				id, ok := ids[string(key)]
-				if !ok {
-					id = int32(len(ids))
-					ids[string(key)] = id
-				}
-				g.ID = id
 			}
-			tables[li] = groups
 		}
-		n.building.tables = append(n.building.tables,
-			epochTable{node: sw.Node, tables: tables, groupCount: int32(len(ids))})
+		off[nl] = int32(len(groups))
+		// Exact-size copies, so the scratch can serve the next switch.
+		swPorts, swGroups := slices.Clone(ports), slices.Clone(groups)
+		for i := range swGroups {
+			w := sets[swGroups[i].ID]
+			swGroups[i].Ports = swPorts[w.lo:w.hi:w.hi]
+		}
+		n.building.tables = append(n.building.tables, epochTable{
+			node: sw.Node, fwd: fwd, off: off, groups: swGroups, groupCount: int32(len(sets)),
+		})
 	}
 }
 
@@ -687,22 +735,19 @@ func (n *Network) forward(sw *Switch, eng *Engine, pkt *Packet) {
 			// Path broken: fall back to table forwarding below.
 		}
 	}
-	groups := sw.tables[pkt.DstLeafIdx]
-	if len(groups) == 0 {
-		// Destination unreachable from here (mid-failure window): drop,
-		// booked against this switch's own forwarding tier (port -1: there
-		// is no output port to attribute it to).
-		sw.dom.hops.RecordDrop(sw.dropHop)
-		if n.tracer != nil {
-			n.tracer.Packet(trace.Drop, sw.dom.sim.Now(), -1, uint8(sw.dropHop), pkt.FlowID, pkt.Seq, int32(pkt.Size), 0)
+	port := sw.fwd[pkt.DstLeafIdx]
+	if port < 0 {
+		if port == noRoute {
+			// Destination unreachable from here (mid-failure window): drop,
+			// booked against this switch's own forwarding tier (port -1:
+			// there is no output port to attribute it to).
+			sw.dom.hops.RecordDrop(sw.dropHop)
+			if n.tracer != nil {
+				n.tracer.Packet(trace.Drop, sw.dom.sim.Now(), -1, uint8(sw.dropHop), pkt.FlowID, pkt.Seq, int32(pkt.Size), 0)
+			}
+			sw.dom.pool.Put(pkt)
+			return
 		}
-		sw.dom.pool.Put(pkt)
-		return
-	}
-	var port int32
-	if len(groups) == 1 && len(groups[0].Ports) == 1 {
-		port = groups[0].Ports[0]
-	} else {
 		port = n.balancer.Choose(n, sw, eng, pkt)
 	}
 	n.enqueue(n.Ports[port], pkt)

@@ -23,38 +23,45 @@ const (
 // Packet is the unit the fabric forwards. Fields beyond the addressing
 // header are scratch space for the transport layer (Seq/AckNo/EchoTS), the
 // load balancers (Hash/Path/CE), and the fabric itself (enqAt/Hops).
+//
+// Every field the fabric reads or writes per hop comes first and fits in
+// the struct's first 64 bytes, and the whole struct in the allocator's
+// 128-byte size class, so a hop touches one cache line of the packet
+// (TestPacketLayout holds both).
 type Packet struct {
-	FlowID uint64
-	Hash   uint32 // 5-tuple hash, fixed for the flow's lifetime
-	Kind   PacketKind
+	Size  units.ByteSize // bytes on the wire
+	enqAt units.Time     // when the packet entered its current queue
 
-	Src, Dst         topo.NodeID // hosts
-	SrcLeaf, DstLeaf topo.NodeID
-	DstLeafIdx       int32 // dense index of DstLeaf for table lookups
+	Path []topo.ChanID // source route (Presto); nil for hop-by-hop schemes
 
-	Size units.ByteSize // bytes on the wire
-
-	// Transport fields.
-	Seq    int64      // first byte offset carried (Data) or being acked (Ack)
-	Len    int32      // payload bytes (Data)
-	AckNo  int64      // cumulative ack (Ack)
-	EchoTS units.Time // send timestamp echoed by the receiver for RTT
-	TxSeq  int32      // per-flow emission counter for wire-reorder metrics
-
-	// Load-balancer fields.
-	CE      uint8         // CONGA congestion-experienced metric
-	LBTag   int16         // CONGA: source leaf's uplink choice, echoed in feedback
-	Path    []topo.ChanID // source route (Presto); nil for hop-by-hop schemes
-	PathIdx int32
-
-	enqAt units.Time // when the packet entered its current queue
+	Hash       uint32      // 5-tuple hash, fixed for the flow's lifetime
+	DstLeafIdx int32       // dense index of DstLeaf for table lookups
+	Dst        topo.NodeID // destination host
+	DstLeaf    topo.NodeID
+	PathIdx    int32
 
 	// Hops counts fabric switches traversed, to catch forwarding loops.
 	Hops int8
+	Kind PacketKind
 
 	// poolState tracks PacketPool membership; see pool.go. Packets built by
 	// hand (tests, custom drivers) carry poolNone and are never recycled.
 	poolState uint8
+
+	CE uint8 // CONGA congestion-experienced metric
+
+	FlowID  uint64
+	Src     topo.NodeID // source host
+	SrcLeaf topo.NodeID
+
+	// Transport fields.
+	Seq    int64      // first byte offset carried (Data) or being acked (Ack)
+	AckNo  int64      // cumulative ack (Ack)
+	EchoTS units.Time // send timestamp echoed by the receiver for RTT
+	Len    int32      // payload bytes (Data)
+	TxSeq  int32      // per-flow emission counter for wire-reorder metrics
+
+	LBTag int16 // CONGA: source leaf's uplink choice, echoed in feedback
 }
 
 // HeaderBytes is the wire overhead added to every segment (Ethernet + IP +

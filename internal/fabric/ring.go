@@ -5,37 +5,59 @@ import (
 )
 
 // fifo is an amortized-zero-allocation FIFO: each Port's packet queue and
-// its visibility and wire rings. Pushes append; pops advance a head cursor
-// and compact the backing slice once the dead prefix dominates. After
-// warm-up the backing array is reused indefinitely, so a steady-state
-// push/pop cycle allocates nothing.
+// its visibility and wire rings. It is a circular buffer over a backing
+// array whose length is 0 or a power of two: a pop masks the head forward
+// and never copies, and a push into a full ring doubles the array,
+// copying the live entries to its front in FIFO order. The live entries
+// then cycle inside an array sized by the ring's peak occupancy, touching
+// the same few cache lines instead of walking onto cold ones, and a
+// steady-state push/pop cycle allocates nothing.
 type fifo[T any] struct {
 	buf  []T
-	head int
+	head int // index of the oldest entry
+	n    int // live entries
 }
 
 //drill:hotpath
-//drill:allocs 1 buffer growth amortizes; capacity is retained across pops
-func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
 
+// grow doubles the backing array (to 4 entries from empty) and moves the
+// live entries to its front, oldest first.
+//
+//drill:hotpath
+//drill:allocs 1 doubling amortizes; capacity is retained across pops
+func (f *fifo[T]) grow() {
+	buf := make([]T, max(4, 2*len(f.buf)))
+	k := copy(buf, f.buf[f.head:])
+	copy(buf[k:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
+}
+
+// pop removes and returns the oldest entry. It zeroes the vacated slot,
+// so a recycled *Packet is not kept reachable from the ring.
+//
 //drill:hotpath
 func (f *fifo[T]) pop() T {
 	var zero T
 	v := f.buf[f.head]
 	f.buf[f.head] = zero
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
 	return v
 }
 
-func (f *fifo[T]) empty() bool { return f.head == len(f.buf) }
+func (f *fifo[T]) empty() bool { return f.n == 0 }
 
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+func (f *fifo[T]) len() int { return f.n }
 
+// peek returns the oldest entry in place.
+//
 //drill:hotpath
 func (f *fifo[T]) peek() *T { return &f.buf[f.head] }
 

@@ -3,6 +3,7 @@ package fabric
 import (
 	"math/rand"
 
+	"drill/internal/core"
 	"drill/internal/metrics"
 	"drill/internal/topo"
 )
@@ -28,20 +29,45 @@ type Engine struct {
 	Index int
 	Rng   *rand.Rand
 
-	// state[groupID] holds the balancer's per-engine scheduler state for
-	// that port set (e.g. a DRILL selector or an RR cursor). ApplyEpoch
-	// sizes it to the switch's distinct port sets.
-	state []any
+	// groups[gid] is the engine's scheduler state for the switch's port
+	// set gid. ApplyEpoch sizes it to the switch's distinct port sets and
+	// restarts it, because group IDs change meaning across epochs.
+	groups []groupState
 }
 
-// State returns the engine's scheduler state for group gid, creating it via
-// mk on first use.
-func (e *Engine) State(gid int32, mk func() any) any {
-	if e.state[gid] == nil {
-		e.state[gid] = mk()
-	}
-	return e.state[gid]
+// groupState is one engine's scheduler state for one port set. One
+// struct rather than a slice per scheme keeps ApplyEpoch's allocation
+// count at one, whichever scheme runs.
+type groupState struct {
+	sel  *core.Selector // DRILL's sampler and memory, created on first use
+	next int            // round-robin cursor
 }
+
+// Selector returns the engine's DRILL(d,m) selector for group gid,
+// creating it on first use. Creating one draws nothing from the engine's
+// random stream.
+func (e *Engine) Selector(gid int32, d, m int) *core.Selector {
+	st := &e.groups[gid]
+	if st.sel == nil {
+		st.sel = core.NewSelector(d, m, e.Rng)
+	}
+	return st.sel
+}
+
+// NextRR returns the engine's round-robin position for group gid and
+// advances it.
+func (e *Engine) NextRR(gid int32) int {
+	st := &e.groups[gid]
+	i := st.next
+	st.next++
+	return i
+}
+
+// Forwarding entries (Switch.fwd) other than a port.
+const (
+	noRoute     int32 = -1 // the destination leaf is unreachable, or is this switch
+	viaBalancer int32 = -2 // the balancer chooses among the entry's groups and their ports
+)
 
 // Switch is a fabric switch: a set of output ports, per-destination
 // forwarding groups, and parallel forwarding engines.
@@ -59,9 +85,17 @@ type Switch struct {
 
 	OutPorts []int32 // Network port indexes of this switch's output ports
 
-	// tables[dstLeafIdx] lists the groups toward that leaf (nil for the
-	// switch's own leaf index — local delivery uses Network.hostNIC).
-	tables [][]Group
+	// The flat forwarding table, which InstallGroups builds and ApplyEpoch
+	// installs. fwd[dstLeafIdx] is all forward reads before it enqueues:
+	// the output port itself when the entry is one single-port group,
+	// noRoute, or viaBalancer. The entry's groups are
+	// groups[off[dstLeafIdx]:off[dstLeafIdx+1]] in every case, and their
+	// Ports are windows of one per-switch array that holds each distinct
+	// port set once. Local delivery at the switch's own leaf uses
+	// Network.hostNIC instead.
+	fwd    []int32
+	off    []int32
+	groups []Group
 
 	engines []*Engine
 }
@@ -69,8 +103,12 @@ type Switch struct {
 // Engines returns the switch's forwarding engines.
 func (s *Switch) Engines() []*Engine { return s.engines }
 
-// Groups returns the forwarding groups toward dstLeafIdx.
-func (s *Switch) Groups(dstLeafIdx int32) []Group { return s.tables[dstLeafIdx] }
+// Groups returns the forwarding groups toward dstLeafIdx: empty when the
+// leaf is unreachable or is this switch.
+func (s *Switch) Groups(dstLeafIdx int32) []Group {
+	lo, hi := s.off[dstLeafIdx], s.off[dstLeafIdx+1]
+	return s.groups[lo:hi:hi]
+}
 
 // GroupForFlow picks a group by flow hash, honoring weights — the "flow
 // classification" step of §3.4.2. It requires at least one group.

@@ -130,7 +130,7 @@ func runVisScript(seed int64, cov *visCoverage) error {
 			s.At(at, func() { cov.readsBefore++; check(c, "read before update key") })
 		}
 		c.p.pushVisibility(size)
-		c.m.push(c.p.visRing.buf[len(c.p.visRing.buf)-1])
+		c.m.push(*c.p.visRing.newest())
 		c.waiting = append(c.waiting, size)
 		if rng.Intn(3) == 0 {
 			s.At(at, func() { cov.readsAfter++; check(c, "read after update key") })

@@ -29,16 +29,9 @@ func (d *DRILLAsym) Name() string { return fmt.Sprintf("DRILL(%d,%d)+quiver", d.
 func (d *DRILLAsym) BuildTables(net *fabric.Network) {
 	q := quiver.Build(net.Routes)
 	net.InstallQuiver(q)
-	net.InstallGroups(func(sw *fabric.Switch, leaf topo.NodeID) []fabric.Group {
-		comps := q.Decompose(sw.Node, leaf)
-		groups := make([]fabric.Group, 0, len(comps))
-		for _, c := range comps {
-			ports := make([]int32, 0, len(c.FirstHops))
-			for _, cid := range c.FirstHops {
-				ports = append(ports, int32(cid))
-			}
-			groups = append(groups, fabric.Group{Ports: ports, Weight: c.Weight})
+	net.InstallGroups(func(sw *fabric.Switch, leaf topo.NodeID, add func([]topo.ChanID, uint32)) {
+		for _, c := range q.Decompose(sw.Node, leaf) {
+			add(c.FirstHops, c.Weight)
 		}
-		return groups
 	})
 }

@@ -8,7 +8,6 @@ package lb
 import (
 	"fmt"
 
-	"drill/internal/core"
 	"drill/internal/fabric"
 )
 
@@ -38,9 +37,6 @@ func (Random) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine,
 	return g.Ports[eng.Rng.Intn(len(g.Ports))]
 }
 
-// rrState is a per-engine, per-group round-robin cursor.
-type rrState struct{ next int }
-
 // RoundRobin sprays packets over equal-cost next hops in rotation
 // ("Per-packet RR"): packet granularity, deterministic, load-oblivious.
 type RoundRobin struct{}
@@ -51,10 +47,7 @@ func (RoundRobin) Name() string { return "RR" }
 // Choose implements fabric.Balancer.
 func (RoundRobin) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, pkt *fabric.Packet) int32 {
 	g := fabric.GroupForFlow(sw.Groups(pkt.DstLeafIdx), pkt.Hash)
-	st := eng.State(g.ID, func() any { return &rrState{} }).(*rrState)
-	p := g.Ports[st.next%len(g.Ports)]
-	st.next++
-	return p
+	return g.Ports[eng.NextRR(g.ID)%len(g.Ports)]
 }
 
 // DRILL applies the DRILL(d,m) selector per packet within the packet's
@@ -75,10 +68,7 @@ func (d *DRILL) Name() string { return fmt.Sprintf("DRILL(%d,%d)", d.D, d.M) }
 // Choose implements fabric.Balancer.
 func (d *DRILL) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, pkt *fabric.Packet) int32 {
 	g := fabric.GroupForFlow(sw.Groups(pkt.DstLeafIdx), pkt.Hash)
-	sel := eng.State(g.ID, func() any {
-		return core.NewSelector(d.D, d.M, eng.Rng)
-	}).(*core.Selector)
-	i := sel.Pick(len(g.Ports), func(q int) int64 {
+	i := eng.Selector(g.ID, d.D, d.M).Pick(len(g.Ports), func(q int) int64 {
 		return net.Ports[g.Ports[q]].VisibleBytes()
 	})
 	return g.Ports[i]

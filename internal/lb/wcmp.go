@@ -27,12 +27,13 @@ func (WCMP) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, p
 // next hop, in ascending port order, weighted by the summed bottleneck
 // capacity of the shortest paths through it.
 func (WCMP) BuildTables(net *fabric.Network) {
-	net.InstallGroups(func(sw *fabric.Switch, leaf topo.NodeID) []fabric.Group {
+	var caps []units.Rate // per next hop, reused across entries
+	net.InstallGroups(func(sw *fabric.Switch, leaf topo.NodeID, add func([]topo.ChanID, uint32)) {
 		hops := net.Routes.NextHops(sw.Node, leaf)
 		// NextHops lists channels (= ports) in ascending order, and Paths
 		// groups paths by first hop in that order.
 		paths := net.Routes.Paths(sw.Node, leaf)
-		caps := make([]units.Rate, len(hops))
+		caps = append(caps[:0], make([]units.Rate, len(hops))...)
 		var g units.Rate
 		for k, c := range hops {
 			for ; len(paths) > 0 && paths[0][0] == c; paths = paths[1:] {
@@ -40,10 +41,8 @@ func (WCMP) BuildTables(net *fabric.Network) {
 			}
 			g = topo.GCD(g, caps[k])
 		}
-		groups := make([]fabric.Group, len(hops))
-		for k, c := range hops {
-			groups[k] = fabric.Group{Ports: []int32{int32(c)}, Weight: topo.Weight(caps[k], g)}
+		for k := range hops {
+			add(hops[k:k+1], topo.Weight(caps[k], g))
 		}
-		return groups
 	})
 }
