@@ -60,7 +60,7 @@ func main() {
 		scale    = flag.Float64("scale", 0, "0 = quick single-core defaults, 1 = paper parameters")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		loads    = flag.String("loads", "", "comma-separated load override, e.g. 0.1,0.5,0.8")
-		reps     = flag.Int("reps", 1, "replications per sweep cell (pooled samples)")
+		reps     = flag.Int("reps", 1, "replications per sweep cell, pooled (FCT sweeps only; the other experiments reject > 1)")
 		workers  = flag.Int("workers", runtime.NumCPU(), "concurrent simulation runs (1 = sequential)")
 		shards   = flag.Int("shards", 0, "shards per simulation run on the parallel engine (0 = sequential engine); results are byte-identical at any value")
 		campaign = flag.String("campaign", "", "scripted fail/restore campaign for every sweep cell: a preset (flapstorm, podfail, rollingdrain) or @file.json (see EXPERIMENTS.md for the format)")
@@ -130,13 +130,36 @@ func main() {
 	if *exp == "all" {
 		exps = experiments.All()
 	} else {
+		named := map[*experiments.Experiment]bool{}
 		for _, id := range strings.Split(*exp, ",") {
 			e := experiments.Get(strings.TrimSpace(id))
 			if e == nil {
 				fmt.Fprintf(os.Stderr, "drillsim: unknown experiment %q (try -list)\n", id)
 				os.Exit(2)
 			}
+			// A second run would repeat the first's cells under the same
+			// metric scopes, and print the same report again.
+			if named[e] {
+				fmt.Fprintf(os.Stderr, "drillsim: -exp names %s twice\n", e.ID)
+				os.Exit(2)
+			}
+			named[e] = true
 			exps = append(exps, e)
+		}
+	}
+	if *reps > 1 {
+		var pooling []string
+		for _, e := range experiments.All() {
+			if e.PoolsReps {
+				pooling = append(pooling, e.ID)
+			}
+		}
+		for _, e := range exps {
+			if !e.PoolsReps {
+				fmt.Fprintf(os.Stderr, "drillsim: -reps %d: %s runs one replication per cell (only %s pool replications)\n",
+					*reps, e.ID, strings.Join(pooling, ", "))
+				os.Exit(2)
+			}
 		}
 	}
 	var camp *experiments.Campaign

@@ -84,10 +84,11 @@ func TestRejectsNonPositiveSampling(t *testing.T) {
 
 // TestRejectsBadFlags: every flag is checked before anything runs or any
 // file is opened. A -scale outside [0, 1] (NaN included), an unknown
-// -format, an unknown -exp id or a campaign action past the simulator's
-// clock is one drillsim: line on stderr and exit status 2, with nothing on
-// stdout — no sweep run first, no scheduler panic, and no -trace file
-// truncated.
+// -format, an unknown or repeated -exp id, a -reps above 1 for an
+// experiment that does not pool replications, or a campaign action past
+// the simulator's clock is one drillsim: line on stderr and exit status 2,
+// with nothing on stdout — no sweep run first, no scheduler panic, and no
+// -trace file truncated.
 func TestRejectsBadFlags(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "t.csv")
@@ -108,6 +109,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		"-exp fig6a -scale 5",
 		"-exp fig6a -format xml",
 		"-exp fig6a,nope",
+		"-exp stability,stability",
+		"-exp stability -reps 3",
 		"-exp nope -trace " + tracePath,
 		"-exp fig6c -campaign @" + campaignPath,
 	} {

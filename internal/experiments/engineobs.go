@@ -16,137 +16,114 @@ import (
 // exchange traffic, and scheduler internals. Every run with an Obs
 // registry attached carries them; their series set is engine-shaped (one
 // sched row per scheduler, shard rows only on the sharded engine), so
-// engine-invariance comparisons strip them. Refresh runs on the observer
-// tick, which fires at a window barrier with every shard parked, and
-// reads the engine through buildEngineReport — the same read the
-// post-run report makes — so all reads are race-free and never steer.
+// engine-invariance comparisons strip them. Each series is a read of the
+// engine report, which the snapshotter rebuilds once per observer tick —
+// a window barrier, every shard parked — through buildEngineReport, the
+// same read the post-run report makes, so all reads are race-free and
+// never steer.
 
-// engineGaugeSet holds one shard's gauge row.
-type engineGaugeSet struct {
-	windows, events, critical, busy, stall *obs.Gauge
+// schedFamilies are the per-scheduler families, one series per sched row.
+var schedFamilies = []struct {
+	name, help string
+	read       func(*obs.EngineSched) float64
+}{
+	{"drill_sched_near_total", "Schedule calls routed to the near tier.",
+		func(s *obs.EngineSched) float64 { return float64(s.Near) }},
+	{"drill_sched_wheel_total", "Schedule calls routed into a wheel bucket.",
+		func(s *obs.EngineSched) float64 { return float64(s.Wheel) }},
+	{"drill_sched_far_total", "Schedule calls routed to the far overflow heap.",
+		func(s *obs.EngineSched) float64 { return float64(s.Far) }},
+	{"drill_sched_dispatch_list_total", "Dispatches consumed from the sorted dispatch list.",
+		func(s *obs.EngineSched) float64 { return float64(s.DispatchList) }},
+	{"drill_sched_dispatch_heap_total", "Dispatches popped from the near heap.",
+		func(s *obs.EngineSched) float64 { return float64(s.DispatchHeap) }},
+	{"drill_sched_cascades_total", "Far-tier events re-routed as the wheel horizon advanced.",
+		func(s *obs.EngineSched) float64 { return float64(s.Cascades) }},
+	{"drill_sched_pours_total", "Non-empty cursor buckets poured at advancement.",
+		func(s *obs.EngineSched) float64 { return float64(s.Pours) }},
+	{"drill_sched_poured_events_total", "Events moved out of wheel buckets by pours.",
+		func(s *obs.EngineSched) float64 { return float64(s.PouredEvents) }},
+	{"drill_sched_wheel_occupancy", "Events currently stored in wheel buckets.",
+		func(s *obs.EngineSched) float64 { return float64(s.WheelOccupancy) }},
+	{"drill_sched_pending", "Scheduled events not yet dispatched, all tiers.",
+		func(s *obs.EngineSched) float64 { return float64(s.Pending) }},
 }
 
-// schedGaugeSet holds one scheduler's internals row.
-type schedGaugeSet struct {
-	near, wheel, far     *obs.Gauge
-	dispList, dispHeap   *obs.Gauge
-	cascades, pours      *obs.Gauge
-	poured, occ, pending *obs.Gauge
+// shardFamilies are the per-shard families of the sharded engine.
+var shardFamilies = []struct {
+	name, help string
+	read       func(*obs.EngineShard) float64
+}{
+	{"drill_shard_windows_total", "Windows in which this shard dispatched events.",
+		func(s *obs.EngineShard) float64 { return float64(s.Windows) }},
+	{"drill_shard_events_total", "Events dispatched by this shard.",
+		func(s *obs.EngineShard) float64 { return float64(s.Events) }},
+	{"drill_shard_critical_windows_total", "Windows whose width this shard's earliest event bounded.",
+		func(s *obs.EngineShard) float64 { return float64(s.Critical) }},
+	{"drill_shard_busy_seconds_total", "Wall time this shard spent running windows.",
+		func(s *obs.EngineShard) float64 { return float64(s.BusyNs) / 1e9 }},
+	{"drill_shard_stall_seconds_total", "Wall time this shard spent parked at barriers.",
+		func(s *obs.EngineShard) float64 { return float64(s.StallNs) / 1e9 }},
 }
 
-type engineMetrics struct {
-	report func() *obs.EngineReport
-
-	sched    []schedGaugeSet
-	shards   []engineGaugeSet
-	exch     [][]*obs.Gauge
-	barriers *obs.Gauge
-	winCount *obs.Gauge
-	winSum   *obs.Gauge
-	winP50   *obs.Gauge
-	winP90   *obs.Gauge
-	winP99   *obs.Gauge
+// windowFamilies are the synchronizer's run-wide families.
+var windowFamilies = []struct {
+	name, help string
+	read       func(*obs.EngineReport) float64
+}{
+	{"drill_window_barriers_total", "Exchange barriers executed by the synchronizer.",
+		func(r *obs.EngineReport) float64 { return float64(r.Barriers) }},
+	{"drill_window_count", "Windows opened by the synchronizer.",
+		func(r *obs.EngineReport) float64 { return float64(r.WindowCount) }},
+	{"drill_window_width_ns_sum", "Total sim-time width of all windows, ns.",
+		func(r *obs.EngineReport) float64 { return float64(r.WindowSumNs) }},
+	{"drill_window_width_ns_p50", "Upper bound on the median window width, sim ns.",
+		func(r *obs.EngineReport) float64 { return float64(r.WindowP50Ns) }},
+	{"drill_window_width_ns_p90", "Upper bound on the p90 window width, sim ns.",
+		func(r *obs.EngineReport) float64 { return float64(r.WindowP90Ns) }},
+	{"drill_window_width_ns_p99", "Upper bound on the p99 window width, sim ns.",
+		func(r *obs.EngineReport) float64 { return float64(r.WindowP99Ns) }},
 }
 
-// newEngineMetrics registers the engine families for one run, shaped by
-// the run's engine report: a sequential run registers only its one
-// scheduler-internals row, sched="seq".
-func newEngineMetrics(reg *obs.Registry, scope string, report func() *obs.EngineReport) *engineMetrics {
-	em := &engineMetrics{report: report}
+// registerEngineReads registers the engine families for one run on sn,
+// shaped by the run's engine report: a sequential run registers only its
+// one scheduler-internals row, sched="seq".
+func registerEngineReads(sn *obs.Snapshotter, scope string, report func() *obs.EngineReport) {
 	rep := report()
-	for _, sc := range rep.Sched {
-		l := obs.JoinLabels(scope, fmt.Sprintf("sched=%q", sc.Sched))
-		em.sched = append(em.sched, schedGaugeSet{
-			near:     reg.Gauge("drill_sched_near_total", l, "Schedule calls routed to the near tier."),
-			wheel:    reg.Gauge("drill_sched_wheel_total", l, "Schedule calls routed into a wheel bucket."),
-			far:      reg.Gauge("drill_sched_far_total", l, "Schedule calls routed to the far overflow heap."),
-			dispList: reg.Gauge("drill_sched_dispatch_list_total", l, "Dispatches consumed from the sorted dispatch list."),
-			dispHeap: reg.Gauge("drill_sched_dispatch_heap_total", l, "Dispatches popped from the near heap."),
-			cascades: reg.Gauge("drill_sched_cascades_total", l, "Far-tier events re-routed as the wheel horizon advanced."),
-			pours:    reg.Gauge("drill_sched_pours_total", l, "Non-empty cursor buckets poured at advancement."),
-			poured:   reg.Gauge("drill_sched_poured_events_total", l, "Events moved out of wheel buckets by pours."),
-			occ:      reg.Gauge("drill_sched_wheel_occupancy", l, "Events currently stored in wheel buckets."),
-			pending:  reg.Gauge("drill_sched_pending", l, "Scheduled events not yet dispatched, all tiers."),
-		})
-	}
-	if len(rep.Shards) == 0 {
-		return em
-	}
-	for i := range rep.Shards {
-		l := obs.JoinLabels(scope, fmt.Sprintf("shard=%q", strconv.Itoa(i)))
-		em.shards = append(em.shards, engineGaugeSet{
-			windows:  reg.Gauge("drill_shard_windows_total", l, "Windows in which this shard dispatched events."),
-			events:   reg.Gauge("drill_shard_events_total", l, "Events dispatched by this shard."),
-			critical: reg.Gauge("drill_shard_critical_windows_total", l, "Windows whose width this shard's earliest event bounded."),
-			busy:     reg.Gauge("drill_shard_busy_seconds_total", l, "Wall time this shard spent running windows."),
-			stall:    reg.Gauge("drill_shard_stall_seconds_total", l, "Wall time this shard spent parked at barriers."),
-		})
-	}
-	n := len(rep.Shards)
-	em.exch = make([][]*obs.Gauge, n)
-	for src := 0; src < n; src++ {
-		em.exch[src] = make([]*obs.Gauge, n)
-		for dst := 0; dst < n; dst++ {
-			l := obs.JoinLabels(scope, fmt.Sprintf("src=%q,dst=%q", strconv.Itoa(src), strconv.Itoa(dst)))
-			em.exch[src][dst] = reg.Gauge("drill_shard_exchange_total", l,
-				"Cross-shard messages exchanged from shard src to shard dst at barriers.")
-		}
-	}
-	em.barriers = reg.Gauge("drill_window_barriers_total", scope, "Exchange barriers executed by the synchronizer.")
-	em.winCount = reg.Gauge("drill_window_count", scope, "Windows opened by the synchronizer.")
-	em.winSum = reg.Gauge("drill_window_width_ns_sum", scope, "Total sim-time width of all windows, ns.")
-	em.winP50 = reg.Gauge("drill_window_width_ns_p50", scope, "Upper bound on the median window width, sim ns.")
-	em.winP90 = reg.Gauge("drill_window_width_ns_p90", scope, "Upper bound on the p90 window width, sim ns.")
-	em.winP99 = reg.Gauge("drill_window_width_ns_p99", scope, "Upper bound on the p99 window width, sim ns.")
-	return em
-}
-
-// Refresh publishes the current engine report into the gauges. It runs at
-// observer ticks — window barriers, all shards parked — and after the run
-// drains (the snapshotter's Final), so every read is race-free.
-func (em *engineMetrics) Refresh(units.Time) {
-	rep := em.report()
+	sn.Prepare(func(units.Time) { rep = report() })
 	for i, sc := range rep.Sched {
-		g := &em.sched[i]
-		g.near.Set(float64(sc.Near))
-		g.wheel.Set(float64(sc.Wheel))
-		g.far.Set(float64(sc.Far))
-		g.dispList.Set(float64(sc.DispatchList))
-		g.dispHeap.Set(float64(sc.DispatchHeap))
-		g.cascades.Set(float64(sc.Cascades))
-		g.pours.Set(float64(sc.Pours))
-		g.poured.Set(float64(sc.PouredEvents))
-		g.occ.Set(float64(sc.WheelOccupancy))
-		g.pending.Set(float64(sc.Pending))
+		l := obs.JoinLabels(scope, fmt.Sprintf("sched=%q", sc.Sched))
+		for _, f := range schedFamilies {
+			sn.GaugeFunc(f.name, l, f.help, func() float64 { return f.read(&rep.Sched[i]) })
+		}
 	}
 	if len(rep.Shards) == 0 {
 		return
 	}
-	for i, st := range rep.Shards {
-		g := &em.shards[i]
-		g.windows.Set(float64(st.Windows))
-		g.events.Set(float64(st.Events))
-		g.critical.Set(float64(st.Critical))
-		g.busy.Set(float64(st.BusyNs) / 1e9)
-		g.stall.Set(float64(st.StallNs) / 1e9)
-	}
-	for src, row := range rep.Exchange {
-		for dst, v := range row {
-			em.exch[src][dst].Set(float64(v))
+	for i := range rep.Shards {
+		l := obs.JoinLabels(scope, fmt.Sprintf("shard=%q", strconv.Itoa(i)))
+		for _, f := range shardFamilies {
+			sn.GaugeFunc(f.name, l, f.help, func() float64 { return f.read(&rep.Shards[i]) })
 		}
 	}
-	em.barriers.Set(float64(rep.Barriers))
-	em.winCount.Set(float64(rep.WindowCount))
-	em.winSum.Set(float64(rep.WindowSumNs))
-	em.winP50.Set(float64(rep.WindowP50Ns))
-	em.winP90.Set(float64(rep.WindowP90Ns))
-	em.winP99.Set(float64(rep.WindowP99Ns))
+	n := len(rep.Shards)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			l := obs.JoinLabels(scope, fmt.Sprintf("src=%q,dst=%q", strconv.Itoa(src), strconv.Itoa(dst)))
+			sn.GaugeFunc("drill_shard_exchange_total", l,
+				"Cross-shard messages exchanged from shard src to shard dst at barriers.",
+				func() float64 { return float64(rep.Exchange[src][dst]) })
+		}
+	}
+	for _, f := range windowFamilies {
+		sn.GaugeFunc(f.name, scope, f.help, func() float64 { return f.read(rep) })
+	}
 }
 
 // buildEngineReport assembles the post-run engine observatory report. It
 // is cheap (a few hundred bytes of plain data) and only reads parked
-// state, so every run carries one, and engineMetrics re-reads it at each
-// observer tick.
+// state, so every run carries one, and the engine reads rebuild it at
+// each observer tick.
 func buildEngineReport(engine string, s *sim.Sim, group *sim.ShardGroup, net *fabric.Network) *obs.EngineReport {
 	rep := &obs.EngineReport{Engine: engine}
 	schedRow := func(name string, ss *sim.Sim) obs.EngineSched {

@@ -33,7 +33,8 @@ type Options struct {
 	// has one.
 	Loads []float64
 	// Reps replicates each FCT-sweep cell across that many seeds and pools
-	// the samples (default 1). Raises run time linearly.
+	// the samples (default 1), in the experiments whose PoolsReps is set.
+	// Raises run time linearly.
 	Reps int
 	// Workers bounds the number of concurrent simulation runs during sweep
 	// fan-out: 0 = one per CPU, 1 = fully sequential. Reports are
@@ -299,7 +300,11 @@ func min(a, b int) int {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(o Options) *Report
+	// PoolsReps reports whether Run pools Options.Reps replications per
+	// sweep cell; the other experiments run one replication whatever Reps
+	// says.
+	PoolsReps bool
+	Run       func(o Options) *Report
 }
 
 var registry = map[string]*Experiment{}

@@ -137,8 +137,9 @@ func sweepTimes(o Options) (warmup, measure units.Time) {
 
 func init() {
 	register(&Experiment{
-		ID:    "fig6a",
-		Title: "Mean FCT vs load, symmetric Clos (Fig. 6a)",
+		ID:        "fig6a",
+		Title:     "Mean FCT vs load, symmetric Clos (Fig. 6a)",
+		PoolsReps: true,
 		Run: func(o Options) *Report {
 			o.defaults()
 			w, m := sweepTimes(o)
@@ -152,8 +153,9 @@ func init() {
 		},
 	})
 	register(&Experiment{
-		ID:    "fig6b",
-		Title: "99.99th percentile FCT vs load, symmetric Clos (Fig. 6b)",
+		ID:        "fig6b",
+		Title:     "99.99th percentile FCT vs load, symmetric Clos (Fig. 6b)",
+		PoolsReps: true,
 		Run: func(o Options) *Report {
 			o.defaults()
 			w, m := sweepTimes(o)
@@ -198,8 +200,9 @@ func init() {
 		},
 	})
 	register(&Experiment{
-		ID:    "fig7",
-		Title: "Scale-out fabric: mean and tail FCT vs load (Fig. 7)",
+		ID:        "fig7",
+		Title:     "Scale-out fabric: mean and tail FCT vs load (Fig. 7)",
+		PoolsReps: true,
 		Run: func(o Options) *Report {
 			o.defaults()
 			w, m := sweepTimes(o)

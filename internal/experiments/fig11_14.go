@@ -41,8 +41,9 @@ func init() {
 	})
 
 	register(&Experiment{
-		ID:    "fig11bc",
-		Title: "Single leaf-spine link failure: mean and tail FCT vs load (Fig. 11b,c)",
+		ID:        "fig11bc",
+		Title:     "Single leaf-spine link failure: mean and tail FCT vs load (Fig. 11b,c)",
+		PoolsReps: true,
 		Run: func(o Options) *Report {
 			o.defaults()
 			w, m := sweepTimes(o)
@@ -65,8 +66,9 @@ func init() {
 	})
 
 	register(&Experiment{
-		ID:    "fig12",
-		Title: "Ten random leaf-spine link failures: mean and tail FCT vs load (Fig. 12)",
+		ID:        "fig12",
+		Title:     "Ten random leaf-spine link failures: mean and tail FCT vs load (Fig. 12)",
+		PoolsReps: true,
 		Run: func(o Options) *Report {
 			o.defaults()
 			w, m := sweepTimes(o)
@@ -93,8 +95,9 @@ func init() {
 	})
 
 	register(&Experiment{
-		ID:    "fig13",
-		Title: "Heterogeneous topology (imbalanced striping): FCT vs load (Fig. 13)",
+		ID:        "fig13",
+		Title:     "Heterogeneous topology (imbalanced striping): FCT vs load (Fig. 13)",
+		PoolsReps: true,
 		Run: func(o Options) *Report {
 			o.defaults()
 			w, m := sweepTimes(o)

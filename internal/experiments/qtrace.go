@@ -12,11 +12,11 @@ import (
 // qtrace renders the paper's Fig. 2/3 story as a *time series* instead of
 // an end-of-run aggregate: it runs the §3.2.3 queue-balance workload under
 // ECMP, per-packet Random and DRILL(2,1) with the trace sampler on, then
-// bins the QueueSample events into time slices and reports the STDV of the
-// leaf-uplink queue lengths per slice. Unlike fig2's single time-averaged
-// number, this exposes *when* ECMP's queues diverge and how flat DRILL
-// holds them — built entirely from trace output, so the same pipeline
-// works on a CSV written with `drillsim -trace`.
+// bins the QueueSample events into time slices and reports the mean STDV
+// of each leaf's uplink queue lengths per slice. Unlike fig2's single
+// time-averaged number, this exposes *when* ECMP's queues diverge and how
+// flat DRILL holds them — built entirely from trace output, so the same
+// pipeline works on a CSV written with `drillsim -trace`.
 //
 // The per-run tracers record queue/utilization samples only (the
 // lifecycle kinds would be millions of events per cell); pair -trace with
@@ -44,7 +44,8 @@ func init() {
 			// Size each ring for every sample of its run — sampled ports ×
 			// ticks × 2 event kinds, with headroom so drain-phase ticks
 			// never evict measured ones.
-			swPorts := countSwitchPorts(stdvTopo(o.Scale)())
+			tp := stdvTopo(o.Scale)()
+			swPorts := countSwitchPorts(tp)
 			ticks := int((warmup+measure+2*units.Millisecond)/o.TraceSample) + 8
 			ringCap := 2 * swPorts * ticks
 
@@ -81,7 +82,7 @@ func init() {
 			series := make([][]float64, len(schemes))
 			means := make([]float64, len(schemes))
 			for i := range schemes {
-				series[i] = uplinkSTDVSeries(rings[i].Events(), warmup, measure, qtraceBins)
+				series[i] = uplinkSTDVSeries(tp, rings[i].Events(), warmup, measure, qtraceBins)
 				var sum float64
 				for _, v := range series[i] {
 					sum += v
@@ -97,9 +98,20 @@ func init() {
 				}
 				rep.AddRow(row...)
 			}
-			rep.Note("means: %s=%.3f %s=%.3f %s=%.3f — the Fig. 2 ordering "+
-				"(ECMP ≫ Random > DRILL) holds slice by slice, not just on average",
-				schemes[0].Name, means[0], schemes[1].Name, means[1], schemes[2].Name, means[2])
+			// below counts the slices where scheme a's STDV is under b's.
+			below := func(a, b int) int {
+				n := 0
+				for s := range series[a] {
+					if series[a][s] < series[b][s] {
+						n++
+					}
+				}
+				return n
+			}
+			rep.Note("means: %s=%.3f %s=%.3f %s=%.3f; %s below %s in %d of %d slices, %s below %s in %d of %d",
+				schemes[0].Name, means[0], schemes[1].Name, means[1], schemes[2].Name, means[2],
+				schemes[2].Name, schemes[1].Name, below(2, 1), qtraceBins,
+				schemes[1].Name, schemes[0].Name, below(1, 0), qtraceBins)
 			return rep
 		},
 	})
@@ -120,17 +132,25 @@ func countSwitchPorts(tp *topo.Topology) int {
 	return n
 }
 
-// uplinkSTDVSeries reduces QueueSample trace events to per-time-slice mean
-// STDV of the leaf-uplink (Hop1) queue lengths: samples sharing a tick form
-// one STDV observation, ticks are averaged within each of `bins` equal
-// slices of the measure window. Slices without samples report 0.
-func uplinkSTDVSeries(events []trace.Event, warmup, measure units.Time, bins int) []float64 {
-	type tick struct {
+// uplinkSTDVSeries reduces QueueSample trace events to the per-time-slice
+// mean of each leaf's uplink (Hop1) queue-length STDV, the Fig. 2 metric
+// fig2's sampler averages: the samples one tick takes of one leaf's
+// uplinks — a port's leaf is its channel's source node in tp — form one
+// STDV observation, and observations are averaged within each of `bins`
+// equal slices of the measure window. Load differences between leaves,
+// which no balancer controls, stay out of it. Slices without samples
+// report 0.
+func uplinkSTDVSeries(tp *topo.Topology, events []trace.Event, warmup, measure units.Time, bins int) []float64 {
+	type key struct {
+		tick int64
+		leaf topo.NodeID
+	}
+	type group struct {
 		t     units.Time
 		qlens []int32
 	}
-	var ticks []tick
-	bySeq := map[int64]int{}
+	var groups []group
+	index := map[key]int{}
 	for _, ev := range events {
 		if ev.Kind != trace.QueueSample || ev.Hop != uint8(metrics.Hop1) {
 			continue
@@ -138,23 +158,24 @@ func uplinkSTDVSeries(events []trace.Event, warmup, measure units.Time, bins int
 		if ev.T < warmup || ev.T >= warmup+measure {
 			continue
 		}
-		i, ok := bySeq[ev.Seq]
+		k := key{tick: ev.Seq, leaf: tp.Chan(topo.ChanID(ev.Port)).From}
+		i, ok := index[k]
 		if !ok {
-			i = len(ticks)
-			bySeq[ev.Seq] = i
-			ticks = append(ticks, tick{t: ev.T})
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, group{t: ev.T})
 		}
-		ticks[i].qlens = append(ticks[i].qlens, ev.QLen)
+		groups[i].qlens = append(groups[i].qlens, ev.QLen)
 	}
 	sums := make([]float64, bins)
 	counts := make([]int64, bins)
 	binW := measure / units.Time(bins)
-	for _, tk := range ticks {
-		b := int((tk.t - warmup) / binW)
+	for _, g := range groups {
+		b := int((g.t - warmup) / binW)
 		if b >= bins {
 			b = bins - 1
 		}
-		sums[b] += metrics.StdDevInt32(tk.qlens)
+		sums[b] += metrics.StdDevInt32(g.qlens)
 		counts[b]++
 	}
 	out := make([]float64, bins)

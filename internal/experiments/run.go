@@ -269,20 +269,20 @@ func Run(cfg RunCfg) *RunResult {
 		if every == 0 {
 			every = 100 * units.Microsecond
 		}
-		fm := net.EnableMetrics(cfg.Obs, cfg.ObsScope)
-		tm := reg.EnableMetrics(cfg.Obs, cfg.ObsScope)
+		// Every series but the transport histograms is a read of a counter
+		// the run keeps anyway. Observer ticks fire at barriers with every
+		// shard parked, so each read may sum the shards' counters race-free.
+		snap = obs.StartSnapshotter(s, cfg.Obs, every)
+		net.RegisterReads(snap, cfg.ObsScope)
+		reg.EnableMetrics(cfg.Obs, snap, cfg.ObsScope)
 		// Live run progress for scrapes and the drillsim heartbeat: the
 		// final value equals RunResult.Events (observer events are excluded
 		// from Executed), so summing the family across cell scopes gives the
 		// sweep's total event count whether cells are finished or mid-run.
-		ev := cfg.Obs.Gauge("drill_run_events", cfg.ObsScope,
-			"Events dispatched so far by this run; settles at the run's total.")
-		em := newEngineMetrics(cfg.Obs, cfg.ObsScope, engineReport)
-		// Observer ticks fire at barriers with every shard parked, so each
-		// refresh may sum the shards' counters race-free.
-		snap = obs.StartSnapshotter(s, cfg.Obs, every, fm.Refresh, tm.Refresh, func(units.Time) {
-			ev.Set(float64(runExecuted(s, group)))
-		}, em.Refresh)
+		snap.GaugeFunc("drill_run_events", cfg.ObsScope,
+			"Events dispatched so far by this run; settles at the run's total.",
+			func() float64 { return float64(runExecuted(s, group)) })
+		registerEngineReads(snap, cfg.ObsScope, engineReport)
 	}
 
 	if cfg.Campaign != nil {
@@ -348,9 +348,9 @@ func Run(cfg RunCfg) *RunResult {
 		s.RunUntil(end + cfg.DrainLimit)
 	}
 	if snap != nil {
-		// Publish the terminal state even if the run ended mid-interval.
+		// Publish the terminal state even if the run ended mid-interval;
+		// the registry keeps its values, not the run.
 		snap.Final(s.Now())
-		snap.Stop()
 	}
 
 	var coreCap float64

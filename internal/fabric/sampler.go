@@ -8,7 +8,7 @@ import (
 )
 
 // portReader is the one per-port reader behind the periodic samplers —
-// StartTraceSampler's trace samples and Metrics.Refresh's gauges. It
+// StartTraceSampler's trace samples and RegisterReads' port series. It
 // covers every switch output port; host NIC queues are excluded to bound
 // volume, their backlog being visible through Host.NIC's QueueLen and the
 // host-nic enqueue events. Reads happen on observer ticks (window
@@ -35,7 +35,7 @@ func newPortReader(n *Network) *portReader {
 
 // advance recomputes every port's utilization over the window since the
 // previous advance, from its TxBytes delta. A zero-length window — a
-// run's final refresh landing on a tick — carries no rate, so it keeps
+// run's final snapshot landing on a tick — carries no rate, so it keeps
 // the previous utilization and TxBytes baseline.
 func (r *portReader) advance(now units.Time) {
 	window := (now - r.last).Seconds()

@@ -14,10 +14,9 @@ import (
 // buckets. Rendering always works from an immutable Snapshot, never from
 // live instruments, so a scrape observes one consistent sim-time cut.
 
-// WritePrometheus renders s in Prometheus text exposition format. Series
-// sharing a name must be registered contiguously per kind (the registry's
-// insertion order makes families contiguous in practice); HELP/TYPE
-// headers are emitted once per name.
+// WritePrometheus renders s in Prometheus text exposition format. The
+// registry captures series grouped by name, so each family's HELP/TYPE
+// header is emitted once, followed by all of its samples.
 func WritePrometheus(w io.Writer, s *Snapshot) error {
 	bw := &errWriter{w: w}
 	bw.printf("# HELP drill_snapshot_seq Publication sequence number of this snapshot.\n")

@@ -8,21 +8,14 @@ import (
 // Histogram is a log-bucketed distribution: base-2 octaves split into 8
 // linear sub-buckets (3 mantissa bits), the layout HDR-style recorders
 // use. Observe is branch-light bit arithmetic plus three atomic adds —
-// zero allocations — and the integer bucket layout makes merged data
-// exactly associative, so per-cell histograms can be combined across
-// sweep replicas in any order.
-//
-// Accuracy: a finite bucket spans [2^e·(1+s/8), 2^e·(1+(s+1)/8)), so its
-// midpoint representative is off from any member value by at most half
-// the bucket's relative width: 1/16 / (1+(s+0.5)/8) ≤ 1/16 = 6.25%
-// relative error. Quantile estimates inherit that bound (plus the usual
-// half-rank discretization at tiny sample counts); histogram_test.go
-// checks it against exact metrics.Dist on fixed distributions.
+// zero allocations. A finite bucket b holds the values in
+// [BucketUpper(b-1), BucketUpper(b)), and the exposition reports each
+// occupied bucket by that upper bound.
 //
 // Range: values in [2^-16, 2^48) ≈ [1.5e-5, 2.8e14) land in finite
 // buckets — queue depths, cwnd bytes, and nanosecond sim durations all
 // fit. Zero, negatives, NaN, and smaller values count in a dedicated
-// underflow bucket (represented as 0); larger ones in an overflow bucket.
+// underflow bucket; larger ones in an overflow bucket.
 type Histogram struct {
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
@@ -75,20 +68,6 @@ func BucketUpper(i int) float64 {
 	return math.Ldexp(1+float64(s+1)/histSubCount, o)
 }
 
-// BucketRep returns the representative value reported for bucket i: the
-// bucket midpoint for finite buckets, 0 for underflow (exact for the
-// common zero observation), and the overflow bucket's lower bound.
-func BucketRep(i int) float64 {
-	if i <= underflowBucket {
-		return 0
-	}
-	if i >= overflowBucket {
-		return math.Ldexp(1, histMaxExp+1)
-	}
-	o, s := (i-1)/histSubCount+histMinExp, (i-1)%histSubCount
-	return math.Ldexp(1+(float64(s)+0.5)/histSubCount, o)
-}
-
 // Observe records one value.
 //
 //drill:hotpath
@@ -102,9 +81,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the running sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -134,69 +110,4 @@ func (h *Histogram) Data() *HistogramData {
 		}
 	}
 	return d
-}
-
-// Merge returns the combination of d and o as a new snapshot; neither
-// input is modified. Bucket counts are integers, so merging is exactly
-// associative and commutative (the float Sum is associative up to
-// rounding).
-func (d *HistogramData) Merge(o *HistogramData) *HistogramData {
-	if o == nil {
-		o = &HistogramData{}
-	}
-	out := &HistogramData{Count: d.Count + o.Count, Sum: d.Sum + o.Sum}
-	i, j := 0, 0
-	for i < len(d.Buckets) || j < len(o.Buckets) {
-		switch {
-		case j >= len(o.Buckets) || (i < len(d.Buckets) && d.Buckets[i].Index < o.Buckets[j].Index):
-			out.Buckets = append(out.Buckets, d.Buckets[i])
-			i++
-		case i >= len(d.Buckets) || o.Buckets[j].Index < d.Buckets[i].Index:
-			out.Buckets = append(out.Buckets, o.Buckets[j])
-			j++
-		default:
-			out.Buckets = append(out.Buckets, BucketCount{
-				Index: d.Buckets[i].Index,
-				Count: d.Buckets[i].Count + o.Buckets[j].Count,
-			})
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) as the representative of
-// the bucket holding the ceil(q·count)-th observation. Empty data returns
-// 0; q outside [0,1] is clamped.
-func (d *HistogramData) Quantile(q float64) float64 {
-	if d.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(d.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for _, b := range d.Buckets {
-		seen += b.Count
-		if seen >= rank {
-			return BucketRep(b.Index)
-		}
-	}
-	return BucketRep(overflowBucket)
-}
-
-// Mean returns Sum/Count, or 0 when empty.
-func (d *HistogramData) Mean() float64 {
-	if d.Count == 0 {
-		return 0
-	}
-	return d.Sum / float64(d.Count)
 }

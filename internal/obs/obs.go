@@ -1,18 +1,20 @@
 // Package obs is the simulator's live-metrics substrate: a typed registry
-// of counters, gauges, and log-bucketed mergeable histograms with
-// zero-allocation hot-path updates, plus sim-time snapshots that expose a
-// running experiment's state to the serving layer (obshttp) without
-// perturbing the simulation.
+// of counters, gauges, and log-bucketed histograms with zero-allocation
+// hot-path updates, plus sim-time snapshots that expose a running
+// experiment's state to the serving layer (obshttp) without perturbing
+// the simulation.
 //
 // The design mirrors internal/trace's zero-overhead discipline and adds
-// one invariant on top of it: metrics observe, never steer. Instruments
-// are updated with plain atomic scalar operations (no locks, no
-// allocation, no RNG draws, no event scheduling), snapshots are captured
-// on the simulator goroutine by an observer ticker whose events are
-// excluded from event accounting (sim.NewObserverTicker), and the HTTP
-// server only ever reads immutable published snapshots. Enabling the
-// whole stack therefore changes no result byte — a determinism test holds
-// runs with metrics on and off to identical fingerprints.
+// one invariant on top of it: metrics observe, never steer. Most series
+// are reads of counters a run keeps anyway, registered on the run's
+// Snapshotter and evaluated on the simulator goroutine at its observer
+// ticks (sim.NewObserverTicker, whose events are excluded from event
+// accounting); the few distributions nothing else records are observed
+// where their samples arise, with plain atomic updates (no locks, no
+// allocation, no RNG draws, no event scheduling). The HTTP server only
+// ever reads published snapshots or atomics. Enabling the whole stack
+// therefore changes no result byte — a determinism test holds runs with
+// metrics on and off to identical fingerprints.
 //
 // Concurrency: instrument updates are atomic, so one registry may be
 // shared by concurrent simulation runs (sweep fan-out) and scraped from a
@@ -70,18 +72,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Advance adds the growth of a running total the simulation keeps itself
-// since the previous call, whose total *last holds. Refresh hooks use it
-// to derive counters from data-plane state instead of counting twice;
-// adding the delta rather than storing the total lets several runs share
-// one series and still sum.
-func (c *Counter) Advance(total int64, last *int64) {
-	if d := total - *last; d > 0 {
-		c.Add(d)
-		*last = total
-	}
-}
-
 // Gauge is an instantaneous float64 value. The zero value is ready to
 // use; Set is a single atomic store, Add a CAS loop — zero allocations.
 type Gauge struct{ bits atomic.Uint64 }
@@ -106,25 +96,37 @@ func (g *Gauge) Add(d float64) {
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// instrument is one registered series.
+// instrument is one registered series of a family.
 type instrument struct {
-	name   string
 	labels string // pre-rendered `k="v",k2="v2"` body, "" for none
-	help   string
-	kind   Kind
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+}
+
+// family is every series sharing one name: one kind, one help text, and
+// its series in registration order.
+type family struct {
+	name   string
+	help   string
+	kind   Kind
+	series []instrument
 }
 
 // Registry owns a set of named instruments and a ring of published
 // snapshots. Registration is cheap but not hot-path: call it at setup,
 // keep the returned pointers, and update those on the hot path behind a
 // nil check on the owning metrics struct.
+//
+// Series are kept grouped by name, families in first-registration order,
+// so the exposition prints each family's header once with its samples
+// together however registrations interleave.
 type Registry struct {
-	mu    sync.Mutex
-	insts []instrument
-	index map[string]int
+	mu     sync.Mutex
+	fams   []*family
+	byName map[string]*family
+	index  map[string]int // series key → position in its family
+	n      int            // series across all families
 
 	ring    []*Snapshot // newest-last, capped at ringCap
 	ringCap int
@@ -138,68 +140,62 @@ func NewRegistry(ringCap int) *Registry {
 	if ringCap <= 0 {
 		ringCap = 16
 	}
-	return &Registry{index: map[string]int{}, ringCap: ringCap}
+	return &Registry{byName: map[string]*family{}, index: map[string]int{}, ringCap: ringCap}
 }
 
 // seriesKey identifies a series; \xff cannot occur in metric names.
 func seriesKey(name, labels string) string { return name + "\xff" + labels }
 
-// lookup returns the existing instrument index for the series, or -1.
-// Callers hold r.mu.
-func (r *Registry) lookup(name, labels string, kind Kind) int {
-	i, ok := r.index[seriesKey(name, labels)]
-	if !ok {
-		return -1
+// series returns the (name, labels) series, creating it, and its family
+// on first use, if needed. A family keeps the kind and help text it was
+// first registered with; a name asked for as another kind panics.
+func (r *Registry) series(name, labels, help string, kind Kind) instrument {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.byName[name]
+	if f == nil {
+		f = &family{name: name, help: help, kind: kind}
+		r.byName[name] = f
+		r.fams = append(r.fams, f)
+	} else if f.kind != kind {
+		panic(fmt.Sprintf("obs: series %s{%s} registered as %v, family is %v",
+			name, labels, kind, f.kind))
 	}
-	if r.insts[i].kind != kind {
-		panic(fmt.Sprintf("obs: series %s{%s} re-registered as %v, was %v",
-			name, labels, kind, r.insts[i].kind))
+	key := seriesKey(name, labels)
+	if i, ok := r.index[key]; ok {
+		return f.series[i]
 	}
-	return i
-}
-
-func (r *Registry) add(inst instrument) {
-	r.index[seriesKey(inst.name, inst.labels)] = len(r.insts)
-	r.insts = append(r.insts, inst)
+	in := instrument{labels: labels}
+	switch kind {
+	case KindCounter:
+		in.c = &Counter{}
+	case KindGauge:
+		in.g = &Gauge{}
+	case KindHistogram:
+		in.h = &Histogram{}
+	}
+	r.index[key] = len(f.series)
+	f.series = append(f.series, in)
+	r.n++
+	return in
 }
 
 // Counter returns the counter series (name, labels), creating it if
 // needed. labels is a pre-rendered Prometheus label body such as
 // `port="3",hop="hop1-up"`, or "" for none.
 func (r *Registry) Counter(name, labels, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i := r.lookup(name, labels, KindCounter); i >= 0 {
-		return r.insts[i].c
-	}
-	c := &Counter{}
-	r.add(instrument{name: name, labels: labels, help: help, kind: KindCounter, c: c})
-	return c
+	return r.series(name, labels, help, KindCounter).c
 }
 
 // Gauge returns the gauge series (name, labels), creating it if needed.
 func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i := r.lookup(name, labels, KindGauge); i >= 0 {
-		return r.insts[i].g
-	}
-	g := &Gauge{}
-	r.add(instrument{name: name, labels: labels, help: help, kind: KindGauge, g: g})
-	return g
+	return r.series(name, labels, help, KindGauge).g
 }
 
 // Histogram returns the histogram series (name, labels), creating it if
 // needed.
 func (r *Registry) Histogram(name, labels, help string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i := r.lookup(name, labels, KindHistogram); i >= 0 {
-		return r.insts[i].h
-	}
-	h := &Histogram{}
-	r.add(instrument{name: name, labels: labels, help: help, kind: KindHistogram, h: h})
-	return h
+	return r.series(name, labels, help, KindHistogram).h
 }
 
 // Point is one series' value in a snapshot. Exactly one of Value (counter
@@ -222,22 +218,25 @@ type Snapshot struct {
 	Points  []Point
 }
 
-// Capture copies the current value of every series without publishing.
+// Capture copies the current value of every series without publishing,
+// family by family.
 func (r *Registry) Capture(now units.Time) *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := &Snapshot{SimTime: now, Points: make([]Point, 0, len(r.insts))}
-	for _, in := range r.insts {
-		p := Point{Name: in.name, Labels: in.labels, Help: in.help, Kind: in.kind}
-		switch in.kind {
-		case KindCounter:
-			p.Value = float64(in.c.Value())
-		case KindGauge:
-			p.Value = in.g.Value()
-		case KindHistogram:
-			p.Hist = in.h.Data()
+	s := &Snapshot{SimTime: now, Points: make([]Point, 0, r.n)}
+	for _, f := range r.fams {
+		for _, in := range f.series {
+			p := Point{Name: f.name, Labels: in.labels, Help: f.help, Kind: f.kind}
+			switch f.kind {
+			case KindCounter:
+				p.Value = float64(in.c.Value())
+			case KindGauge:
+				p.Value = in.g.Value()
+			case KindHistogram:
+				p.Hist = in.h.Data()
+			}
+			s.Points = append(s.Points, p)
 		}
-		s.Points = append(s.Points, p)
 	}
 	return s
 }
@@ -270,11 +269,4 @@ func (r *Registry) Ring() []*Snapshot {
 	out := make([]*Snapshot, len(r.ring))
 	copy(out, r.ring)
 	return out
-}
-
-// Series reports how many series are registered.
-func (r *Registry) Series() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.insts)
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -27,32 +28,82 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 2.25 {
 		t.Fatalf("gauge = %v, want 2.25", got)
 	}
-	if r.Series() != 2 {
-		t.Fatalf("series = %d, want 2", r.Series())
-	}
+}
 
-	// Advance derives a counter from running totals kept elsewhere: two
-	// runs sharing one series each add their own growth.
-	shared := r.Counter("drill_test_derived_total", "", "help")
-	var lastA, lastB int64
-	shared.Advance(3, &lastA)
-	shared.Advance(2, &lastB)
-	shared.Advance(3, &lastA) // no growth since the last call
-	shared.Advance(7, &lastA)
-	if got := shared.Value(); got != 9 || lastA != 7 || lastB != 2 {
-		t.Fatalf("derived counter = %d (last %d, %d), want 9 (last 7, 2)", got, lastA, lastB)
+// TestRegistryKindCollisionPanics: a family has one kind, so a name asked
+// for as another kind panics, whatever the labels.
+func TestRegistryKindCollisionPanics(t *testing.T) {
+	for _, labels := range []string{"", `cell="1"`} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("labels %q: expected panic on kind mismatch for the same name", labels)
+				}
+			}()
+			r := NewRegistry(0)
+			r.Counter("drill_test_total", "", "")
+			r.Gauge("drill_test_total", labels, "")
+		}()
 	}
 }
 
-func TestRegistryKindCollisionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on kind mismatch for the same series")
-		}
-	}()
+// TestExpositionGroupsFamilies: two scopes registering their families
+// interleaved, port by port and cell after cell, as runs do, must still
+// expose one TYPE line per name with each family's samples together —
+// families in first-registration order, series in registration order.
+func TestExpositionGroupsFamilies(t *testing.T) {
 	r := NewRegistry(0)
-	r.Counter("drill_test_total", "", "")
-	r.Gauge("drill_test_total", "", "")
+	for _, scope := range []string{`cell="0"`, `cell="1"`} {
+		for port := 0; port < 2; port++ {
+			l := JoinLabels(scope, fmt.Sprintf(`port="%d"`, port))
+			r.Gauge("drill_port_queue_depth_packets", l, "Queue depth.").Set(1)
+			r.Counter("drill_port_drops_total", l, "Drops.").Inc()
+		}
+		r.Histogram("drill_transport_fct_us", scope, "FCT.").Observe(3)
+	}
+	s := r.Snapshot(units.Microsecond)
+	var order []string
+	for _, p := range s.Points {
+		order = append(order, p.Name+"{"+p.Labels+"}")
+	}
+	want := []string{
+		`drill_port_queue_depth_packets{cell="0",port="0"}`,
+		`drill_port_queue_depth_packets{cell="0",port="1"}`,
+		`drill_port_queue_depth_packets{cell="1",port="0"}`,
+		`drill_port_queue_depth_packets{cell="1",port="1"}`,
+		`drill_port_drops_total{cell="0",port="0"}`,
+		`drill_port_drops_total{cell="0",port="1"}`,
+		`drill_port_drops_total{cell="1",port="0"}`,
+		`drill_port_drops_total{cell="1",port="1"}`,
+		`drill_transport_fct_us{cell="0"}`,
+		`drill_transport_fct_us{cell="1"}`,
+	}
+	if got := strings.Join(order, " "); got != strings.Join(want, " ") {
+		t.Errorf("capture order:\n got %s\nwant %s", got, strings.Join(want, " "))
+	}
+
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	typed := map[string]bool{}
+	family := ""
+	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if name, ok := strings.CutPrefix(ln, "# TYPE "); ok {
+			family = strings.Fields(name)[0]
+			if typed[family] {
+				t.Errorf("# TYPE %s printed twice:\n%s", family, buf.String())
+			}
+			typed[family] = true
+			continue
+		}
+		if strings.HasPrefix(ln, "#") {
+			continue
+		}
+		if !strings.HasPrefix(ln, family) {
+			t.Errorf("sample %q outside its family's block (current family %s)", ln, family)
+		}
+	}
 }
 
 func TestSnapshotRingAndLatest(t *testing.T) {
@@ -111,18 +162,24 @@ func TestHotPathUpdatesAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestSnapshotterPublishesOnSimTime: the snapshotter evaluates its reads
+// at every tick and at Final — shared work first — storing a counter
+// read's running total, and Final stops the ticker and drops the reads.
 func TestSnapshotterPublishesOnSimTime(t *testing.T) {
 	s := sim.New(1)
 	r := NewRegistry(0)
-	c := r.Counter("drill_test_total", "", "")
-	var refreshed int
-	sn := StartSnapshotter(s, r, 10*units.Microsecond, func(units.Time) { refreshed++ })
+	sn := StartSnapshotter(s, r, 10*units.Microsecond)
+	var total int64
+	var prepared int
+	sn.Prepare(func(units.Time) { prepared++ })
+	sn.CounterFunc("drill_test_total", "", "", func() int64 { return total })
+	sn.GaugeFunc("drill_test_prepared", "", "", func() float64 { return float64(prepared) })
 
-	// Real workload: bump the counter every 3µs for 50µs.
+	// Real workload: bump the total every 3µs for 50µs.
 	var tick func()
 	next := units.Time(0)
 	tick = func() {
-		c.Inc()
+		total++
 		next += 3 * units.Microsecond
 		if next <= 50*units.Microsecond {
 			s.After(3*units.Microsecond, tick)
@@ -131,17 +188,34 @@ func TestSnapshotterPublishesOnSimTime(t *testing.T) {
 	s.After(3*units.Microsecond, tick)
 	s.RunUntil(55 * units.Microsecond)
 
-	if r.Latest() == nil || r.Latest().Seq != 5 {
-		t.Fatalf("latest seq = %+v, want 5 snapshots over 55us", r.Latest())
+	last := r.Latest()
+	if last == nil || last.Seq != 5 || last.SimTime != 50*units.Microsecond {
+		t.Fatalf("latest = %+v, want seq 5 at 50us over 55us", last)
 	}
-	if refreshed != 5 {
-		t.Fatalf("refresh hook ran %d times, want 5", refreshed)
+	// At the 50µs tick the workload had bumped the total at 3, 6, …, 48µs;
+	// the read saw the prepare hook's fifth run.
+	if got := last.Points[0].Value; got != 16 {
+		t.Fatalf("counter read at 50us = %v, want the running total 16", got)
+	}
+	if got := last.Points[1].Value; got != 5 {
+		t.Fatalf("gauge read at 50us = %v, want 5 prepare runs", got)
 	}
 	fin := sn.Final(s.Now())
 	if fin.Seq != 6 || fin.SimTime != 55*units.Microsecond {
 		t.Fatalf("final snapshot = seq %d at %v, want 6 at 55us", fin.Seq, fin.SimTime)
 	}
-	sn.Stop()
+	if fin.Points[0].Value != 17 || fin.Points[1].Value != 6 {
+		t.Fatalf("final values = %v, %v, want 17 and 6", fin.Points[0].Value, fin.Points[1].Value)
+	}
+	// The registry keeps the last values; nothing reads the run again.
+	total = 100
+	s.RunUntil(100 * units.Microsecond)
+	if got := r.Latest(); got.Seq != 6 || r.Capture(0).Points[0].Value != 17 {
+		t.Fatalf("after Final: latest seq %d, counter %v, want 6 and 17", got.Seq, r.Capture(0).Points[0].Value)
+	}
+	if prepared != 6 {
+		t.Fatalf("prepare ran %d times after Final, want 6", prepared)
+	}
 }
 
 // TestObserverSnapshotterInvisible pins the observe-never-steer contract

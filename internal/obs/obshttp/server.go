@@ -37,14 +37,7 @@ type Config struct {
 	OnWriteError func(endpoint string, err error)
 }
 
-// Handler returns an http.Handler exposing reg, with no engine endpoint.
-// It is the common case; use NewHandler to wire /engine.json or to
-// observe write errors.
-func Handler(reg *obs.Registry) http.Handler {
-	return NewHandler(Config{Reg: reg})
-}
-
-// NewHandler returns an http.Handler for the full configuration.
+// NewHandler returns an http.Handler for the configuration.
 func NewHandler(cfg Config) http.Handler {
 	reg := cfg.Reg
 	mux := http.NewServeMux()
@@ -133,13 +126,8 @@ type Server struct {
 // shutdownTimeout bounds how long Close waits for in-flight scrapes.
 const shutdownTimeout = 2 * time.Second
 
-// Serve binds addr (e.g. "localhost:9137"; ":0" picks a free port) and
-// serves the registry in a background goroutine until Close.
-func Serve(addr string, reg *obs.Registry) (*Server, error) {
-	return ServeConfig(addr, Config{Reg: reg})
-}
-
-// ServeConfig is Serve with the full handler configuration.
+// ServeConfig binds addr (e.g. "localhost:9137"; ":0" picks a free port)
+// and serves the configured handler in a background goroutine until Close.
 func ServeConfig(addr string, cfg Config) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

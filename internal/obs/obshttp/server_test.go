@@ -33,7 +33,7 @@ func TestServerServesSnapshots(t *testing.T) {
 	c := reg.Counter("drill_cells_done_total", `exp="fig6a"`, "Cells completed.")
 	h := reg.Histogram("drill_fct_us", "", "Flow completion times.")
 
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeConfig("127.0.0.1:0", Config{Reg: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
