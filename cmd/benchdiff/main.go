@@ -1,9 +1,11 @@
 // Command benchdiff compares two BENCH_*.json performance snapshots and
-// reports per-cell deltas against the regression tolerances: event-loop
-// ns/packet and allocs/packet within +10%, set-up allocations within +1%,
-// and, at equal seed, no rise in a sharded cell's windows or exchanged
-// packets; micro allocs/op within +0.1. Event counts are reported, never
-// gated.
+// reports per-cell deltas against the tolerances: event-loop ns/packet
+// within +10%, allocs/packet within ±10%, set-up allocations within ±1%,
+// and, at equal seed, a sharded cell's windows and exchanged packets
+// unchanged; micro allocs/op within ±0.1. The deterministic columns gate
+// both ways: a gain beyond its tolerance means the baseline is stale and
+// must be re-recorded, so gains cannot be lost again unseen. Event counts
+// are reported, never gated.
 //
 // Usage:
 //
@@ -13,7 +15,9 @@
 // against. Without -strict the exit status is 0 even when regressions are
 // found, so callers can treat the diff as advisory; -strict exits 1 on any
 // regression, which is how the blocking bench-regress CI job turns the
-// build red. -strict also exits 2 when the baseline lacks a gated column
+// build red, and on any deterministic column that beats the baseline by
+// more than its tolerance, naming each such column on stderr and asking
+// for a new snapshot. -strict also exits 2 when the baseline lacks a gated column
 // (an older snapshot), since a gate that checks nothing cannot pass. -md
 // appends the diff as a markdown table to the given file (pass
 // $GITHUB_STEP_SUMMARY in CI). Snapshots from machines with different CPU
@@ -88,7 +92,15 @@ func main() {
 			*baseline, d.Unchecked)
 		os.Exit(2)
 	}
-	if *strict && d.Regressions > 0 {
-		os.Exit(1)
+	if *strict {
+		for _, f := range d.Findings {
+			if f.Improved {
+				fmt.Fprintf(os.Stderr, "benchdiff: -strict: %s %s is %.6g against %.6g in %s, beyond its tolerance; commit a new snapshot as %s, each cell column the median of five drillbench runs\n",
+					f.Cell, f.Metric, f.Current, f.Baseline, *baseline, *baseline)
+			}
+		}
+		if d.Regressions > 0 || d.Improvements > 0 {
+			os.Exit(1)
+		}
 	}
 }

@@ -53,10 +53,10 @@ func runBenchdiff(t *testing.T, args ...string) (stdout, stderr string, code int
 	return out.String(), errOut.String(), code
 }
 
-// tripledSnapshot writes BENCH_shard.json with every gated cell column —
-// loop ns and allocations per packet, set-up allocations — tripled, and
-// returns the file's absolute path.
-func tripledSnapshot(t *testing.T) string {
+// scaledSnapshot writes BENCH_shard.json with the gated cell columns
+// scaled — loop ns per packet by ns, loop allocations per packet and
+// set-up allocations by allocs — and returns the file's absolute path.
+func scaledSnapshot(t *testing.T, ns, allocs float64) string {
 	t.Helper()
 	rep, err := experiments.ReadBenchReport(filepath.Join("..", "..", "BENCH_shard.json"))
 	if err != nil {
@@ -64,20 +64,24 @@ func tripledSnapshot(t *testing.T) string {
 	}
 	for i := range rep.Cells {
 		c := &rep.Cells[i]
-		c.NsPerPkt *= 3
-		c.AllocsPerPkt *= 3
-		c.SetupAllocs *= 3
+		c.NsPerPkt *= ns
+		c.AllocsPerPkt *= allocs
+		c.SetupAllocs = uint64(float64(c.SetupAllocs) * allocs)
 	}
 	buf, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_tripled.json")
+	path := filepath.Join(t.TempDir(), "BENCH_scaled.json")
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
+
+// tripledSnapshot is BENCH_shard.json with every gated cell column
+// tripled.
+func tripledSnapshot(t *testing.T) string { return scaledSnapshot(t, 3, 3) }
 
 // TestDefaultBaselineGates: without -baseline, benchdiff compares against
 // BENCH_shard.json, the snapshot CI gates against, so tripled gated
@@ -103,6 +107,24 @@ func TestStrictRefusesBaselineWithoutColumns(t *testing.T) {
 			code, out, errOut)
 	}
 	if _, errOut, code := runBenchdiff(t, "-baseline", "BENCH_baseline.json", "-current", cur); code != 0 {
+		t.Fatalf("benchdiff without -strict: exit %d, want 0\nstderr:\n%s", code, errOut)
+	}
+}
+
+// TestStrictRatchets: a baseline with twice the committed snapshot's
+// allocations is stale — the committed snapshot beats it by half on every
+// allocation column — so -strict fails with exit status 1 and names each
+// such column with the instruction to commit a new snapshot. Without
+// -strict the diff stays advisory.
+func TestStrictRatchets(t *testing.T) {
+	doubled := scaledSnapshot(t, 1, 2)
+	out, errOut, code := runBenchdiff(t, "-baseline", doubled, "-current", "BENCH_shard.json", "-strict")
+	if code != 1 || strings.Contains(out, "REGRESSED") || !strings.Contains(out, "IMPROVED") ||
+		!strings.Contains(errOut, "setup_allocs") || !strings.Contains(errOut, "commit a new snapshot") {
+		t.Fatalf("benchdiff -strict against a baseline with doubled allocations: exit %d, want 1 naming the stale columns\nstdout:\n%s\nstderr:\n%s",
+			code, out, errOut)
+	}
+	if _, errOut, code := runBenchdiff(t, "-baseline", doubled, "-current", "BENCH_shard.json"); code != 0 {
 		t.Fatalf("benchdiff without -strict: exit %d, want 0\nstderr:\n%s", code, errOut)
 	}
 }

@@ -21,6 +21,13 @@ import (
 // two snapshots disagree on CPU count or GOMAXPROCS. The allocation
 // columns are deterministic up to GC timing and the shard-protocol counts
 // exactly, so they are compared as they stand.
+//
+// The deterministic columns also ratchet: a current snapshot that beats
+// the baseline on one by more than its tolerance (any fall, for windows
+// and exchanged at equal seed) marks the finding Improved, and -strict
+// fails until the gain is recorded in a new committed snapshot. Otherwise
+// a baseline left behind by later gains would let them be lost again
+// unseen. ns/packet depends on the machine and stays one-sided.
 
 const (
 	// BenchNsPerPktTol is the relative rise in event-loop wall time per
@@ -53,7 +60,10 @@ type BenchFinding struct {
 	// protocol counts.
 	Delta     float64 `json:"delta"`
 	Regressed bool    `json:"regressed"`
-	Note      string  `json:"note,omitempty"`
+	// Improved marks a deterministic column that beats the baseline by
+	// more than its tolerance: the baseline is stale.
+	Improved bool   `json:"improved,omitempty"`
+	Note     string `json:"note,omitempty"`
 }
 
 // BenchDiff is the full comparison document.
@@ -62,6 +72,8 @@ type BenchDiff struct {
 	CurrentSeed  int64          `json:"current_seed"`
 	Findings     []BenchFinding `json:"findings"`
 	Regressions  int            `json:"regressions"`
+	// Improvements counts Improved findings, which -strict also fails on.
+	Improvements int `json:"improvements"`
 	// Unchecked counts gated cell columns the baseline lacks: reported,
 	// but judged against nothing.
 	Unchecked int `json:"unchecked"`
@@ -82,16 +94,22 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 		if f.Regressed {
 			d.Regressions++
 		}
+		if f.Improved {
+			d.Improvements++
+			f.Note = staleNote
+		}
 		d.Findings = append(d.Findings, f)
 	}
 	// rise gates a relative increase: tol or more (to float precision)
-	// regresses. A baseline without the column (zero) is reported, never
-	// gated.
-	rise := func(cell, metric string, base, cur, tol float64) {
+	// regresses. A deterministic column also ratchets: a fall of tol or
+	// more is an improvement the baseline must record. A baseline without
+	// the column (zero) is reported, never gated.
+	rise := func(cell, metric string, base, cur, tol float64, deterministic bool) {
 		f := BenchFinding{Cell: cell, Metric: metric, Baseline: base, Current: cur}
 		if base > 0 {
 			f.Delta = (cur - base) / base
 			f.Regressed = f.Delta >= tol-1e-9
+			f.Improved = deterministic && f.Delta <= -tol+1e-9
 		} else {
 			f.Note = "baseline lacks this column"
 			d.Unchecked++
@@ -123,18 +141,18 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 		}
 		delete(cur, b.Name)
 
-		// Slower or hungrier only: faster is progress, not noise to flag,
-		// but it is still reported for the trend line.
-		rise(b.Name, "ns_per_pkt", b.NsPerPkt, c.NsPerPkt, BenchNsPerPktTol)
-		rise(b.Name, "allocs_per_pkt", b.AllocsPerPkt, c.AllocsPerPkt, BenchAllocsPerPktTol)
-		rise(b.Name, "setup_allocs", float64(b.SetupAllocs), float64(c.SetupAllocs), BenchSetupAllocsTol)
+		// Wall time gates slower only: faster is reported for the trend
+		// line, since it depends on the machine. Allocations gate both ways.
+		rise(b.Name, "ns_per_pkt", b.NsPerPkt, c.NsPerPkt, BenchNsPerPktTol, false)
+		rise(b.Name, "allocs_per_pkt", b.AllocsPerPkt, c.AllocsPerPkt, BenchAllocsPerPktTol, true)
+		rise(b.Name, "setup_allocs", float64(b.SetupAllocs), float64(c.SetupAllocs), BenchSetupAllocsTol, true)
 
 		if !sameSeed {
 			continue
 		}
 		// Shard-protocol counts are pure functions of seed and partition:
 		// at equal seed any rise is the engine doing more barrier work for
-		// the same simulation.
+		// the same simulation, and any fall a gain to record.
 		for _, m := range []struct {
 			name     string
 			base, cu uint64
@@ -147,7 +165,7 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 			}
 			add(BenchFinding{Cell: b.Name, Metric: m.name,
 				Baseline: float64(m.base), Current: float64(m.cu),
-				Delta: float64(m.cu) - float64(m.base), Regressed: m.cu > m.base})
+				Delta: float64(m.cu) - float64(m.base), Regressed: m.cu > m.base, Improved: m.cu < m.base})
 		}
 		// Event counts are information (the engine changed how it
 		// dispatches the same work), never a verdict.
@@ -174,9 +192,24 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 	}
 	for _, m := range micro {
 		add(BenchFinding{Cell: "micro", Metric: m.name, Baseline: m.base, Current: m.cu,
-			Delta: m.cu - m.base, Regressed: m.cu-m.base > BenchMicroAllocsTol})
+			Delta: m.cu - m.base, Regressed: m.cu-m.base > BenchMicroAllocsTol,
+			Improved: m.base-m.cu > BenchMicroAllocsTol})
 	}
 	return d
+}
+
+// staleNote is an Improved finding's note.
+const staleNote = "beats the baseline by more than its tolerance: commit a new snapshot"
+
+// verdict is a finding's verdict column.
+func (f BenchFinding) verdict() string {
+	switch {
+	case f.Regressed:
+		return "REGRESSED"
+	case f.Improved:
+		return "IMPROVED"
+	}
+	return "ok"
 }
 
 // formatDelta renders a finding's delta: a percentage for relative
@@ -190,8 +223,20 @@ func (f BenchFinding) formatDelta() string {
 
 // tolerances is the verdict line's summary of the gate.
 func tolerances() string {
-	return fmt.Sprintf("ns/pkt tol +%.0f%%, allocs/pkt tol +%.0f%%, setup allocs tol +%.0f%%, windows/exchanged may not rise",
+	return fmt.Sprintf("ns/pkt tol +%.0f%%, allocs/pkt tol ±%.0f%%, setup allocs tol ±%.0f%%, windows/exchanged must match",
 		BenchNsPerPktTol*100, BenchAllocsPerPktTol*100, BenchSetupAllocsTol*100)
+}
+
+// summary is the verdict line's count of regressions and stale columns.
+func (d *BenchDiff) summary() string {
+	s := "no regressions"
+	if d.Regressions > 0 {
+		s = fmt.Sprintf("%d regression(s)", d.Regressions)
+	}
+	if d.Improvements > 0 {
+		s += fmt.Sprintf(", %d improvement(s) to record in a new snapshot", d.Improvements)
+	}
+	return s
 }
 
 // Format renders the diff as an aligned text table with a verdict line.
@@ -200,21 +245,13 @@ func (d *BenchDiff) Format() string {
 	fmt.Fprintf(&b, "bench diff (baseline seed %d, current seed %d)\n", d.BaselineSeed, d.CurrentSeed)
 	fmt.Fprintf(&b, "%-17s %-22s %14s %14s %10s  %s\n", "cell", "metric", "baseline", "current", "delta", "verdict")
 	for _, f := range d.Findings {
-		verdict := "ok"
-		if f.Regressed {
-			verdict = "REGRESSED"
-		}
-		fmt.Fprintf(&b, "%-17s %-22s %14.6g %14.6g %10s  %s", f.Cell, f.Metric, f.Baseline, f.Current, f.formatDelta(), verdict)
+		fmt.Fprintf(&b, "%-17s %-22s %14.6g %14.6g %10s  %s", f.Cell, f.Metric, f.Baseline, f.Current, f.formatDelta(), f.verdict())
 		if f.Note != "" {
 			fmt.Fprintf(&b, " (%s)", f.Note)
 		}
 		b.WriteByte('\n')
 	}
-	if d.Regressions == 0 {
-		fmt.Fprintf(&b, "verdict: no regressions (%s)\n", tolerances())
-	} else {
-		fmt.Fprintf(&b, "verdict: %d regression(s) (%s)\n", d.Regressions, tolerances())
-	}
+	fmt.Fprintf(&b, "verdict: %s (%s)\n", d.summary(), tolerances())
 	return b.String()
 }
 
@@ -226,9 +263,9 @@ func (d *BenchDiff) FormatMarkdown() string {
 	b.WriteString("| cell | metric | baseline | current | delta | verdict |\n")
 	b.WriteString("|------|--------|---------:|--------:|------:|---------|\n")
 	for _, f := range d.Findings {
-		verdict := "ok"
-		if f.Regressed {
-			verdict = "**REGRESSED**"
+		verdict := f.verdict()
+		if verdict != "ok" {
+			verdict = "**" + verdict + "**"
 		}
 		fmt.Fprintf(&b, "| %s | %s | %.6g | %.6g | %s | %s |\n",
 			f.Cell, f.Metric, f.Baseline, f.Current, f.formatDelta(), verdict)
@@ -236,11 +273,7 @@ func (d *BenchDiff) FormatMarkdown() string {
 			fmt.Fprintf(&b, "| | | | | | %s |\n", f.Note)
 		}
 	}
-	if d.Regressions == 0 {
-		fmt.Fprintf(&b, "\n**Verdict: no regressions** (%s)\n", tolerances())
-	} else {
-		fmt.Fprintf(&b, "\n**Verdict: %d regression(s)** (%s)\n", d.Regressions, tolerances())
-	}
+	fmt.Fprintf(&b, "\n**Verdict: %s** (%s)\n", d.summary(), tolerances())
 	return b.String()
 }
 

@@ -126,6 +126,58 @@ func TestDiffBenchFlagsRegressions(t *testing.T) {
 	}
 }
 
+// TestDiffBenchRatchet: a deterministic column that beats the baseline by
+// its tolerance or more is Improved — a stale baseline — while ns/pkt,
+// which depends on the machine, never is. A 9% fall in loop allocations
+// per packet passes, 10% ratchets; set-up allocations ratchet at 1%,
+// micro allocs/op at 0.1 below, and windows and exchanged at any fall,
+// at equal seed only.
+func TestDiffBenchRatchet(t *testing.T) {
+	base := benchFixture()
+	for _, c := range []struct {
+		fall float64
+		want bool
+	}{{0.09, false}, {0.10, true}, {0.5, true}} {
+		cur := benchFixture()
+		cur.Cells[2].AllocsPerPkt *= 1 - c.fall
+		f := findDiff(t, DiffBench(base, cur), "fattree16-shards4", "allocs_per_pkt")
+		if f.Improved != c.want || f.Regressed {
+			t.Errorf("allocs/pkt -%.0f%%: improved=%v, want %v (%+v)", c.fall*100, f.Improved, c.want, f)
+		}
+	}
+	cur := benchFixture()
+	cur.Cells[0].NsPerPkt /= 2
+	cur.Cells[1].SetupAllocs -= base.Cells[1].SetupAllocs / 100
+	cur.Cells[2].Windows--
+	cur.Cells[2].Exchanged--
+	cur.Micro.SendDeliver = 5
+	d := DiffBench(base, cur)
+	if f := findDiff(t, d, "ecmp-load0.5", "ns_per_pkt"); f.Improved {
+		t.Errorf("halved ns/pkt ratcheted: %+v", f)
+	}
+	for _, w := range []struct{ cell, metric string }{
+		{"drill-load0.5", "setup_allocs"},
+		{"fattree16-shards4", "windows"},
+		{"fattree16-shards4", "exchanged"},
+		{"micro", "micro.send_deliver"},
+	} {
+		f := findDiff(t, d, w.cell, w.metric)
+		if !f.Improved || f.Regressed || !strings.Contains(f.Note, "commit a new snapshot") {
+			t.Errorf("%s/%s beat the baseline but is not Improved with a note: %+v", w.cell, w.metric, f)
+		}
+	}
+	if d.Regressions != 0 || d.Improvements != 4 {
+		t.Errorf("regressions %d, improvements %d, want 0 and 4:\n%s", d.Regressions, d.Improvements, d.Format())
+	}
+	if out := d.Format(); !strings.Contains(out, "IMPROVED") || !strings.Contains(out, "4 improvement(s) to record in a new snapshot") {
+		t.Errorf("format lacks the improvements:\n%s", out)
+	}
+	cur.Seed = 2
+	if d := DiffBench(base, cur); d.Improvements != 2 {
+		t.Errorf("shard counts ratcheted across seeds: %d improvements, want 2 (set-up, micro):\n%s", d.Improvements, d.Format())
+	}
+}
+
 // TestDiffBenchFewerEventsSamePacketCost is the case the per-packet gate
 // exists for: an engine that dispatches a third fewer events for the same
 // packets at the same ns/pkt halves no rate the gate reads, so it passes,

@@ -315,6 +315,27 @@ func TestWCMPWeightsProportionalToCapacity(t *testing.T) {
 	}
 }
 
+// TestBuildEpochAllocs: a WCMP or DRILL+Quiver epoch on a k=8 fat-tree
+// allocates per switch, like the default tables, not per (switch, leaf)
+// entry or per path: 80 switches × 31 remote leaves would be 2,480
+// entries, and an edge switch has 16 paths toward each leaf of another
+// pod.
+func TestBuildEpochAllocs(t *testing.T) {
+	for _, bal := range []fabric.Balancer{WCMP{}, NewDRILLAsym()} {
+		tp := topo.FatTree(topo.FatTreeConfig{K: 8})
+		n := fabric.New(sim.New(1), tp, fabric.Config{Balancer: bal})
+		switches := len(n.SwitchList())
+		allocs := testing.AllocsPerRun(5, func() { sinkEpoch = n.BuildEpoch() })
+		if limit := 3 * float64(switches); allocs > limit {
+			t.Errorf("%s: %.0f allocations per epoch for %d switches, want at most %.0f",
+				bal.Name(), allocs, switches, limit)
+		}
+		t.Logf("%s: %.0f allocations per epoch for %d switches", bal.Name(), allocs, switches)
+	}
+}
+
+var sinkEpoch *fabric.Epoch
+
 func TestPerFlowDRILLPins(t *testing.T) {
 	tp := smallClos()
 	s := sim.New(1)

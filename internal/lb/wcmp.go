@@ -1,6 +1,8 @@
 package lb
 
 import (
+	"slices"
+
 	"drill/internal/fabric"
 	"drill/internal/topo"
 	"drill/internal/units"
@@ -27,17 +29,23 @@ func (WCMP) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engine, p
 // next hop, in ascending port order, weighted by the summed bottleneck
 // capacity of the shortest paths through it.
 func (WCMP) BuildTables(net *fabric.Network) {
-	var caps []units.Rate // per next hop, reused across entries
+	var (
+		buf  []topo.ChanID // every path of the entry, reused across entries
+		caps []units.Rate  // per next hop, reused across entries
+	)
 	net.InstallGroups(func(sw *fabric.Switch, leaf topo.NodeID, add func([]topo.ChanID, uint32)) {
 		hops := net.Routes.NextHops(sw.Node, leaf)
-		// NextHops lists channels (= ports) in ascending order, and Paths
-		// groups paths by first hop in that order.
-		paths := net.Routes.Paths(sw.Node, leaf)
-		caps = append(caps[:0], make([]units.Rate, len(hops))...)
+		// NextHops lists channels (= ports) in ascending order, and
+		// AppendPaths groups paths by first hop in that order.
+		buf = net.Routes.AppendPaths(buf[:0], sw.Node, leaf)
+		n := net.Routes.Dist(sw.Node, leaf)
+		caps = slices.Grow(caps[:0], len(hops))[:len(hops)]
+		clear(caps)
 		var g units.Rate
+		p := 0
 		for k, c := range hops {
-			for ; len(paths) > 0 && paths[0][0] == c; paths = paths[1:] {
-				caps[k] += net.Topo.Bottleneck(paths[0])
+			for ; p < len(buf) && buf[p] == c; p += n {
+				caps[k] += net.Topo.Bottleneck(buf[p : p+n])
 			}
 			g = topo.GCD(g, caps[k])
 		}

@@ -45,15 +45,36 @@ func (c CapFactor) String() string {
 // symmetry check reads: one hash score per directed channel, dense by
 // ChanID, over the (src, dst, cf) labels of the shortest leaf-to-leaf
 // paths traversing it. The label sets themselves are never stored.
+//
+// A Quiver also owns Decompose's scratch, so it serves one caller at a
+// time: the table builder of one run's epoch.
 type Quiver struct {
 	routes *topo.Routes
 	scores []uint64
+
+	// Decompose's scratch, reused by every call: the flat path buffer, each
+	// path's component and each component's first path, and the arrays the
+	// returned components, their Paths and their FirstHops live in.
+	buf       []topo.ChanID
+	comp, rep []int32
+	comps     []Component
+	paths     [][]topo.ChanID
+	firstHops []topo.ChanID
 }
 
 // Build computes the Quiver for the routing snapshot: for every ordered
-// leaf pair and every shortest path between them, each traversed channel
-// gains a (src, dst, cf) label, folded into the channel's score as soon
-// as the pair's paths are walked.
+// leaf pair, each channel on a shortest path between them gains one
+// (src, dst, cf) label per distinct capacity factor the pair's paths give
+// it, folded into the channel's score once the pair is done.
+//
+// The pair's paths are never enumerated. Build visits the next-hop DAG
+// toward dst level by level from src, and carries to each node the
+// distinct bottleneck rates b of the path prefixes reaching it (src
+// carries none). A next hop u→v of rate c gains the factor b/c for each b
+// at u, or ∞ at src, and passes min(b, c) on to v. Every next hop toward
+// dst brings it one hop closer, so every prefix reaching u continues
+// along every next hop of u to dst: the factors a channel gains are
+// exactly those the enumerated paths give it.
 //
 // A score is FNV-1a 64 over the channel's label set in canonical (Src,
 // Dst, CF) order, each label as four little-endian int64s: Src, Dst,
@@ -62,51 +83,78 @@ type Quiver struct {
 // scale. A channel on no shortest path scores 0.
 func Build(r *topo.Routes) *Quiver {
 	t := r.Topo()
-	nchan := 2 * len(t.Links)
+	nchan, n := 2*len(t.Links), len(t.Nodes)
 	q := &Quiver{routes: r, scores: make([]uint64, nchan)}
+	// Each channel's head and rate, read once.
+	to := make([]topo.NodeID, nchan)
+	rate := make([]units.Rate, nchan)
+	for _, l := range t.Links {
+		to[2*l.ID], to[2*l.ID+1] = l.B, l.A
+		rate[2*l.ID], rate[2*l.ID+1] = l.Rate, l.Rate
+	}
 	// t.Leaves is in ascending NodeID order (nodes are numbered as they
 	// are added), so pairs arrive in ascending (Src, Dst) order and a
 	// pair's labels follow every earlier pair's on each channel. Per
 	// channel, cfs holds the pair in progress's capacity factors, sorted
-	// by (Num, Den) and de-duplicated; two slots each from one array
-	// cover a uniform fabric. touched lists the channels they are on.
+	// by (Num, Den) and de-duplicated; touched lists the channels they
+	// are on. Per node, rates holds the pair in progress's bottleneck
+	// rates, valid while seen marks the node as reached by that pair.
+	// Two slots each from one array cover a uniform fabric.
 	cfs := make([][]CapFactor, nchan)
-	slots := make([]CapFactor, 2*nchan)
+	cfSlots := make([]CapFactor, 2*nchan)
 	for c := range cfs {
-		cfs[c] = slots[2*c : 2*c : 2*c+2]
+		cfs[c] = cfSlots[2*c : 2*c : 2*c+2]
 	}
+	rates := make([][]units.Rate, n)
+	rateSlots := make([]units.Rate, 2*n)
+	for v := range rates {
+		rates[v] = rateSlots[2*v : 2*v : 2*v+2]
+	}
+	seen := make([]int32, n)
 	folded := make([]bool, nchan)
-	var touched []topo.ChanID
-	var buf []topo.ChanID
+	levels := make([]topo.NodeID, 2*n)
+	touched := make([]topo.ChanID, 0, nchan)
+	pair := int32(0)
 	for _, src := range t.Leaves {
 		for _, dst := range t.Leaves {
-			if src == dst {
+			hops := r.Dist(src, dst)
+			if hops <= 0 {
 				continue
 			}
-			buf = r.AppendPaths(buf[:0], src, dst)
-			hops := r.Dist(src, dst)
-			for p := 0; p < len(buf); p += hops {
-				// Bottleneck capacity from src up to (but excluding) each hop.
-				inCap := units.Rate(0) // 0 = no upstream yet (source vertex)
-				for _, cid := range buf[p : p+hops] {
-					c := t.Chan(cid)
-					cf := Infinity
-					if inCap > 0 {
-						cf = NewCapFactor(inCap, c.Rate)
-					}
-					if len(cfs[cid]) == 0 {
-						touched = append(touched, cid)
-					}
-					i, found := slices.BinarySearchFunc(cfs[cid], cf, func(a, b CapFactor) int {
-						return cmp.Or(cmp.Compare(a.Num, b.Num), cmp.Compare(a.Den, b.Den))
-					})
-					if !found {
-						cfs[cid] = slices.Insert(cfs[cid], i, cf)
-					}
-					if inCap == 0 || c.Rate < inCap {
-						inCap = c.Rate
+			pair++
+			level, next := levels[:1:n], levels[n:n]
+			level[0] = src
+			rates[src] = append(rates[src][:0], 0) // 0 = no upstream yet (source vertex)
+			for d := 1; d <= hops; d++ {
+				for _, u := range level {
+					for _, cid := range r.NextHops(u, dst) {
+						c, v := rate[cid], to[cid]
+						if len(cfs[cid]) == 0 {
+							touched = append(touched, cid)
+						}
+						if d < hops && seen[v] != pair {
+							seen[v] = pair
+							rates[v] = rates[v][:0]
+							next = append(next, v)
+						}
+						for _, b := range rates[u] {
+							cf, out := Infinity, c
+							if b > 0 {
+								cf, out = NewCapFactor(b, c), min(b, c)
+							}
+							i, found := slices.BinarySearchFunc(cfs[cid], cf, func(a, b CapFactor) int {
+								return cmp.Or(cmp.Compare(a.Num, b.Num), cmp.Compare(a.Den, b.Den))
+							})
+							if !found {
+								cfs[cid] = slices.Insert(cfs[cid], i, cf)
+							}
+							if d < hops && !slices.Contains(rates[v], out) {
+								rates[v] = append(rates[v], out)
+							}
+						}
 					}
 				}
+				level, next = next, level[:0]
 			}
 			for _, cid := range touched {
 				h := q.scores[cid]
@@ -194,11 +242,17 @@ type Component struct {
 // (§3.4.1 step 2). Components come in order of their first path, and each
 // component's paths in enumeration order. It returns nil when src has no
 // path to dst.
+//
+// The result lives in the Quiver's scratch: it is valid until the next
+// Decompose on this Quiver, so a caller that keeps anything copies it. Once
+// the scratch has grown to the largest decomposition, a call allocates
+// nothing.
 func (q *Quiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
 	if src == dst {
 		return nil
 	}
-	buf := q.routes.AppendPaths(nil, src, dst)
+	q.buf = q.routes.AppendPaths(q.buf[:0], src, dst)
+	buf := q.buf
 	if len(buf) == 0 {
 		return nil
 	}
@@ -206,8 +260,7 @@ func (q *Quiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
 	n := len(buf) / hops
 	// comp[i] is path i's component; rep[c] is component c's first path,
 	// which every later member must match score for score.
-	scratch := make([]int32, 2*n)
-	comp, rep := scratch[:n], scratch[n:n]
+	comp, rep := slices.Grow(q.comp[:0], n)[:n], q.rep[:0]
 	for i := range comp {
 		p := buf[i*hops : (i+1)*hops]
 		c := 0
@@ -223,9 +276,10 @@ func (q *Quiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
 	}
 	// Every component's Paths and FirstHops are windows of one array each.
 	t := q.routes.Topo()
-	comps := make([]Component, len(rep))
-	paths := make([][]topo.ChanID, 0, n)
-	firstHops := make([]topo.ChanID, 0, n)
+	comps := slices.Grow(q.comps[:0], len(rep))[:len(rep)]
+	clear(comps)
+	paths := slices.Grow(q.paths[:0], n)
+	firstHops := slices.Grow(q.firstHops[:0], n)
 	for c := range comps {
 		p0, f0 := len(paths), len(firstHops)
 		for i, ci := range comp {
@@ -243,6 +297,7 @@ func (q *Quiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
 		comps[c].FirstHops = firstHops[f0:len(firstHops):len(firstHops)]
 		slices.Sort(comps[c].FirstHops)
 	}
+	q.comp, q.rep, q.comps, q.paths, q.firstHops = comp, rep, comps, paths, firstHops
 	assignWeights(comps)
 	return comps
 }

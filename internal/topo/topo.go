@@ -99,13 +99,13 @@ type Topology struct {
 	// HostLeaf maps a host's NodeID to its leaf (ToR) NodeID.
 	HostLeaf map[NodeID]NodeID
 
-	// leafIndex maps a leaf NodeID to its position in Leaves.
-	leafIndex map[NodeID]int
+	// leafIndex[n] is leaf n's position in Leaves, -1 for other nodes.
+	leafIndex []int32
 }
 
 // New returns an empty topology.
 func New() *Topology {
-	return &Topology{HostLeaf: map[NodeID]NodeID{}, leafIndex: map[NodeID]int{}}
+	return &Topology{HostLeaf: map[NodeID]NodeID{}}
 }
 
 // AddNode appends a node of the given kind and returns its ID.
@@ -113,11 +113,12 @@ func (t *Topology) AddNode(kind NodeKind, name string) NodeID {
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, Name: name})
 	t.out = append(t.out, nil)
+	t.leafIndex = append(t.leafIndex, -1)
 	switch kind {
 	case Host:
 		t.Hosts = append(t.Hosts, id)
 	case Leaf:
-		t.leafIndex[id] = len(t.Leaves)
+		t.leafIndex[id] = int32(len(t.Leaves))
 		t.Leaves = append(t.Leaves, id)
 	}
 	return id
@@ -218,11 +219,10 @@ func (t *Topology) LeafOf(h NodeID) NodeID {
 
 // LeafIndex returns the dense index of leaf node id in Leaves.
 func (t *Topology) LeafIndex(leaf NodeID) int {
-	i, ok := t.leafIndex[leaf]
-	if !ok {
+	if uint(leaf) >= uint(len(t.leafIndex)) || t.leafIndex[leaf] < 0 {
 		panic(fmt.Sprintf("topo: node %d is not a leaf", leaf))
 	}
-	return i
+	return int(t.leafIndex[leaf])
 }
 
 // NumSwitches reports how many nodes are switches (non-hosts).
