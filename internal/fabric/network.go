@@ -565,8 +565,9 @@ func (n *Network) transmit(p *Port) {
 		n.txObs.OnTx(n, p, pkt)
 	}
 	// At most one transmission is in service per port, so the reusable
-	// callback needs no ring; AfterID takes a fresh seq like any After.
-	d.sim.AfterID(txT, p.txID)
+	// callback needs no ring. The departure's key is pure: the port and its
+	// departure counter.
+	d.sim.AtKeyID(d.sim.Now()+txT, sim.DepartKey(uint64(p.Index), p.wireSeq), p.txID)
 }
 
 //drill:hotpath

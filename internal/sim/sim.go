@@ -104,22 +104,27 @@ const (
 )
 
 // Event-key class bits. The top two key bits partition same-time events
-// into three classes, dispatched in class order: global events (workload
+// into four classes, dispatched in class order: global events (workload
 // arrivals, failure injection, daemon tickers — anything a sharded run
 // executes at a window barrier), then shard-local events (the data plane's
-// tx/visibility/timer events), then wire arrivals (packets landing on a
+// visibility updates and timers), then port departures (a packet finishing
+// serialization, see DepartKey), then wire arrivals (packets landing on a
 // port after propagation). The class order is what makes the sharded
 // engine byte-identical to the sequential one: a barrier runs all globals
 // at time T before any shard touches its local events at T, exactly as a
-// single scheduler sorting on these keys would, and a cross-shard arrival
-// carries a key derived from engine-invariant state (port index and
-// per-port departure sequence, see ArrivalKey) rather than from any one
-// scheduler's private counter.
+// single scheduler sorting on these keys would, and departures and
+// cross-shard arrivals carry keys derived from engine-invariant state (port
+// index and per-port departure sequence) rather than from any one
+// scheduler's private counter. A departure sorts before every same-time
+// arrival: the packet an arrival forwards onto a port joins the queue
+// behind a packet that finished serializing at that instant, as it did
+// when departures were events with a fresh sequence number.
 const (
 	classShift          = 62
 	classGlobal  uint64 = 0 << classShift // barrier-executed: workload, control plane, daemons
 	classLocal   uint64 = 1 << classShift // shard-private data-plane events
-	classArrival uint64 = 2 << classShift // wire arrivals; key from ArrivalKey
+	classDepart  uint64 = 2 << classShift // port departures; key from DepartKey
+	classArrival uint64 = 3 << classShift // wire arrivals; key from ArrivalKey
 )
 
 // Timer tier tags (Timer.tier, eventHeap.tier).
@@ -399,6 +404,19 @@ func (s *Sim) parkAt(t units.Time, front uint64) {
 //drill:hotpath
 func ArrivalKey(port, n uint64) uint64 {
 	return classArrival | port<<(keyShift+34) | n<<keyShift
+}
+
+// DepartKey builds the event key for directed port `port`'s n-th departure:
+// the instant its packet finishes serializing. Like ArrivalKey it is a pure
+// function of engine-invariant state, so the departure takes the same slot
+// on any engine and whoever settles it later can name that slot without
+// knowing which sequence numbers other events drew in between. Its class
+// sorts after every same-time local event and before every same-time
+// arrival.
+//
+//drill:hotpath
+func DepartKey(port, n uint64) uint64 {
+	return classDepart | port<<(keyShift+34) | n<<keyShift
 }
 
 // At schedules fn to run at absolute time t as a shard-local event.
