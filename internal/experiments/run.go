@@ -327,12 +327,12 @@ func Run(cfg RunCfg) *RunResult {
 	// only legal at a barrier.
 	s.AtGlobal(cfg.Warmup, func() {
 		for _, p := range uplinks {
-			txAtWarmup += p.TxBytes
+			txAtWarmup += p.TxBytes()
 		}
 	})
 	s.AtGlobal(end, func() {
 		for _, p := range uplinks {
-			txAtEnd += p.TxBytes
+			txAtEnd += p.TxBytes()
 		}
 	})
 
@@ -341,12 +341,12 @@ func Run(cfg RunCfg) *RunResult {
 		// Let measured in-flight flows drain so tail FCTs are complete.
 		group.RunUntil(end + cfg.DrainLimit)
 		group.Close()
-		net.FoldShards()
-		reg.Fold()
 	} else {
 		s.RunUntil(end)
 		s.RunUntil(end + cfg.DrainLimit)
 	}
+	net.FoldShards()
+	reg.Fold()
 	if snap != nil {
 		// Publish the terminal state even if the run ended mid-interval;
 		// the registry keeps its values, not the run.

@@ -117,7 +117,7 @@ func (n *Network) BuildEpoch() *Epoch {
 //
 // Links sync through setLink, exactly as FailLink and RestoreLink do. A
 // flap shorter than an in-service packet's serialization time is
-// invisible to that packet: its txDone finds the port up again and
+// invisible to that packet: its departure finds the port up again and
 // delivers normally.
 func (n *Network) ApplyEpoch(e *Epoch) {
 	for li, up := range e.LinkUp {
@@ -138,9 +138,13 @@ func (n *Network) ApplyEpoch(e *Epoch) {
 }
 
 // setLink puts link id and both of its ports in service (up) or out of
-// it. A port going down loses its waiting packets, unless one is in
-// service: that packet's txDone then drops it and drains the rest. A port
-// coming up resumes transmission if anything is waiting.
+// it. Each port first settles under the old link state: the departures
+// already passed happened while it held. A port holds packets only while
+// one is in service (a departure on a dead link drains the rest), so a
+// port going down keeps them until that packet's departure: then, unless
+// the link is back, the packet is lost and the waiting ones with it. The
+// port wakes at that departure, so the drop happens on time whoever reads
+// the port next. Packets already on the wire still arrive.
 func (n *Network) setLink(id topo.LinkID, up bool) {
 	n.Topo.Links[id].Up = up
 	for dir := int32(0); dir < 2; dir++ {
@@ -148,14 +152,10 @@ func (n *Network) setLink(id topo.LinkID, up bool) {
 		if p.up == up {
 			continue
 		}
+		p.settle()
 		p.up = up
-		if p.busy {
-			continue
-		}
-		if !up {
-			n.drainPort(p)
-		} else if !p.queue.empty() {
-			n.transmit(p)
+		if !up && !p.wake && !p.queue.empty() {
+			p.dom.sim.AtPort(p.depAt, p.departKey(), p.Index)
 		}
 	}
 }

@@ -414,8 +414,8 @@ func TestUnreachableDropsAtSwitchTier(t *testing.T) {
 		}
 	}
 	for _, p := range n.Ports {
-		if p.Drops != 0 || p.QPkts != 0 {
-			t.Errorf("port %d: %d drops, %d queued; want none", p.Index, p.Drops, p.QPkts)
+		if p.Drops != 0 || p.QueueLen() != 0 {
+			t.Errorf("port %d: %d drops, %d queued; want none", p.Index, p.Drops, p.QueueLen())
 		}
 	}
 	if leaf, spine := n.Switches[tp.Leaves[1]].dropHop, n.Switches[tp.Nodes[0].ID].dropHop; leaf != metrics.Hop1 || spine != metrics.Hop2 {

@@ -20,10 +20,10 @@ type sink struct {
 func (s *sink) HandlePacket(h *Host, pkt *Packet) { s.got = append(s.got, pkt) }
 
 // settled returns a port's visibility counters as a reader acts on them:
-// after applying every parked update its scheduler has passed. The raw
-// fields can trail these until the next read.
+// after settling every update and departure its scheduler has passed. The
+// raw fields can trail these until the next read.
 func settled(p *Port) (pkts int32, bytes int64, skip int32) {
-	p.settleVisibility()
+	p.settle()
 	return p.VisPkts, p.VisBytes, p.visSkip
 }
 
@@ -189,7 +189,7 @@ func TestVisibilityLagsAndReconciles(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.RunUntil(s.Now() + 100)
 		for _, p := range n.Ports {
-			if vp, vb, _ := settled(p); vp > p.QPkts || vp < 0 || vb < 0 {
+			if vp, vb, _ := settled(p); vp > p.QueueLen() || vp < 0 || vb < 0 {
 				bad++
 			}
 		}
@@ -203,9 +203,9 @@ func TestVisibilityLagsAndReconciles(t *testing.T) {
 	// Fully drained: all counters must be zero, with no update left parked.
 	s.Run()
 	for _, p := range n.Ports {
-		if vp, vb, skip := settled(p); p.QPkts != 0 || p.QBytes != 0 || vp != 0 || vb != 0 || skip != 0 || !p.visRing.empty() {
+		if vp, vb, skip := settled(p); p.QueueLen() != 0 || p.QueueBytes() != 0 || vp != 0 || vb != 0 || skip != 0 || !p.visRing.empty() {
 			t.Fatalf("port %d not drained: q=%d/%d vis=%d/%d skip=%d parked=%d",
-				p.Index, p.QPkts, p.QBytes, vp, vb, skip, p.visRing.len())
+				p.Index, p.QueueLen(), p.QueueBytes(), vp, vb, skip, p.visRing.len())
 		}
 	}
 }

@@ -61,7 +61,7 @@ func (h *Host) Send(pkt *Packet) {
 		h.net.sendHook.OnSend(h.net, h, pkt)
 	}
 	if h.net.tracer != nil {
-		h.net.tracer.Packet(trace.Send, h.dom.sim.Now(), h.NIC.Index, uint8(h.NIC.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), h.NIC.QPkts)
+		h.net.tracer.Packet(trace.Send, h.dom.sim.Now(), h.NIC.Index, uint8(h.NIC.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), h.NIC.QueueLen())
 	}
 	h.net.enqueue(h.NIC, pkt)
 }

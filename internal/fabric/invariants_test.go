@@ -75,7 +75,7 @@ func TestQueuesDrainProperty(t *testing.T) {
 		}
 		s.Run()
 		for _, p := range net.Ports {
-			if vp, vb, skip := settled(p); p.QPkts != 0 || p.QBytes != 0 || vp != 0 || vb != 0 || skip != 0 || !p.visRing.empty() {
+			if vp, vb, skip := settled(p); p.QueueLen() != 0 || p.QueueBytes() != 0 || vp != 0 || vb != 0 || skip != 0 || !p.visRing.empty() {
 				return false
 			}
 		}
@@ -151,7 +151,7 @@ func TestVisibilityNeverExceedsWaiting(t *testing.T) {
 	for s.Pending() > 0 {
 		s.RunUntil(s.Now() + 500*units.Nanosecond)
 		for _, p := range net.Ports {
-			if vp, vb, _ := settled(p); vp < 0 || vb < 0 || vp > p.QPkts {
+			if vp, vb, _ := settled(p); vp < 0 || vb < 0 || vp > p.QueueLen() {
 				violations++
 			}
 		}
@@ -198,9 +198,9 @@ func TestEveryPortDropCountsOnce(t *testing.T) {
 			p := n.Ports[n.Switches[tp.Leaves[0]].Groups(1)[0].Ports[0]]
 			if tc.failAt > 0 {
 				s.AtGlobal(tc.failAt, func() {
-					if tc.waiting > 0 && (!p.busy || p.QPkts != tc.waiting) {
-						t.Fatalf("fixture: p busy=%v with %d queued at the failure, want busy with %d",
-							p.busy, p.QPkts, tc.waiting)
+					if tc.waiting > 0 && p.QueueLen() != tc.waiting {
+						t.Fatalf("fixture: p holds %d packets at the failure, want %d, one in service",
+							p.QueueLen(), tc.waiting)
 					}
 					n.FailLink(topo.LinkID(p.Chan/2), false)
 				})
@@ -212,9 +212,9 @@ func TestEveryPortDropCountsOnce(t *testing.T) {
 			}
 			s.RunUntil(3 * units.Microsecond)
 
-			if n.Delivered != 0 || src.NIC.QPkts != 0 {
+			if n.Delivered != 0 || src.NIC.QueueLen() != 0 {
 				t.Fatalf("fixture: at the checkpoint %d delivered, %d still on the NIC; want 0 and 0",
-					n.Delivered, src.NIC.QPkts)
+					n.Delivered, src.NIC.QueueLen())
 			}
 			drops := n.Hops.TotalDrops()
 			if got := n.Delivered + drops + n.QueuedPackets() + n.InFlightPackets(); got != n.Sent {

@@ -117,7 +117,7 @@ type Network struct {
 	Routes *topo.Routes
 	Cfg    Config
 
-	Ports    []*Port   // one per directed channel, indexed by ChanID (= Port.Index)
+	Ports    []*Port   // one per directed channel, indexed by ChanID (= Port.Index); into one array
 	Switches []*Switch // indexed by NodeID; nil for hosts
 
 	// Dense per-node/per-channel lookup tables: the arrive/forward path
@@ -189,7 +189,7 @@ func New(s *sim.Sim, t *topo.Topology, cfg Config) *Network {
 	// The one sequential domain aliases the Network's own fields, so the
 	// single-scheduler data plane reads and writes exactly what it always
 	// did, one pointer hop away.
-	d := &domain{sim: s, hops: &n.Hops, delivered: &n.Delivered, sent: &n.Sent, pool: &n.pool}
+	d := &domain{net: n, sim: s, hops: &n.Hops, delivered: &n.Delivered, sent: &n.Sent, pool: &n.pool}
 	n.doms = []*domain{d}
 	n.domByNode = make([]*domain, len(t.Nodes))
 	for i := range n.domByNode {
@@ -210,8 +210,20 @@ func (n *Network) build() {
 	n.arriveObs, _ = cfg.Balancer.(ArriveObserver)
 	n.sendHook, _ = cfg.Balancer.(SendHook)
 
+	// Every port wakes at each departure where a departure must be seen as
+	// it happens: OnTx runs at transmission start, and a tracer orders its
+	// tx-start and link-depart events by (time, key).
+	wakeAll := n.txObs != nil || n.tracer != nil && (n.tracer.Enabled(trace.TxStart) || n.tracer.Enabled(trace.LinkDepart))
+
 	// One port per directed channel, built in channel order (2*link+dir),
-	// so a port's index is its channel ID.
+	// so a port's index is its channel ID. The ports live in one array;
+	// their events carry the index and dispatch through one handler per
+	// scheduler.
+	ports := make([]Port, 2*len(t.Links))
+	n.Ports = make([]*Port, len(ports))
+	for _, d := range n.doms {
+		d.sim.OnPort(n.portEvent)
+	}
 	n.inIdx = make([]int32, 2*len(t.Links))
 	for i := range n.inIdx {
 		n.inIdx[i] = -1
@@ -227,7 +239,8 @@ func (n *Network) build() {
 	for _, l := range t.Links {
 		for dir := 0; dir < 2; dir++ {
 			c := t.Chan(topo.ChanID(2*int32(l.ID) + int32(dir)))
-			p := &Port{
+			p := &ports[c.ID]
+			*p = Port{
 				Index: int32(c.ID),
 				Chan:  c.ID, From: c.From, To: c.To,
 				Rate: c.Rate, Prop: c.Prop,
@@ -242,17 +255,8 @@ func (n *Network) build() {
 			p.dom = n.domByNode[c.From]
 			p.dstDom = n.domByNode[c.To]
 			p.boundary = p.dom != p.dstDom
-			n.Ports = append(n.Ports, p)
-			// The port's reusable event callbacks: the only closures the
-			// data plane ever allocates, one pair per port for the
-			// network's life, interned in the scheduler's permanent
-			// registry so hot events carry a plain id instead of a pointer.
-			// The transmission lives in the source node's scheduler; the
-			// wire arrival fires at the far end, so it lives in the
-			// destination's. Visibility needs no callback: it is settled
-			// when read (Port.settleVisibility).
-			p.txID = p.dom.sim.Register(func() { n.txDone(p) })
-			p.wireID = p.dstDom.sim.Register(func() { n.wireFire(p) })
+			p.wake = wakeAll || p.boundary
+			n.Ports[c.ID] = p
 		}
 	}
 
@@ -318,12 +322,23 @@ func (n *Network) Balancer() Balancer { return n.balancer }
 // Tracer returns the telemetry tracer, nil when tracing is off.
 func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 
+// Settle brings every port up to its scheduler's frontier: it applies the
+// departures and visibility updates already passed, so the hop stats
+// (RecordQueueing runs as a departure starts the next packet) and every
+// port counter read afterwards are exact. Barrier-safe: call it from a
+// global-class event mid-run, or after a run stops.
+func (n *Network) Settle() {
+	for _, p := range n.Ports {
+		p.settle()
+	}
+}
+
 // QueuedPackets sums the true occupancy of every port — the "still-queued"
-// term of the packet-conservation invariant.
+// term of the packet-conservation invariant. Barrier-safe like Settle.
 func (n *Network) QueuedPackets() int64 {
 	var q int64
 	for _, p := range n.Ports {
-		q += int64(p.QPkts)
+		q += int64(p.QueueLen())
 	}
 	return q
 }
@@ -335,12 +350,17 @@ func (n *Network) QueuedPackets() int64 {
 // after a full drain (where it reports 0 unless links are partitioned
 // down).
 func (n *Network) InFlightPackets() int64 {
+	n.Settle()
 	var f int64
 	for _, p := range n.Ports {
-		f += int64(p.wireRing.len())
+		f += p.inFlight()
 	}
 	for _, d := range n.doms {
-		f += int64(len(d.outbox))
+		for i := range d.outbox {
+			if d.outbox[i].e.pkt != nil {
+				f++
+			}
+		}
 	}
 	return f
 }
@@ -524,112 +544,133 @@ func classifyHop(t *topo.Topology, c topo.Chan) metrics.HopClass {
 // --- data plane ---
 
 // enqueue places pkt on port p at the current time, dropping on overflow.
+// A packet entering an empty port starts transmitting at once and, unless
+// the port hands departures to a shard outbox, arms its own arrival.
 //
 //drill:hotpath
 func (n *Network) enqueue(p *Port, pkt *Packet) {
-	if !p.up || int(p.QPkts) >= p.Cap {
+	p.settle()
+	if !p.up || int(p.qPkts) >= p.Cap {
 		n.drop(p, pkt)
 		return
 	}
-	pkt.enqAt = p.dom.sim.Now()
+	now := p.dom.sim.Now()
+	pkt.enqAt = now
+	idle := p.queue.empty()
 	p.queue.push(pkt)
 	p.EnqPackets++
-	p.QPkts++
-	p.QBytes += int64(pkt.Size)
+	p.qPkts++
+	p.qBytes += int64(pkt.Size)
 	if n.tracer != nil {
-		n.tracer.Packet(trace.Enqueue, pkt.enqAt, p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
+		n.tracer.Packet(trace.Enqueue, now, p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.qPkts)
 	}
 	p.pushVisibility(pkt.Size)
-	if !p.busy {
-		n.transmit(p)
+	if !idle {
+		return
+	}
+	n.transmit(p, now)
+	if !p.boundary && p.wireRing.empty() {
+		p.dom.sim.AtPort(p.depAt+p.Prop, sim.ArrivalKey(uint64(p.Index), p.wireSeq), p.Index)
 	}
 }
 
-// transmit serializes the head-of-line packet onto the link.
+// transmit starts serializing the head-of-line packet at time at: now, or
+// the departure of the packet before it.
 //
 //drill:hotpath
-func (n *Network) transmit(p *Port) {
+func (n *Network) transmit(p *Port, at units.Time) {
 	d := p.dom
 	pkt := *p.queue.peek() // head stays queued while in service
-	p.busy = true
-	wait := d.sim.Now() - pkt.enqAt
+	wait := at - pkt.enqAt
 	d.hops.RecordQueueing(p.Hop, wait)
 	// The head leaves the waiting queue as it starts onto the wire.
 	p.departVisibility(pkt.Size)
 	if n.tracer != nil {
-		n.tracer.Emit(trace.Event{T: d.sim.Now(), Kind: trace.TxStart, Port: p.Index, Hop: uint8(p.Hop),
-			Flow: pkt.FlowID, Seq: pkt.Seq, Size: int32(pkt.Size), QLen: p.QPkts, Val: float64(wait)})
+		n.tracer.Emit(trace.Event{T: at, Kind: trace.TxStart, Port: p.Index, Hop: uint8(p.Hop),
+			Flow: pkt.FlowID, Seq: pkt.Seq, Size: int32(pkt.Size), QLen: p.qPkts, Val: float64(wait)})
 	}
-	txT := units.TxTime(pkt.Size, p.Rate)
+	p.depAt = at + units.TxTime(pkt.Size, p.Rate)
 	if n.txObs != nil {
 		n.txObs.OnTx(n, p, pkt)
 	}
-	// At most one transmission is in service per port, so the reusable
-	// callback needs no ring. The departure's key is pure: the port and its
-	// departure counter.
-	d.sim.AtKeyID(d.sim.Now()+txT, sim.DepartKey(uint64(p.Index), p.wireSeq), p.txID)
-}
-
-//drill:hotpath
-//drill:allocs 1 outbox growth amortizes across epochs
-func (n *Network) txDone(p *Port) {
-	d := p.dom
-	pkt := p.queue.pop()
-	p.QPkts--
-	p.QBytes -= int64(pkt.Size)
-	p.TxBytes += int64(pkt.Size)
-	p.busy = false
-	if p.up {
-		if n.tracer != nil {
-			n.tracer.Packet(trace.LinkDepart, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
-		}
-		// The arrival's key is a pure function of the port and its
-		// departure counter — not of this scheduler's state — so a sharded
-		// run computes the same key for the same departure and the far
-		// scheduler dispatches it in exactly the sequential engine's slot.
-		at := d.sim.Now() + p.Prop
-		key := sim.ArrivalKey(uint64(p.Index), p.wireSeq)
-		p.wireSeq++
-		if p.boundary {
-			// Cross-shard wire: the destination's scheduler may only be
-			// touched at a barrier. Park the packet in the outbox; the
-			// coordinator's exchange pushes it onto the wire ring with the
-			// identical key, so nothing downstream can tell the difference.
-			d.outbox = append(d.outbox, wireMsg{p: p, at: at, key: key, pkt: pkt})
-		} else {
-			// Put the packet on the wire: park it on the port's in-flight
-			// ring at its reserved (time, key) slot.
-			idle := p.wireRing.empty()
-			p.wireRing.push(wireEntry{at: at, key: key, pkt: pkt})
-			if idle {
-				d.sim.AtKeyID(at, key, p.wireID)
-			}
-		}
-		if !p.queue.empty() {
-			n.transmit(p)
-		}
-		return
+	if p.wake {
+		d.sim.AtPort(p.depAt, p.departKey(), p.Index)
 	}
-	// Link died mid-flight: the packet is lost, and so is anything queued.
-	n.drop(p, pkt)
-	n.drainPort(p)
 }
 
-// wireFire lands the head of the port's in-flight ring at the far end of
-// the link and re-arms the timer for the next packet on the wire at its
-// reserved (time, seq) slot. Re-arming precedes delivery so the arrival's
-// downstream effects (forwarding, transport ACKs) observe a fully
-// consistent ring.
+// depart applies the in-service packet's departure, which settle found
+// passed: the packet goes onto the wire (or into the shard outbox), and
+// the next packet starts at the same instant. A packet whose link died
+// under it is lost instead, and the waiting packets with it; its wire
+// entry stays, empty, for the arrival armed for it.
 //
 //drill:hotpath
-func (n *Network) wireFire(p *Port) {
+//drill:allocs 1 outbox growth amortizes across epochs
+func (n *Network) depart(p *Port) {
+	d := p.dom
+	at := p.depAt
+	pkt := p.queue.pop()
+	p.qPkts--
+	p.qBytes -= int64(pkt.Size)
+	p.txBytes += int64(pkt.Size)
+	// The arrival's key is a pure function of the port and its departure
+	// counter — not of this scheduler's state — so a sharded run computes
+	// the same key for the same departure and the far scheduler dispatches
+	// it in exactly the sequential engine's slot.
+	e := wireEntry{at: at + p.Prop, key: sim.ArrivalKey(uint64(p.Index), p.wireSeq), pkt: pkt}
+	if p.up {
+		if n.tracer != nil {
+			n.tracer.Packet(trace.LinkDepart, at, p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.qPkts)
+		}
+		p.wireSeq++
+	} else {
+		n.drop(p, pkt)
+		n.drainPort(p)
+		e.pkt = nil
+	}
+	if p.boundary {
+		// Cross-shard wire: the destination's scheduler may only be
+		// touched at a barrier. Park the entry in the outbox; the
+		// coordinator's exchange pushes it onto the wire ring with the
+		// identical key, so nothing downstream can tell the difference.
+		d.outbox = append(d.outbox, wireMsg{p: p, e: e})
+	} else {
+		p.wireRing.push(e)
+	}
+	if !p.queue.empty() {
+		n.transmit(p, at)
+	}
+}
+
+// portEvent dispatches a port event: a silent wake-up settles the port; an
+// arrival lands the head of the wire ring at the far end of the link. The
+// arrival first settles the port (a boundary port's source side belongs to
+// another shard and settles its departures itself), then re-arms the next
+// arrival — the new wire head, or else the in-service packet at its
+// departure plus propagation — before the landing's downstream effects
+// (forwarding, transport ACKs) run.
+//
+//drill:hotpath
+func (n *Network) portEvent(idx int32, arrival bool) {
+	p := n.Ports[idx]
+	if !arrival {
+		p.settle()
+		return
+	}
+	if !p.boundary {
+		p.settle()
+	}
 	e := p.wireRing.pop()
 	if !p.wireRing.empty() {
 		h := p.wireRing.peek()
-		//drill:allow shardconfine wireFire runs on the destination shard: propagation delay exceeds the epoch, so the reserved slot is shard-local by the exchange invariant
-		p.dstDom.sim.AtKeyID(h.at, h.key, p.wireID)
+		//drill:allow shardconfine the arrival runs on the destination shard: propagation delay exceeds the window, so the reserved slot is shard-local by the exchange invariant
+		p.dstDom.sim.AtPort(h.at, h.key, idx)
+	} else if !p.boundary && !p.queue.empty() {
+		p.dom.sim.AtPort(p.depAt+p.Prop, sim.ArrivalKey(uint64(idx), p.wireSeq), idx)
 	}
-	n.arrive(e.pkt, p.To, p.Chan)
+	if e.pkt != nil {
+		n.arrive(e.pkt, p.To, p.Chan)
+	}
 }
 
 // drainPort discards all waiting packets of a failed port.
@@ -638,8 +679,8 @@ func (n *Network) wireFire(p *Port) {
 func (n *Network) drainPort(p *Port) {
 	for !p.queue.empty() {
 		pkt := p.queue.pop()
-		p.QPkts--
-		p.QBytes -= int64(pkt.Size)
+		p.qPkts--
+		p.qBytes -= int64(pkt.Size)
 		p.departVisibility(pkt.Size)
 		n.drop(p, pkt)
 	}
@@ -655,7 +696,7 @@ func (n *Network) drop(p *Port, pkt *Packet) {
 	p.Drops++
 	d.hops.RecordDrop(p.Hop)
 	if n.tracer != nil {
-		n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.QPkts)
+		n.tracer.Packet(trace.Drop, d.sim.Now(), p.Index, uint8(p.Hop), pkt.FlowID, pkt.Seq, int32(pkt.Size), p.qPkts)
 	}
 	d.pool.Put(pkt)
 }

@@ -46,7 +46,7 @@ func (n *Network) RegisterReads(sn *obs.Snapshotter, scope string) {
 			p.Index, p.From, p.To, p.Hop))
 		sn.GaugeFunc("drill_port_queue_depth_packets", lbl,
 			"Output-queue occupancy in packets, sampled at snapshot time.",
-			func() float64 { return float64(p.QPkts) })
+			func() float64 { return float64(p.QueueLen()) })
 		sn.GaugeFunc("drill_port_utilization", lbl,
 			"Fraction of link capacity used since the previous snapshot.",
 			func() float64 { return r.util[i] })

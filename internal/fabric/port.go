@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"math"
+
 	"drill/internal/metrics"
 	"drill/internal/sim"
 	"drill/internal/topo"
@@ -8,31 +10,48 @@ import (
 )
 
 // Port is one directed output channel: the FIFO queue feeding a link
-// direction, plus the delayed-visibility occupancy counters forwarding
-// engines consult (§3.2.1: "the queue length does not include the packets
-// that are just entering the queue until after they are being fully
-// enqueued").
+// direction, the packets on the link itself, and the delayed-visibility
+// occupancy counters forwarding engines consult (§3.2.1: "the queue length
+// does not include the packets that are just entering the queue until
+// after they are being fully enqueued").
 //
-// True occupancy (QPkts/QBytes) counts packets from enqueue until their
-// transmission completes; it is what the buffer cap limits and what the
-// queue-length sampler reports. Visible occupancy (VisPkts/VisBytes) is the
-// load signal engines compare: it lags enqueue by the port's visibility
-// delay, and it counts only *waiting* packets — the head being read out of
-// buffer memory onto the wire no longer occupies the queue an arriving
-// packet must wait behind. (Counting the in-service packet makes every
-// placement evict the flow's next packet to a different port, a
+// True occupancy (QueueLen/QueueBytes) counts packets from enqueue until
+// their transmission completes; it is what the buffer cap limits and what
+// the queue-length sampler reports. Visible occupancy (VisPkts/VisBytes)
+// is the load signal engines compare: it lags enqueue by the port's
+// visibility delay, and it counts only *waiting* packets — the head being
+// read out of buffer memory onto the wire no longer occupies the queue an
+// arriving packet must wait behind. (Counting the in-service packet makes
+// every placement evict the flow's next packet to a different port, a
 // self-displacement artifact that manufactures reordering the hardware
 // does not exhibit.) Because the visibility delay is constant per port,
 // visibility updates take effect in FIFO order and the skip-counter
 // reconciliation below is exact.
 //
-// Visibility updates are settled when read, not dispatched as events:
-// enqueue parks each update on visRing under the key sim.ReserveKey
-// reserves for it, and VisibleBytes and departVisibility first apply every
-// parked update the scheduler's frontier has passed (sim.Sim.Reached). The
-// counters they then act on are exactly those a scheduler firing one event
-// per update would hold at that point; the raw VisPkts/VisBytes fields can
-// trail them until the next such read.
+// One event per hop. A FIFO port at a fixed rate knows each packet's
+// departure once the packet starts transmitting: it ends size/rate later,
+// and the next packet starts then (Lindley's recursion). So a departure is
+// not an event. The port keeps the in-service packet's departure time
+// (depAt) under its pure key (sim.DepartKey), parks each visibility update
+// under the key sim.ReserveKey reserves for it, and settle applies — in
+// (time, key) order, before anyone reads the port — every update and
+// departure its scheduler has passed (sim.Sim.Reached). A departure moves
+// the head onto the wire ring and starts the next packet at that instant.
+// The counters a reader then sees are exactly those a scheduler firing
+// one event per update and per departure would hold at that point; the
+// raw fields can trail them until the next read. Only the wire arrival at
+// the far end is an event: a port with anything queued or on the wire has
+// exactly one armed, for the wire ring's head, or else for the in-service
+// packet at its departure plus propagation.
+//
+// Where a departure must be seen as it happens the port is a waker: it
+// arms a silent wake-up (a port event under the departure's key) that only
+// settles it. Boundary ports of a sharded run wake, so their departures
+// bound the windows and reach the outbox inside them; so does every port
+// while a tracer records transmissions or under a TxObserver balancer, so
+// trace events and OnTx stay in (time, key) order. A port whose link fails
+// under a packet in service wakes at that departure, so the drop happens
+// on time.
 type Port struct {
 	Index    int32 // position in Network.Ports
 	Chan     topo.ChanID
@@ -43,42 +62,35 @@ type Port struct {
 
 	Cap int // max queued packets (waiting + in service); always positive
 
-	queue fifo[*Packet] // waiting packets, head first; the head stays while in service
+	// queue holds the port's packets, head first. The head is in service
+	// whenever the queue is non-empty; depAt is its departure.
+	queue fifo[*Packet]
+	depAt units.Time
 
-	QPkts  int32
-	QBytes int64
+	qPkts  int32
+	qBytes int64
 
 	VisPkts  int32
 	VisBytes int64
 	visSkip  int32 // departures that outran their visibility update
 
 	visDelay units.Time
-	busy     bool
 	up       bool
+	wake     bool // arm a wake-up at every departure (see the type comment)
 
-	// Batched event plumbing (see Network.wireFire): each port owns two
-	// reusable callbacks — for the serialization in progress and for the
-	// head of the wire ring — instead of allocating a closure per packet
-	// per hop. The wire ring holds the packets in flight in FIFO order;
-	// firing one re-arms the callback for the next at its arrival (at,
-	// key) via sim.AtKeyID, so dispatch is byte-identical to the
-	// one-event-per-packet path. Registered ids, not sim.Timers: these are
-	// only ever armed when unarmed (fire-and-rearm), so they need none of
-	// a Timer's location tracking — which would otherwise be maintained on
-	// every heap sift of every packet event — and interning them keeps the
-	// scheduler's event records pointer-free. The visibility ring holds
-	// parked updates and arms nothing.
-	txID     sim.FnID
-	wireID   sim.FnID
+	// visRing holds parked visibility updates; wireRing the packets on the
+	// link, in (arrival, key) order, each under the arrival key its
+	// departure computed. A packet lost at its departure leaves a nil entry
+	// there, so its arrival still dispatches, and finds nothing to land.
 	visRing  fifo[visEntry]
 	wireRing fifo[wireEntry]
 
 	// Shard plumbing (see shard.go). dom owns the queue side (enqueue,
 	// visibility, transmission); dstDom owns the wire arrival at the far
 	// end. They differ only on boundary ports, whose departures detour
-	// through the domain outbox instead of arming dstDom's scheduler
-	// directly. wireSeq counts departures; together with Index it forms
-	// the engine-invariant arrival key (sim.ArrivalKey).
+	// through the domain outbox instead of onto the wire ring directly.
+	// wireSeq counts departures onto the wire; together with Index it
+	// forms the engine-invariant departure and arrival keys.
 	dom      *domain
 	dstDom   *domain
 	boundary bool
@@ -86,25 +98,64 @@ type Port struct {
 
 	// Counters.
 	EnqPackets int64 // packets accepted into the queue
-	TxBytes    int64
+	txBytes    int64
 	Drops      int64
 }
+
+// forever bounds the visibility updates settle may apply: all it reaches.
+const forever = units.Time(math.MaxInt64)
 
 // Up reports whether the underlying link direction is in service.
 func (p *Port) Up() bool { return p.up }
 
-// QueueLen reports true occupancy in packets (waiting + in service).
-func (p *Port) QueueLen() int32 { return p.QPkts }
+// QueueLen reports true occupancy in packets (waiting + in service) after
+// settling the port. Like every read below, call it only from the
+// scheduler that owns the port (an event of the port's shard, or a
+// barrier).
+func (p *Port) QueueLen() int32 {
+	p.settle()
+	return p.qPkts
+}
+
+// QueueBytes reports true occupancy in bytes after settling the port.
+func (p *Port) QueueBytes() int64 {
+	p.settle()
+	return p.qBytes
+}
+
+// TxBytes reports the bytes that finished serializing on the port, lost
+// ones included, after settling the port.
+func (p *Port) TxBytes() int64 {
+	p.settle()
+	return p.txBytes
+}
 
 // VisibleBytes reports the occupancy in bytes as a forwarding engine sees
-// it — the load signal DRILL compares — after settling the updates due by
-// now. Call it only from the scheduler that owns the port (an event of
-// the port's shard, or a barrier).
+// it — the load signal DRILL compares — after settling the port.
 //
 //drill:hotpath
 func (p *Port) VisibleBytes() int64 {
-	p.settleVisibility()
+	p.settle()
 	return p.VisBytes
+}
+
+// departKey is the in-service packet's departure key.
+//
+//drill:hotpath
+func (p *Port) departKey() uint64 { return sim.DepartKey(uint64(p.Index), p.wireSeq) }
+
+// settle applies, in (time, key) order, every visibility update and
+// departure the port's scheduler has passed. Visibility updates at a
+// departure's instant apply before it: their keys are local, and local
+// keys sort before departure keys.
+//
+//drill:hotpath
+func (p *Port) settle() {
+	for !p.queue.empty() && p.dom.sim.Reached(p.depAt, p.departKey()) {
+		p.settleVisibility(p.depAt)
+		p.dom.net.depart(p)
+	}
+	p.settleVisibility(forever)
 }
 
 // pushVisibility parks the visibility update of a packet of the given size
@@ -123,13 +174,13 @@ func (p *Port) pushVisibility(size units.ByteSize) {
 }
 
 // settleVisibility applies, in FIFO order, every parked visibility update
-// the port's scheduler has passed.
+// due by until that the port's scheduler has passed.
 //
 //drill:hotpath
-func (p *Port) settleVisibility() {
+func (p *Port) settleVisibility(until units.Time) {
 	for !p.visRing.empty() {
 		e := p.visRing.peek()
-		if !p.dom.sim.Reached(e.at, e.key) {
+		if e.at > until || !p.dom.sim.Reached(e.at, e.key) {
 			return
 		}
 		p.applyVisibility(e.size)
@@ -151,14 +202,26 @@ func (p *Port) applyVisibility(size units.ByteSize) {
 
 // departVisibility reconciles the visible counters when a packet leaves
 // the waiting queue, possibly before its visibility update took effect.
+// The caller has settled the updates due by then.
 //
 //drill:hotpath
 func (p *Port) departVisibility(size units.ByteSize) {
-	p.settleVisibility()
 	if p.VisPkts > 0 {
 		p.VisPkts--
 		p.VisBytes -= int64(size)
 		return
 	}
 	p.visSkip++
+}
+
+// inFlight counts the packets on the port's wire ring, lost ones' empty
+// entries left out.
+func (p *Port) inFlight() int64 {
+	var n int64
+	for i := 0; i < p.wireRing.len(); i++ {
+		if p.wireRing.at(i).pkt != nil {
+			n++
+		}
+	}
+	return n
 }

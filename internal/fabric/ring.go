@@ -61,6 +61,9 @@ func (f *fifo[T]) len() int { return f.n }
 //drill:hotpath
 func (f *fifo[T]) peek() *T { return &f.buf[f.head] }
 
+// at returns the i-th oldest entry in place; i must be below len.
+func (f *fifo[T]) at(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
+
 // visEntry is one pending delayed-visibility update: packet size to credit
 // to the port's visible occupancy at time at, under the FIFO tie-break key
 // reserved when the packet enqueued. Visibility delay is constant per
@@ -74,9 +77,10 @@ type visEntry struct {
 
 // wireEntry is one packet in flight on a port's link: it arrives at the
 // far end at time at, under the arrival key computed when its transmission
-// completed. Propagation delay is constant per port and the departure
-// counter behind the key is monotone, so the ring is in (at, key) order by
-// construction.
+// completed. Propagation delay is constant per port and departures are
+// spaced by a serialization time, so the ring is in (at, key) order by
+// construction. pkt is nil for a packet lost at its departure: the entry
+// keeps the arrival that was armed for it.
 type wireEntry struct {
 	at  units.Time
 	key uint64

@@ -27,7 +27,7 @@ func newPortReader(n *Network) *portReader {
 			continue
 		}
 		r.ports = append(r.ports, p)
-		r.lastTx = append(r.lastTx, p.TxBytes)
+		r.lastTx = append(r.lastTx, p.TxBytes())
 	}
 	r.util = make([]float64, len(r.ports))
 	return r
@@ -43,8 +43,9 @@ func (r *portReader) advance(now units.Time) {
 		return
 	}
 	for i, p := range r.ports {
-		sent := p.TxBytes - r.lastTx[i]
-		r.lastTx[i] = p.TxBytes
+		tx := p.TxBytes()
+		sent := tx - r.lastTx[i]
+		r.lastTx[i] = tx
 		r.util[i] = 0
 		if p.Rate > 0 {
 			r.util[i] = float64(sent) * 8 / (float64(p.Rate) * window)
@@ -65,7 +66,7 @@ func StartTraceSampler(net *Network, every units.Time) {
 		if tr := net.tracer; tr != nil {
 			r.advance(now)
 			for i, p := range r.ports {
-				tr.Sample(trace.QueueSample, now, p.Index, uint8(p.Hop), tick, p.QPkts, int32(p.QBytes), 0)
+				tr.Sample(trace.QueueSample, now, p.Index, uint8(p.Hop), tick, p.QueueLen(), int32(p.QueueBytes()), 0)
 				tr.Sample(trace.PortUtil, now, p.Index, uint8(p.Hop), tick, 0, 0, r.util[i])
 			}
 		}

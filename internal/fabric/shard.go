@@ -16,8 +16,10 @@ import (
 // plane pays nothing for the indirection beyond one pointer hop it
 // already paid for n.Sim. All domain state is touched only by the owning
 // shard's goroutine during a window, or by the coordinator at barriers.
+// net leads back to the data plane, which a port's settle runs.
 type domain struct {
 	id        int
+	net       *Network
 	sim       *sim.Sim
 	hops      *metrics.HopStats
 	delivered *int64
@@ -30,15 +32,13 @@ type domain struct {
 }
 
 // wireMsg is one cross-shard packet in flight: the boundary port it
-// departed, its arrival time, and the arrival's event key (built by
-// sim.ArrivalKey from the port index and departure counter, so the
-// receiving scheduler lands it in exactly the slot a single scheduler
-// would).
+// departed and its wire entry — arrival time, the arrival's event key
+// (built by sim.ArrivalKey from the port index and departure counter, so
+// the receiving scheduler lands it in exactly the slot a single scheduler
+// would) and the packet, nil for one lost at its departure.
 type wireMsg struct {
-	p   *Port
-	at  units.Time
-	key uint64
-	pkt *Packet
+	p *Port
+	e wireEntry
 }
 
 // ShardUnsafe marks balancers that cannot run under the sharded engine:
@@ -77,7 +77,7 @@ func NewSharded(global *sim.Sim, shards []*sim.Sim, assign []int, t *topo.Topolo
 	}
 	for i, s := range shards {
 		n.doms[i] = &domain{
-			id: i, sim: s,
+			id: i, net: n, sim: s,
 			hops:      &metrics.HopStats{},
 			delivered: new(int64),
 			sent:      new(int64),
@@ -132,13 +132,13 @@ func (n *Network) ShardLookahead() units.Time {
 }
 
 // ExchangeShards drains every domain's outbox into the destination ports'
-// wire rings, arming the port's arrival callback when the ring was idle —
-// exactly what the intra-shard wire path does at departure time. It runs
-// at window barriers only, with every shard parked: domains are visited in
+// wire rings, arming the port's arrival when the ring was idle. It runs at
+// window barriers only, with every shard parked: domains are visited in
 // shard-ID order and each boundary port is fed by exactly one source
 // domain, so ring order (and therefore everything downstream) is
 // deterministic. The merge allocates nothing at steady state: outboxes and
-// rings reuse their backing arrays, and the armed callbacks are interned.
+// rings reuse their backing arrays, and port events carry an index. The
+// exchange matrix counts packets, not the empty entries of lost ones.
 func (n *Network) ExchangeShards() {
 	for _, d := range n.doms {
 		pairs := n.exchPairs[d.id]
@@ -146,13 +146,14 @@ func (n *Network) ExchangeShards() {
 			m := &d.outbox[i]
 			p := m.p
 			idle := p.wireRing.empty()
-			p.wireRing.push(wireEntry{at: m.at, key: m.key, pkt: m.pkt})
+			p.wireRing.push(m.e)
 			if idle {
-				p.dstDom.sim.AtKeyID(m.at, m.key, p.wireID)
+				p.dstDom.sim.AtPort(m.e.at, m.e.key, p.Index)
 			}
-			pairs[p.dstDom.id]++
-			m.pkt = nil
-			m.p = nil
+			if m.e.pkt != nil {
+				pairs[p.dstDom.id]++
+			}
+			*m = wireMsg{}
 		}
 		d.outbox = d.outbox[:0]
 	}
@@ -174,13 +175,15 @@ func (n *Network) ExchangeMatrix() [][]uint64 {
 	return out
 }
 
-// FoldShards merges every domain's stat block into the Network-level
-// fields (Hops, Delivered, pool counters) that reports and fingerprints
-// read. Domains are folded in shard-ID order; every folded quantity is an
-// integer total, so the result is byte-identical to the sequential run's
-// single block. Call once, after the run drains; sequential networks fold
-// nothing (their one domain aliases the Network fields directly).
+// FoldShards settles every port and merges every domain's stat block
+// into the Network-level fields (Hops, Delivered, pool counters) that
+// reports and fingerprints read. Domains are folded in shard-ID order;
+// every folded quantity is an integer total, so the result is
+// byte-identical to the sequential run's single block. Call once, after
+// the run stops; sequential networks fold nothing (their one domain
+// aliases the Network fields directly) and only settle.
 func (n *Network) FoldShards() {
+	n.Settle()
 	if !n.sharded {
 		return
 	}

@@ -11,30 +11,24 @@ import (
 
 // visModel is the eager reference for one port's visibility counters: one
 // scheduler event per update, dispatched at the update's reserved (at,
-// key) through a re-armed registered callback — the schedule the port's
-// settled-when-read counters must reproduce. It mirrors every operation
-// the test applies to the port, and the port's settled counters must
-// equal its counters at every read.
+// key) as a re-armed port event — the schedule the port's settled-when-read
+// counters must reproduce. It mirrors every operation the test applies to
+// the port, and the port's settled counters must equal its counters at
+// every read.
 type visModel struct {
 	s     *sim.Sim
-	id    sim.FnID
+	port  int32
 	ring  []visEntry
 	pkts  int32
 	bytes int64
 	skip  int32
 }
 
-func newVisModel(s *sim.Sim) *visModel {
-	m := &visModel{s: s}
-	m.id = s.Register(m.fire)
-	return m
-}
-
 // push schedules the update the port just parked, under the same key.
 func (m *visModel) push(e visEntry) {
 	m.ring = append(m.ring, e)
 	if len(m.ring) == 1 {
-		m.s.AtKeyID(e.at, e.key, m.id)
+		m.s.AtPort(e.at, e.key, m.port)
 	}
 }
 
@@ -43,7 +37,7 @@ func (m *visModel) fire() {
 	e := m.ring[0]
 	m.ring = m.ring[1:]
 	if len(m.ring) > 0 {
-		m.s.AtKeyID(m.ring[0].at, m.ring[0].key, m.id)
+		m.s.AtPort(m.ring[0].at, m.ring[0].key, m.port)
 	}
 	if m.skip > 0 {
 		m.skip--
@@ -109,8 +103,9 @@ func runVisScript(seed int64, cov *visCoverage) error {
 	delays := []units.Time{60, 40, 75}
 	ports := make([]*visCase, len(delays))
 	for i, d := range delays {
-		ports[i] = &visCase{p: &Port{Index: int32(i), visDelay: d, dom: &domain{sim: s}}, m: newVisModel(s)}
+		ports[i] = &visCase{p: &Port{Index: int32(i), visDelay: d, dom: &domain{sim: s}}, m: &visModel{s: s, port: int32(i)}}
 	}
+	s.OnPort(func(port int32, _ bool) { ports[port].m.fire() })
 	var failure error
 	check := func(c *visCase, where string) {
 		if failure != nil {
@@ -145,6 +140,9 @@ func runVisScript(seed int64, cov *visCoverage) error {
 		if c.m.pkts == 0 {
 			cov.outrun++
 		}
+		// A departure applies at the frontier: the updates due by now
+		// first, as settle applies them before each departure.
+		c.p.settleVisibility(forever)
 		c.p.departVisibility(size)
 		c.m.depart(size)
 	}

@@ -37,9 +37,9 @@ import (
 //  4. Inside //drill:hotpath functions, function literals may not be
 //     passed to internal/sim scheduling calls (After, At, AtGlobal,
 //     NewTimer, ...): a capturing closure heap-allocates per call, which
-//     is exactly the per-event allocation the scheduler's Register/FnID
-//     interning and reusable Timers exist to avoid. Every data-plane
-//     event rides a registered callback, so no hot path is exempt.
+//     is exactly the per-event allocation the scheduler's port events
+//     (AtPort) and reusable Timers exist to avoid. Every data-plane event
+//     is a port event, so no hot path is exempt.
 var HotPath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "require nil guards on trace and obs emissions and forbid fmt/string-concat/interface-boxing/" +
@@ -403,7 +403,7 @@ func checkHotCall(pass *analysis.Pass, sup *suppressor, call *ast.CallExpr) {
 			for _, arg := range call.Args {
 				if lit, ok := arg.(*ast.FuncLit); ok {
 					sup.Reportf(lit.Pos(),
-						"closure passed to sim.%s allocates per scheduled event on the hot path; intern it with Register/AtID or reuse a Timer",
+						"closure passed to sim.%s allocates per scheduled event on the hot path; schedule a port event (AtPort) or reuse a Timer",
 						fn.Name())
 				}
 			}

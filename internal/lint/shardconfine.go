@@ -27,9 +27,8 @@ import (
 //  1. functions launched by `go` statements in the package's shard.go
 //     (the worker entry points themselves);
 //  2. callbacks handed to shard-class scheduling calls on sim.Sim —
-//     Register, At, AtID, AtKeyID, After, AfterID, NewTimer,
-//     ReserveKey — because under sharding those events run on a shard's
-//     private scheduler. Global/barrier-class calls (AtGlobal,
+//     OnPort, At, After, NewTimer, ReserveKey — because under sharding
+//     those events run on a shard's private scheduler. Global/barrier-class calls (AtGlobal,
 //     AfterGlobal, AfterDaemon, AfterObserver, NewTicker,
 //     NewObserverTicker) are excluded: they run on the global sim
 //     between windows. Callbacks created inside methods of a type
@@ -70,12 +69,9 @@ var ShardConfine = &analysis.Analyzer{
 // workerSchedMethods are the sim.Sim scheduling entry points whose
 // callbacks execute on a shard's private scheduler under sharding.
 var workerSchedMethods = map[string]bool{
-	"Register":   true,
+	"OnPort":     true,
 	"At":         true,
-	"AtID":       true,
-	"AtKeyID":    true,
 	"After":      true,
-	"AfterID":    true,
 	"NewTimer":   true,
 	"ReserveKey": true,
 }

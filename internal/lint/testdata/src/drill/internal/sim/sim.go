@@ -3,20 +3,16 @@
 // rule to resolve callees against.
 package sim
 
-// FnID names a callback interned with Register.
-type FnID int32
-
 // Sim mirrors the scheduler's scheduling entry points.
 type Sim struct{}
 
-func (s *Sim) After(d int64, fn func())             {}
-func (s *Sim) At(t int64, fn func())                {}
-func (s *Sim) AtSeq(t int64, seq uint64, fn func()) {}
-func (s *Sim) AfterID(d int64, id FnID)             {}
-func (s *Sim) AtID(t int64, id FnID)                {}
-func (s *Sim) Register(fn func()) FnID              { return 0 }
-func (s *Sim) NewTimer(fn func()) *Timer            { return &Timer{} }
-func (s *Sim) Now() int64                           { return 0 }
+func (s *Sim) After(d int64, fn func())                 {}
+func (s *Sim) At(t int64, fn func())                    {}
+func (s *Sim) AtSeq(t int64, seq uint64, fn func())     {}
+func (s *Sim) AtPort(t int64, key uint64, port int32)   {}
+func (s *Sim) OnPort(fn func(port int32, arrival bool)) {}
+func (s *Sim) NewTimer(fn func()) *Timer                { return &Timer{} }
+func (s *Sim) Now() int64                               { return 0 }
 
 // Global/barrier-class scheduling: callbacks run on the global sim
 // between shard windows, so they are not shard-worker roots.

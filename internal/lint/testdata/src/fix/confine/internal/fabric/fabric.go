@@ -61,10 +61,10 @@ func (n *Network) drain() {
 	_ = maxHops
 }
 
-// build registers the per-port callback on the domain scheduler: the
+// build installs the port-event handler on the domain scheduler: the
 // literal is a worker root, so txDone and everything below is reachable.
 func (n *Network) build(p *Port) {
-	n.dom.sim.Register(func() { n.txDone(p) })
+	n.dom.sim.OnPort(func(int32, bool) { n.txDone(p) })
 }
 
 // txDone grabs the boundary peer's domain outside shard.go: finding.
@@ -94,7 +94,7 @@ func (n *Network) lookup(node int) {
 
 // grabGlobal schedules on the barrier scheduler from worker code.
 func (n *Network) grabGlobal() {
-	n.Sim.AfterID(1, 0) // want `selects the global scheduler Network.Sim`
+	n.Sim.AtPort(1, 0, 0) // want `selects the global scheduler Network.Sim`
 }
 
 // allowed crosses domains with an audit trail.

@@ -190,7 +190,6 @@ func (e *engine) route(tier, src, dst int) {
 
 type ring struct {
 	s  *sim.Sim
-	id sim.FnID
 	tm *sim.Timer
 	n  int64
 }
@@ -201,7 +200,7 @@ type ring struct {
 func (r *ring) arm(d int64) {
 	r.s.After(d, func() { r.n++ })    // want `closure passed to sim.After allocates per scheduled event`
 	r.s.AtSeq(d, 1, func() { r.n++ }) // want `closure passed to sim.AtSeq allocates per scheduled event`
-	r.s.AfterID(d, r.id)              // interned id: the sanctioned zero-alloc shape
+	r.s.AtPort(d, 0, 1)               // port event: the sanctioned zero-alloc shape
 	r.tm.Reset(d)                     // reusable timer: equally fine
 	fire := r.fire
 	r.s.After(d, fire)             // method value bound once outside the call: no literal
@@ -210,9 +209,9 @@ func (r *ring) arm(d int64) {
 
 func (r *ring) fire() { r.n++ }
 
-// setup is unmarked: closures at wiring time are how Register is meant
-// to be used.
+// setup is unmarked: closures at wiring time are how OnPort and NewTimer
+// are meant to be used.
 func setup(s *sim.Sim, r *ring) {
-	r.id = s.Register(func() { r.n++ })
+	s.OnPort(func(int32, bool) { r.n++ })
 	r.tm = s.NewTimer(func() { r.n++ })
 }

@@ -4,7 +4,8 @@
 // tie-breaking (a 4-ary-heap overflow tier catches far-future events),
 // cancellable re-armable Timers whose entries are location-tracked across
 // every tier (so a Reset or Stop relocates/deletes the live entry instead
-// of abandoning a tombstone), a dispatch frontier that lets state updates
+// of abandoning a tombstone), port events that carry a port index instead
+// of a callback (see AtPort), a dispatch frontier that lets state updates
 // be settled when they are read instead of dispatched as events (see
 // Reached), and seeded random-number streams so every run is
 // reproducible.
@@ -33,7 +34,7 @@
 //     control-plane reconvergence). Events cascade from far into the
 //     wheel as the cursor advances.
 //
-// Determinism argument: dispatch order is (at, seq) everywhere. The near
+// Determinism argument: dispatch order is (at, key) everywhere. The near
 // tier compares that key directly, whether an event sits in the dispatch
 // list or the heap. A wheel bucket only ever holds events of one bucket
 // window per revolution (anything nearer goes to the near tier, anything
@@ -50,16 +51,29 @@
 //
 // Some state changes are fixed at the instant they are caused but take
 // effect later, and matter only to whoever next reads the state: the
-// fabric's delayed queue-visibility counters (§3.2.1) are the case in
-// point. Scheduling one event per update would cost a dispatch each for
-// a change most schemes never read. Instead the producer reserves the
-// update's key with ReserveKey — the key an event scheduled at that
-// instant would have taken — parks the update, and the reader applies,
-// in order, every parked update that Reached reports as already passed.
-// The frontier Reached consults is the (at, key) of the event being
-// dispatched, or the instant a run loop parked the clock at, and it never
-// moves backwards, so the reader observes exactly the state a
-// one-event-per-update scheduler would have produced by that point.
+// fabric's delayed queue-visibility counters (§3.2.1) and its port
+// departures are the cases in point. Scheduling one event per update would
+// cost a dispatch each for a change most readers never look at. Instead
+// the producer names the update's key — one reserved with ReserveKey, the
+// key an event scheduled at that instant would have taken, or a pure one
+// from DepartKey — parks the update, and the reader applies, in order,
+// every parked update that Reached reports as already passed. The frontier
+// Reached consults is the (at, key) of the event being dispatched, or the
+// instant a run loop parked the clock at, and it never moves backwards, so
+// the reader observes exactly the state a one-event-per-update scheduler
+// would have produced by that point.
+//
+// # Key classes and port events
+//
+// Event keys fall in four classes, dispatched in class order at one
+// instant: global, local, departure and arrival (see the class constants).
+// The fabric's per-hop work rides port events (AtPort): an event that
+// carries a port index in its id and dispatches through the one handler
+// the scheduler was given with OnPort, so the hot path allocates no
+// callback per port or per packet. A port event under an ArrivalKey lands
+// a packet at the far end of a link; one under a DepartKey is a silent
+// wake-up that only settles a port whose departures must be seen as they
+// happen, and Executed leaves it out.
 package sim
 
 import (
@@ -92,10 +106,10 @@ const (
 // chunkSize is the number of events one wheel chunk holds.
 const chunkSize = 32
 
-// Event-key flag bits. The FIFO tie-break sequence number is packed above
-// the flag bits, so one uint64 comparison orders same-time events and
-// carries the daemon/observer/tracked classification without widening the
-// event.
+// Event-key flag bits. The FIFO tie-break sequence number (or a port
+// event's pure key) is packed above the flag bits, so one uint64
+// comparison orders same-time events and carries the
+// daemon/observer/tracked classification without widening the event.
 const (
 	keyDaemon  uint64 = 1 << 0 // never keeps Run alive
 	keySilent  uint64 = 1 << 1 // excluded from Executed accounting
@@ -125,6 +139,7 @@ const (
 	classLocal   uint64 = 1 << classShift // shard-private data-plane events
 	classDepart  uint64 = 2 << classShift // port departures; key from DepartKey
 	classArrival uint64 = 3 << classShift // wire arrivals; key from ArrivalKey
+	classMask    uint64 = 3 << classShift
 )
 
 // Timer tier tags (Timer.tier, eventHeap.tier).
@@ -144,14 +159,14 @@ const (
 // has to scan.
 //
 // id >= 0 indexes Sim.slots (a per-event slot, recycled through a free
-// list when the event dispatches or is cancelled); id < 0 is ^id into
-// Sim.perms, the registry of permanent callbacks interned once with
-// Register and never released — the fabric's per-port callbacks take this
-// path, skipping slot churn entirely.
+// list when the event dispatches or is cancelled); id < 0 is a port event
+// carrying port ^id, dispatched through the handler installed with OnPort
+// — the fabric's per-hop events take this path, skipping slot churn
+// entirely.
 type event struct {
 	at  units.Time
 	key uint64 // seq<<keyShift | flags; orders same-time events FIFO
-	id  int32  // slot index (>= 0) or ^perm index (< 0)
+	id  int32  // slot index (>= 0) or ^port (< 0)
 }
 
 // slot parks one scheduled event's pointers outside the event arrays.
@@ -222,9 +237,10 @@ type Sim struct {
 	cur       int32      // cursor bucket index
 	wcount    int        // events currently stored in wheel buckets
 
-	slots []slot   // callback/timer storage for live events, by event id
-	free  int32    // head of the vacant-slot free list; -1 when empty
-	perms []func() // permanent callbacks interned by Register
+	slots []slot // callback/timer storage for live events, by event id
+	free  int32  // head of the vacant-slot free list; -1 when empty
+
+	onPort func(port int32, arrival bool) // port-event handler (OnPort)
 
 	heapOnly bool // route everything through the near heap (the tests' oracle)
 
@@ -321,21 +337,40 @@ func (s *Sim) release(id int32) {
 	s.free = id
 }
 
-// FnID names a callback interned with Register. Scheduling by id (AtID,
-// AfterID, AtKeyID) skips the per-event slot round-trip; it is the right
-// shape for long-lived fire-and-rearm callbacks like the fabric's per-port
-// handlers, which are armed millions of times but created once.
-type FnID int32
-
-// Register interns a long-lived callback and returns its id. Registered
-// callbacks are never released; transient callbacks should use the
-// func()-taking schedule calls instead.
-func (s *Sim) Register(fn func()) FnID {
+// OnPort installs the handler of this scheduler's port events (AtPort).
+// Each dispatch calls fn with the port index the event carries and whether
+// its key is an arrival's (ArrivalKey) or a departure's (DepartKey). A
+// scheduler has one handler: the fabric installs its own on every
+// scheduler that runs its ports, and a second, different network on the
+// same scheduler is refused.
+func (s *Sim) OnPort(fn func(port int32, arrival bool)) {
 	if fn == nil {
-		panic("sim: Register requires a callback")
+		panic("sim: OnPort requires a handler")
 	}
-	s.perms = append(s.perms, fn)
-	return FnID(len(s.perms) - 1)
+	if s.onPort != nil {
+		panic("sim: port handler already installed")
+	}
+	s.onPort = fn
+}
+
+// AtPort schedules a port event carrying port at absolute time t under
+// key, a pure key from ArrivalKey or DepartKey (or one reserved with
+// ReserveKey). It is the fabric's zero-alloc per-hop event: the (t, key)
+// pair lands the dispatch in exactly the slot a per-packet callback would
+// have taken, and the handler finds the port by index. A departure-class
+// event is a wake-up: it only settles state that the next read would
+// settle anyway, so it is silent and Executed leaves it out. t must not
+// be in the past.
+//
+//drill:hotpath
+func (s *Sim) AtPort(t units.Time, key uint64, port int32) {
+	if t < s.now {
+		panic("sim: event scheduled in the past")
+	}
+	if key&classMask == classDepart {
+		key |= keySilent
+	}
+	s.schedule(event{at: t, key: key, id: ^port})
 }
 
 // ReserveKey allocates and returns the next local-class event key, exactly
@@ -429,40 +464,6 @@ func (s *Sim) At(t units.Time, fn func()) {
 	}
 	s.seq++
 	s.schedule(event{at: t, key: classLocal | s.seq<<keyShift, id: s.alloc(fn, nil)})
-}
-
-// AtID schedules the callback registered under id at absolute time t, with
-// a fresh tie-break sequence number, exactly as At would.
-//
-//drill:hotpath
-func (s *Sim) AtID(t units.Time, id FnID) {
-	if t < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	s.seq++
-	s.schedule(event{at: t, key: classLocal | s.seq<<keyShift, id: ^int32(id)})
-}
-
-// AfterID schedules the callback registered under id to run d from now.
-//
-//drill:hotpath
-func (s *Sim) AfterID(d units.Time, id FnID) { s.AtID(s.now+d, id) }
-
-// AtKeyID schedules the callback registered under id at absolute time t
-// under an event key built with ArrivalKey. It is the wire rings'
-// zero-alloc arm operation: a port that computed each in-flight packet's
-// arrival key at departure re-arms one registered callback per arrival,
-// and the (t, key) pair lands every dispatch in exactly the slot a
-// per-packet event would have taken. Arming with an earlier-computed key
-// is legitimate precisely because the ring preserved FIFO order; t must
-// not be in the past.
-//
-//drill:hotpath
-func (s *Sim) AtKeyID(t units.Time, key uint64, id FnID) {
-	if t < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	s.schedule(event{at: t, key: key, id: ^int32(id)})
 }
 
 // After schedules fn to run d after the current time.
@@ -851,18 +852,17 @@ func (s *Sim) step() {
 	if ev.key&keySilent == 0 {
 		s.Executed++
 	}
-	var fn func()
 	if ev.id < 0 {
-		fn = s.perms[^ev.id]
-	} else {
-		sl := &s.slots[ev.id]
-		fn = sl.fn
-		if ev.key&keyTracked != 0 {
-			// Disarm before running: the callback may immediately Reset.
-			sl.timer.tier = tierNone
-		}
-		s.release(ev.id)
+		s.onPort(^ev.id, ev.key&classMask == classArrival)
+		return
 	}
+	sl := &s.slots[ev.id]
+	fn := sl.fn
+	if ev.key&keyTracked != 0 {
+		// Disarm before running: the callback may immediately Reset.
+		sl.timer.tier = tierNone
+	}
+	s.release(ev.id)
 	fn()
 }
 

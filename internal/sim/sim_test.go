@@ -484,3 +484,59 @@ func TestObserverTickerStop(t *testing.T) {
 		t.Fatalf("ticks after Stop = %d, want 3", ticks)
 	}
 }
+
+// TestKeyClassesOrderDepartures pins where a departure sorts among
+// same-time events: after every global and local key, before every
+// arrival. Departures are settled when read, and the fabric's results rest
+// on that slot: a packet forwarded onto a port by a same-time arrival must
+// queue behind the packet that finished serializing at that instant, and
+// a departure key sorting after arrivals moved every bench golden. The
+// wake-up that dispatches under a departure key is silent: Executed
+// leaves it out, so it changes no event count.
+func TestKeyClassesOrderDepartures(t *testing.T) {
+	const maxPort, maxN = 1<<25 - 1, 1<<34 - 1
+	if DepartKey(maxPort, maxN) >= ArrivalKey(0, 0) {
+		t.Fatalf("departure key %#x sorts at or after arrival key %#x", DepartKey(maxPort, maxN), ArrivalKey(0, 0))
+	}
+	s := New(1)
+	var got []string
+	s.OnPort(func(port int32, arrival bool) {
+		if arrival {
+			got = append(got, "arrival")
+		} else {
+			got = append(got, "depart")
+		}
+	})
+	const at = 100
+	// Scheduled in reverse class order, so sequence numbers favour the
+	// later classes: only the class bits can put them right.
+	s.AtPort(at, ArrivalKey(0, 0), 0)
+	s.AtPort(at, DepartKey(maxPort, maxN), maxPort)
+	s.At(at, func() { got = append(got, "local") })
+	reserved := s.ReserveKey(at)
+	s.AtGlobal(at, func() { got = append(got, "global") })
+	s.At(at-1, func() {
+		if s.Reached(at, DepartKey(0, 0)) {
+			t.Error("a departure at a later instant already reached")
+		}
+	})
+	s.Run()
+	want := []string{"global", "local", "depart", "arrival"}
+	if len(got) != len(want) {
+		t.Fatalf("dispatched %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatched %v, want %v", got, want)
+		}
+	}
+	if reserved >= DepartKey(0, 0) {
+		t.Fatalf("reserved local key %#x sorts at or after departure key %#x", reserved, DepartKey(0, 0))
+	}
+	if s.Executed != 4 {
+		t.Fatalf("Executed = %d, want 4: the departure wake-up must be silent", s.Executed)
+	}
+	if !s.Reached(at, DepartKey(maxPort, maxN)) {
+		t.Fatal("departure not reached after its instant drained")
+	}
+}

@@ -50,7 +50,7 @@ const (
 	opGlobal           // AtGlobal now+delay
 	opObserver         // AfterObserver
 	opRunBefore        // RunBefore now+delay
-	opAfterID          // AfterID on a Register-ed callback
+	opWake             // AtPort under a DepartKey: a silent port wake-up
 	opVisPush          // park an update on a visibility queue, from an event delay out
 	opWirePush         // push onto a wire ring, from an event delay out
 	opAdvanceTo        // AdvanceTo now+delay, capped at the next pending event
@@ -59,16 +59,18 @@ const (
 	numWheelOps        // op count
 )
 
-// wheelScriptTimers is how many timers, registered callbacks, rings and
-// queues of each kind a script drives.
+// wheelScriptTimers is how many timers, wake-up ports, rings and queues
+// of each kind a script drives.
 const wheelScriptTimers = 4
 
 // spreadEvents is how many offsets an opSpread walks: every offset of the
 // window, then some a second time. spreadPort is the lower of the two
-// ports its arrivals come from, past the wire rings' ports.
+// ports its arrivals come from, past the wire rings' ports; wakePort is
+// the first of the wake-up ports, past those.
 const (
 	spreadEvents = 40
 	spreadPort   = wheelScriptTimers
+	wakePort     = spreadPort + 2
 )
 
 // Ring and queue delays sit on the script's 256ns tie grid, so entries
@@ -83,16 +85,14 @@ var (
 // portRing is a FIFO event source with a constant delay, modelled on the
 // fabric's per-port wire rings: keys come from ArrivalKey over a per-ring
 // departure counter. Batched — the engine's shape — it parks each entry
-// and arms only its head through one registered callback. Unbatched — the
-// oracle — every push schedules its own event under the same key, one
-// closure per entry.
+// and arms only its head as a port event. Unbatched — the oracle — every
+// push schedules its own event under the same key, one closure per entry.
 type portRing struct {
 	s       *Sim
 	delay   units.Time
 	port    uint64
 	sent    uint64
 	batched bool
-	id      FnID
 	q       []ringEntry
 	land    func(label int)
 }
@@ -104,11 +104,7 @@ type ringEntry struct {
 }
 
 func newPortRing(s *Sim, batched bool, delay units.Time, port uint64, land func(int)) *portRing {
-	r := &portRing{s: s, delay: delay, port: port, batched: batched, land: land}
-	if batched {
-		r.id = s.Register(r.fire)
-	}
-	return r
+	return &portRing{s: s, delay: delay, port: port, batched: batched, land: land}
 }
 
 func (r *portRing) push(label int) {
@@ -121,17 +117,17 @@ func (r *portRing) push(label int) {
 	}
 	r.q = append(r.q, ringEntry{at: at, key: key, label: label})
 	if len(r.q) == 1 {
-		r.s.AtKeyID(at, key, r.id)
+		r.s.AtPort(at, key, int32(r.port))
 	}
 }
 
-// fire lands the head and, like the fabric's wireFire, re-arms the next
+// fire lands the head and, like the fabric's arrival, re-arms the next
 // entry at its reserved slot before the landing's effects run.
 func (r *portRing) fire() {
 	e := r.q[0]
 	r.q = r.q[1:]
 	if len(r.q) > 0 {
-		r.s.AtKeyID(r.q[0].at, r.q[0].key, r.id)
+		r.s.AtPort(r.q[0].at, r.q[0].key, int32(r.port))
 	}
 	r.land(e.label)
 }
@@ -494,12 +490,26 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe, watc
 		}
 	}
 	var tms [wheelScriptTimers]*Timer
-	var ids [wheelScriptTimers]FnID
-	var spreadSent uint64 // arrivals per opSpread port so far
+	var spreadSent uint64                  // arrivals per opSpread port so far
+	var wakeSent [wheelScriptTimers]uint64 // wake-ups per wake-up port so far
+	// Port events: the wire rings' arrivals, opSpread's arrivals (logged
+	// as -100 and -101) and the wake-ups (-200 and up).
+	s.OnPort(func(port int32, arrival bool) {
+		switch {
+		case port < spreadPort:
+			wire[port].fire()
+		case port < wakePort:
+			do(-100-int(port-spreadPort), nil)()
+		default:
+			if arrival {
+				panic("wake-up port dispatched as an arrival")
+			}
+			do(-200-int(port-wakePort), nil)()
+		}
+	})
 	for i := range tms {
 		i := i
 		tms[i] = s.NewTimer(do(-1-i, nil))
-		ids[i] = s.Register(do(-100-i, nil))
 		vis[i] = &visQueue{s: s, delay: visDelays[i]}
 		// A wire arrival is enqueued at the far end: it parks a visibility
 		// update, as arrive → enqueue does.
@@ -546,8 +556,9 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe, watc
 			log = append(log, "bef"+state())
 			probe.parked("RunBefore", t, false)
 			watch.check("RunBefore")
-		case opAfterID:
-			s.AfterID(op.delay, ids[tm])
+		case opWake:
+			s.AtPort(s.Now()+op.delay, DepartKey(uint64(wakePort+tm), wakeSent[tm]), int32(wakePort+tm))
+			wakeSent[tm]++
 		case opVisPush:
 			s.After(op.delay, do(2_000_000+label, func() { vis[tm].push(label) }))
 		case opWirePush:
@@ -602,8 +613,8 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe, watc
 					s.At(at, do(l, nil))
 					s.AtGlobal(at, do(l+1, nil))
 				case 2:
-					s.AtKeyID(at, ArrivalKey(spreadPort+1, spreadSent), ids[0])
-					s.AtKeyID(at, ArrivalKey(spreadPort, spreadSent), ids[1])
+					s.AtPort(at, ArrivalKey(spreadPort+1, spreadSent), spreadPort+1)
+					s.AtPort(at, ArrivalKey(spreadPort, spreadSent), spreadPort)
 					spreadSent++
 				}
 				if j == spreadEvents/2 {
@@ -823,12 +834,13 @@ func TestWheelScheduleZeroAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("timer reset/stop allocates %v allocs/op, want 0", a)
 	}
-	id := s.Register(fn)
+	s.OnPort(func(int32, bool) { n++ })
 	if a := testing.AllocsPerRun(2000, func() {
-		s.AtKeyID(s.Now()+bucketW, ArrivalKey(0, uint64(n)), id)
+		s.AtPort(s.Now()+bucketW, ArrivalKey(0, uint64(n)), 0)
+		s.AtPort(s.Now()+bucketW, DepartKey(1, uint64(n)), 1)
 		s.RunUntil(s.Now() + 2*bucketW)
 	}); a != 0 {
-		t.Fatalf("AtKeyID arm/dispatch allocates %v allocs/op, want 0", a)
+		t.Fatalf("AtPort arm/dispatch allocates %v allocs/op, want 0", a)
 	}
 
 	// A cold wheel: warm four buckets only, then put one event at a time
@@ -918,7 +930,8 @@ func BenchmarkPour(b *testing.B) {
 	for _, n := range []int{1, 4, 37, 54, 256} {
 		b.Run(fmt.Sprintf("events=%d", n), func(b *testing.B) {
 			s := New(1)
-			id := s.Register(func() {})
+			s.OnPort(func(int32, bool) {})
+			fn := func() {}
 			rng := rand.New(rand.NewSource(int64(n)))
 			offs := make([]units.Time, n)
 			for j := range offs {
@@ -934,11 +947,11 @@ func BenchmarkPour(b *testing.B) {
 				w := s.base + 4*bucketW
 				for j, off := range offs {
 					if j%2 == 0 {
-						s.AtID(w+off, id)
+						s.At(w+off, fn)
 						continue
 					}
 					port := j * 7 % len(sent)
-					s.AtKeyID(w+off, ArrivalKey(uint64(port), sent[port]), id)
+					s.AtPort(w+off, ArrivalKey(uint64(port), sent[port]), int32(port))
 					sent[port]++
 				}
 				s.Run()
