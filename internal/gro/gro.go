@@ -11,10 +11,18 @@ import (
 	"drill/internal/units"
 )
 
-// Clock abstracts the simulator for timer scheduling.
+// Clock abstracts the simulator for the shim's hold timer.
 type Clock interface {
 	Now() units.Time
-	After(d units.Time, fn func())
+	// NewTimer returns an unarmed timer that runs fn when it fires.
+	NewTimer(fn func()) Timer
+}
+
+// Timer is a re-armable one-shot timer, as sim.Timer is: Reset arms it d
+// from now, replacing any earlier deadline, and Stop disarms it.
+type Timer interface {
+	Reset(d units.Time)
+	Stop() bool
 }
 
 // Segment is the portion of a flow's byte stream one packet carries.
@@ -32,6 +40,10 @@ type Segment struct {
 // sequence order; a gap is waited out up to Timeout, after which buffered
 // segments are flushed in order anyway (letting TCP's own recovery run).
 // The zero Timeout flushes immediately (shim disabled ≈ pass-through).
+//
+// A hold is one timer per receiver, created at its first hold: each hold
+// re-arms it, and a gap that fills disarms it, so a held flow leaves no
+// dead events behind and allocates nothing per hold.
 type Reorderer struct {
 	clock   Clock
 	timeout units.Time
@@ -39,7 +51,7 @@ type Reorderer struct {
 
 	expected int64
 	buf      []Segment // sorted by Seq
-	timerGen int
+	timer    Timer     // the hold timer; nil until the first hold
 	armed    bool
 
 	// Flushes counts timeout-triggered flushes (telemetry).
@@ -112,23 +124,22 @@ func (r *Reorderer) drain() {
 		r.buf = append(r.buf[:0], r.buf[i:]...)
 	}
 	if len(r.buf) == 0 {
-		r.timerGen++ // disarm any pending flush
-		r.armed = false
+		if r.armed {
+			r.timer.Stop() // the gap filled: no flush
+			r.armed = false
+		}
 	} else if !r.armed {
 		r.arm()
 	}
 }
 
+// arm starts a hold of one timeout.
 func (r *Reorderer) arm() {
 	r.armed = true
-	r.timerGen++
-	gen := r.timerGen
-	r.clock.After(r.timeout, func() {
-		if gen != r.timerGen {
-			return
-		}
-		r.flush()
-	})
+	if r.timer == nil {
+		r.timer = r.clock.NewTimer(r.flush)
+	}
+	r.timer.Reset(r.timeout)
 }
 
 // flush delivers everything buffered, in order, skipping gaps: the hole is

@@ -6,30 +6,58 @@ import (
 	"drill/internal/units"
 )
 
-// fakeClock runs callbacks manually.
+// fakeClock runs timers manually and counts what they arm.
 type fakeClock struct {
 	now    units.Time
-	timers []struct {
-		at units.Time
-		fn func()
-	}
+	timers []*fakeTimer
+	resets int // Reset calls across every timer
+}
+
+// fakeTimer is one re-armable timer of a fakeClock.
+type fakeTimer struct {
+	c     *fakeClock
+	fn    func()
+	at    units.Time
+	armed bool
 }
 
 func (c *fakeClock) Now() units.Time { return c.now }
-func (c *fakeClock) After(d units.Time, fn func()) {
-	c.timers = append(c.timers, struct {
-		at units.Time
-		fn func()
-	}{c.now + d, fn})
+
+func (c *fakeClock) NewTimer(fn func()) Timer {
+	t := &fakeTimer{c: c, fn: fn}
+	c.timers = append(c.timers, t)
+	return t
 }
 
+func (t *fakeTimer) Reset(d units.Time) {
+	t.at, t.armed = t.c.now+d, true
+	t.c.resets++
+}
+
+func (t *fakeTimer) Stop() bool {
+	was := t.armed
+	t.armed = false
+	return was
+}
+
+// armed counts the timers armed now: the events a scheduler would hold.
+func (c *fakeClock) armed() int {
+	n := 0
+	for _, t := range c.timers {
+		if t.armed {
+			n++
+		}
+	}
+	return n
+}
+
+// advance moves the clock to `to`, firing the timers due by then.
 func (c *fakeClock) advance(to units.Time) {
 	c.now = to
-	for i := range c.timers {
-		tm := c.timers[i]
-		if tm.fn != nil && tm.at <= to {
-			c.timers[i].fn = nil
-			tm.fn()
+	for _, t := range c.timers {
+		if t.armed && t.at <= to {
+			t.armed = false
+			t.fn()
 		}
 	}
 }
@@ -190,5 +218,37 @@ func TestBatcherReorderingIncreasesBatches(t *testing.T) {
 	if reordered.Batches <= inOrder.Batches {
 		t.Fatalf("reordering should increase batches: %d vs %d",
 			reordered.Batches, inOrder.Batches)
+	}
+}
+
+// TestReordererHoldLeavesNoTimer: a hold that its gap filling disarms
+// leaves nothing armed, so a scheduler keeps no dead event for it, and the
+// receiver holds one timer however many holds it makes. Flushes stay
+// where the timeouts put them.
+func TestReordererHoldLeavesNoTimer(t *testing.T) {
+	var got []int64
+	c := &fakeClock{}
+	r := NewReorderer(c, 50, collect(&got))
+	for i := int64(0); i < 10; i++ {
+		base := 200 * i
+		r.Push(seg(base+100, 100)) // hole at base: a hold
+		if c.armed() != 1 {
+			t.Fatalf("hold %d: %d timers armed, want 1", i, c.armed())
+		}
+		c.advance(c.now + 10)
+		r.Push(seg(base, 100)) // the gap fills: the hold ends
+		if c.armed() != 0 {
+			t.Fatalf("hold %d: %d timers armed after the gap filled, want 0", i, c.armed())
+		}
+	}
+	if len(c.timers) != 1 || c.resets != 10 || r.Flushes != 0 || len(got) != 20 {
+		t.Fatalf("%d timers, %d resets, %d flushes, %d delivered; want 1, 10, 0, 20",
+			len(c.timers), c.resets, r.Flushes, len(got))
+	}
+	// A hold the gap does not fill still flushes at its timeout.
+	r.Push(seg(2100, 100))
+	c.advance(c.now + 50)
+	if r.Flushes != 1 || c.armed() != 0 || len(got) != 21 {
+		t.Fatalf("timeout: %d flushes, %d armed, %d delivered; want 1, 0, 21", r.Flushes, c.armed(), len(got))
 	}
 }

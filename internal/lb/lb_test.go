@@ -336,6 +336,38 @@ func TestBuildEpochAllocs(t *testing.T) {
 
 var sinkEpoch *fabric.Epoch
 
+// TestNewAllocs bounds what building a network allocates: nothing per
+// port. Ports live in one array, and their events carry the port index
+// rather than a callback each, so a k=8 fat-tree under DRILL stays within
+// a fixed budget (3,405 allocations when every port took three), and
+// growing a leaf–spine by 384 ports adds fewer allocations than ports:
+// what it adds comes from the new switches and hosts.
+func TestNewAllocs(t *testing.T) {
+	build := func(tp *topo.Topology) float64 {
+		return testing.AllocsPerRun(3, func() {
+			sinkNet = fabric.New(sim.New(1), tp, fabric.Config{Balancer: NewDRILL()})
+		})
+	}
+	if got := build(topo.FatTree(topo.FatTreeConfig{K: 8})); got > 1200 {
+		t.Errorf("k=8 fat-tree: %.0f allocations, want at most 1200", got)
+	} else {
+		t.Logf("k=8 fat-tree: %.0f allocations", got)
+	}
+	leafSpine := func(leaves int) *topo.Topology {
+		return topo.LeafSpine(topo.LeafSpineConfig{Spines: 4, Leaves: leaves, HostsPerLeaf: 20,
+			HostRate: 10 * units.Gbps, CoreRate: 40 * units.Gbps})
+	}
+	small, large := leafSpine(8), leafSpine(16)
+	ports := 2 * (len(large.Links) - len(small.Links))
+	if grew := build(large) - build(small); grew >= float64(ports) {
+		t.Errorf("%d more ports cost %.0f more allocations, want fewer than ports", ports, grew)
+	} else {
+		t.Logf("%d more ports cost %.0f more allocations", ports, grew)
+	}
+}
+
+var sinkNet *fabric.Network
+
 func TestPerFlowDRILLPins(t *testing.T) {
 	tp := smallClos()
 	s := sim.New(1)

@@ -12,8 +12,8 @@ import (
 // hold timers fire inside the host's shard.
 type simClock struct{ a *Agent }
 
-func (c simClock) Now() units.Time               { return c.a.sim.Now() }
-func (c simClock) After(d units.Time, fn func()) { c.a.sim.After(d, fn) }
+func (c simClock) Now() units.Time              { return c.a.sim.Now() }
+func (c simClock) NewTimer(fn func()) gro.Timer { return c.a.sim.NewTimer(fn) }
 
 // Receiver is the TCP receive side of one flow: cumulative ACK generation
 // with immediate duplicate ACKs on out-of-order arrival (RFC 2581), plus
@@ -185,5 +185,5 @@ func (r *Receiver) close() {
 			stats.GROSegments += r.batcher.Segments
 		}
 	}
-	delete(r.agent.receivers, r.id)
+	r.agent.reg.receivers[r.id] = nil
 }

@@ -312,7 +312,7 @@ func (s *Sender) finish(now units.Time) {
 			m.fct.Observe(s.fct.Micros())
 		}
 	}
-	delete(s.agent.senders, s.id)
+	s.reg.senders[s.id] = nil
 	if s.reg.OnComplete != nil {
 		s.reg.OnComplete(s)
 	}

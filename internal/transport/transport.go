@@ -90,10 +90,21 @@ type Registry struct {
 	// agents write Stats directly.
 	shardStats []Stats
 
-	agents   map[topo.NodeID]*Agent
-	nextFlow uint64
-	tracer   *trace.Tracer // the network's tracer, nil when tracing is off
-	met      *Metrics      // histogram observations, nil when metrics are off
+	agents []*Agent // by host node ID; nil for switches
+
+	// senders and receivers hold each flow's endpoints by flow ID, which
+	// StartFlow hands out densely from 1. StartFlow grows both at a
+	// barrier; during a window a slot is written only by its endpoint's
+	// own shard: the source host's when its sender finishes, the
+	// destination host's when a receiver opens or closes. A slot is
+	// cleared when its endpoint is done, so no finished flow stays
+	// reachable from the registry.
+	senders   []*Sender
+	receivers []*Receiver
+	nextFlow  uint64
+
+	tracer *trace.Tracer // the network's tracer, nil when tracing is off
+	met    *Metrics      // histogram observations, nil when metrics are off
 
 	// MeasureFrom: flows started before this time are warm-up and excluded
 	// from Stats (they still load the network).
@@ -105,19 +116,14 @@ type Registry struct {
 
 // NewRegistry attaches a transport agent to every host in the network.
 func NewRegistry(s *sim.Sim, net *fabric.Network, cfg Config) *Registry {
-	r := &Registry{Sim: s, Net: net, Cfg: cfg, agents: map[topo.NodeID]*Agent{},
-		tracer: net.Tracer()}
+	r := &Registry{Sim: s, Net: net, Cfg: cfg, agents: make([]*Agent, len(net.Topo.Nodes)),
+		senders: make([]*Sender, 1), receivers: make([]*Receiver, 1), tracer: net.Tracer()}
 	if net.Sharded() {
 		r.shardStats = make([]Stats, net.NumDomains())
 	}
 	for _, h := range net.Topo.Hosts {
 		host := net.Host(h)
-		a := &Agent{reg: r, host: host,
-			sim:       net.DomainSim(h),
-			stats:     &r.Stats,
-			senders:   map[uint64]*Sender{},
-			receivers: map[uint64]*Receiver{},
-		}
+		a := &Agent{reg: r, host: host, sim: net.DomainSim(h), stats: &r.Stats}
 		if net.Sharded() {
 			a.stats = &r.shardStats[net.DomainIndex(h)]
 		}
@@ -134,26 +140,30 @@ func NewRegistry(s *sim.Sim, net *fabric.Network, cfg Config) *Registry {
 // what lets shards run their windows concurrently. Sequentially both
 // simply alias the registry's Sim and Stats.
 type Agent struct {
-	reg       *Registry
-	host      *fabric.Host
-	sim       *sim.Sim
-	stats     *Stats
-	senders   map[uint64]*Sender
-	receivers map[uint64]*Receiver
+	reg   *Registry
+	host  *fabric.Host
+	sim   *sim.Sim
+	stats *Stats
 }
 
-// HandlePacket implements fabric.PacketHandler.
+// HandlePacket implements fabric.PacketHandler. It finds the flow's
+// endpoint by flow ID; packets of flows this registry did not start are
+// ignored.
 func (a *Agent) HandlePacket(h *fabric.Host, pkt *fabric.Packet) {
+	r, id := a.reg, pkt.FlowID
+	if id >= uint64(len(r.senders)) {
+		return
+	}
 	switch pkt.Kind {
 	case fabric.Ack:
-		if s := a.senders[pkt.FlowID]; s != nil {
+		if s := r.senders[id]; s != nil {
 			s.onAck(pkt)
 		}
 	case fabric.Data:
-		rcv := a.receivers[pkt.FlowID]
+		rcv := r.receivers[id]
 		if rcv == nil {
 			rcv = newReceiver(a, pkt)
-			a.receivers[pkt.FlowID] = rcv
+			r.receivers[id] = rcv
 		}
 		rcv.onData(pkt)
 	}
@@ -185,7 +195,8 @@ func (r *Registry) StartFlow(src, dst topo.NodeID, size int64, class string) *Se
 	// the flow's whole lifetime. It lives in the source host's scheduler
 	// so retransmission timeouts fire inside the host's shard.
 	s.rtoTimer = a.sim.NewTimer(s.onTimeout)
-	a.senders[id] = s
+	r.senders = append(r.senders, s)
+	r.receivers = append(r.receivers, nil)
 	s.trySend()
 	return s
 }

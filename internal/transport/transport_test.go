@@ -287,3 +287,34 @@ func TestNoStaleRTOEventsAtCompletion(t *testing.T) {
 		t.Fatalf("%d events pending after Run drained", s.Pending())
 	}
 }
+
+// TestFinishedFlowsLeaveNoSlots: senders and receivers live in slots
+// indexed by flow ID. A sender's slot is cleared when its flow finishes
+// and a receiver's when it closes, so no finished flow stays reachable
+// from the registry, while a flow still running keeps both endpoints.
+func TestFinishedFlowsLeaveNoSlots(t *testing.T) {
+	s, _, r, tp := testbed(t, lb.NewDRILL(), Config{ShimTimeout: 100 * units.Microsecond})
+	var done []*Sender
+	for i := 0; i < 6; i++ {
+		done = append(done, r.StartFlow(tp.Hosts[i%4], tp.Hosts[4+i%4], int64(20_000*(i+1)), ""))
+	}
+	live := r.StartFlow(tp.Hosts[1], tp.Hosts[6], -1, "elephant")
+	s.RunUntil(2 * units.Millisecond)
+	for _, f := range done {
+		if !f.Done() {
+			t.Fatalf("flow %d unfinished", f.ID())
+		}
+		if r.senders[f.ID()] != nil || r.receivers[f.ID()] != nil {
+			t.Errorf("finished flow %d still in its slots: sender %v, receiver %v",
+				f.ID(), r.senders[f.ID()] != nil, r.receivers[f.ID()] != nil)
+		}
+	}
+	if r.senders[live.ID()] != live || r.receivers[live.ID()] == nil {
+		t.Errorf("running flow %d lost an endpoint: sender %v, receiver %v",
+			live.ID(), r.senders[live.ID()] != nil, r.receivers[live.ID()] != nil)
+	}
+	if want := len(done) + 2; len(r.senders) != want || len(r.receivers) != want {
+		t.Errorf("%d sender and %d receiver slots for %d flows, want %d each (slot 0 unused)",
+			len(r.senders), len(r.receivers), len(done)+1, want)
+	}
+}
