@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"math"
-
 	"drill/internal/metrics"
 	"drill/internal/sim"
 	"drill/internal/topo"
@@ -33,16 +31,16 @@ import (
 // and the next packet starts then (Lindley's recursion). So a departure is
 // not an event. The port keeps the in-service packet's departure time
 // (depAt) under its pure key (sim.DepartKey), parks each visibility update
-// under the key sim.ReserveKey reserves for it, and settle applies — in
-// (time, key) order, before anyone reads the port — every update and
-// departure its scheduler has passed (sim.Sim.Reached). A departure moves
-// the head onto the wire ring and starts the next packet at that instant.
-// The counters a reader then sees are exactly those a scheduler firing
-// one event per update and per departure would hold at that point; the
-// raw fields can trail them until the next read. Only the wire arrival at
-// the far end is an event: a port with anything queued or on the wire has
-// exactly one armed, for the wire ring's head, or else for the in-service
-// packet at its departure plus propagation.
+// under the key sim.ReserveKey reserves for it, and settle applies —
+// before anyone reads the port — every update and departure its scheduler
+// has passed (sim.Sim.Reached). A departure moves the head onto the wire
+// ring and starts the next packet at that instant. The counters a reader
+// then sees are exactly those a scheduler firing one event per update and
+// per departure would hold at that point; the raw fields can trail them
+// until the next read. Only the wire arrival at the far end is an event: a
+// port with anything queued or on the wire has exactly one armed, for the
+// wire ring's head, or else for the in-service packet at its departure
+// plus propagation.
 //
 // Where a departure must be seen as it happens the port is a waker: it
 // arms a silent wake-up (a port event under the departure's key) that only
@@ -102,9 +100,6 @@ type Port struct {
 	Drops      int64
 }
 
-// forever bounds the visibility updates settle may apply: all it reaches.
-const forever = units.Time(math.MaxInt64)
-
 // Up reports whether the underlying link direction is in service.
 func (p *Port) Up() bool { return p.up }
 
@@ -144,18 +139,19 @@ func (p *Port) VisibleBytes() int64 {
 //drill:hotpath
 func (p *Port) departKey() uint64 { return sim.DepartKey(uint64(p.Index), p.wireSeq) }
 
-// settle applies, in (time, key) order, every visibility update and
-// departure the port's scheduler has passed. Visibility updates at a
-// departure's instant apply before it: their keys are local, and local
-// keys sort before departure keys.
+// settle applies every departure and visibility update the port's
+// scheduler has passed. The two commute: departures take waiting packets
+// from the queue's head, updates credit them in the same FIFO order, and
+// the skip counter absorbs an update whose packet already left, so the
+// visible counters end the same whichever comes first. Nothing reads them
+// in between.
 //
 //drill:hotpath
 func (p *Port) settle() {
 	for !p.queue.empty() && p.dom.sim.Reached(p.depAt, p.departKey()) {
-		p.settleVisibility(p.depAt)
 		p.dom.net.depart(p)
 	}
-	p.settleVisibility(forever)
+	p.settleVisibility()
 }
 
 // pushVisibility parks the visibility update of a packet of the given size
@@ -174,13 +170,13 @@ func (p *Port) pushVisibility(size units.ByteSize) {
 }
 
 // settleVisibility applies, in FIFO order, every parked visibility update
-// due by until that the port's scheduler has passed.
+// the port's scheduler has passed.
 //
 //drill:hotpath
-func (p *Port) settleVisibility(until units.Time) {
+func (p *Port) settleVisibility() {
 	for !p.visRing.empty() {
 		e := p.visRing.peek()
-		if e.at > until || !p.dom.sim.Reached(e.at, e.key) {
+		if !p.dom.sim.Reached(e.at, e.key) {
 			return
 		}
 		p.applyVisibility(e.size)
@@ -202,7 +198,6 @@ func (p *Port) applyVisibility(size units.ByteSize) {
 
 // departVisibility reconciles the visible counters when a packet leaves
 // the waiting queue, possibly before its visibility update took effect.
-// The caller has settled the updates due by then.
 //
 //drill:hotpath
 func (p *Port) departVisibility(size units.ByteSize) {

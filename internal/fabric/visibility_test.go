@@ -140,9 +140,6 @@ func runVisScript(seed int64, cov *visCoverage) error {
 		if c.m.pkts == 0 {
 			cov.outrun++
 		}
-		// A departure applies at the frontier: the updates due by now
-		// first, as settle applies them before each departure.
-		c.p.settleVisibility(forever)
 		c.p.departVisibility(size)
 		c.m.depart(size)
 	}
