@@ -111,6 +111,42 @@ func TestStrictRefusesBaselineWithoutColumns(t *testing.T) {
 	}
 }
 
+// TestStrictGatesEventsPerPkt: events per packet are held at equal seed
+// like the allocations, so a change that brought back the events settled
+// departures removed fails -strict: against a baseline with half the
+// committed snapshot's events per packet, the snapshot regresses with exit
+// status 1, and against one with twice as many the baseline is stale.
+func TestStrictGatesEventsPerPkt(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		want  string
+	}{{0.5, "REGRESSED"}, {2, "IMPROVED"}} {
+		rep, err := experiments.ReadBenchReport(filepath.Join("..", "..", "BENCH_shard.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rep.Cells {
+			rep.Cells[i].EventsPerPkt *= c.scale
+		}
+		buf, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "BENCH_events.json")
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, errOut, code := runBenchdiff(t, "-baseline", path, "-current", "BENCH_shard.json", "-strict")
+		if code != 1 || !strings.Contains(out, "events_per_pkt") || !strings.Contains(out, c.want) {
+			t.Fatalf("benchdiff -strict against a baseline with %gx the events per packet: exit %d, want 1 with events_per_pkt %s\nstdout:\n%s\nstderr:\n%s",
+				c.scale, code, c.want, out, errOut)
+		}
+		if c.want == "IMPROVED" && !strings.Contains(errOut, "events_per_pkt") {
+			t.Fatalf("benchdiff -strict did not name events_per_pkt as stale:\n%s", errOut)
+		}
+	}
+}
+
 // TestStrictRatchets: a baseline with twice the committed snapshot's
 // allocations is stale — the committed snapshot beats it by half on every
 // allocation column — so -strict fails with exit status 1 and names each

@@ -13,21 +13,24 @@ import (
 // with -strict as a blocking gate: a regression turns the build red.
 //
 // Every gated column is per packet or per set-up, never per event: a
-// packet is simulated work no engine change can remove, while an event is
-// an implementation detail, so a change that dispatches fewer events for
-// the same packets must read as progress, not as a lower event rate.
-// Wall-clock columns still depend on the machine that produced each
-// snapshot, so the diff reports — as warnings, never failures — when the
-// two snapshots disagree on CPU count or GOMAXPROCS. The allocation
-// columns are deterministic up to GC timing and the shard-protocol counts
-// exactly, so they are compared as they stand.
+// packet is simulated work no engine change can remove, so a change that
+// dispatches fewer events for the same packets reads as progress, not as
+// a lower event rate. The events themselves are a cost the engine chose
+// (one per hop since departures settle when read), so at equal seed the
+// events per packet are held like the allocations: a rise regresses. Wall
+// clock columns still depend on the machine that produced each snapshot,
+// so the diff reports — as warnings, never failures — when the two
+// snapshots disagree on CPU count or GOMAXPROCS. The allocation columns
+// are deterministic up to GC timing, and the event and shard-protocol
+// counts exactly, so they are compared as they stand.
 //
 // The deterministic columns also ratchet: a current snapshot that beats
-// the baseline on one by more than its tolerance (any fall, for windows
-// and exchanged at equal seed) marks the finding Improved, and -strict
-// fails until the gain is recorded in a new committed snapshot. Otherwise
-// a baseline left behind by later gains would let them be lost again
-// unseen. ns/packet depends on the machine and stays one-sided.
+// the baseline on one by more than its tolerance (any fall, for events
+// per packet, windows and exchanged at equal seed) marks the finding
+// Improved, and -strict fails until the gain is recorded in a new
+// committed snapshot. Otherwise a baseline left behind by later gains
+// would let them be lost again unseen. ns/packet depends on the machine
+// and stays one-sided.
 
 const (
 	// BenchNsPerPktTol is the relative rise in event-loop wall time per
@@ -167,13 +170,14 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 				Baseline: float64(m.base), Current: float64(m.cu),
 				Delta: float64(m.cu) - float64(m.base), Regressed: m.cu > m.base, Improved: m.cu < m.base})
 		}
-		// Event counts are information (the engine changed how it
-		// dispatches the same work), never a verdict.
-		if b.Events != c.Events {
-			add(BenchFinding{Cell: b.Name, Metric: "events",
-				Baseline: float64(b.Events), Current: float64(c.Events),
-				Delta: float64(c.Events) - float64(b.Events),
-				Note:  "event count changed at equal seed: the engine's dispatch changed"})
+		// Events per packet are a pure function of the seed and the
+		// engine: at equal seed any rise is the engine dispatching more for
+		// the same packets, and any fall a gain to record.
+		if b.EventsPerPkt > 0 {
+			add(BenchFinding{Cell: b.Name, Metric: "events_per_pkt",
+				Baseline: b.EventsPerPkt, Current: c.EventsPerPkt, Delta: c.EventsPerPkt - b.EventsPerPkt,
+				Regressed: c.EventsPerPkt > b.EventsPerPkt*(1+1e-9),
+				Improved:  c.EventsPerPkt < b.EventsPerPkt*(1-1e-9)})
 		}
 	}
 	for name := range cur {
@@ -223,7 +227,7 @@ func (f BenchFinding) formatDelta() string {
 
 // tolerances is the verdict line's summary of the gate.
 func tolerances() string {
-	return fmt.Sprintf("ns/pkt tol +%.0f%%, allocs/pkt tol ±%.0f%%, setup allocs tol ±%.0f%%, windows/exchanged must match",
+	return fmt.Sprintf("ns/pkt tol +%.0f%%, allocs/pkt tol ±%.0f%%, setup allocs tol ±%.0f%%, events/pkt, windows and exchanged must match",
 		BenchNsPerPktTol*100, BenchAllocsPerPktTol*100, BenchSetupAllocsTol*100)
 }
 

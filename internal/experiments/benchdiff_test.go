@@ -11,10 +11,10 @@ func benchFixture() *BenchReport {
 	return &BenchReport{
 		Schema: BenchSchemaVersion, Seed: 1,
 		Cells: []BenchCellResult{
-			{Name: "ecmp-load0.5", NsPerPkt: 2000, AllocsPerPkt: 0.10, SetupAllocs: 50_000, Events: 1200, Sent: 100},
-			{Name: "drill-load0.5", NsPerPkt: 2500, AllocsPerPkt: 0.20, SetupAllocs: 60_000, Events: 2400, Sent: 200},
+			{Name: "ecmp-load0.5", NsPerPkt: 2000, AllocsPerPkt: 0.10, SetupAllocs: 50_000, Events: 1200, Sent: 100, EventsPerPkt: 12},
+			{Name: "drill-load0.5", NsPerPkt: 2500, AllocsPerPkt: 0.20, SetupAllocs: 60_000, Events: 2400, Sent: 200, EventsPerPkt: 12},
 			{Name: "fattree16-shards4", Shards: 4, NsPerPkt: 4000, AllocsPerPkt: 0.11, SetupAllocs: 400_000,
-				Events: 17_600, Sent: 1000, Windows: 30_000, Exchanged: 1800},
+				Events: 17_600, Sent: 1000, EventsPerPkt: 17.6, Windows: 30_000, Exchanged: 1800},
 		},
 		Micro: MicroAllocs{TimerResetStop: 0, PoolGetPut: 0, SendDeliver: 6},
 	}
@@ -148,6 +148,7 @@ func TestDiffBenchRatchet(t *testing.T) {
 	cur := benchFixture()
 	cur.Cells[0].NsPerPkt /= 2
 	cur.Cells[1].SetupAllocs -= base.Cells[1].SetupAllocs / 100
+	cur.Cells[1].EventsPerPkt /= 2
 	cur.Cells[2].Windows--
 	cur.Cells[2].Exchanged--
 	cur.Micro.SendDeliver = 5
@@ -157,6 +158,7 @@ func TestDiffBenchRatchet(t *testing.T) {
 	}
 	for _, w := range []struct{ cell, metric string }{
 		{"drill-load0.5", "setup_allocs"},
+		{"drill-load0.5", "events_per_pkt"},
 		{"fattree16-shards4", "windows"},
 		{"fattree16-shards4", "exchanged"},
 		{"micro", "micro.send_deliver"},
@@ -166,28 +168,35 @@ func TestDiffBenchRatchet(t *testing.T) {
 			t.Errorf("%s/%s beat the baseline but is not Improved with a note: %+v", w.cell, w.metric, f)
 		}
 	}
-	if d.Regressions != 0 || d.Improvements != 4 {
-		t.Errorf("regressions %d, improvements %d, want 0 and 4:\n%s", d.Regressions, d.Improvements, d.Format())
+	if d.Regressions != 0 || d.Improvements != 5 {
+		t.Errorf("regressions %d, improvements %d, want 0 and 5:\n%s", d.Regressions, d.Improvements, d.Format())
 	}
-	if out := d.Format(); !strings.Contains(out, "IMPROVED") || !strings.Contains(out, "4 improvement(s) to record in a new snapshot") {
+	if out := d.Format(); !strings.Contains(out, "IMPROVED") || !strings.Contains(out, "5 improvement(s) to record in a new snapshot") {
 		t.Errorf("format lacks the improvements:\n%s", out)
 	}
 	cur.Seed = 2
 	if d := DiffBench(base, cur); d.Improvements != 2 {
-		t.Errorf("shard counts ratcheted across seeds: %d improvements, want 2 (set-up, micro):\n%s", d.Improvements, d.Format())
+		t.Errorf("seed-bound counts ratcheted across seeds: %d improvements, want 2 (set-up, micro):\n%s", d.Improvements, d.Format())
+	}
+	// At equal seed any rise in events per packet regresses.
+	cur = benchFixture()
+	cur.Cells[0].EventsPerPkt *= 1.001
+	if f := findDiff(t, DiffBench(base, cur), "ecmp-load0.5", "events_per_pkt"); !f.Regressed || f.Improved {
+		t.Errorf("events/pkt +0.1%% at equal seed did not regress: %+v", f)
 	}
 }
 
 // TestDiffBenchFewerEventsSamePacketCost is the case the per-packet gate
 // exists for: an engine that dispatches a third fewer events for the same
 // packets at the same ns/pkt halves no rate the gate reads, so it passes,
-// and the event drop is reported as information only.
+// and the event drop is a gain the snapshot must record.
 func TestDiffBenchFewerEventsSamePacketCost(t *testing.T) {
 	base := benchFixture()
 	cur := benchFixture()
 	for i := range cur.Cells {
 		c := &cur.Cells[i]
 		c.Events -= c.Events / 3
+		c.EventsPerPkt = float64(c.Events) / float64(c.Sent)
 		// The per-event rate the old gate read falls by a third.
 		c.NsPerEvent = c.NsPerPkt * float64(c.Sent) / float64(c.Events)
 	}
@@ -195,9 +204,9 @@ func TestDiffBenchFewerEventsSamePacketCost(t *testing.T) {
 	if d.Regressions != 0 {
 		t.Fatalf("fewer events at equal ns/pkt regressed:\n%s", d.Format())
 	}
-	ev := findDiff(t, d, "fattree16-shards4", "events")
-	if ev.Regressed || ev.Delta != -float64(base.Cells[2].Events/3) {
-		t.Errorf("event drop should be an informational finding of -%d, got %+v", base.Cells[2].Events/3, ev)
+	ev := findDiff(t, d, "fattree16-shards4", "events_per_pkt")
+	if ev.Regressed || !ev.Improved || ev.Current != 11.734 {
+		t.Errorf("event drop should be an improvement to 11.734 events/pkt, got %+v", ev)
 	}
 }
 
@@ -264,14 +273,14 @@ func TestDiffBenchCellDrift(t *testing.T) {
 	base := benchFixture()
 	cur := benchFixture()
 	cur.Cells = cur.Cells[:1]
-	cur.Cells[0].Events = 999 // deterministic column drift at equal seed
+	cur.Cells[0].Events, cur.Cells[0].EventsPerPkt = 999, 9.99 // deterministic column drift at equal seed
 	d := DiffBench(base, cur)
 	if !findDiff(t, d, "drill-load0.5", "present").Regressed {
 		t.Error("missing cell not flagged")
 	}
-	ev := findDiff(t, d, "ecmp-load0.5", "events")
-	if ev.Regressed || !strings.Contains(ev.Note, "dispatch changed") {
-		t.Errorf("event-count drift should be an informational finding, got %+v", ev)
+	ev := findDiff(t, d, "ecmp-load0.5", "events_per_pkt")
+	if ev.Regressed || !ev.Improved || !strings.Contains(ev.Note, "commit a new snapshot") {
+		t.Errorf("fewer events per packet at equal seed should ask for a new snapshot, got %+v", ev)
 	}
 }
 
