@@ -157,6 +157,9 @@ func (s *ClusterStats) DupAckFlowFraction(n int) float64 {
 // MeanHopQueueing reports mean queueing (µs) at a hop class 0..5
 // (host-NIC, leaf-up, agg-up, core-down, spine-down, leaf-to-host).
 func (s *ClusterStats) MeanHopQueueing(hop int) float64 {
+	// A packet's queueing is recorded when it starts transmitting, which
+	// a port settles when read: bring every port up to now first.
+	s.c.net.Settle()
 	return s.c.net.Hops.MeanQueueing(metrics.HopClass(hop))
 }
 

@@ -274,7 +274,7 @@ func decodePortScript(data []byte) (traced bool, queueCap int, ops []portOp) {
 // arriveLB records every packet's arrival at a switch; it never chooses,
 // since host 1 hangs off the only leaf.
 type arriveLB struct {
-	net      *Network
+	nic      int32 // host 0's NIC: the port every leaf arrival came over
 	arrivals *[]arrival
 	ref      []arrival // the reference's arrivals, to check keys against
 	failed   string
@@ -285,7 +285,7 @@ func (arriveLB) Choose(*Network, *Switch, *Engine, *Packet) int32 {
 	panic("arriveLB: no choice to make on a one-leaf fabric")
 }
 func (b *arriveLB) OnArrive(net *Network, sw *Switch, pkt *Packet) {
-	b.record(net.Sim, net.hostLeafPort(), pkt)
+	b.record(net.Sim, b.nic, pkt)
 }
 
 // record notes an arrival and checks it lands in the reference's slot:
@@ -301,9 +301,6 @@ func (b *arriveLB) record(s *sim.Sim, port int32, pkt *Packet) {
 			i, port, pkt.Seq, s.Now(), r.key)
 	}
 }
-
-// hostLeafPort is host 0's NIC: the port every leaf arrival came over.
-func (n *Network) hostLeafPort() int32 { return n.Host(n.Topo.Hosts[0]).NIC.Index }
 
 // recordSink delivers host 1's packets to the recorder.
 type recordSink struct {
@@ -332,8 +329,8 @@ func runPortScript(traced bool, queueCap int, ops []portOp) string {
 		cfg.Tracer = trace.New(ring)
 	}
 	n := New(s, tp, cfg)
-	b.net = n
 	nic, down := n.Host(h0).NIC, n.Ports[n.hostNIC[h1]]
+	b.nic = nic.Index
 
 	// The reference first, on a scheduler of its own.
 	rs := sim.New(1)
