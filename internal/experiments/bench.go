@@ -135,8 +135,8 @@ type MicroAllocs struct {
 	PoolGetPut float64 `json:"pool_get_put"`
 	// SendDeliver: one pool-allocated packet pushed host→leaf→host through
 	// a warm two-host fabric, including every event the data plane
-	// schedules for it (txDone and the wire arrival per hop; visibility
-	// updates are settled when read and schedule nothing). This is the
+	// schedules for it (the wire arrival per hop; departures and
+	// visibility updates are settled when read and schedule nothing). This is the
 	// whole per-packet cost. Pinned at zero by the send→deliver
 	// alloc-ceiling test: each op's events land in wheel buckets the
 	// previous ones have not used, and those draw chunks from the pool.
@@ -145,7 +145,7 @@ type MicroAllocs struct {
 	// fabric via the window protocol — ~25 barriers (worker handoffs,
 	// outbox→ring exchange, callback re-arms) per operation. Pinned at
 	// zero by the shard alloc-ceiling test: the barrier path reuses its
-	// outboxes, rings, and interned events at steady state.
+	// outboxes and rings, and its events carry port indexes.
 	ShardWindow float64 `json:"shard_window"`
 }
 

@@ -26,8 +26,8 @@ func TestShardBarrierAllocFree(t *testing.T) {
 
 // TestSendDeliverAllocFree pins one packet's whole send→deliver path at
 // zero allocations once the fabric is warm: the packet comes from the
-// pool, every event the data plane schedules for it rides a registered
-// callback, and its events land in wheel buckets the previous packets
+// pool, every event the data plane schedules for it is a port event
+// carrying an index, and its events land in wheel buckets the previous packets
 // did not use, which take their chunks from the pool instead of growing
 // an array of their own.
 func TestSendDeliverAllocFree(t *testing.T) {

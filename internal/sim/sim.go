@@ -341,8 +341,8 @@ func (s *Sim) release(id int32) {
 // Each dispatch calls fn with the port index the event carries and whether
 // its key is an arrival's (ArrivalKey) or a departure's (DepartKey). A
 // scheduler has one handler: the fabric installs its own on every
-// scheduler that runs its ports, and a second, different network on the
-// same scheduler is refused.
+// scheduler that runs its ports, so a second network on the same
+// scheduler is refused.
 func (s *Sim) OnPort(fn func(port int32, arrival bool)) {
 	if fn == nil {
 		panic("sim: OnPort requires a handler")

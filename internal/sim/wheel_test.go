@@ -36,7 +36,7 @@ func newHeapOnly(seed int64) *Sim {
 type wheelOp struct {
 	kind  uint8 // one of the op* constants
 	delay units.Time
-	tm    int // timer, registered callback, ring or queue index
+	tm    int // timer, wake-up port, ring or queue index
 }
 
 // Script operations.
