@@ -7,7 +7,7 @@ import (
 )
 
 // newest returns the most recently pushed entry in place.
-func (f *fifo[T]) newest() *T { return &f.buf[(f.head+f.n-1)&(len(f.buf)-1)] }
+func (f *fifo[T]) newest() *T { return f.at(f.n - 1) }
 
 // fifoCoverage counts what a script reached: ring growths and pops that
 // wrapped the head from the array's last slot to its first.
@@ -15,8 +15,8 @@ type fifoCoverage struct{ growths, wraps int }
 
 // runFifoScript drives a fifo and a plain slice queue through the ops
 // data encodes, one byte each, and reports the first disagreement. After
-// every push and pop it compares order, len, empty, peek and the newest
-// entry, requires the capacity to be 0 or the smallest power of two that
+// every push and pop it compares order, len, empty, peek, every entry by
+// position (at) and the newest entry, requires the capacity to be 0 or the smallest power of two that
 // holds the peak occupancy, at least 4 (so never above max(4, 2 × peak)),
 // and requires every vacated slot to be zero.
 func runFifoScript(data []byte, cov *fifoCoverage) error {
@@ -36,6 +36,11 @@ func runFifoScript(data []byte, cov *fifoCoverage) error {
 		}
 		if len(model) > 0 && (*f.peek() != model[0] || *f.newest() != model[len(model)-1]) {
 			return fmt.Errorf("after %s: peek %d newest %d, want %d and %d", op, *f.peek(), *f.newest(), model[0], model[len(model)-1])
+		}
+		for i, v := range model {
+			if *f.at(i) != v {
+				return fmt.Errorf("after %s: at(%d) is %d, want %d", op, i, *f.at(i), v)
+			}
 		}
 		for i, v := range f.buf {
 			switch k := (i - f.head) & (c - 1); {
