@@ -388,6 +388,8 @@ func runPortScript(traced bool, queueCap int, ops []portOp) string {
 		case opFail, opRestore:
 			n.setLink(topo.LinkID([]*Port{nic, down}[op.link].Chan/2), op.kind == opRestore)
 		case opConserve:
+			// DroppedPackets reads before anything settles a port: a loss
+			// at a departure must already have been applied by then.
 			reads = append(reads, fmt.Sprint(n.SentPackets(), n.DeliveredPackets(), n.DroppedPackets(),
 				n.QueuedPackets(), n.InFlightPackets()))
 		}
