@@ -111,9 +111,9 @@ func shardSuffix(s *obs.Snapshot) string {
 		switch p.Name {
 		case "drill_shard_events_total":
 			get(p.Labels).events = p.Value
-		case "drill_shard_busy_seconds_total":
+		case "drill_shard_busy_seconds":
 			get(p.Labels).busy = p.Value
-		case "drill_shard_stall_seconds_total":
+		case "drill_shard_stall_seconds":
 			get(p.Labels).stall = p.Value
 		}
 	}

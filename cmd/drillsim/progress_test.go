@@ -41,7 +41,7 @@ func TestHeartbeatLines(t *testing.T) {
 	runEv.Set(5e6)
 	reg.Gauge("drill_run_events", `exp="x",cell="1"`, "test").Set(3e6)
 	reg.Counter("drill_runner_cells_done_total", `exp="x"`, "test").Add(2)
-	reg.Gauge("drill_runner_cells_total", `exp="x"`, "test").Set(4)
+	reg.Counter("drill_runner_cells_total", `exp="x"`, "test").Add(4)
 	reg.Snapshot(1500 * units.Microsecond)
 
 	var out syncBuffer
@@ -85,15 +85,14 @@ func TestShardSuffix(t *testing.T) {
 	// Two shards of one cell: 2e6 events in 1s busy + 1s stalled, and
 	// 8e6 events in 1s busy + 3s stalled → stall = 4/6 = 67%, rates
 	// 2e6..8e6.
-	set := func(name, shard string, v float64) {
-		reg.Gauge(name, `exp="x",cell="0",shard="`+shard+`"`, "test").Set(v)
-	}
-	set("drill_shard_events_total", "0", 2e6)
-	set("drill_shard_busy_seconds_total", "0", 1)
-	set("drill_shard_stall_seconds_total", "0", 1)
-	set("drill_shard_events_total", "1", 8e6)
-	set("drill_shard_busy_seconds_total", "1", 1)
-	set("drill_shard_stall_seconds_total", "1", 3)
+	labels := func(shard string) string { return `exp="x",cell="0",shard="` + shard + `"` }
+	set := func(name, shard string, v float64) { reg.Gauge(name, labels(shard), "test").Set(v) }
+	reg.Counter("drill_shard_events_total", labels("0"), "test").Add(2e6)
+	set("drill_shard_busy_seconds", "0", 1)
+	set("drill_shard_stall_seconds", "0", 1)
+	reg.Counter("drill_shard_events_total", labels("1"), "test").Add(8e6)
+	set("drill_shard_busy_seconds", "1", 1)
+	set("drill_shard_stall_seconds", "1", 3)
 	got := shardSuffix(reg.Capture(0))
 	want := " stall=67% shard-ev/s=2e+06..8e+06"
 	if got != want {
@@ -108,10 +107,10 @@ func TestHeartbeatShardLine(t *testing.T) {
 	reg := obs.NewRegistry(4)
 	reg.Gauge("drill_run_events", `exp="x",cell="0"`, "test").Set(1e6)
 	reg.Counter("drill_runner_cells_done_total", `exp="x"`, "test").Add(1)
-	reg.Gauge("drill_runner_cells_total", `exp="x"`, "test").Set(2)
-	reg.Gauge("drill_shard_events_total", `exp="x",cell="0",shard="0"`, "test").Set(4e6)
-	reg.Gauge("drill_shard_busy_seconds_total", `exp="x",cell="0",shard="0"`, "test").Set(2)
-	reg.Gauge("drill_shard_stall_seconds_total", `exp="x",cell="0",shard="0"`, "test").Set(2)
+	reg.Counter("drill_runner_cells_total", `exp="x"`, "test").Add(2)
+	reg.Counter("drill_shard_events_total", `exp="x",cell="0",shard="0"`, "test").Add(4e6)
+	reg.Gauge("drill_shard_busy_seconds", `exp="x",cell="0",shard="0"`, "test").Set(2)
+	reg.Gauge("drill_shard_stall_seconds", `exp="x",cell="0",shard="0"`, "test").Set(2)
 	reg.Snapshot(500 * units.Microsecond)
 
 	var out syncBuffer

@@ -118,9 +118,10 @@ func main() {
 		comps := q.Decompose(src, dst)
 		fmt.Printf("\n%s -> %s: %d symmetric component(s)\n",
 			t.Nodes[src].Name, t.Nodes[dst].Name, len(comps))
+		members := groupPaths(q, r.Paths(src, dst))
 		for ci, c := range comps {
 			fmt.Printf("  component %d  weight=%d  capacity=%v\n", ci, c.Weight, c.Capacity)
-			for _, p := range c.Paths {
+			for _, p := range members[ci] {
 				names := make([]string, 0, len(p)+1)
 				for _, nid := range r.PathNodes(src, p) {
 					names = append(names, t.Nodes[nid].Name)
@@ -141,6 +142,22 @@ func main() {
 			}
 		}
 	}
+}
+
+// groupPaths groups paths, in the routes' path order, by their score
+// sequences in order of first appearance. Decompose lists its components
+// in that order, so group i holds the paths of component i.
+func groupPaths(q *quiver.Quiver, paths [][]topo.ChanID) [][][]topo.ChanID {
+	var groups [][][]topo.ChanID
+	for _, p := range paths {
+		i := slices.IndexFunc(groups, func(g [][]topo.ChanID) bool { return q.Symmetric(g[0], p) })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], p)
+	}
+	return groups
 }
 
 // exitf reports a bad flag value on one line and exits with status 2.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,38 @@ func TestRejectsBadInput(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("quiverdump %s: printed %q before rejecting its input", args, stdout.String())
+		}
+	}
+}
+
+// TestGoldenOutputs holds quiverdump's stdout, byte for byte, to the files
+// under testdata/: the default fabric, two failed links, one failed link
+// with one pair, and the striped fabric. They were recorded while
+// Decompose still listed each component's paths, so the components'
+// member paths, which quiverdump now groups from the routes' paths by
+// score sequence, are checked against the enumerating decomposition.
+func TestGoldenOutputs(t *testing.T) {
+	for _, c := range []struct{ args, golden string }{
+		{"", "default.txt"},
+		{"-fail L0-S0,L2-S1", "fail.txt"},
+		{"-fail L0-S0 -pair L3-L1", "pair.txt"},
+		{"-topo hetero -spines 4 -leaves 4", "hetero.txt"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), mainArgsEnv+"="+c.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		got, err := cmd.Output()
+		if err != nil {
+			t.Errorf("quiverdump %s: %v; stderr:\n%s", c.args, err, stderr.String())
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("quiverdump %s: stdout differs from testdata/%s:\n%s", c.args, c.golden, got)
 		}
 	}
 }

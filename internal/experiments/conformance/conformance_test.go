@@ -210,7 +210,7 @@ func sumPoints(s *obs.Snapshot, name string) (sum float64, series int) {
 // The instrumented setting — metrics, engine telemetry and sampler tracing
 // together, on each engine of engineCounts — runs once per (cell, engine)
 // and is checked by the tests below it: TestEngineTelemetryIsByteIdentical
-// (fingerprint and shard gauges), TestShardedObsCellMatches and
+// (fingerprint and shard counters), TestShardedObsCellMatches and
 // TestShardedTracedCellMatches (obs lines and trace stream across
 // engines), TestShardedLossyAndFailureCells and
 // TestShardedReconfigurationCells (the adversarial paths stay live on
@@ -291,7 +291,7 @@ func TestInvarianceMatrix(t *testing.T) {
 // TestEngineTelemetryIsByteIdentical is the engine observatory's
 // observe-never-steer proof: metrics, engine telemetry and sampler tracing
 // together may not change a single result byte on any engine, and the
-// telemetry must be live — every shard's events gauge registered and their
+// telemetry must be live — every shard's events counter registered and their
 // sum equal to the engine report's shard total.
 func TestEngineTelemetryIsByteIdentical(t *testing.T) {
 	forEngines(t, func(t *testing.T, c *cell, n int, v *variant) {
@@ -319,11 +319,11 @@ func TestEngineTelemetryIsByteIdentical(t *testing.T) {
 		if series != len(rep.Shards) {
 			t.Errorf("%s: %s: %d drill_shard_events_total series, want %d", c.name, setting, series, len(rep.Shards))
 		}
-		// The gauges exclude the global scheduler's events, so the
+		// The counters exclude the global scheduler's events, so the
 		// reference is the report's shard total, which must stay within the
 		// run's own.
 		if uint64(events) != rep.TotalEvents() {
-			t.Errorf("%s: %s: shard events gauges sum to %v, report says %d", c.name, setting, events, rep.TotalEvents())
+			t.Errorf("%s: %s: shard events counters sum to %v, report says %d", c.name, setting, events, rep.TotalEvents())
 		}
 		if rep.TotalEvents() == 0 || rep.TotalEvents() > v.res.Events {
 			t.Errorf("%s: %s: shard event total %d vs run events %d", c.name, setting, rep.TotalEvents(), v.res.Events)

@@ -22,7 +22,7 @@ func engineSeries(s *obs.Snapshot, prefix string) int {
 
 // TestEngineObsOptIn pins the engine observatory's series set: attaching
 // an Obs registry registers the full observatory, shaped by the engine
-// and populated by the run.
+// and populated by the run, with every family named *_total a counter.
 func TestEngineObsOptIn(t *testing.T) {
 	cfg := tinySweepCfgs()[1]
 	cfg.Shards = 2
@@ -50,6 +50,12 @@ func TestEngineObsOptIn(t *testing.T) {
 	}
 	if v := findPoint(snap, "drill_window_barriers_total", instr.ObsScope); v <= 0 {
 		t.Errorf("drill_window_barriers_total = %v, want > 0", v)
+	}
+	// Prometheus reserves the _total suffix for counters.
+	for _, p := range snap.Points {
+		if strings.HasSuffix(p.Name, "_total") && p.Kind != obs.KindCounter {
+			t.Errorf("%s{%s} is a %v, want a counter", p.Name, p.Labels, p.Kind)
+		}
 	}
 
 	// Sequential: only the single seq scheduler row.

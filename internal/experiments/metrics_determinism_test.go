@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"drill/internal/obs"
@@ -64,6 +65,15 @@ func TestSweepWithMetricsIsByteIdentical(t *testing.T) {
 	final := reg.Capture(0)
 	if done := findPoint(final, "drill_runner_cells_done_total", `exp="tiny"`); done != float64(len(cfgs)) {
 		t.Errorf("runner cells-done = %v, want %d", done, len(cfgs))
+	}
+	if total := findPoint(final, "drill_runner_cells_total", `exp="tiny"`); total != float64(len(cfgs)) {
+		t.Errorf("runner cells-total = %v, want %d", total, len(cfgs))
+	}
+	// Prometheus reserves the _total suffix for counters.
+	for _, p := range final.Points {
+		if strings.HasSuffix(p.Name, "_total") && p.Kind != obs.KindCounter {
+			t.Errorf("%s{%s} is a %v, want a counter", p.Name, p.Labels, p.Kind)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // from inside a simulation, so it has no determinism surface at all.
 type runnerMetrics struct {
 	cellsDone  *obs.Counter
-	cellsTotal *obs.Gauge
+	cellsTotal *obs.Counter
 	events     *obs.Counter
 	flows      *obs.Counter
 	evRate     *obs.Gauge
@@ -35,7 +35,7 @@ func newRunnerMetrics(reg *obs.Registry, expID string, total int) *runnerMetrics
 	rm := &runnerMetrics{
 		cellsDone: reg.Counter("drill_runner_cells_done_total", scope,
 			"Sweep cells completed."),
-		cellsTotal: reg.Gauge("drill_runner_cells_total", scope,
+		cellsTotal: reg.Counter("drill_runner_cells_total", scope,
 			"Sweep cells submitted."),
 		events: reg.Counter("drill_runner_events_total", scope,
 			"Simulation events dispatched across completed cells."),
@@ -46,7 +46,7 @@ func newRunnerMetrics(reg *obs.Registry, expID string, total int) *runnerMetrics
 		simRate: reg.Gauge("drill_runner_sim_rate", scope,
 			"Simulated seconds per wall second of the most recently completed cell."),
 	}
-	rm.cellsTotal.Set(float64(total))
+	rm.cellsTotal.Add(int64(total))
 	return rm
 }
 

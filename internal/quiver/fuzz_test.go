@@ -9,10 +9,14 @@ import (
 	"drill/internal/units"
 )
 
-// fuzzTopo builds a small randomized fabric. An even shape is a 2-tier
-// leaf–spine with a%4+2 spines and b%4+2 leaves; an odd shape is a 3-tier
-// k-ary fat-tree with k = 4 or 6 (by a), whose down-links toward a leaf
-// carry several capacity factors per leaf pair once rates differ. Fabric
+// fuzzTopo builds a small randomized fabric. By shape%4: a 2-tier
+// leaf–spine with a%4+2 spines and b%4+2 leaves; a 3-tier k-ary fat-tree
+// with k = 4 or 6 (by a), whose down-links toward a leaf carry several
+// capacity factors per leaf pair once rates differ; the same leaf–spine
+// with imbalanced striping, as topo.Heterogeneous builds it, where each
+// leaf i has b/4%3+2 parallel links to spines i and i+1 (mod the spine
+// count); or a VL2 of b%6+2 ToRs, each linked to two of a%4+2
+// aggregation switches, which all link to a/4%3+1 intermediates. Fabric
 // link rates are drawn from a heterogeneous set when hetero is odd
 // (uniform 40G otherwise), and `fails` randomly chosen fabric links are
 // failed. Everything derives from the seeded rng, so a crashing input
@@ -33,19 +37,26 @@ func fuzzTopo(seed int64, shape, a, b, hetero, failsB uint8) *topo.Topology {
 	host := func(leaf topo.NodeID, name string) {
 		tp.AddLink(tp.AddNode(topo.Host, name), leaf, 10*units.Gbps, 500*units.Nanosecond)
 	}
-	if shape%2 == 0 {
+	switch shape % 4 {
+	case 0, 2:
 		spineIDs := make([]topo.NodeID, int(a%4)+2)
 		for s := range spineIDs {
 			spineIDs[s] = tp.AddNode(topo.Spine, fmt.Sprintf("s%d", s))
 		}
 		for l := 0; l < int(b%4)+2; l++ {
 			leaf := tp.AddNode(topo.Leaf, fmt.Sprintf("l%d", l))
-			for _, sp := range spineIDs {
-				link(leaf, sp)
+			for s, sp := range spineIDs {
+				n := 1
+				if shape%4 == 2 && (s == l%len(spineIDs) || s == (l+1)%len(spineIDs)) {
+					n = int(b/4%3) + 2
+				}
+				for range n {
+					link(leaf, sp)
+				}
 			}
 			host(leaf, fmt.Sprintf("h%d", l))
 		}
-	} else {
+	case 1:
 		half := 2 + int(a%2)
 		cores := make([]topo.NodeID, half*half) // agg index g serves cores[g*half:(g+1)*half]
 		for c := range cores {
@@ -67,6 +78,25 @@ func fuzzTopo(seed int64, shape, a, b, hetero, failsB uint8) *topo.Topology {
 				host(edge, fmt.Sprintf("p%d.e%d.h", p, e))
 			}
 		}
+	default:
+		ints := make([]topo.NodeID, int(a/4%3)+1)
+		for i := range ints {
+			ints[i] = tp.AddNode(topo.Core, fmt.Sprintf("i%d", i))
+		}
+		aggs := make([]topo.NodeID, int(a%4)+2)
+		for g := range aggs {
+			aggs[g] = tp.AddNode(topo.Agg, fmt.Sprintf("a%d", g))
+			for _, in := range ints {
+				link(aggs[g], in)
+			}
+		}
+		for r := 0; r < int(b%6)+2; r++ {
+			tor := tp.AddNode(topo.Leaf, fmt.Sprintf("t%d", r))
+			for k := 0; k < 2; k++ {
+				link(tor, aggs[(2*r+k)%len(aggs)])
+			}
+			host(tor, fmt.Sprintf("t%d.h", r))
+		}
 	}
 	rng.Shuffle(len(core), func(i, j int) { core[i], core[j] = core[j], core[i] })
 	fails := int(failsB) % (len(core)/2 + 1) // never fail a majority
@@ -82,13 +112,13 @@ func pathKey(p []topo.ChanID) string {
 }
 
 // FuzzDecomposePartition checks the §3.4.1 decomposition invariants on
-// random small (possibly asymmetric) leaf–spine and fat-tree topologies,
-// and holds Build and Decompose to the reference: for every leaf pair, the
-// components must exactly partition the shortest paths; paths inside a
-// component must be pairwise symmetric while component representatives are
-// pairwise asymmetric; each component's capacity must equal the sum of its
-// paths' bottleneck capacities; and the weights must be the capacities
-// scaled to coprime integers.
+// random small (possibly asymmetric) leaf–spine, striped, fat-tree and VL2
+// fabrics, and holds Build and Decompose to the reference: for every leaf
+// pair, the reference's path groups must exactly partition the shortest
+// paths; paths inside a group must be pairwise symmetric while groups'
+// first paths are pairwise asymmetric; each component's capacity must
+// equal the sum of its group's bottleneck capacities; and the weights must
+// be the capacities scaled to coprime integers.
 func FuzzDecomposePartition(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0))  // symmetric 2×3, no failures
 	f.Add(int64(7), uint8(0), uint8(1), uint8(2), uint8(1), uint8(3))  // heterogeneous rates + failures
@@ -97,11 +127,15 @@ func FuzzDecomposePartition(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint8(0), uint8(0), uint8(1), uint8(0))  // k=4 fat-tree, heterogeneous, intact
 	f.Add(int64(5), uint8(1), uint8(1), uint8(0), uint8(1), uint8(6))  // k=6 fat-tree, heterogeneous + failures
 	f.Add(int64(8), uint8(1), uint8(0), uint8(0), uint8(0), uint8(3))  // k=4 fat-tree, symmetric rates, failures
+	f.Add(int64(2), uint8(2), uint8(2), uint8(5), uint8(0), uint8(0))  // 4×3 striped, 3 parallel links, intact
+	f.Add(int64(4), uint8(2), uint8(1), uint8(10), uint8(1), uint8(4)) // 3×4 striped, heterogeneous + failures
+	f.Add(int64(6), uint8(3), uint8(6), uint8(6), uint8(0), uint8(0))  // VL2 8 ToRs, 4 aggs, 2 ints, intact
+	f.Add(int64(9), uint8(3), uint8(5), uint8(3), uint8(1), uint8(3))  // VL2 5 ToRs, 3 aggs, 2 ints, heterogeneous + failures
 
 	f.Fuzz(func(t *testing.T, seed int64, shape, a, b, hetero, fails uint8) {
 		tp := fuzzTopo(seed, shape, a, b, hetero, fails)
 		r := topo.ComputeRoutes(tp)
-		q := Build(r)
+		q, ref := Build(r), buildReference(r)
 
 		for _, src := range tp.Leaves {
 			for _, dst := range tp.Leaves {
@@ -116,40 +150,50 @@ func FuzzDecomposePartition(f *testing.F) {
 					}
 					continue
 				}
-				checkDecomposition(t, q, tp, src, dst, paths, comps)
+				_, groups := ref.Decompose(src, dst)
+				checkDecomposition(t, q, tp, src, dst, paths, comps, groups)
 			}
 		}
 		checkAgainstReference(t, r)
 	})
 }
 
+// checkDecomposition holds comps, the components from src toward dst, and
+// groups, the reference's paths of each, to the decomposition's
+// invariants over paths, every shortest path from src to dst.
 func checkDecomposition(t *testing.T, q *Quiver, tp *topo.Topology,
-	src, dst topo.NodeID, paths [][]topo.ChanID, comps []Component) {
+	src, dst topo.NodeID, paths [][]topo.ChanID, comps []Component, groups [][][]topo.ChanID) {
 	t.Helper()
 	if len(comps) == 0 {
 		t.Fatalf("%d→%d: %d paths decomposed into zero components", src, dst, len(paths))
 	}
+	if len(groups) != len(comps) {
+		t.Fatalf("%d→%d: %d components, reference groups paths into %d", src, dst, len(comps), len(groups))
+	}
 
-	// Partition: every shortest path appears in exactly one component.
+	// Partition: every shortest path appears in exactly one group.
 	want := map[string]int{}
 	for _, p := range paths {
 		want[pathKey(p)]++
 	}
 	got := map[string]int{}
-	var totalCap units.Rate
 	for ci, c := range comps {
-		if len(c.Paths) == 0 {
+		group := groups[ci]
+		if len(group) == 0 {
 			t.Fatalf("%d→%d: component %d is empty", src, dst, ci)
+		}
+		if int(c.NumPaths) != len(group) {
+			t.Fatalf("%d→%d: component %d counts %d paths, its group holds %d", src, dst, ci, c.NumPaths, len(group))
 		}
 		var ccap units.Rate
 		firstHops := map[topo.ChanID]bool{}
-		for _, p := range c.Paths {
+		for _, p := range group {
 			got[pathKey(p)]++
 			ccap += tp.Bottleneck(p)
 			firstHops[p[0]] = true
-			if !q.Symmetric(c.Paths[0], p) {
+			if !q.Symmetric(group[0], p) {
 				t.Fatalf("%d→%d: component %d holds asymmetric paths %v and %v",
-					src, dst, ci, c.Paths[0], p)
+					src, dst, ci, group[0], p)
 			}
 		}
 		if ccap != c.Capacity {
@@ -166,7 +210,6 @@ func checkDecomposition(t *testing.T, q *Quiver, tp *topo.Topology,
 					src, dst, ci, fh)
 			}
 		}
-		totalCap += c.Capacity
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d→%d: components cover %d distinct paths, routing has %d",
@@ -179,11 +222,11 @@ func checkDecomposition(t *testing.T, q *Quiver, tp *topo.Topology,
 		}
 	}
 
-	// Maximality: representatives of distinct components are asymmetric —
+	// Maximality: first paths of distinct groups are asymmetric —
 	// otherwise they should have been one component.
-	for i := range comps {
-		for j := i + 1; j < len(comps); j++ {
-			if q.Symmetric(comps[i].Paths[0], comps[j].Paths[0]) {
+	for i := range groups {
+		for j := i + 1; j < len(groups); j++ {
+			if q.Symmetric(groups[i][0], groups[j][0]) {
 				t.Fatalf("%d→%d: components %d and %d are mutually symmetric", src, dst, i, j)
 			}
 		}

@@ -1,6 +1,8 @@
 package quiver
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"drill/internal/topo"
@@ -64,7 +66,7 @@ func TestFig4FailureDecomposition(t *testing.T) {
 	}
 	var solo, pair *Component
 	for i := range comps {
-		switch len(comps[i].Paths) {
+		switch comps[i].NumPaths {
 		case 1:
 			solo = &comps[i]
 		case 2:
@@ -72,10 +74,10 @@ func TestFig4FailureDecomposition(t *testing.T) {
 		}
 	}
 	if solo == nil || pair == nil {
-		t.Fatalf("bad split: %d and %d paths", len(comps[0].Paths), len(comps[1].Paths))
+		t.Fatalf("bad split: %d and %d paths", comps[0].NumPaths, comps[1].NumPaths)
 	}
 	// The solo component goes via S0.
-	first := tp.Chan(solo.Paths[0][0])
+	first := tp.Chan(solo.FirstHops[0])
 	if first.To != spines[0] {
 		t.Errorf("solo component via %v, want S0", first.To)
 	}
@@ -109,13 +111,14 @@ func TestHostLinkFailureKeepsSymmetry(t *testing.T) {
 }
 
 func TestDecompositionIsPartition(t *testing.T) {
-	// Property over several failure patterns: components partition the path
-	// set; intra-component paths are symmetric; inter-component are not.
+	// Property over several failure patterns: the reference's path groups
+	// partition the path set and match the components' path counts;
+	// intra-group paths are symmetric; inter-group are not.
 	tp, leaves, spines := fig4()
 	tp.FailLink(tp.LinkBetween(leaves[0], spines[0])[0])
 	tp.FailLink(tp.LinkBetween(leaves[2], spines[1])[0])
 	r := topo.ComputeRoutes(tp)
-	q := Build(r)
+	q, ref := Build(r), buildReference(r)
 	for _, src := range leaves {
 		for _, dst := range leaves {
 			if src == dst {
@@ -123,20 +126,26 @@ func TestDecompositionIsPartition(t *testing.T) {
 			}
 			all := r.Paths(src, dst)
 			comps := q.Decompose(src, dst)
+			_, groups := ref.Decompose(src, dst)
+			if len(groups) != len(comps) {
+				t.Fatalf("%d components, reference groups paths into %d", len(comps), len(groups))
+			}
 			n := 0
-			for ci := range comps {
-				c := &comps[ci]
-				n += len(c.Paths)
-				for i := 0; i < len(c.Paths); i++ {
-					for j := i + 1; j < len(c.Paths); j++ {
-						if !q.Symmetric(c.Paths[i], c.Paths[j]) {
-							t.Fatalf("asymmetric paths grouped: %v vs %v", c.Paths[i], c.Paths[j])
+			for ci, group := range groups {
+				if int(comps[ci].NumPaths) != len(group) {
+					t.Fatalf("component %d counts %d paths, its group holds %d", ci, comps[ci].NumPaths, len(group))
+				}
+				n += len(group)
+				for i := 0; i < len(group); i++ {
+					for j := i + 1; j < len(group); j++ {
+						if !q.Symmetric(group[i], group[j]) {
+							t.Fatalf("asymmetric paths grouped: %v vs %v", group[i], group[j])
 						}
 					}
 				}
-				for cj := ci + 1; cj < len(comps); cj++ {
-					for _, p1 := range c.Paths {
-						for _, p2 := range comps[cj].Paths {
+				for cj := ci + 1; cj < len(groups); cj++ {
+					for _, p1 := range group {
+						for _, p2 := range groups[cj] {
 							if q.Symmetric(p1, p2) {
 								t.Fatalf("symmetric paths split across components")
 							}
@@ -250,26 +259,73 @@ func fatTreeRoutes(k int) *topo.Routes {
 	return topo.ComputeRoutes(topo.FatTree(topo.FatTreeConfig{K: k, LinkRate: 10 * units.Gbps}))
 }
 
-// TestDecomposeAllocs: once its scratch has grown, Decompose allocates
-// nothing per call on a symmetric k=8 fat-tree, across pods where 16
-// paths join one component — the path buffer, the grouping and the
-// components, their paths and first hops all live in the Quiver's scratch.
+// decomposeAll decomposes every switch toward every leaf on a fresh
+// Quiver with q's scores, the work of one DRILL table build, and returns
+// the components of the last entry.
+func decomposeAll(q *Quiver) []Component {
+	fresh := &Quiver{routes: q.routes, scores: q.scores}
+	tp := q.routes.Topo()
+	var comps []Component
+	for _, s := range tp.Switches {
+		for _, leaf := range tp.Leaves {
+			comps = fresh.Decompose(s, leaf)
+		}
+	}
+	return comps
+}
+
+// TestDecomposeAllocs: the whole decomposition, every switch toward every
+// leaf, allocates the same few arrays on symmetric k=4 and k=8
+// fat-trees — none per switch, leaf, component or path — and a call once
+// it is done allocates nothing.
 func TestDecomposeAllocs(t *testing.T) {
+	var counts []float64
+	for _, k := range []int{4, 8} {
+		q := Build(fatTreeRoutes(k))
+		counts = append(counts, testing.AllocsPerRun(5, func() { sinkComps = decomposeAll(q) }))
+	}
+	if counts[0] != counts[1] || counts[0] > 12 {
+		t.Fatalf("decomposition allocations on k=4 and k=8: %v; want one count, at most 12", counts)
+	}
 	r := fatTreeRoutes(8)
 	q := Build(r)
 	leaves := r.Topo().Leaves
 	src, dst := leaves[0], leaves[len(leaves)-1]
-	if n := len(r.Paths(src, dst)); n != 16 {
-		t.Fatalf("%d paths across pods, want 16", n)
-	}
 	var comps []Component
 	allocs := testing.AllocsPerRun(100, func() { comps = q.Decompose(src, dst) })
-	if len(comps) != 1 || len(comps[0].Paths) != 16 {
-		t.Fatalf("symmetric fat-tree: %d components", len(comps))
+	if len(comps) != 1 || comps[0].NumPaths != 16 || len(comps[0].FirstHops) != 4 {
+		t.Fatalf("symmetric fat-tree across pods: %+v, want one component of 16 paths over 4 uplinks", comps)
 	}
 	if allocs != 0 {
-		t.Fatalf("Decompose allocates %v times per call, want 0", allocs)
+		t.Fatalf("Decompose allocates %v times per call once done, want 0", allocs)
 	}
+	t.Logf("%v allocations per decomposition", counts)
+}
+
+// TestDecomposeConcurrent: goroutines that call Decompose on a fresh
+// Quiver at once see the decomposition one of them computes, and the same
+// components a lone caller sees. Run it under -race.
+func TestDecomposeConcurrent(t *testing.T) {
+	tp, leaves, spines := fig4()
+	tp.FailLink(tp.LinkBetween(leaves[0], spines[0])[0])
+	r := topo.ComputeRoutes(tp)
+	want := Build(r)
+	q := &Quiver{routes: r, scores: want.scores}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, s := range tp.Switches {
+				for _, leaf := range tp.Leaves {
+					if got, want := q.Decompose(s, leaf), want.Decompose(s, leaf); !reflect.DeepEqual(got, want) {
+						t.Errorf("%d→%d: components %+v, alone %+v", s, leaf, got, want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestBuildAllocs bounds Build's allocations on a symmetric k=8 fat-tree:
@@ -299,23 +355,12 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkDecompose decomposes every switch's paths toward every leaf of
-// a k=12 fat-tree, the work of one DRILL table build.
+// a k=12 fat-tree on a fresh Quiver, the work of one DRILL table build.
 func BenchmarkDecompose(b *testing.B) {
-	r := fatTreeRoutes(12)
-	q := Build(r)
-	tp := r.Topo()
+	q := Build(fatTreeRoutes(12))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, nd := range tp.Nodes {
-			if nd.Kind == topo.Host {
-				continue
-			}
-			for _, leaf := range tp.Leaves {
-				if leaf != nd.ID {
-					sinkComps = q.Decompose(nd.ID, leaf)
-				}
-			}
-		}
+		sinkComps = decomposeAll(q)
 	}
 }

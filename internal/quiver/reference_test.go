@@ -150,15 +150,19 @@ func sortLabels(labels []Label) {
 	})
 }
 
-func (q *refQuiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
+// Decompose groups the shortest paths from src toward leaf dst by score
+// vector, in order of each group's first path, and returns the components
+// with each group's paths.
+func (q *refQuiver) Decompose(src topo.NodeID, dst topo.NodeID) ([]Component, [][][]topo.ChanID) {
 	t := q.routes.Topo()
 	paths := refPaths(q.routes, src, dst)
 	if len(paths) == 0 || src == dst {
-		return nil
+		return nil, nil
 	}
 	// Group paths by score vector.
-	byScore := map[string]*Component{}
-	var order []string
+	byScore := map[string]int{}
+	var comps []Component
+	var groups [][][]topo.ChanID
 	for _, p := range paths {
 		key := make([]byte, 0, 8*len(p))
 		for _, cid := range p {
@@ -167,24 +171,22 @@ func (q *refQuiver) Decompose(src topo.NodeID, dst topo.NodeID) []Component {
 				key = append(key, byte(s>>(8*i)))
 			}
 		}
-		k := string(key)
-		comp := byScore[k]
-		if comp == nil {
-			comp = &Component{}
-			byScore[k] = comp
-			order = append(order, k)
+		i, ok := byScore[string(key)]
+		if !ok {
+			i = len(comps)
+			byScore[string(key)] = i
+			comps = append(comps, Component{})
+			groups = append(groups, nil)
 		}
-		comp.Paths = append(comp.Paths, p)
-		comp.Capacity += t.Bottleneck(p)
+		groups[i] = append(groups[i], p)
+		comps[i].Capacity += t.Bottleneck(p)
+		comps[i].NumPaths++
 	}
-	comps := make([]Component, 0, len(byScore))
-	for _, k := range order {
-		c := byScore[k]
-		c.FirstHops = distinctFirstHops(c.Paths)
-		comps = append(comps, *c)
+	for i := range comps {
+		comps[i].FirstHops = distinctFirstHops(groups[i])
 	}
 	assignWeights(comps)
-	return comps
+	return comps, groups
 }
 
 func distinctFirstHops(paths [][]topo.ChanID) []topo.ChanID {
@@ -202,8 +204,8 @@ func distinctFirstHops(paths [][]topo.ChanID) []topo.ChanID {
 
 // checkAgainstReference holds the routes' path enumeration, Build and
 // Decompose to the reference: every channel's score, and for every
-// switch × leaf the paths in order and the decomposition — component
-// order, Paths, FirstHops, Capacity and Weight.
+// node × leaf the paths in order and the decomposition — component order,
+// FirstHops, Capacity, Weight and the path count.
 func checkAgainstReference(t *testing.T, r *topo.Routes) {
 	t.Helper()
 	tp := r.Topo()
@@ -214,25 +216,24 @@ func checkAgainstReference(t *testing.T, r *topo.Routes) {
 		}
 	}
 	for _, nd := range tp.Nodes {
-		if nd.Kind == topo.Host {
-			continue
-		}
 		for _, leaf := range tp.Leaves {
 			got, want := r.Paths(nd.ID, leaf), refPaths(r, nd.ID, leaf)
 			if !slices.EqualFunc(got, want, slices.Equal[[]topo.ChanID]) {
 				t.Fatalf("%d→%d: paths %v, reference %v", nd.ID, leaf, got, want)
 			}
-			if got, want := q.Decompose(nd.ID, leaf), ref.Decompose(nd.ID, leaf); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d→%d: components %+v, reference %+v", nd.ID, leaf, got, want)
+			refComps, _ := ref.Decompose(nd.ID, leaf)
+			if comps := q.Decompose(nd.ID, leaf); !reflect.DeepEqual(comps, refComps) {
+				t.Fatalf("%d→%d: components %+v, reference %+v", nd.ID, leaf, comps, refComps)
 			}
 		}
 	}
 }
 
 // TestMatchesReference runs the reference check over the paper's
-// examples, a symmetric fat-tree, and the fuzz generator's shapes at
-// fixed seeds: leaf–spine and 3-tier fat-trees, heterogeneous rates,
-// failures.
+// examples, symmetric fat-trees, a k=8 fat-tree with three fabric links
+// failed, and the fuzz generator's shapes at fixed seeds: leaf–spine,
+// 3-tier fat-trees, striped leaf–spine with parallel links and VL2,
+// heterogeneous rates, failures.
 func TestMatchesReference(t *testing.T) {
 	tp, leaves, spines := fig4()
 	tp.FailLink(tp.LinkBetween(leaves[0], spines[0])[0])
@@ -241,8 +242,19 @@ func TestMatchesReference(t *testing.T) {
 	checkAgainstReference(t, topo.ComputeRoutes(topo.Heterogeneous(topo.HeterogeneousConfig{
 		Spines: 4, Leaves: 6, HostsPerLeaf: 1})))
 	checkAgainstReference(t, fatTreeRoutes(4))
+	ft := topo.FatTree(topo.FatTreeConfig{K: 8, LinkRate: 10 * units.Gbps})
+	var fabric []topo.LinkID
+	for _, l := range ft.Links {
+		if ft.Nodes[l.A].Kind != topo.Host && ft.Nodes[l.B].Kind != topo.Host {
+			fabric = append(fabric, l.ID)
+		}
+	}
+	for _, i := range []int{0, len(fabric) / 2, len(fabric) - 1} {
+		ft.FailLink(fabric[i]) // the first, middle and last fabric links
+	}
+	checkAgainstReference(t, topo.ComputeRoutes(ft))
 	for seed := int64(0); seed < 24; seed++ {
-		for shape := uint8(0); shape < 2; shape++ {
+		for shape := uint8(0); shape < 4; shape++ {
 			tp := fuzzTopo(seed, shape, uint8(seed), uint8(seed/2), uint8(seed/4), uint8(seed*5))
 			checkAgainstReference(t, topo.ComputeRoutes(tp))
 		}

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -214,6 +215,38 @@ func TestComputeRoutesAllocs(t *testing.T) {
 		}
 	}
 	t.Logf("%v allocations per fabric", counts)
+}
+
+// TestComputeRoutesBytes: the routes of a k=16 fat-tree hold rows for its
+// 320 switches toward its 128 leaves and none for its 1,024 hosts. Beside
+// the next hops themselves, ComputeRoutes allocates at most 16 bytes per
+// (switch, leaf) entry: 12 for the entry's distance, path count and
+// window offset, the rest for the adjacency. Rows for every node would
+// cost 12 bytes per (node, leaf) entry, about 50 per (switch, leaf).
+func TestComputeRoutesBytes(t *testing.T) {
+	tp := FatTree(FatTreeConfig{K: 16})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := ComputeRoutes(tp)
+	runtime.ReadMemStats(&after)
+	entries := len(tp.Switches) * len(tp.Leaves)
+	perEntry := float64(int(after.TotalAlloc-before.TotalAlloc)-4*len(r.next)) / float64(entries)
+	if perEntry > 16 {
+		t.Fatalf("ComputeRoutes allocates %.1f bytes per (switch, leaf) entry beside its %d next hops, want at most 16",
+			perEntry, len(r.next))
+	}
+	t.Logf("%.1f bytes per (switch, leaf) entry beside the next hops", perEntry)
+}
+
+// BenchmarkComputeRoutes computes the routes of a k=12 fat-tree: 180
+// switches toward 72 leaves.
+func BenchmarkComputeRoutes(b *testing.B) {
+	tp := FatTree(FatTreeConfig{K: 12})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRoutes = ComputeRoutes(tp)
+	}
 }
 
 var sinkRoutes *Routes

@@ -7,90 +7,107 @@ import "math"
 // It must be recomputed after link failures; the fabric models that
 // recomputation delay explicitly.
 //
-// Every table is one flat array indexed by entry li*n + node, for leaf
-// index li and n nodes, so the state costs a constant number of arrays
-// whatever the fabric's size.
+// Every table is one flat array indexed by entry li*ns + si, for leaf
+// index li and switch index si (Topology.SwitchIndex) among ns switches,
+// so the state costs a constant number of arrays whatever the fabric's
+// size. Hosts never forward transit traffic and have no rows: every host
+// maps to one shared last entry, which is unreachable, with no next hops
+// and no paths.
 type Routes struct {
 	topo *Topology
-	n    int
+	ns   int
 
-	// dist[e] is the hop distance from the entry's node to its leaf,
+	// dist[e] is the hop distance from the entry's switch to its leaf,
 	// counting switch-to-switch hops only (hosts are never transit).
 	dist []int32
 
-	// next[off[e]:off[e+1]] lists the directed channels at the entry's node
-	// that lie on a shortest path toward its leaf, in ascending ChanID order.
+	// next[off[e]:off[e+1]] lists the directed channels at the entry's
+	// switch that lie on a shortest path toward its leaf, in ascending
+	// ChanID order.
 	off  []int32
 	next []ChanID
 
-	// paths[e] is the number of shortest paths from the entry's node to its
-	// leaf: 1 for the leaf itself (the empty path), 0 when unreachable.
+	// paths[e] is the number of shortest paths from the entry's switch to
+	// its leaf: 1 for the leaf itself (the empty path), 0 when unreachable.
 	paths []int32
 }
 
 const unreachable = int32(math.MaxInt32)
 
-// ComputeRoutes runs reverse BFS from every leaf over up links, excluding
-// hosts as transit nodes, and records all equal-cost next hops and the
-// number of shortest paths from every node. It allocates the same few
-// arrays whatever the topology.
+// arc is an up channel between two switches in ComputeRoutes' adjacency:
+// the channel leaving a switch and the switch index of its head.
+type arc struct {
+	c  ChanID
+	to int32
+}
+
+// ComputeRoutes runs reverse BFS from every leaf over up links between
+// switches (hosts are never transit) and records all equal-cost next hops
+// and the number of shortest paths from every switch. It allocates the
+// same few arrays whatever the topology.
 func ComputeRoutes(t *Topology) *Routes {
-	n, nl := len(t.Nodes), len(t.Leaves)
+	ns, nl := len(t.Switches), len(t.Leaves)
+	m := nl * ns // entries; entry m is the hosts'
+	rows := make([]int32, 2*(m+1))
 	r := &Routes{
 		topo:  t,
-		n:     n,
-		dist:  make([]int32, nl*n),
-		off:   make([]int32, nl*n+1),
-		paths: make([]int32, nl*n),
+		ns:    ns,
+		dist:  rows[: m+1 : m+1],
+		paths: rows[m+1:],
+		off:   make([]int32, m+2),
 	}
-	// Reverse adjacency in CSR form: in[inOff[v]:inOff[v+1]] lists the up
-	// channels arriving at v, in link order.
-	inOff := make([]int32, n+1)
+	r.dist[m] = unreachable
+	// Adjacency over switches in CSR form: adj[adjOff[v]:adjOff[v+1]] lists
+	// the up channels from switch v to another switch, in link order, which
+	// is ascending ChanID. A link is up in both directions or neither, so
+	// the heads listed are also the switches with an up channel into v:
+	// the reverse BFS reads the list as v's incoming channels.
+	ix := t.index
+	adjOff := make([]int32, 2*ns+1) // the offsets, then ns slots of scratch
 	for _, l := range t.Links {
-		if l.Up {
-			inOff[l.A+1]++
-			inOff[l.B+1]++
+		if a, b := ix[l.A].sw, ix[l.B].sw; l.Up && a >= 0 && b >= 0 {
+			adjOff[a+1]++
+			adjOff[b+1]++
 		}
 	}
-	for v := range n {
-		inOff[v+1] += inOff[v]
+	for v := range ns {
+		adjOff[v+1] += adjOff[v]
 	}
-	in := make([]ChanID, inOff[n])
-	fill := make([]int32, n+1) // per-node fill cursor, then the BFS queue
-	copy(fill, inOff)
+	adj := make([]arc, adjOff[ns])
+	fill := adjOff[ns+1:] // per-switch fill cursor, then the BFS queue
+	copy(fill, adjOff[:ns])
 	for _, l := range t.Links {
-		if l.Up {
-			in[fill[l.B]] = ChanID(2 * l.ID) // A→B arrives at B
-			fill[l.B]++
-			in[fill[l.A]] = ChanID(2*l.ID + 1) // B→A arrives at A
-			fill[l.A]++
+		if a, b := ix[l.A].sw, ix[l.B].sw; l.Up && a >= 0 && b >= 0 {
+			adj[fill[a]] = arc{ChanID(2 * l.ID), b} // A→B leaves A
+			fill[a]++
+			adj[fill[b]] = arc{ChanID(2*l.ID + 1), a} // B→A leaves B
+			fill[b]++
 		}
 	}
+	adjOff = adjOff[:ns+1]
 	queue := fill[:0]
 
-	// One BFS per leaf, in queue order, so a node's distance, next-hop
-	// count and path count are final when it is dequeued: every channel
-	// u→v arriving at a dequeued v with dist[u] = dist[v]+1 is one of u's
-	// next hops, and carries v's paths to u. off[e+1] collects the counts.
+	// One BFS per leaf, in queue order, so a switch's distance, next-hop
+	// count and path count are final when it is dequeued: every up channel
+	// u→v into a dequeued v with dist[u] = dist[v]+1 is one of u's next
+	// hops, and carries v's paths to u. off[e+1] collects the counts.
 	for li, leaf := range t.Leaves {
-		row := li * n
-		dist, paths := r.dist[row:row+n], r.paths[row:row+n]
-		cnt := r.off[row+1 : row+n+1]
+		row := li * ns
+		dist, paths := r.dist[row:row+ns], r.paths[row:row+ns]
+		cnt := r.off[row+1 : row+ns+1]
 		for i := range dist {
 			dist[i] = unreachable
 		}
-		dist[leaf], paths[leaf] = 0, 1
-		queue = append(queue[:0], int32(leaf))
+		s := ix[leaf].sw
+		dist[s], paths[s] = 0, 1
+		queue = append(queue[:0], s)
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
-			for _, cid := range in[inOff[v]:inOff[v+1]] {
-				u := t.Chan(cid).From
-				if t.Nodes[u].Kind == Host {
-					continue // hosts do not forward transit traffic
-				}
+			for _, a := range adj[adjOff[v]:adjOff[v+1]] {
+				u := a.to
 				if dist[u] == unreachable {
 					dist[u] = dist[v] + 1
-					queue = append(queue, int32(u))
+					queue = append(queue, u)
 				}
 				if dist[u] == dist[v]+1 {
 					cnt[u]++
@@ -99,25 +116,23 @@ func ComputeRoutes(t *Topology) *Routes {
 			}
 		}
 	}
-	for e := range nl * n {
+	for e := range m + 1 {
 		r.off[e+1] += r.off[e]
 	}
 
-	// Fill each entry's window in OutAll order, which is ascending ChanID.
-	r.next = make([]ChanID, r.off[nl*n])
+	// Fill each switch's windows from its adjacency, in ascending ChanID.
+	r.next = make([]ChanID, r.off[m])
 	for li := range t.Leaves {
-		row := li * n
-		dist := r.dist[row : row+n]
-		for u := range n {
-			w := r.off[row+u : row+u+2]
-			if w[0] == w[1] {
+		row := li * ns
+		dist := r.dist[row : row+ns]
+		for u := range ns {
+			k, end := r.off[row+u], r.off[row+u+1]
+			if k == end {
 				continue
 			}
-			k := w[0]
-			for _, cid := range t.out[u] {
-				to := t.Chan(cid).To
-				if t.Links[cid/2].Up && dist[to] == dist[u]-1 && t.Nodes[to].Kind != Host {
-					r.next[k] = cid
+			for _, a := range adj[adjOff[u]:adjOff[u+1]] {
+				if dist[a.to] == dist[u]-1 {
+					r.next[k] = a.c
 					k++
 				}
 			}
@@ -129,9 +144,14 @@ func ComputeRoutes(t *Topology) *Routes {
 // Topo returns the topology this routing state was computed from.
 func (r *Routes) Topo() *Topology { return r.topo }
 
-// entry returns the flat index of (node, dstLeaf).
+// entry returns the flat index of (node, dstLeaf): the hosts' shared
+// entry when node is a host.
 func (r *Routes) entry(node, dstLeaf NodeID) int {
-	return r.topo.LeafIndex(dstLeaf)*r.n + int(node)
+	li := r.topo.LeafIndex(dstLeaf)
+	if si := r.topo.index[node].sw; si >= 0 {
+		return li*r.ns + int(si)
+	}
+	return len(r.dist) - 1
 }
 
 // Dist returns the shortest hop count from node to dstLeaf, or -1 if
@@ -156,8 +176,8 @@ func (r *Routes) NextHops(node, dstLeaf NodeID) []ChanID {
 // Paths returns every shortest path from node src to leaf dst as channel
 // sequences, in AppendPaths order; src == dst has the single empty path.
 // Each path is a window of one shared buffer. It serves callers that keep
-// paths (Presto's source routes, inspection tools); the Quiver and WCMP
-// walk the flat AppendPaths buffer directly.
+// paths (Presto's source routes, inspection tools such as quiverdump);
+// WCMP walks the flat AppendPaths buffer directly.
 func (r *Routes) Paths(src, dst NodeID) [][]ChanID {
 	if src == dst {
 		return [][]ChanID{{}}
@@ -181,15 +201,15 @@ func (r *Routes) Paths(src, dst NodeID) [][]ChanID {
 // path count gives. Nothing is appended when dst is unreachable or src ==
 // dst (whose one shortest path is empty). In Clos fabrics path counts are
 // small (≤ spines for 2-stage, ≤ aggs×cores for 3-stage); the paths feed
-// the Quiver's decomposition (§3.4.1), WCMP's weights and Presto's source
-// routing.
+// WCMP's weights and Presto's source routing. The Quiver's decomposition
+// (§3.4.1) needs none: it builds components from next hops.
 func (r *Routes) AppendPaths(buf []ChanID, src, dst NodeID) []ChanID {
 	e := r.entry(src, dst)
 	hops := int(r.dist[e])
 	if hops == 0 || r.dist[e] == unreachable {
 		return buf
 	}
-	row := e - int(src)
+	row := e - int(r.topo.index[src].sw)
 	if n := int(r.paths[e]) * hops; cap(buf)-len(buf) < n {
 		buf = append(make([]ChanID, 0, len(buf)+n), buf...)
 	}
@@ -201,7 +221,7 @@ func (r *Routes) AppendPaths(buf []ChanID, src, dst NodeID) []ChanID {
 // whose entries start at row. The first completed path reuses the prefix
 // in place; each later one starts with a copy of it.
 func (r *Routes) appendWalk(buf []ChanID, row int, at NodeID, p, d, hops int) []ChanID {
-	e := row + int(at)
+	e := row + int(r.topo.index[at].sw)
 	for k, cid := range r.next[r.off[e]:r.off[e+1]] {
 		q := p
 		if k > 0 {

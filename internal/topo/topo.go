@@ -92,16 +92,22 @@ type Topology struct {
 	// out[n] lists the directed channels leaving node n (including to hosts).
 	out [][]ChanID
 
-	// Hosts, Leaves list node IDs by role, in construction order.
-	Hosts  []NodeID
-	Leaves []NodeID
+	// Hosts, Leaves and Switches list node IDs by role, in construction
+	// order; Switches holds every node that is not a host.
+	Hosts    []NodeID
+	Leaves   []NodeID
+	Switches []NodeID
 
 	// HostLeaf maps a host's NodeID to its leaf (ToR) NodeID.
 	HostLeaf map[NodeID]NodeID
 
-	// leafIndex[n] is leaf n's position in Leaves, -1 for other nodes.
-	leafIndex []int32
+	// index[n] is node n's position in Leaves and in Switches.
+	index []nodeIndex
 }
+
+// nodeIndex is a node's position in Leaves and in Switches, -1 where it
+// is not one.
+type nodeIndex struct{ leaf, sw int32 }
 
 // New returns an empty topology.
 func New() *Topology {
@@ -113,14 +119,18 @@ func (t *Topology) AddNode(kind NodeKind, name string) NodeID {
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, Name: name})
 	t.out = append(t.out, nil)
-	t.leafIndex = append(t.leafIndex, -1)
-	switch kind {
-	case Host:
+	ix := nodeIndex{leaf: -1, sw: -1}
+	if kind == Host {
 		t.Hosts = append(t.Hosts, id)
-	case Leaf:
-		t.leafIndex[id] = int32(len(t.Leaves))
+	} else {
+		ix.sw = int32(len(t.Switches))
+		t.Switches = append(t.Switches, id)
+	}
+	if kind == Leaf {
+		ix.leaf = int32(len(t.Leaves))
 		t.Leaves = append(t.Leaves, id)
 	}
+	t.index = append(t.index, ix)
 	return id
 }
 
@@ -219,22 +229,18 @@ func (t *Topology) LeafOf(h NodeID) NodeID {
 
 // LeafIndex returns the dense index of leaf node id in Leaves.
 func (t *Topology) LeafIndex(leaf NodeID) int {
-	if uint(leaf) >= uint(len(t.leafIndex)) || t.leafIndex[leaf] < 0 {
+	if uint(leaf) >= uint(len(t.index)) || t.index[leaf].leaf < 0 {
 		panic(fmt.Sprintf("topo: node %d is not a leaf", leaf))
 	}
-	return int(t.leafIndex[leaf])
+	return int(t.index[leaf].leaf)
 }
 
+// SwitchIndex returns the dense index of node n in Switches, or -1 if n is
+// a host.
+func (t *Topology) SwitchIndex(n NodeID) int { return int(t.index[n].sw) }
+
 // NumSwitches reports how many nodes are switches (non-hosts).
-func (t *Topology) NumSwitches() int {
-	n := 0
-	for _, nd := range t.Nodes {
-		if nd.Kind != Host {
-			n++
-		}
-	}
-	return n
-}
+func (t *Topology) NumSwitches() int { return len(t.Switches) }
 
 // LinkBetween returns the IDs of all up links directly connecting a and b.
 func (t *Topology) LinkBetween(a, b NodeID) []LinkID {
