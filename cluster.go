@@ -67,7 +67,8 @@ func (c *Cluster) Now() Time { return c.sim.Now() }
 
 // StartFlow begins a TCP transfer of size bytes (size < 0 = open-ended;
 // read progress via Flow.AckedBytes). Class tags the flow for per-class
-// statistics.
+// statistics. The returned handle stays valid for the whole run, after
+// the flow finishes too.
 func (c *Cluster) StartFlow(src, dst NodeID, size int64, class string) *Flow {
 	return c.reg.StartFlow(src, dst, size, class)
 }

@@ -54,7 +54,9 @@ type (
 
 	// Balancer is a pluggable per-packet load-balancing policy.
 	Balancer = fabric.Balancer
-	// Flow is a TCP transfer handle.
+	// Flow is a TCP transfer handle. It stays valid for the whole run: a
+	// finished flow's receiver and timer are reused by later flows, its
+	// handle never is.
 	Flow = transport.Sender
 	// FCTStats is a sample distribution with exact percentiles.
 	FCTStats = metrics.Dist

@@ -11,9 +11,8 @@ import (
 	"drill/internal/units"
 )
 
-// Clock abstracts the simulator for the shim's hold timer.
+// Clock gives a shim its hold timer.
 type Clock interface {
-	Now() units.Time
 	// NewTimer returns an unarmed timer that runs fn when it fires.
 	NewTimer(fn func()) Timer
 }
@@ -68,6 +67,21 @@ func (r *Reorderer) Expected() int64 { return r.expected }
 
 // Held returns the number of buffered out-of-order segments.
 func (r *Reorderer) Held() int { return len(r.buf) }
+
+// Idle reports whether the shim holds nothing and has no hold armed.
+func (r *Reorderer) Idle() bool { return len(r.buf) == 0 && !r.armed }
+
+// Reset returns an idle shim to a new one's state, at sequence 0 with no
+// flushes counted, so that another flow can reuse it. It keeps its clock,
+// timeout, delivery callback, hold timer and buffer capacity. Resetting a
+// shim that holds segments or has a hold armed panics: their delivery
+// would be lost.
+func (r *Reorderer) Reset() {
+	if !r.Idle() {
+		panic("gro: Reset of a shim that holds segments or has a hold armed")
+	}
+	r.expected, r.buf, r.Flushes = 0, r.buf[:0], 0
+}
 
 // Push accepts one segment from the wire.
 func (r *Reorderer) Push(s Segment) {

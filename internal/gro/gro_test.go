@@ -1,6 +1,7 @@
 package gro
 
 import (
+	"fmt"
 	"testing"
 
 	"drill/internal/units"
@@ -20,8 +21,6 @@ type fakeTimer struct {
 	at    units.Time
 	armed bool
 }
-
-func (c *fakeClock) Now() units.Time { return c.now }
 
 func (c *fakeClock) NewTimer(fn func()) Timer {
 	t := &fakeTimer{c: c, fn: fn}
@@ -251,4 +250,55 @@ func TestReordererHoldLeavesNoTimer(t *testing.T) {
 	if r.Flushes != 1 || c.armed() != 0 || len(got) != 21 {
 		t.Fatalf("timeout: %d flushes, %d armed, %d delivered; want 1, 0, 21", r.Flushes, c.armed(), len(got))
 	}
+}
+
+// TestReordererReset: a shim reset after serving one flow behaves as a new
+// one for the next (the same deliveries, holds and flushes) and keeps its
+// one timer. Resetting a shim that holds a segment, and so has a hold
+// armed, panics.
+func TestReordererReset(t *testing.T) {
+	play := func(r *Reorderer, c *fakeClock) {
+		r.Push(seg(0, 100))
+		r.Push(seg(300, 100)) // a hold
+		r.Push(seg(100, 100)) // drains to 200; the hold goes on for 200
+		c.advance(c.now + 60) // the flush
+		r.Push(seg(200, 100)) // late, below expected
+		r.Push(seg(500, 100)) // a new hold, filled
+		r.Push(seg(400, 100))
+	}
+	var fresh, reused []int64
+	c1 := &fakeClock{}
+	r1 := NewReorderer(c1, 50, collect(&fresh))
+	play(r1, c1)
+
+	c2 := &fakeClock{}
+	r2 := NewReorderer(c2, 50, collect(&reused))
+	r2.Push(seg(200, 100)) // another flow: held, then flushed
+	c2.advance(60)
+	r2.Push(seg(0, 100))
+	if !r2.Idle() || r2.Flushes != 1 {
+		t.Fatalf("the first flow left idle %v, %d flushes", r2.Idle(), r2.Flushes)
+	}
+	r2.Reset()
+	if r2.Expected() != 0 || r2.Held() != 0 || r2.Flushes != 0 {
+		t.Fatalf("reset shim: expected %d, held %d, flushes %d", r2.Expected(), r2.Held(), r2.Flushes)
+	}
+	reused = reused[:0]
+	c2.now = 0 // where the new shim's run started
+	play(r2, c2)
+	if fmt.Sprint(fresh) != fmt.Sprint(reused) || r1.Flushes != r2.Flushes || r1.Expected() != r2.Expected() {
+		t.Fatalf("reset shim delivered %v (%d flushes, expected %d), a new one %v (%d, %d)",
+			reused, r2.Flushes, r2.Expected(), fresh, r1.Flushes, r1.Expected())
+	}
+	if len(c2.timers) != 1 {
+		t.Fatalf("the reset shim made %d timers, want its one", len(c2.timers))
+	}
+
+	r2.Push(seg(700, 100)) // held: the hold is armed
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset of a shim holding a segment did not panic")
+		}
+	}()
+	r2.Reset()
 }

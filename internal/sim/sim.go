@@ -1028,7 +1028,7 @@ func (h *eventHeap) removeAt(i int) {
 // how many times ACKs re-arm them.
 //
 // A Timer belongs to the single-threaded Sim that created it; the zero
-// value is not usable.
+// value is not usable until Init.
 type Timer struct {
 	s     *Sim
 	fn    func()
@@ -1041,10 +1041,23 @@ type Timer struct {
 // closure allocated here is reused across every Reset for the timer's
 // lifetime.
 func (s *Sim) NewTimer(fn func()) *Timer {
+	t := new(Timer)
+	t.Init(s, fn)
+	return t
+}
+
+// Init makes t an unarmed timer on s that runs fn when it fires: NewTimer
+// for a timer held by value inside a longer-lived object, which saves the
+// timer its own allocation. Initializing an armed timer panics, since its
+// scheduled entry would be lost.
+func (t *Timer) Init(s *Sim, fn func()) {
 	if fn == nil {
 		panic("sim: NewTimer requires a callback")
 	}
-	return &Timer{s: s, fn: fn, tier: tierNone, idx: -1}
+	if t.Armed() {
+		panic("sim: Init of an armed timer")
+	}
+	*t = Timer{s: s, fn: fn, tier: tierNone, idx: -1}
 }
 
 // Armed reports whether the timer is scheduled to fire.

@@ -3,21 +3,30 @@ package transport
 import (
 	"drill/internal/fabric"
 	"drill/internal/gro"
+	"drill/internal/sim"
 	"drill/internal/topo"
 	"drill/internal/trace"
 	"drill/internal/units"
 )
 
-// simClock adapts a host agent's shard scheduler to gro.Clock, so shim
-// hold timers fire inside the host's shard.
-type simClock struct{ a *Agent }
+// simClock adapts a shard domain's scheduler to gro.Clock, so shim hold
+// timers fire inside the receiver host's shard.
+type simClock struct{ s *sim.Sim }
 
-func (c simClock) Now() units.Time              { return c.a.sim.Now() }
-func (c simClock) NewTimer(fn func()) gro.Timer { return c.a.sim.NewTimer(fn) }
+func (c simClock) NewTimer(fn func()) gro.Timer { return c.s.NewTimer(fn) }
 
 // Receiver is the TCP receive side of one flow: cumulative ACK generation
 // with immediate duplicate ACKs on out-of-order arrival (RFC 2581), plus
 // the optional reordering shim and the GRO batching model in front of it.
+//
+// A closed receiver goes back to its shard domain's flowPool with its
+// shim, hold timer, batcher, SACK-list capacity and callbacks, and the
+// next flow that shard opens reuses it. It goes back only once the data
+// packet's delivery that closed it has returned (Agent.HandlePacket),
+// since close runs inside tcpRx, which the shim's drain loop may still be
+// iterating. A hold's flush never closes a receiver: every segment the
+// shim holds starts beyond a gap TCP has not received, so a flush leaves
+// rcvNxt where it was.
 type Receiver struct {
 	agent *Agent
 	id    uint64
@@ -30,8 +39,8 @@ type Receiver struct {
 	lastAck   int64
 	ackedOnce bool
 
-	dupAcks  int // duplicate ACKs this receiver generated
-	reported bool
+	dupAcks int  // duplicate ACKs this receiver generated
+	closed  bool // every byte arrived and the flow's stats are reported
 
 	// Wire-reorder accounting: a packet whose emission counter is below
 	// the maximum seen arrived out of emission order (retransmissions get
@@ -50,19 +59,37 @@ type Receiver struct {
 
 type span struct{ lo, hi int64 }
 
-func newReceiver(a *Agent, first *fabric.Packet) *Receiver {
-	r := &Receiver{
-		agent: a, id: first.FlowID, hash: first.Hash,
-		peer: first.Src, size: first.AckNo,
-	}
+// newReceiver builds a receiver for a's shard domain, with its registry's
+// shim and batcher settings, to be opened on a flow.
+func newReceiver(a *Agent) *Receiver {
+	r := &Receiver{}
 	cfg := a.reg.Cfg
 	if cfg.ShimTimeout > 0 {
-		r.shim = gro.NewReorderer(simClock{a}, cfg.ShimTimeout, r.tcpRx)
+		r.shim = gro.NewReorderer(simClock{a.sim}, cfg.ShimTimeout, r.tcpRx)
 	}
 	if cfg.TrackGRO {
 		r.batcher = gro.NewBatcher()
 	}
 	return r
+}
+
+// open starts a new or reset receiver on the flow of its first packet.
+func (r *Receiver) open(a *Agent, first *fabric.Packet) {
+	r.agent, r.id, r.hash, r.peer, r.size = a, first.FlowID, first.Hash, first.Src, first.AckNo
+}
+
+// reset returns a closed receiver to a new one's state, keeping its shim
+// (hold timer and callbacks included), batcher and SACK-list capacity for
+// the next flow. Its shim must be idle: resetting one that holds segments
+// or has a hold armed panics.
+func (r *Receiver) reset() {
+	if r.shim != nil {
+		r.shim.Reset()
+	}
+	if r.batcher != nil {
+		*r.batcher = gro.Batcher{}
+	}
+	*r = Receiver{shim: r.shim, batcher: r.batcher, sacked: r.sacked[:0]}
 }
 
 // onData accepts one data packet off the wire.
@@ -171,10 +198,10 @@ func (r *Receiver) sendAck() {
 }
 
 func (r *Receiver) close() {
-	if r.reported {
+	if r.closed {
 		return
 	}
-	r.reported = true
+	r.closed = true
 	stats := r.agent.stats
 	if r.agent.sim.Now() >= r.agent.reg.MeasureFrom {
 		stats.DupAcks.Add(r.dupAcks)

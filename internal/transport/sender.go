@@ -2,7 +2,6 @@ package transport
 
 import (
 	"drill/internal/fabric"
-	"drill/internal/sim"
 	"drill/internal/topo"
 	"drill/internal/trace"
 	"drill/internal/units"
@@ -35,8 +34,9 @@ type Sender struct {
 	// this handle in place — one live heap entry per flow, ever — where the
 	// pre-cancellation design pushed a fresh generation-checked closure
 	// into the sim heap on every ACK and let the stale one rot until its
-	// deadline.
-	rtoTimer *sim.Timer
+	// deadline. It goes back to the shard's pool when the flow finishes,
+	// and is nil from then on.
+	rtoTimer *flowTimer
 
 	start    units.Time
 	fct      units.Time
@@ -316,4 +316,6 @@ func (s *Sender) finish(now units.Time) {
 	if s.reg.OnComplete != nil {
 		s.reg.OnComplete(s)
 	}
+	s.agent.pool.putTimer(s.rtoTimer)
+	s.rtoTimer = nil
 }

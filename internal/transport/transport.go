@@ -92,6 +92,10 @@ type Registry struct {
 
 	agents []*Agent // by host node ID; nil for switches
 
+	// pools holds one flowPool per shard domain (one sequentially); each
+	// agent draws from and returns to its own domain's.
+	pools []flowPool
+
 	// senders and receivers hold each flow's endpoints by flow ID, which
 	// StartFlow hands out densely from 1. StartFlow grows both at a
 	// barrier; during a window a slot is written only by its endpoint's
@@ -117,13 +121,15 @@ type Registry struct {
 // NewRegistry attaches a transport agent to every host in the network.
 func NewRegistry(s *sim.Sim, net *fabric.Network, cfg Config) *Registry {
 	r := &Registry{Sim: s, Net: net, Cfg: cfg, agents: make([]*Agent, len(net.Topo.Nodes)),
+		pools:   make([]flowPool, net.NumDomains()),
 		senders: make([]*Sender, 1), receivers: make([]*Receiver, 1), tracer: net.Tracer()}
 	if net.Sharded() {
 		r.shardStats = make([]Stats, net.NumDomains())
 	}
 	for _, h := range net.Topo.Hosts {
 		host := net.Host(h)
-		a := &Agent{reg: r, host: host, sim: net.DomainSim(h), stats: &r.Stats}
+		a := &Agent{reg: r, host: host, sim: net.DomainSim(h), stats: &r.Stats,
+			pool: &r.pools[net.DomainIndex(h)]}
 		if net.Sharded() {
 			a.stats = &r.shardStats[net.DomainIndex(h)]
 		}
@@ -134,16 +140,18 @@ func NewRegistry(s *sim.Sim, net *fabric.Network, cfg Config) *Registry {
 }
 
 // Agent is the per-host transport endpoint; it demultiplexes delivered
-// packets to flow senders (ACKs) and receivers (data). Its sim and stats
-// belong to the host's shard domain: every timer a flow arms, every clock
-// it reads, and every counter it bumps stays inside one shard, which is
-// what lets shards run their windows concurrently. Sequentially both
-// simply alias the registry's Sim and Stats.
+// packets to flow senders (ACKs) and receivers (data). Its sim, stats and
+// pool belong to the host's shard domain: every timer a flow arms, every
+// clock it reads, every counter it bumps and every pooled object it reuses
+// stays inside one shard, which is what lets shards run their windows
+// concurrently. Sequentially the sim and stats simply alias the
+// registry's Sim and Stats.
 type Agent struct {
 	reg   *Registry
 	host  *fabric.Host
 	sim   *sim.Sim
 	stats *Stats
+	pool  *flowPool
 }
 
 // HandlePacket implements fabric.PacketHandler. It finds the flow's
@@ -162,17 +170,24 @@ func (a *Agent) HandlePacket(h *fabric.Host, pkt *fabric.Packet) {
 	case fabric.Data:
 		rcv := r.receivers[id]
 		if rcv == nil {
-			rcv = newReceiver(a, pkt)
+			// A closed flow's late segment lands here too, and opens a
+			// receiver at rcvNxt 0 (ROADMAP item 2).
+			rcv = a.pool.receiver(a, pkt)
 			r.receivers[id] = rcv
 		}
 		rcv.onData(pkt)
+		if rcv.closed {
+			// This delivery closed the receiver, and has returned.
+			a.pool.putReceiver(rcv)
+		}
 	}
 }
 
 // StartFlow begins a TCP transfer of size bytes from src to dst. Class tags
 // the flow for per-class FCT reporting ("", "mice", "elephant", "incast").
 // Infinite flows (size < 0) never finish; their throughput is read via
-// Sender.AckedBytes.
+// Sender.AckedBytes. The returned handle stays valid for the whole run:
+// a finished flow's timer goes back to a pool, its Sender never does.
 func (r *Registry) StartFlow(src, dst topo.NodeID, size int64, class string) *Sender {
 	if src == dst {
 		panic("transport: flow to self")
@@ -191,10 +206,11 @@ func (r *Registry) StartFlow(src, dst topo.NodeID, size int64, class string) *Se
 		start:    r.Sim.Now(),
 		measured: r.Sim.Now() >= r.MeasureFrom,
 	}
-	// The flow's one RTO timer: allocated once here, re-armed in place for
-	// the flow's whole lifetime. It lives in the source host's scheduler
-	// so retransmission timeouts fire inside the host's shard.
-	s.rtoTimer = a.sim.NewTimer(s.onTimeout)
+	// The flow's one RTO timer, taken from the source host's shard pool
+	// (or allocated once) and re-armed in place for the flow's whole
+	// lifetime. It lives in the source host's scheduler so retransmission
+	// timeouts fire inside the host's shard.
+	s.rtoTimer = a.pool.timer(a.sim, s)
 	r.senders = append(r.senders, s)
 	r.receivers = append(r.receivers, nil)
 	s.trySend()
