@@ -28,18 +28,15 @@ func init() {
 			rep := &Report{ID: "ablgran",
 				Title:   "Mean / p99.99 FCT [ms] at 80% load by balancing granularity and load awareness",
 				Columns: []string{"granularity", "load-aware", "mean FCT", "p99.99 FCT", "hop1 drops"}}
-			var cfgs []RunCfg
+			var cells []cell
 			for gi, g := range grid {
-				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: g.scheme,
-					Seed: o.Seed + int64(gi), Load: 0.8, Warmup: w, Measure: m})
+				cells = append(cells, cell{[]string{g.gran, g.aware}, RunCfg{Topo: fig6Topo(o.Scale), Scheme: g.scheme,
+					Seed: o.Seed + int64(gi), Load: 0.8, Warmup: w, Measure: m}})
 			}
-			results := o.runAll(cfgs, func(i int, res *RunResult) {
-				o.progress("ablgran %s/%s done [%s]", grid[i].gran, grid[i].aware, timing(res))
+			o.runCells(cells, rep, func(res *RunResult) []string {
+				return []string{fmtMs(res.FCT.Mean()), fmtMs(res.FCT.Percentile(99.99)),
+					fmt.Sprintf("%d", res.Hops.Drops[1])}
 			})
-			for i, res := range results {
-				rep.AddRow(grid[i].gran, grid[i].aware, fmtMs(res.FCT.Mean()),
-					fmtMs(res.FCT.Percentile(99.99)), fmt.Sprintf("%d", res.Hops.Drops[1]))
-			}
 			rep.Note("both factors matter: finer granularity AND load awareness each " +
 				"improve tail FCT; their combination (DRILL) wins — §3.1's argument")
 			return rep
@@ -66,19 +63,14 @@ func init() {
 			rep := &Report{ID: "ablasym",
 				Title:   "One failed leaf-spine link, 70% load",
 				Columns: []string{"scheme", "mean FCT [ms]", "p99.99 [ms]", "core util", "retransmits"}}
-			var cfgs []RunCfg
-			for si, sc := range schemes {
-				seed := o.Seed + int64(si)
-				cfgs = append(cfgs, RunCfg{Topo: FailedUplinks(fig6Topo(o.Scale), 1, seed), Scheme: sc,
-					Seed: seed, Load: 0.7, Warmup: w, Measure: m})
+			cells := schemeCells(nil, o, RunCfg{Load: 0.7, Warmup: w, Measure: m}, schemes)
+			for i := range cells {
+				cells[i].cfg.Topo = FailedUplinks(fig6Topo(o.Scale), 1, cells[i].cfg.Seed)
 			}
-			results := o.runAll(cfgs, func(i int, res *RunResult) {
-				o.progress("ablasym %s done [%s]", schemes[i].Name, timing(res))
+			o.runCells(cells, rep, func(res *RunResult) []string {
+				return []string{fmtMs(res.FCT.Mean()), fmtMs(res.FCT.Percentile(99.99)),
+					fmt.Sprintf("%.3f", res.CoreUtil), fmt.Sprintf("%d", res.Retransmits)}
 			})
-			for i, res := range results {
-				rep.AddRow(schemes[i].Name, fmtMs(res.FCT.Mean()), fmtMs(res.FCT.Percentile(99.99)),
-					fmt.Sprintf("%.3f", res.CoreUtil), fmt.Sprintf("%d", res.Retransmits))
-			}
 			rep.Note("naive per-packet balancing across asymmetric paths couples their " +
 				"rates (§3.4's example) and reorders across unequal queues; the Quiver " +
 				"decomposition restores efficiency")

@@ -242,11 +242,7 @@ func RunBenchCell(c BenchCell) BenchCellResult {
 	}
 	if rep := res.EngineRep; rep != nil && len(rep.Shards) > 0 {
 		out.Windows = rep.WindowCount
-		for _, row := range rep.Exchange {
-			for _, n := range row {
-				out.Exchanged += n
-			}
-		}
+		out.Exchanged = rep.Exchanged()
 		out.BarrierStallPct = rep.StallPct()
 		out.ShardImbalance = rep.Imbalance()
 	}

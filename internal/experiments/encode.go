@@ -29,20 +29,9 @@ func (r *Report) CSV() (string, error) {
 	return b.String(), w.Error()
 }
 
-// reportJSON is the stable JSON shape of a Report.
-type reportJSON struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-}
-
 // JSON renders the report as indented JSON.
 func (r *Report) JSON() (string, error) {
-	out, err := json.MarshalIndent(reportJSON{
-		ID: r.ID, Title: r.Title, Columns: r.Columns, Rows: r.Rows, Notes: r.Notes,
-	}, "", "  ")
+	out, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return "", err
 	}

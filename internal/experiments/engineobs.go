@@ -138,23 +138,15 @@ func registerEngineReads(sn *obs.Snapshotter, scope string, report func() *obs.E
 func buildEngineReport(engine string, s *sim.Sim, group *sim.ShardGroup, net *fabric.Network) *obs.EngineReport {
 	rep := &obs.EngineReport{Engine: engine}
 	schedRow := func(name string, ss *sim.Sim) obs.EngineSched {
-		sc := ss.Sched()
-		return obs.EngineSched{
-			Sched: name, Near: sc.Near, Wheel: sc.Wheel, Far: sc.Far,
-			DispatchList: sc.DispatchList, DispatchHeap: sc.DispatchHeap,
-			Cascades: sc.Cascades, Pours: sc.Pours, PouredEvents: sc.PouredEvents,
-			WheelOccupancy: ss.WheelOccupancy(), Pending: ss.Pending(),
-		}
+		return obs.EngineSched{Sched: name, SchedStats: ss.Sched(),
+			WheelOccupancy: ss.WheelOccupancy(), Pending: ss.Pending()}
 	}
 	if group == nil {
 		rep.Sched = []obs.EngineSched{schedRow("seq", s)}
 		return rep
 	}
 	for i, st := range group.ShardStats() {
-		rep.Shards = append(rep.Shards, obs.EngineShard{
-			Shard: i, Windows: st.Windows, Events: st.Events,
-			Critical: st.Critical, BusyNs: st.BusyNs, StallNs: st.StallNs,
-		})
+		rep.Shards = append(rep.Shards, obs.EngineShard{Shard: i, ShardStat: st})
 	}
 	w := group.WindowStats()
 	rep.Barriers = group.Barriers()

@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -204,6 +205,57 @@ func (o *Options) runAll(cfgs []RunCfg, done func(i int, res *RunResult)) []*Run
 	return results
 }
 
+// cell is one run of an experiment's grid: its configuration and the
+// label columns that name it, in its progress line and at the head of its
+// report row.
+type cell struct {
+	labels []string
+	cfg    RunCfg
+}
+
+// runCells runs cells through runAll and reports each finished one on a
+// progress line: the experiment id and the cell's labels, then the run's
+// flows, mean and p99.99 FCT, drops, retransmits, out-of-order arrivals,
+// events and timing. With stats non-nil it also appends one row per cell
+// to rep, in cell order: the cell's labels followed by stats of its run.
+func (o *Options) runCells(cells []cell, rep *Report, stats func(*RunResult) []string) []*RunResult {
+	cfgs := make([]RunCfg, len(cells))
+	for i, c := range cells {
+		cfgs[i] = c.cfg
+	}
+	var done func(int, *RunResult)
+	if o.Progress != nil {
+		done = func(i int, res *RunResult) {
+			name := strings.TrimSpace(o.ExpID + " " + strings.Join(cells[i].labels, " "))
+			o.Progress("%s  flows=%d  meanFCT=%.3fms  p99.99=%.3fms  drops=%d  retx=%d  ooo=%d  events=%d  [%s]",
+				name, res.FCT.Count(), res.FCT.Mean(), res.FCT.Percentile(99.99),
+				res.Drops, res.Retransmits, res.OutOfOrder, res.Events, timing(res))
+		}
+	}
+	results := o.runAll(cfgs, done)
+	if stats != nil {
+		for i, res := range results {
+			rep.AddRow(append(slices.Clone(cells[i].labels), stats(res)...)...)
+		}
+	}
+	return results
+}
+
+// schemeCells appends one cell per scheme to cells, each base with that
+// scheme, the i-th seeded o.Seed+i, and labelled by the labels then the
+// scheme's name.
+func schemeCells(cells []cell, o Options, base RunCfg, schemes []Scheme, labels ...string) []cell {
+	for si, sc := range schemes {
+		cfg := base
+		cfg.Scheme, cfg.Seed = sc, o.Seed+int64(si)
+		cells = append(cells, cell{append(slices.Clone(labels), sc.Name), cfg})
+	}
+	return cells
+}
+
+// pct labels a load as a whole percentage.
+func pct(load float64) string { return fmt.Sprintf("%.0f%%", load*100) }
+
 // timing renders the per-cell run-timing suffix of progress lines.
 func timing(res *RunResult) string {
 	secs := res.Wall.Seconds()
@@ -238,13 +290,14 @@ func lerpTime(small, paper units.Time, scale float64) units.Time {
 	return small + units.Time(scale*float64(paper-small))
 }
 
-// Report is an experiment's result table.
+// Report is an experiment's result table; its JSON tags are the stable
+// shape JSON renders.
 type Report struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    [][]string
-	Notes   []string
+	ID      string     `json:"id"`
+	Title   string     `json:"title"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+	Notes   []string   `json:"notes,omitempty"`
 }
 
 // AddRow appends a formatted row.
@@ -287,13 +340,6 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Experiment is a registered, runnable evaluation artifact.

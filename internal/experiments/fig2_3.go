@@ -47,21 +47,18 @@ func fig2(id string, load float64) *Experiment {
 			for _, e := range engines {
 				rep.Columns = append(rep.Columns, fmt.Sprintf("%d-engine", e))
 			}
-			var cfgs []RunCfg
+			var cells []cell
 			for si, sc := range schemes {
 				for ei, e := range engines {
-					cfgs = append(cfgs, stdvCfg(o, stdvTopo(o.Scale), sc, e, load, o.Seed+int64(si*10+ei)))
+					cells = append(cells, cell{[]string{sc.Name, fmt.Sprintf("engines=%d", e)},
+						stdvCfg(o, stdvTopo(o.Scale), sc, e, load, o.Seed+int64(si*10+ei))})
 				}
 			}
-			results := o.runAll(cfgs, func(i int, res *RunResult) {
-				o.progress("%s %s engines=%d upSTDV=%.3f downSTDV=%.3f [%s]",
-					id, schemes[i/len(engines)].Name, engines[i%len(engines)],
-					res.UplinkSTDV, res.DownlinkSTDV, timing(res))
-			})
+			results := o.runCells(cells, nil, nil)
 			for si, sc := range schemes {
 				row := []string{sc.Name}
-				for ei := range engines {
-					row = append(row, fmt.Sprintf("%.3f", results[si*len(engines)+ei].UplinkSTDV))
+				for _, res := range results[si*len(engines):][:len(engines)] {
+					row = append(row, fmt.Sprintf("%.3f", res.UplinkSTDV))
 				}
 				rep.AddRow(row...)
 			}
@@ -91,31 +88,25 @@ func init() {
 			if o.Scale >= 0.5 {
 				ds = []int{1, 2, 4, 6, 8, 12, 16, 20}
 			}
-			// Cells are (value, variant-1, variant-2) pairs: the d sweep at
-			// m=1/m=2, then the m sweep at d=1/d=2, flattened in row order.
-			var cfgs []RunCfg
+			// Cells come in (variant-1, variant-2) pairs, one pair per row:
+			// the d sweep at m=1/m=2, then the m sweep at d=1/d=2.
+			var cells []cell
+			add := func(sweep string, v int, sc Scheme, seed int64) {
+				cells = append(cells, cell{[]string{sweep, fmt.Sprintf("%d", v), sc.Name},
+					stdvCfg(o, stdvTopo(o.Scale), sc, engines, 0.8, seed)})
+			}
 			for _, d := range ds {
-				cfgs = append(cfgs,
-					stdvCfg(o, stdvTopo(o.Scale), drillScheme(d, 1), engines, 0.8, o.Seed+int64(d)),
-					stdvCfg(o, stdvTopo(o.Scale), drillScheme(d, 2), engines, 0.8, o.Seed+int64(d)+50))
+				add("d", d, drillScheme(d, 1), o.Seed+int64(d))
+				add("d", d, drillScheme(d, 2), o.Seed+int64(d)+50)
 			}
 			for _, m := range ds {
-				cfgs = append(cfgs,
-					stdvCfg(o, stdvTopo(o.Scale), drillScheme(1, m), engines, 0.8, o.Seed+int64(m)+100),
-					stdvCfg(o, stdvTopo(o.Scale), drillScheme(2, m), engines, 0.8, o.Seed+int64(m)+150))
+				add("m", m, drillScheme(1, m), o.Seed+int64(m)+100)
+				add("m", m, drillScheme(2, m), o.Seed+int64(m)+150)
 			}
-			results := o.runAll(cfgs, func(i int, res *RunResult) {
-				o.progress("fig3 %s upSTDV=%.3f [%s]", cfgs[i].Scheme.Name, res.UplinkSTDV, timing(res))
-			})
-			for di, d := range ds {
-				r1, r2 := results[2*di], results[2*di+1]
-				rep.AddRow("d", fmt.Sprintf("%d", d),
-					fmt.Sprintf("%.3f", r1.UplinkSTDV), fmt.Sprintf("%.3f", r2.UplinkSTDV))
-			}
-			for mi, m := range ds {
-				r1, r2 := results[2*len(ds)+2*mi], results[2*len(ds)+2*mi+1]
-				rep.AddRow("m", fmt.Sprintf("%d", m),
-					fmt.Sprintf("%.3f", r1.UplinkSTDV), fmt.Sprintf("%.3f", r2.UplinkSTDV))
+			results := o.runCells(cells, nil, nil)
+			for i := 0; i < len(cells); i += 2 {
+				rep.AddRow(cells[i].labels[0], cells[i].labels[1],
+					fmt.Sprintf("%.3f", results[i].UplinkSTDV), fmt.Sprintf("%.3f", results[i+1].UplinkSTDV))
 			}
 			rep.Note("paper: with many engines, large d or m herds parallel engines onto " +
 				"the same ports — the synchronization effect — so STDV worsens past small values")
@@ -132,10 +123,10 @@ func init() {
 				Title:   "DRILL(2,1) vs visibility delay (fraction of MTU serialization)",
 				Columns: []string{"vis-factor", "engines", "uplink STDV", "flows w/ dupACKs %"}}
 			vfs, engs := []float64{0.0001, 0.05, 0.25, 1, 4}, []int{1, 8}
-			var cfgs []RunCfg
+			var cells []cell
 			for _, vf := range vfs {
 				for _, eng := range engs {
-					cfgs = append(cfgs, RunCfg{
+					cells = append(cells, cell{[]string{fmt.Sprintf("%g", vf), fmt.Sprintf("%d", eng)}, RunCfg{
 						Topo: fig6Topo(o.Scale), Scheme: drillScheme(2, 1),
 						Seed: o.Seed, Load: 0.8, Engines: eng,
 						Warmup:  lerpTime(500*units.Microsecond, 5*units.Millisecond, o.Scale),
@@ -143,18 +134,13 @@ func init() {
 						// VisFactor 0 means "default"; encode near-zero explicitly.
 						VisFactor:    vf,
 						SampleQueues: true,
-					})
+					}})
 				}
 			}
-			results := o.runAll(cfgs, func(i int, res *RunResult) {
-				o.progress("ablvis vf=%g eng=%d done [%s]",
-					vfs[i/len(engs)], engs[i%len(engs)], timing(res))
+			o.runCells(cells, rep, func(res *RunResult) []string {
+				return []string{fmt.Sprintf("%.3f", res.UplinkSTDV),
+					fmt.Sprintf("%.2f", 100*res.DupAcks.FracAtLeast(1))}
 			})
-			for i, res := range results {
-				rep.AddRow(fmt.Sprintf("%g", vfs[i/len(engs)]), fmt.Sprintf("%d", engs[i%len(engs)]),
-					fmt.Sprintf("%.3f", res.UplinkSTDV),
-					fmt.Sprintf("%.2f", 100*res.DupAcks.FracAtLeast(1)))
-			}
 			rep.Note("stale counters recreate the §3.2.3 synchronization effect even " +
 				"with few engines; fresh-but-imprecise counters (small factors) match the paper's model")
 			return rep

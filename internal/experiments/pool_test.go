@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"drill/internal/units"
@@ -127,6 +129,36 @@ func TestRunAllProgressUnderRace(t *testing.T) {
 		}
 		if r.SimRate() <= 0 {
 			t.Fatalf("cell %d SimRate = %v", i, r.SimRate())
+		}
+	}
+}
+
+// TestRunCellsRowsAndProgress: the cell runner prints one progress line
+// per cell, named by the experiment id and the cell's labels, and appends
+// each cell's row (its labels, then its statistics) in cell order at any
+// worker count.
+func TestRunCellsRowsAndProgress(t *testing.T) {
+	var cells []cell
+	for _, cfg := range tinySweepCfgs() {
+		cells = append(cells, cell{[]string{cfg.Scheme.Name, fmt.Sprintf("seed=%d", cfg.Seed)}, cfg})
+	}
+	named := map[string]int{}
+	o := Options{Workers: 3, ExpID: "tiny", Progress: func(format string, args ...any) {
+		name, _, _ := strings.Cut(fmt.Sprintf(format, args...), "  flows=")
+		named[name]++
+	}}
+	rep := &Report{}
+	res := o.runCells(cells, rep, func(r *RunResult) []string { return []string{fmt.Sprintf("%d", r.Flows)} })
+	if len(rep.Rows) != len(cells) {
+		t.Fatalf("%d rows, want one per cell (%d)", len(rep.Rows), len(cells))
+	}
+	for i, c := range cells {
+		if n := named["tiny "+strings.Join(c.labels, " ")]; n != 1 {
+			t.Errorf("cell %d: %d progress lines named %v, want 1 (got %v)", i, n, c.labels, named)
+		}
+		want := append(slices.Clone(c.labels), fmt.Sprintf("%d", res[i].Flows))
+		if !slices.Equal(rep.Rows[i], want) {
+			t.Errorf("row %d = %v, want %v", i, rep.Rows[i], want)
 		}
 	}
 }

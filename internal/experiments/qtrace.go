@@ -49,28 +49,24 @@ func init() {
 			ticks := int((warmup+measure+2*units.Millisecond)/o.TraceSample) + 8
 			ringCap := 2 * swPorts * ticks
 
+			// Only the sampler kinds are recorded, which the sharded engine
+			// supports, so the sweep options apply to these cells as to any.
 			rings := make([]*trace.Ring, len(schemes))
-			cfgs := make([]RunCfg, len(schemes))
+			cells := make([]cell, len(schemes))
 			for i, sc := range schemes {
 				rings[i] = trace.NewRing(ringCap)
 				var sink trace.Sink = rings[i]
 				if o.TraceSink != nil {
 					sink = trace.Tee(rings[i], o.TraceSink)
 				}
-				cfgs[i] = stdvCfg(o, stdvTopo(o.Scale), sc, 4, 0.8, o.Seed+int64(i))
-				cfgs[i].Warmup, cfgs[i].Measure = warmup, measure
-				cfgs[i].Tracer = trace.New(sink, trace.WithRun(int32(i)),
+				cfg := stdvCfg(o, stdvTopo(o.Scale), sc, 4, 0.8, o.Seed+int64(i))
+				cfg.Warmup, cfg.Measure = warmup, measure
+				cfg.Tracer = trace.New(sink, trace.WithRun(int32(i)),
 					trace.WithKinds(trace.QueueSample, trace.PortUtil))
-				cfgs[i].TraceSample = o.TraceSample
+				cfg.TraceSample = o.TraceSample
+				cells[i] = cell{[]string{sc.Name}, cfg}
 			}
-			w := o.Workers
-			if o.TraceSink != nil {
-				w = 1 // a shared file sink must see runs whole and in order
-			}
-			RunAll(cfgs, w, func(i int, res *RunResult) {
-				o.progress("qtrace %s samples=%d [%s]",
-					schemes[i].Name, rings[i].Total(), timing(res))
-			})
+			o.runCells(cells, nil, nil)
 
 			rep := &Report{ID: "qtrace",
 				Title:   "STDV of leaf-uplink queue lengths [pkts] per time slice, 80% load (from trace QueueSample events)",

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"drill/internal/metrics"
+	"drill/internal/obs"
 	"drill/internal/topo"
 	"drill/internal/trace"
 	"drill/internal/units"
@@ -44,5 +45,32 @@ func TestUplinkSTDVPerLeaf(t *testing.T) {
 		if v != 0 {
 			t.Errorf("slice %d: STDV %v, want 0 (each leaf's uplinks are equal)", b, v)
 		}
+	}
+}
+
+// TestQTraceHonoursSweepOptions: qtrace's cells run through the sweep
+// runner like every other experiment's, so the manifest, the engine sink
+// and Shards reach them, and the sharded report equals the sequential one.
+func TestQTraceHonoursSweepOptions(t *testing.T) {
+	skipSlow(t, "runs qtrace twice")
+	qtrace := Get("qtrace")
+	seq := qtrace.Run(Options{Seed: 7, Workers: 1})
+	man := obs.NewManifest("qtrace", 7)
+	var engines []string
+	sharded := qtrace.Run(Options{Seed: 7, Workers: 1, ExpID: "qtrace", Shards: 2, Manifest: man,
+		EngineSink: func(_ int, rep *obs.EngineReport) { engines = append(engines, rep.Engine) }})
+	if len(man.Cells) != 3 {
+		t.Errorf("manifest has %d rows, want 3 (one per scheme)", len(man.Cells))
+	}
+	if len(engines) != 3 {
+		t.Errorf("engine sink saw %d reports, want 3", len(engines))
+	}
+	for i, e := range engines {
+		if e != "sharded/2" {
+			t.Errorf("cell %d ran on %q, want sharded/2", i, e)
+		}
+	}
+	if got, want := sharded.Format(), seq.Format(); got != want {
+		t.Errorf("sharded qtrace report differs from sequential:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -420,11 +420,7 @@ func Run(cfg RunCfg) *RunResult {
 		// comparisons.
 		res.Prov.Windows = res.EngineRep.WindowCount
 		res.Prov.Imbalance = res.EngineRep.Imbalance()
-		var stall int64
-		for _, sh := range res.EngineRep.Shards {
-			stall += sh.StallNs
-		}
-		res.Prov.StallNs = stall
+		res.Prov.StallNs = res.EngineRep.StallNs()
 	}
 	return res
 }

@@ -16,16 +16,14 @@ type table1Result struct {
 	miceTail     float64
 }
 
-// table1Cfg configures one pattern × scheme run; the Synthetic closure is
-// built per-config so concurrent cells share no workload state.
-func table1Cfg(o Options, pattern string, sc Scheme, seed int64) RunCfg {
+// table1Cfg configures one pattern's runs; the Synthetic closure builds
+// its workload per run, so concurrent cells share no workload state.
+func table1Cfg(o Options, pattern string) RunCfg {
 	w := lerpTime(500*units.Microsecond, 2*units.Millisecond, o.Scale)
 	m := lerpTime(8*units.Millisecond, 100*units.Millisecond, o.Scale)
 	micePeriod := lerpTime(400*units.Microsecond, 2*units.Millisecond, o.Scale)
 	return RunCfg{
 		Topo:    table1Topo,
-		Scheme:  sc,
-		Seed:    seed,
 		Warmup:  w,
 		Measure: m,
 		Synthetic: func(reg *transport.Registry, until units.Time) *workload.Synthetic {
@@ -69,26 +67,19 @@ func init() {
 			rep := &Report{ID: "table1",
 				Title:   "Stride(8)/Bijection/Shuffle — normalized to ECMP (raw in parentheses)",
 				Columns: []string{"pattern", "metric", "ECMP", "CONGA", "Presto", "DRILL"}}
-			schemes := []string{"ECMP", "CONGA", "Presto", "DRILL"}
-			patterns := []string{"stride", "bijection", "shuffle"}
-			var cfgs []RunCfg
-			for _, pattern := range patterns {
-				for si, name := range schemes {
-					cfgs = append(cfgs, table1Cfg(o, pattern, MustScheme(name), o.Seed+int64(si)))
-				}
+			var schemes []Scheme
+			for _, name := range rep.Columns[2:] { // a column per scheme
+				schemes = append(schemes, MustScheme(name))
 			}
-			results := o.runAll(cfgs, func(i int, res *RunResult) {
-				c := table1Cell(res)
-				o.progress("table1 %s %s done (eleph=%.2fGbps mice=%.3fms) [%s]",
-					patterns[i/len(schemes)], schemes[i%len(schemes)],
-					c.elephantGbps, c.miceMean, timing(res))
-			})
+			patterns := []string{"stride", "bijection", "shuffle"}
+			var cells []cell
+			for _, pattern := range patterns {
+				cells = schemeCells(cells, o, table1Cfg(o, pattern), schemes, pattern)
+			}
+			results := o.runCells(cells, nil, nil)
 			for pi, pattern := range patterns {
-				cells := map[string]table1Result{}
-				for si, name := range schemes {
-					cells[name] = table1Cell(results[pi*len(schemes)+si])
-				}
-				base := cells["ECMP"]
+				runs := results[pi*len(schemes):][:len(schemes)]
+				base := table1Cell(runs[0]) // ECMP
 				norm := func(v, b float64) string {
 					if b == 0 {
 						return "n/a"
@@ -98,8 +89,8 @@ func init() {
 				row1 := []string{pattern, "elephant throughput"}
 				row2 := []string{"", "mice mean FCT"}
 				row3 := []string{"", "mice 99.99th FCT"}
-				for _, name := range schemes {
-					c := cells[name]
+				for _, res := range runs {
+					c := table1Cell(res)
 					row1 = append(row1, fmt.Sprintf("%s (%.2fG)", norm(c.elephantGbps, base.elephantGbps), c.elephantGbps))
 					row2 = append(row2, fmt.Sprintf("%s (%.3f)", norm(c.miceMean, base.miceMean), c.miceMean))
 					row3 = append(row3, fmt.Sprintf("%s (%.3f)", norm(c.miceTail, base.miceTail), c.miceTail))
@@ -123,20 +114,16 @@ func init() {
 			rep := &Report{ID: "engines",
 				Title:   "DRILL(2,1) mean FCT [ms] vs engines per switch, 80% load",
 				Columns: []string{"engines", "mean FCT", "p99.99 FCT", "uplink STDV"}}
-			engs := []int{1, 4, 16, 48}
-			var cfgs []RunCfg
-			for _, e := range engs {
-				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: drillScheme(2, 1),
-					Seed: o.Seed, Load: 0.8, Engines: e, Warmup: w, Measure: m,
-					SampleQueues: true})
+			var cells []cell
+			for _, e := range []int{1, 4, 16, 48} {
+				cells = append(cells, cell{[]string{fmt.Sprintf("%d", e)}, RunCfg{Topo: fig6Topo(o.Scale),
+					Scheme: drillScheme(2, 1), Seed: o.Seed, Load: 0.8, Engines: e, Warmup: w, Measure: m,
+					SampleQueues: true}})
 			}
-			results := o.runAll(cfgs, func(i int, res *RunResult) {
-				o.progress("engines=%d done [%s]", engs[i], timing(res))
+			o.runCells(cells, rep, func(res *RunResult) []string {
+				return []string{fmtMs(res.FCT.Mean()), fmtMs(res.FCT.Percentile(99.99)),
+					fmt.Sprintf("%.3f", res.UplinkSTDV)}
 			})
-			for i, res := range results {
-				rep.AddRow(fmt.Sprintf("%d", engs[i]), fmtMs(res.FCT.Mean()),
-					fmtMs(res.FCT.Percentile(99.99)), fmt.Sprintf("%.3f", res.UplinkSTDV))
-			}
 			rep.Note("paper: <1%% mean-FCT difference between 1- and 48-engine switches")
 			return rep
 		},
@@ -157,19 +144,15 @@ func init() {
 				name    string
 				instant bool
 			}{{"DRILL (OSPF delay)", false}, {"ideal-DRILL (instant)", true}}
-			var cfgs []RunCfg
+			var cells []cell
 			for _, v := range variants {
-				cfgs = append(cfgs, RunCfg{Topo: fig6Topo(o.Scale), Scheme: MustScheme("DRILL"),
+				cells = append(cells, cell{[]string{v.name}, RunCfg{Topo: fig6Topo(o.Scale), Scheme: MustScheme("DRILL"),
 					Seed: o.Seed, Load: 0.7, Warmup: w, Measure: m,
-					Campaign: UplinkFailure(fails, failAt, v.instant)})
+					Campaign: UplinkFailure(fails, failAt, v.instant)}})
 			}
-			results := o.runAll(cfgs, func(i int, res *RunResult) {
-				o.progress("idealdrill %s done [%s]", variants[i].name, timing(res))
+			o.runCells(cells, rep, func(res *RunResult) []string {
+				return []string{fmtMs(res.FCT.Mean()), fmtMs(res.FCT.Percentile(50)), fmtMs(res.FCT.Percentile(99.99))}
 			})
-			for i, res := range results {
-				rep.AddRow(variants[i].name, fmtMs(res.FCT.Mean()),
-					fmtMs(res.FCT.Percentile(50)), fmtMs(res.FCT.Percentile(99.99)))
-			}
 			rep.Note("paper: ideal-DRILL improves median FCT by <0.6%% — the OSPF " +
 				"reaction delay is negligible")
 			return rep

@@ -84,7 +84,6 @@ func conservationRun(t *testing.T, sc Scheme, failAt units.Time) {
 		s.At(at, func() { checkConservation(t, at.String(), tr, net) })
 	}
 	s.RunUntil(end + 10*units.Millisecond)
-	s.Halt()
 
 	checkConservation(t, "post-drain", tr, net)
 	if sent := tr.Count(trace.Send); sent == 0 {
@@ -136,7 +135,6 @@ func TestConservationSeesDrops(t *testing.T) {
 		workload.Load(1.0), end)
 	g.Start()
 	s.RunUntil(end + 10*units.Millisecond)
-	s.Halt()
 	if tr.Count(trace.Drop) == 0 {
 		t.Error("8-packet queues at 100% ECMP load dropped nothing; tighten the conservation fixture")
 	}

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"strings"
+
+	"drill/internal/sim"
 )
 
 // Engine observatory report: a plain-data summary of the execution
@@ -20,30 +22,21 @@ import (
 // and shard count — while the *Ns wall-clock fields (busy, stall) vary
 // with the machine and are for attribution only.
 
-// EngineShard is one shard's row of the report.
+// EngineShard is one shard's row of the report: the shard's own window
+// counters (sim.ShardStat).
 type EngineShard struct {
-	Shard    int    `json:"shard"`
-	Windows  uint64 `json:"windows"`          // windows in which the shard ran events
-	Events   uint64 `json:"events"`           // events dispatched by the shard
-	Critical uint64 `json:"critical_windows"` // windows this shard's earliest event bounded
-	BusyNs   int64  `json:"busy_ns"`          // wall time running windows
-	StallNs  int64  `json:"stall_ns"`         // wall time parked at barriers
+	Shard int `json:"shard"`
+	sim.ShardStat
 }
 
-// EngineSched is one scheduler's internals row: tier routing, dispatch
-// sources, cursor-advancement work, and live occupancy.
+// EngineSched is one scheduler's internals row: its tier routing,
+// dispatch sources and cursor-advancement work (sim.SchedStats), and live
+// occupancy.
 type EngineSched struct {
-	Sched          string `json:"sched"` // "seq", "global", "shard0", ...
-	Near           uint64 `json:"near_total"`
-	Wheel          uint64 `json:"wheel_total"`
-	Far            uint64 `json:"far_total"`
-	DispatchList   uint64 `json:"dispatch_list_total"`
-	DispatchHeap   uint64 `json:"dispatch_heap_total"`
-	Cascades       uint64 `json:"cascades_total"`
-	Pours          uint64 `json:"pours_total"`
-	PouredEvents   uint64 `json:"poured_events_total"`
-	WheelOccupancy int    `json:"wheel_occupancy"`
-	Pending        int    `json:"pending"`
+	Sched string `json:"sched"` // "seq", "global", "shard0", ...
+	sim.SchedStats
+	WheelOccupancy int `json:"wheel_occupancy"`
+	Pending        int `json:"pending"`
 }
 
 // EngineReport is the full engine observatory snapshot for one run.
@@ -66,6 +59,28 @@ func (r *EngineReport) TotalEvents() uint64 {
 	var n uint64
 	for _, s := range r.Shards {
 		n += s.Events
+	}
+	return n
+}
+
+// StallNs sums the shards' wall time parked at barriers. Wall-derived:
+// varies run to run.
+func (r *EngineReport) StallNs() int64 {
+	var n int64
+	for _, s := range r.Shards {
+		n += s.StallNs
+	}
+	return n
+}
+
+// Exchanged sums the exchange matrix: every cross-shard message moved at
+// a barrier.
+func (r *EngineReport) Exchanged() uint64 {
+	var n uint64
+	for _, row := range r.Exchange {
+		for _, m := range row {
+			n += m
+		}
 	}
 	return n
 }

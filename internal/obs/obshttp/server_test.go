@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"drill/internal/obs"
+	"drill/internal/sim"
 	"drill/internal/units"
 )
 
@@ -143,7 +144,8 @@ func TestEndpointStatusAndContentType(t *testing.T) {
 	rep = &obs.EngineReport{
 		Engine:   "sharded/2",
 		Barriers: 7,
-		Shards:   []obs.EngineShard{{Shard: 0, Events: 10}, {Shard: 1, Events: 30}},
+		Shards: []obs.EngineShard{{Shard: 0, ShardStat: sim.ShardStat{Events: 10}},
+			{Shard: 1, ShardStat: sim.ShardStat{Events: 30}}},
 	}
 	var got obs.EngineReport
 	if err := json.Unmarshal(get(full, "/engine.json").Body.Bytes(), &got); err != nil {

@@ -80,11 +80,11 @@ type shardCmd struct {
 // coordinator with every worker parked, and folded at barriers — reading
 // them from an observer tick is race-free by the barrier happens-before.
 type ShardStat struct {
-	Windows  uint64 // windows in which this shard dispatched at least one event
-	Events   uint64 // events dispatched across those windows
-	Critical uint64 // windows whose width was bounded by this shard's earliest event
-	BusyNs   int64  // wall time spent running windows
-	StallNs  int64  // wall time parked while a window ran elsewhere
+	Windows  uint64 `json:"windows"`          // windows in which this shard dispatched at least one event
+	Events   uint64 `json:"events"`           // events dispatched across those windows
+	Critical uint64 `json:"critical_windows"` // windows whose width was bounded by this shard's earliest event
+	BusyNs   int64  `json:"busy_ns"`          // wall time spent running windows
+	StallNs  int64  `json:"stall_ns"`         // wall time parked while a window ran elsewhere
 
 	winBusy int64 // scratch: the current window's busy ns, read at the barrier
 }

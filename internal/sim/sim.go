@@ -208,7 +208,6 @@ type Sim struct {
 	front   uint64
 	seq     uint64
 	seed    int64
-	halted  bool
 	daemons int // scheduled daemon events (they never keep Run alive)
 
 	near eventHeap // straggler events inside the cursor bucket's window
@@ -263,14 +262,14 @@ type Sim struct {
 // event that cascades into the wheel counts under Far at its original
 // schedule and under Wheel (and Cascades) when the horizon reaches it.
 type SchedStats struct {
-	Near         uint64 // schedule calls routed to the near tier
-	Wheel        uint64 // schedule calls routed into a wheel bucket
-	Far          uint64 // schedule calls routed to the far overflow heap
-	DispatchList uint64 // dispatches consumed from the dispatch list
-	DispatchHeap uint64 // dispatches popped from the near heap
-	Cascades     uint64 // far-tier events re-routed as the horizon advanced
-	Pours        uint64 // non-empty cursor buckets poured at advancement
-	PouredEvents uint64 // events moved out of buckets by those pours
+	Near         uint64 `json:"near_total"`          // schedule calls routed to the near tier
+	Wheel        uint64 `json:"wheel_total"`         // schedule calls routed into a wheel bucket
+	Far          uint64 `json:"far_total"`           // schedule calls routed to the far overflow heap
+	DispatchList uint64 `json:"dispatch_list_total"` // dispatches consumed from the dispatch list
+	DispatchHeap uint64 `json:"dispatch_heap_total"` // dispatches popped from the near heap
+	Cascades     uint64 `json:"cascades_total"`      // far-tier events re-routed as the horizon advanced
+	Pours        uint64 `json:"pours_total"`         // non-empty cursor buckets poured at advancement
+	PouredEvents uint64 `json:"poured_events_total"` // events moved out of buckets by those pours
 }
 
 // Sched returns a copy of the scheduler-internal counters.
@@ -588,14 +587,6 @@ func (s *Sim) releaseChunk(c int32) {
 	s.freeChunk = c
 }
 
-// Halt stops the run loop after the currently executing event returns. A
-// halt only affects the run in progress: the next call to Run or RunUntil
-// clears it and resumes dispatching from the current simulation state.
-func (s *Sim) Halt() { s.halted = true }
-
-// Halted reports whether Halt was called during the current/most recent run.
-func (s *Sim) Halted() bool { return s.halted }
-
 // Pending reports the number of scheduled events not yet dispatched.
 // Cancelled timer events are removed from their tier eagerly, so they
 // never count here.
@@ -737,16 +728,13 @@ func (s *Sim) pour(b int32) {
 	}
 }
 
-// Run dispatches events in time order until only daemon events remain or
-// Halt is called. Keys reserved with ReserveKey count as pending work: with
-// only daemon events left, Run still dispatches those that sort before
-// the latest reserved key, then moves the clock and frontier to it — where
-// a scheduler running one event per update would have stopped.
-// Entering Run clears any previous halt, so a Sim halted mid-run can be
-// resumed.
+// Run dispatches events in time order until only daemon events remain.
+// Keys reserved with ReserveKey count as pending work: with only daemon
+// events left, Run still dispatches those that sort before the latest
+// reserved key, then moves the clock and frontier to it — where a
+// scheduler running one event per update would have stopped.
 func (s *Sim) Run() {
-	s.halted = false
-	for !s.halted {
+	for {
 		if s.Pending() > s.daemons {
 			if !s.ensureNear() {
 				return
@@ -767,16 +755,12 @@ func (s *Sim) Run() {
 }
 
 // RunUntil dispatches events with time <= t, then advances the clock to t
-// with the frontier past all of t. Like Run, it clears any previous halt
-// on entry.
+// with the frontier past all of t.
 func (s *Sim) RunUntil(t units.Time) {
-	s.halted = false
-	for !s.halted && s.ensureNear() && s.peek().at <= t {
+	for s.ensureNear() && s.peek().at <= t {
 		s.step()
 	}
-	if !s.halted {
-		s.parkAt(t, ^uint64(0))
-	}
+	s.parkAt(t, ^uint64(0))
 }
 
 // RunBefore dispatches events with time strictly less than t, then
@@ -784,15 +768,12 @@ func (s *Sim) RunUntil(t units.Time) {
 // the shard window primitive: a shard runs everything inside the window
 // [now, t) and parks exactly at the barrier, leaving events at t itself
 // for the window that opens there (barriers run global events at t
-// first). Like Run, it clears any previous halt.
+// first).
 func (s *Sim) RunBefore(t units.Time) {
-	s.halted = false
-	for !s.halted && s.ensureNear() && s.peek().at < t {
+	for s.ensureNear() && s.peek().at < t {
 		s.step()
 	}
-	if !s.halted {
-		s.parkAt(t, 0)
-	}
+	s.parkAt(t, 0)
 }
 
 // NextAt reports the timestamp of the earliest pending event, and whether

@@ -92,23 +92,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	s := New(1)
-	n := 0
-	for i := 1; i <= 10; i++ {
-		s.At(units.Time(i), func() {
-			n++
-			if n == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if n != 3 {
-		t.Fatalf("ran %d events after halt, want 3", n)
-	}
-}
-
 func TestHeapProperty(t *testing.T) {
 	// Property: any random multiset of times is dispatched in sorted order.
 	f := func(times []uint16) bool {
@@ -216,46 +199,6 @@ func TestDaemonEventsDoNotBlockDrain(t *testing.T) {
 	}
 	if s.Now() != 12 {
 		t.Fatalf("clock = %v", s.Now())
-	}
-}
-
-func TestHaltClearedOnNextRun(t *testing.T) {
-	s := New(1)
-	var got []units.Time
-	for _, at := range []units.Time{5, 10, 15} {
-		at := at
-		s.At(at, func() {
-			got = append(got, at)
-			if at == 5 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if len(got) != 1 || !s.Halted() {
-		t.Fatalf("first run dispatched %v, halted=%v", got, s.Halted())
-	}
-	// A halted Sim must resume on the next Run: halt is per-run, not sticky.
-	s.Run()
-	if len(got) != 3 {
-		t.Fatalf("resumed run dispatched %v, want all three events", got)
-	}
-	if s.Halted() {
-		t.Fatal("halt flag still set after a clean resume")
-	}
-}
-
-func TestHaltClearedOnRunUntil(t *testing.T) {
-	s := New(1)
-	fired := false
-	s.At(10, func() { fired = true })
-	s.Halt()
-	s.RunUntil(20)
-	if !fired {
-		t.Fatal("RunUntil after Halt did not dispatch")
-	}
-	if s.Now() != 20 {
-		t.Fatalf("RunUntil after Halt left clock at %v, want 20", s.Now())
 	}
 }
 

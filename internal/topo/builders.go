@@ -64,19 +64,19 @@ type VL2Config struct {
 	HostsPerToR int
 	HostRate    units.Rate // host ↔ ToR
 	CoreRate    units.Rate // ToR↔Agg and Agg↔Int
-	ToRAggLinks int        // aggs each ToR connects to (0 = 2, as in VL2)
 	Prop        units.Time
 }
 
+// torAggLinks is the number of aggregation switches each VL2 ToR connects
+// to, as in VL2.
+const torAggLinks = 2
+
 // VL2 builds the three-stage topology of the paper's Fig. 10 experiment:
-// each ToR connects to ToRAggLinks aggregation switches; every aggregation
+// each ToR connects to torAggLinks aggregation switches; every aggregation
 // switch connects to every intermediate switch.
 func VL2(cfg VL2Config) *Topology {
 	if cfg.Prop == 0 {
 		cfg.Prop = DefaultProp
-	}
-	if cfg.ToRAggLinks == 0 {
-		cfg.ToRAggLinks = 2
 	}
 	if cfg.HostRate == 0 {
 		cfg.HostRate = 1 * units.Gbps
@@ -98,8 +98,8 @@ func VL2(cfg VL2Config) *Topology {
 	}
 	for r := 0; r < cfg.ToRs; r++ {
 		tor := t.AddNode(Leaf, fmt.Sprintf("T%d", r))
-		for k := 0; k < cfg.ToRAggLinks; k++ {
-			agg := aggs[(r*cfg.ToRAggLinks+k)%cfg.Aggs]
+		for k := 0; k < torAggLinks; k++ {
+			agg := aggs[(r*torAggLinks+k)%cfg.Aggs]
 			t.AddLink(tor, agg, cfg.CoreRate, cfg.Prop)
 		}
 		for h := 0; h < cfg.HostsPerToR; h++ {

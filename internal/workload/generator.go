@@ -28,23 +28,21 @@ func CoreUpCapacity(t *topo.Topology) units.Rate {
 	return total
 }
 
+// burstMean is the mean flows per Generator burst.
+const burstMean = 8
+
 // Generator drives flow arrivals with empirical sizes: every flow picks a
 // source host and a uniform destination host under a different leaf
 // (inter-leaf traffic is what exercises the core).
 //
 // Arrivals come in bursts of geometrically distributed size (mean
-// BurstMean) whose flows share a source leaf, separated by exponential
+// burstMean) whose flows share a source leaf, separated by exponential
 // gaps — the ON/OFF burstiness datacenter measurements report ([62], [25])
-// and the microburst driver the paper's evaluation depends on. BurstMean 1
-// degenerates to a plain Poisson process. The long-run offered load always
-// equals NewGenerator's load × core capacity.
+// and the microburst driver the paper's evaluation depends on. The
+// long-run offered load always equals NewGenerator's load × core capacity.
 type Generator struct {
 	Reg   *transport.Registry
 	Sizes *SizeDist
-	Class string
-
-	// BurstMean is the mean flows per burst (default 8).
-	BurstMean int
 
 	// Until stops new arrivals at this time; in-flight flows drain after.
 	Until units.Time
@@ -67,7 +65,6 @@ func NewGenerator(reg *transport.Registry, sizes *SizeDist, load Load, until uni
 	flowsPerSec := demandBits / (sizes.Mean() * 8)
 	g := &Generator{
 		Reg: reg, Sizes: sizes, Until: until,
-		BurstMean: 8,
 		rng:       reg.Sim.Stream(0x10ad),
 		meanGapNs: float64(units.Second) / flowsPerSec, // per flow; scaled by burst in next()
 		byLeaf:    map[topo.NodeID][]topo.NodeID{},
@@ -84,11 +81,7 @@ func NewGenerator(reg *transport.Registry, sizes *SizeDist, load Load, until uni
 func (g *Generator) Start() { g.next() }
 
 func (g *Generator) next() {
-	burst := g.BurstMean
-	if burst < 1 {
-		burst = 1
-	}
-	gap := units.Time(g.rng.ExpFloat64() * g.meanGapNs * float64(burst))
+	gap := units.Time(g.rng.ExpFloat64() * g.meanGapNs * burstMean)
 	at := g.Reg.Sim.Now() + gap
 	if at > g.Until {
 		return
@@ -101,13 +94,13 @@ func (g *Generator) next() {
 	})
 }
 
-// launch fires one burst: a geometric number of flows (mean BurstMean)
+// launch fires one burst: a geometric number of flows (mean burstMean)
 // whose sources share one leaf.
 func (g *Generator) launch() {
 	n := 1
-	for g.BurstMean > 1 && g.rng.Float64() > 1/float64(g.BurstMean) {
+	for g.rng.Float64() > 1.0/burstMean {
 		n++
-		if n >= 16*g.BurstMean {
+		if n >= 16*burstMean {
 			break
 		}
 	}
@@ -121,7 +114,7 @@ func (g *Generator) launch() {
 		dst := g.pickRemote(src)
 		size := g.Sizes.Sample(g.rng)
 		g.Started++
-		g.Reg.StartFlow(src, dst, size, g.Class)
+		g.Reg.StartFlow(src, dst, size, "")
 	}
 }
 
@@ -141,17 +134,22 @@ func (g *Generator) pickRemote(src topo.NodeID) topo.NodeID {
 	}
 }
 
+// The paper's incast configuration: 10% of hosts on each side, 10KB
+// flows.
+const (
+	incastFraction = 0.10
+	incastFlowSize = 10_000
+)
+
 // Incast runs the Fig. 14 application, the synchronized-read pattern of
 // Vasudevan et al. [69]: every Period, a random 10% of hosts act as
-// clients, each requesting a FlowSize-byte block from every member of a
-// random 10% server set simultaneously — the classic many-to-one fan-in
-// that overruns buffers. Response flows are tagged "incast".
+// clients, each requesting a 10KB block from every member of a random
+// 10% server set simultaneously — the classic many-to-one fan-in that
+// overruns buffers. Response flows are tagged "incast".
 type Incast struct {
-	Reg      *transport.Registry
-	Period   units.Time
-	Fraction float64
-	FlowSize int64
-	Until    units.Time
+	Reg    *transport.Registry
+	Period units.Time
+	Until  units.Time
 
 	rng *rand.Rand
 
@@ -162,8 +160,7 @@ type Incast struct {
 // NewIncast returns the paper's configuration: 10% senders, 10KB flows.
 func NewIncast(reg *transport.Registry, period, until units.Time) *Incast {
 	return &Incast{
-		Reg: reg, Period: period, Fraction: 0.10, FlowSize: 10_000,
-		Until: until, rng: reg.Sim.Stream(0x1ca57),
+		Reg: reg, Period: period, Until: until, rng: reg.Sim.Stream(0x1ca57),
 	}
 }
 
@@ -187,7 +184,7 @@ func (i *Incast) fire() {
 	topol := i.Reg.Net.Topo
 	hosts := topol.Hosts
 	n := len(hosts)
-	k := int(float64(n) * i.Fraction)
+	k := int(float64(n) * incastFraction)
 	if k < 1 {
 		k = 1
 	}
@@ -204,7 +201,7 @@ func (i *Incast) fire() {
 			if server == client || topol.LeafOf(server) == topol.LeafOf(client) {
 				continue // keep it inter-leaf like the rest of the evaluation
 			}
-			i.Reg.StartFlow(server, client, i.FlowSize, "incast")
+			i.Reg.StartFlow(server, client, incastFlowSize, "incast")
 		}
 	}
 }

@@ -8,19 +8,21 @@ import (
 	"drill/internal/units"
 )
 
+// Table 1's flow sizes. A negative elephantSize runs elephants open-ended
+// (throughput measured via Sender.AckedBytes); the paper uses 1GB, which
+// never completes inside a short window, so open-ended is equivalent.
+const (
+	elephantSize = -1
+	miceSize     = 50_000
+)
+
 // Synthetic implements the Table 1 patterns: long-running "elephant" flows
 // arranged by a pattern, plus periodic 50KB "mice" probes whose FCT is the
 // latency metric.
 type Synthetic struct {
-	Reg *transport.Registry
-
-	// ElephantSize < 0 runs elephants open-ended (throughput measured via
-	// Sender.AckedBytes); the paper uses 1GB which never completes inside
-	// a short window, so open-ended is equivalent.
-	ElephantSize int64
-	MiceSize     int64
-	MicePeriod   units.Time
-	Until        units.Time
+	Reg        *transport.Registry
+	MicePeriod units.Time
+	Until      units.Time
 
 	rng *rand.Rand
 
@@ -32,8 +34,7 @@ type Synthetic struct {
 // 50KB mice).
 func NewSynthetic(reg *transport.Registry, micePeriod, until units.Time) *Synthetic {
 	return &Synthetic{
-		Reg: reg, ElephantSize: -1, MiceSize: 50_000,
-		MicePeriod: micePeriod, Until: until,
+		Reg: reg, MicePeriod: micePeriod, Until: until,
 		rng: reg.Sim.Stream(0x5e7),
 	}
 }
@@ -117,7 +118,7 @@ func ShufflePhase(t *topo.Topology, r int) pairs {
 func (s *Synthetic) Run(ps pairs) {
 	for _, p := range ps {
 		s.Elephants = append(s.Elephants,
-			s.Reg.StartFlow(p[0], p[1], s.ElephantSize, "elephant"))
+			s.Reg.StartFlow(p[0], p[1], elephantSize, "elephant"))
 	}
 	s.scheduleMice(s.Reg.Sim.Now() + s.MicePeriod)
 }
@@ -136,7 +137,7 @@ func (s *Synthetic) scheduleMice(at units.Time) {
 				break
 			}
 		}
-		s.Reg.StartFlow(src, dst, s.MiceSize, "mice")
+		s.Reg.StartFlow(src, dst, miceSize, "mice")
 		s.scheduleMice(at + s.MicePeriod)
 	})
 }
