@@ -1,11 +1,10 @@
 // Command benchdiff compares two BENCH_*.json performance snapshots and
 // reports per-cell deltas against the tolerances: event-loop ns/packet
 // within +10%, allocs/packet within ±10%, set-up allocations within ±1%,
-// and, at equal seed, a sharded cell's windows and exchanged packets
-// unchanged; micro allocs/op within ±0.1. The deterministic columns gate
-// both ways: a gain beyond its tolerance means the baseline is stale and
-// must be re-recorded, so gains cannot be lost again unseen. Event counts
-// are reported, never gated.
+// and, at equal seed, events per packet and a sharded cell's windows and
+// exchanged packets unchanged. The deterministic columns gate both ways:
+// a gain beyond its tolerance means the baseline is stale and must be
+// re-recorded, so gains cannot be lost again unseen.
 //
 // Usage:
 //

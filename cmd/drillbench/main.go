@@ -11,14 +11,13 @@
 // and renamed to <out> when the run ends, so a run that dies part-way
 // leaves an existing <out> untouched. Each cell reports set-up wall time and
 // allocations (everything before RunCfg.Hook), the event loop's ns,
-// allocations and events per packet sent, the older per-event rates, peak
-// heap, and packet-pool traffic; sharded cells add windows and exchanged
-// packets. The micro section reports allocs/op for the timer re-arm,
-// packet recycle, send→deliver and cross-shard window paths, all four
-// pinned at zero by alloc-ceiling tests. Event, packet and shard-protocol
-// counts and pool traffic are deterministic per seed; wall-clock-derived
-// rates vary with the machine, so compare BENCH files from the same
-// hardware.
+// allocations and events per packet sent, bytes allocated, peak heap, and
+// packet-pool traffic; sharded cells add windows and exchanged packets.
+// Each cell's events and windows are its run's own: the harness measures
+// from outside the simulation and schedules nothing in it. Event, packet
+// and shard-protocol counts and pool traffic are deterministic per seed;
+// wall-clock-derived rates vary with the machine, so compare BENCH files
+// from the same hardware.
 package main
 
 import (

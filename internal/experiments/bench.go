@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"testing"
+	"runtime/metrics"
 	"time"
 
-	"drill/internal/fabric"
 	"drill/internal/obs"
-	"drill/internal/sim"
 	"drill/internal/topo"
 	"drill/internal/transport"
 	"drill/internal/units"
@@ -18,8 +16,8 @@ import (
 // canonical cells below and writes a BENCH_*.json snapshot (set-up time
 // and allocations, event-loop ns/packet and allocs/packet, events/packet,
 // peak heap, packet-pool traffic). The committed BENCH_shard.json is the
-// point of that trajectory the CI gate diffs against; changes that touch
-// the packet path regenerate it.
+// point of that trajectory the CI gate diffs against; changes that move a
+// column it gates regenerate it.
 
 // BenchSchemaVersion identifies the BENCH_*.json layout.
 const BenchSchemaVersion = "drill-bench/v1"
@@ -54,10 +52,10 @@ func BenchCells(seed int64) []BenchCell {
 // (1024 hosts, 320 switches) under DRILL at 50% load, run sequentially and
 // at 4 and 8 shards. The sequential/sharded pairs share a seed, so their
 // event counts must match exactly (the conformance suite proves the full
-// results do); the events/s ratio between them is the aggregate speedup
-// the shard rows of BENCH_shard.json track. On a single-core runner the
-// ratio degenerates to the window protocol's overhead (≈1.0×); on the
-// multi-core machines CI uses it is the parallel scaling number.
+// results do); the loop ns/packet ratio between them is the aggregate
+// speedup the shard rows of BENCH_shard.json track. On a single-core
+// runner the ratio degenerates to the window protocol's overhead (≈1.0×);
+// on the multi-core machines CI uses it is the parallel scaling number.
 func BenchShardCells(seed int64) []BenchCell {
 	sc := MustScheme("DRILL")
 	mk := func(name string, shards int) BenchCell {
@@ -84,12 +82,10 @@ type BenchCellResult struct {
 	Load   float64 `json:"load"`
 	Shards int     `json:"shards,omitempty"` // 0 = sequential engine
 
-	Events       uint64  `json:"events"`
-	WallNs       int64   `json:"wall_ns"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Flows        int64   `json:"flows"`
-	Sent         int64   `json:"sent"` // packets hosts handed to their NICs
+	Events uint64 `json:"events"`
+	WallNs int64  `json:"wall_ns"`
+	Flows  int64  `json:"flows"`
+	Sent   int64  `json:"sent"` // packets hosts handed to their NICs
 
 	// Set-up is everything before RunCfg.Hook (topology, routes, tables,
 	// fabric, transport, workload), measured as bench/ measures it; the
@@ -102,11 +98,8 @@ type BenchCellResult struct {
 	AllocsPerPkt float64 `json:"allocs_per_pkt"`
 	EventsPerPkt float64 `json:"events_per_pkt"`
 
-	Mallocs        uint64  `json:"mallocs"`
-	AllocBytes     uint64  `json:"alloc_bytes"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
-	PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
+	AllocBytes    uint64 `json:"alloc_bytes"`
+	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 
 	// PacketGets is pool traffic; PacketAllocs the fresh allocations among
 	// it. Gets - Allocs is the allocation volume recycling avoided.
@@ -125,30 +118,6 @@ type BenchCellResult struct {
 	ShardImbalance  float64 `json:"shard_imbalance,omitempty"`
 }
 
-// MicroAllocs are testing.AllocsPerRun measurements of the hot paths the
-// pool/timer/wheel work targets. Each is allocations per operation at
-// steady state; the alloc-ceiling tests pin all four at zero.
-type MicroAllocs struct {
-	// TimerResetStop: one RTO re-arm + disarm on a warm sim heap.
-	TimerResetStop float64 `json:"timer_reset_stop"`
-	// PoolGetPut: one packet recycle round trip (Get, fill nothing, Put).
-	PoolGetPut float64 `json:"pool_get_put"`
-	// SendDeliver: one pool-allocated packet pushed host→leaf→host through
-	// a warm two-host fabric, including every event the data plane
-	// schedules for it (the wire arrival per hop; departures and
-	// visibility updates are settled when read and schedule nothing). This is the
-	// whole per-packet cost. Pinned at zero by the send→deliver
-	// alloc-ceiling test: each op's events land in wheel buckets the
-	// previous ones have not used, and those draw chunks from the pool.
-	SendDeliver float64 `json:"send_deliver"`
-	// ShardWindow: one cross-shard packet delivered through a warm 2-shard
-	// fabric via the window protocol — ~25 barriers (worker handoffs,
-	// outbox→ring exchange, callback re-arms) per operation. Pinned at
-	// zero by the shard alloc-ceiling test: the barrier path reuses its
-	// outboxes and rings, and its events carry port indexes.
-	ShardWindow float64 `json:"shard_window"`
-}
-
 // BenchReport is the BENCH_*.json document.
 type BenchReport struct {
 	Schema    string `json:"schema"`
@@ -165,33 +134,29 @@ type BenchReport struct {
 	Seed       int64 `json:"seed"`
 
 	Cells []BenchCellResult `json:"cells"`
-	Micro MicroAllocs       `json:"micro"`
 
 	// Provenance self-describes the snapshot: which binary (git revision,
-	// dirty flag) produced it, with one row per cell carrying the config
-	// hash. Absent from snapshots older than the field.
+	// dirty flag) produced it, with each cell's own run record (config
+	// hash, engine, headline counters). Absent from snapshots older than
+	// the field.
 	Provenance *obs.Manifest `json:"provenance,omitempty"`
 }
 
-// RunBenchCell executes one cell and measures it. The heap is settled with
-// a forced GC before the run so malloc/byte deltas belong to the run
-// alone; peak heap is sampled every 500µs of simulated time from inside
-// the run. The Hook splits the run into set-up and event loop.
-func RunBenchCell(c BenchCell) BenchCellResult {
+// RunBenchCell executes one cell and measures it; it also returns the
+// run's provenance record. The heap is settled with a forced GC before the
+// run so allocation deltas belong to the run alone. The Hook splits the
+// run into set-up and event loop, and from it until the run returns a
+// goroutine samples the live heap on a wall-clock ticker, so the
+// measurement schedules nothing on the run's schedulers.
+func RunBenchCell(c BenchCell) (BenchCellResult, obs.CellSummary) {
 	cfg := c.Cfg
-	var peak uint64
 	var hookAt time.Time
 	var atHook runtime.MemStats
-	cfg.Hook = func(reg *transport.Registry, until units.Time) {
+	var peakHeap func() uint64
+	cfg.Hook = func(*transport.Registry, units.Time) {
 		hookAt = time.Now() //drill:allow simtime wall timing of the bench cell, never a sim timestamp
 		runtime.ReadMemStats(&atHook)
-		sim.NewTicker(reg.Sim, 500*units.Microsecond, func(units.Time) {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak {
-				peak = ms.HeapAlloc
-			}
-		})
+		peakHeap = samplePeakHeap()
 	}
 
 	runtime.GC()
@@ -200,10 +165,8 @@ func RunBenchCell(c BenchCell) BenchCellResult {
 	started := time.Now() //drill:allow simtime wall timing of the bench cell, never a sim timestamp
 	res := Run(cfg)
 	wall := time.Since(started) //drill:allow simtime wall timing of the bench cell, never a sim timestamp
+	peak := peakHeap()
 	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > peak {
-		peak = after.HeapAlloc
-	}
 
 	out := BenchCellResult{
 		Name:   c.Name,
@@ -219,20 +182,11 @@ func RunBenchCell(c BenchCell) BenchCellResult {
 		SetupNs:     hookAt.Sub(started).Nanoseconds(),
 		SetupAllocs: atHook.Mallocs - before.Mallocs,
 
-		Mallocs:       after.Mallocs - before.Mallocs,
 		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
 		PeakHeapBytes: peak,
 
 		PacketGets:   res.PacketGets,
 		PacketAllocs: res.PacketAllocs,
-	}
-	if res.Events > 0 {
-		out.NsPerEvent = float64(wall.Nanoseconds()) / float64(res.Events)
-		out.AllocsPerEvent = float64(out.Mallocs) / float64(res.Events)
-		out.BytesPerEvent = float64(out.AllocBytes) / float64(res.Events)
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		out.EventsPerSec = float64(res.Events) / secs
 	}
 	if res.Sent > 0 {
 		pkts := float64(res.Sent)
@@ -246,10 +200,42 @@ func RunBenchCell(c BenchCell) BenchCellResult {
 		out.BarrierStallPct = rep.StallPct()
 		out.ShardImbalance = rep.Imbalance()
 	}
-	return out
+	return out, res.Prov
 }
 
-// RunBench executes every canonical cell plus the micro measurements.
+// samplePeakHeap starts a goroutine that reads the bytes of live and
+// not-yet-swept heap objects (what MemStats.HeapAlloc reports, read here
+// without stopping the world) every millisecond of wall time. The returned
+// function stops it and reports the largest reading, one final read
+// included.
+func samplePeakHeap() (stop func() uint64) {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	done, peak := make(chan struct{}), make(chan uint64)
+	go func() {
+		tick := time.NewTicker(time.Millisecond) //drill:allow simtime wall-clock cadence of the heap sampler, never a sim timestamp
+		defer tick.Stop()
+		var hi uint64
+		for {
+			select {
+			case <-tick.C:
+				hi = max(hi, read())
+			case <-done:
+				peak <- max(hi, read())
+				return
+			}
+		}
+	}()
+	return func() uint64 {
+		close(done)
+		return <-peak
+	}
+}
+
+// RunBench executes every canonical cell.
 func RunBench(seed int64, progress func(format string, args ...any)) BenchReport {
 	rep := BenchReport{
 		Schema:     BenchSchemaVersion,
@@ -262,7 +248,7 @@ func RunBench(seed int64, progress func(format string, args ...any)) BenchReport
 	}
 	rep.Provenance = obs.NewManifest("drillbench", seed)
 	for _, c := range append(BenchCells(seed), BenchShardCells(seed)...) {
-		r := RunBenchCell(c)
+		r, prov := RunBenchCell(c)
 		if progress != nil {
 			suffix := ""
 			if r.Windows > 0 {
@@ -274,136 +260,8 @@ func RunBench(seed int64, progress func(format string, args ...any)) BenchReport
 				r.EventsPerPkt, float64(r.PeakHeapBytes)/1e6, suffix)
 		}
 		rep.Cells = append(rep.Cells, r)
-		rep.Provenance.Add(obs.CellSummary{
-			Cell: r.Name, Scheme: r.Scheme, Seed: seed, Load: r.Load,
-			ConfigHash: obs.ConfigHash(provConfig(c.Cfg)),
-			Events:     r.Events, Flows: r.Flows, WallNs: r.WallNs,
-			Windows: r.Windows, Imbalance: r.ShardImbalance,
-		})
-	}
-	rep.Micro = BenchMicroAllocs()
-	if progress != nil {
-		progress("micro: timer reset+stop %.2f, pool get+put %.2f, send→deliver %.2f allocs/op",
-			rep.Micro.TimerResetStop, rep.Micro.PoolGetPut, rep.Micro.SendDeliver)
+		prov.Cell = r.Name
+		rep.Provenance.Add(prov)
 	}
 	return rep
-}
-
-// BenchMicroAllocs measures the per-operation allocation cost of the
-// timer re-arm, packet recycle, and send→deliver paths.
-func BenchMicroAllocs() MicroAllocs {
-	var m MicroAllocs
-
-	// Timer re-arm on a warm heap: Reset moves the live entry in place.
-	{
-		s := sim.New(1)
-		tm := s.NewTimer(func() {})
-		tm.Reset(1 * units.Nanosecond)
-		s.Run()
-		m.TimerResetStop = testing.AllocsPerRun(1000, func() {
-			tm.Reset(5 * units.Nanosecond)
-			tm.Stop()
-		})
-	}
-
-	// Packet recycle round trip on a warm free list.
-	{
-		var pool fabric.PacketPool
-		pool.Put(pool.Get())
-		m.PoolGetPut = testing.AllocsPerRun(1000, func() {
-			pool.Put(pool.Get())
-		})
-	}
-
-	// One pool packet host→leaf→host through a warm fabric, drained.
-	{
-		send := sendDeliverOp()
-		send() // warm queues, heap, wheel chunks, and pool
-		m.SendDeliver = testing.AllocsPerRun(500, send)
-	}
-
-	// One window-protocol round trip across a warm 2-shard fabric. The
-	// warm-up lets retired packets settle into the opposite domain's pool
-	// and the rings, outboxes and wheel chunk pools reach their high-water
-	// sizes; only then does a remaining allocation belong to the barrier
-	// path.
-	{
-		op, done := shardWindowOp()
-		for i := 0; i < 5000; i++ {
-			op()
-		}
-		m.ShardWindow = testing.AllocsPerRun(500, op)
-		done()
-	}
-	return m
-}
-
-// sendDeliverOp builds a two-host, one-leaf fabric and returns an
-// operation that sends one pool packet host→leaf→host and runs the
-// simulation until it is delivered and every event it caused has
-// dispatched. Each op starts where the last one drained, so its events
-// land in wheel buckets the previous op did not use.
-func sendDeliverOp() func() {
-	sc := MustScheme("ECMP")
-	tp := topo.LeafSpine(topo.LeafSpineConfig{
-		Spines: 1, Leaves: 1, HostsPerLeaf: 2,
-		CoreRate: 10 * units.Gbps, HostRate: 10 * units.Gbps,
-	})
-	s := sim.New(1)
-	net := fabric.New(s, tp, fabric.Config{Balancer: sc.New()})
-	src, dst := net.Host(tp.Hosts[0]), tp.Hosts[1]
-	return func() {
-		pkt := src.AllocPacket()
-		pkt.FlowID = 1
-		pkt.Hash = 7
-		pkt.Dst = dst
-		pkt.Size = 1518 * units.Byte
-		src.Send(pkt)
-		s.Run()
-	}
-}
-
-// shardWindowOp builds a minimal 2-shard fabric (two leaves with one host
-// each, one spine) and returns an operation that sends one packet in each
-// direction between the shards and runs the window protocol until both
-// deliver — every op crosses the shard boundary twice and passes ~25
-// barriers. Packets are sent pairwise so the domain pools exchange
-// retired packets symmetrically and neither ever grows. The second return
-// stops the shard workers.
-func shardWindowOp() (op func(), done func()) {
-	sc := MustScheme("ECMP")
-	tp := topo.LeafSpine(topo.LeafSpineConfig{
-		Spines: 1, Leaves: 2, HostsPerLeaf: 1,
-		CoreRate: 10 * units.Gbps, HostRate: 10 * units.Gbps,
-	})
-	assign, nsh := tp.Partition(2)
-	global := sim.New(1)
-	shards := make([]*sim.Sim, nsh)
-	for i := range shards {
-		shards[i] = sim.New(1)
-	}
-	net := fabric.NewSharded(global, shards, assign, tp, fabric.Config{Balancer: sc.New()})
-	group := &sim.ShardGroup{
-		Global: global, Shards: shards,
-		Lookahead: net.ShardLookahead(), Exchange: net.ExchangeShards,
-	}
-	group.Start()
-
-	a, b := net.Host(tp.Hosts[0]), net.Host(tp.Hosts[1])
-	send := func(src *fabric.Host, dst topo.NodeID) {
-		pkt := src.AllocPacket()
-		pkt.FlowID = 1
-		pkt.Hash = 7
-		pkt.Dst = dst
-		pkt.Size = 1518 * units.Byte
-		src.Send(pkt)
-	}
-	next := global.Now()
-	op = func() {
-		send(a, b.ID)
-		send(b, a.ID)
-		next += 5 * units.Microsecond
-		group.RunUntil(next)
-	}
-	return op, group.Close
 }

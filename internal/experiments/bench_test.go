@@ -98,3 +98,28 @@ func BenchmarkRunCellTraceRing(b *testing.B) {
 		cfg.TraceSample = 10 * units.Microsecond
 	})
 }
+
+// TestRunBenchCellCountsTheRunAlone: drillbench measures from outside the
+// simulation, so a cell's events and windows are those of the same config
+// run plainly, and its provenance is the run's own record.
+func TestRunBenchCellCountsTheRunAlone(t *testing.T) {
+	cfg := RunCfg{
+		Topo: campaignTopo, Scheme: MustScheme("DRILL"), Seed: 2, Load: 0.5, Shards: 2,
+		Warmup: 100 * units.Microsecond, Measure: 300 * units.Microsecond,
+	}
+	plain := Run(cfg)
+	got, prov := RunBenchCell(BenchCell{Name: "ls-shards2", Cfg: cfg})
+	if got.Events != plain.Events || got.Windows != plain.EngineRep.WindowCount {
+		t.Errorf("bench cell: %d events, %d windows; the run alone: %d events, %d windows",
+			got.Events, got.Windows, plain.Events, plain.EngineRep.WindowCount)
+	}
+	if plain.EngineRep.WindowCount == 0 {
+		t.Error("the 2-shard run reported no windows")
+	}
+	if prov.ConfigHash != plain.Prov.ConfigHash || prov.Events != plain.Events || prov.Engine != "sharded/2" {
+		t.Errorf("bench provenance %+v is not the run's own %+v", prov, plain.Prov)
+	}
+	if got.PeakHeapBytes == 0 {
+		t.Error("no peak heap sampled")
+	}
+}

@@ -47,9 +47,6 @@ const (
 	// regresses a cell: set-up is deterministic code over a fixed
 	// topology, so 1% is already a real change.
 	BenchSetupAllocsTol = 0.01
-	// BenchMicroAllocsTol is the absolute allocs/op rise tolerated on the
-	// micro rows (all of which sit at small integers or zero).
-	BenchMicroAllocsTol = 0.1
 )
 
 // BenchFinding is one compared metric of one cell.
@@ -58,9 +55,9 @@ type BenchFinding struct {
 	Metric   string  `json:"metric"`
 	Baseline float64 `json:"baseline"`
 	Current  float64 `json:"current"`
-	// Delta is relative (a fraction of baseline) for the per-packet and
-	// set-up columns, absolute for the micro allocs/op rows and the shard
-	// protocol counts.
+	// Delta is relative (a fraction of baseline) for ns/packet,
+	// allocs/packet and set-up allocations, absolute for events/packet and
+	// the shard protocol counts.
 	Delta     float64 `json:"delta"`
 	Regressed bool    `json:"regressed"`
 	// Improved marks a deterministic column that beats the baseline by
@@ -90,7 +87,7 @@ var relativeMetrics = map[string]bool{
 }
 
 // DiffBench compares current against baseline cell by cell (matched by
-// name) plus the micro allocs/op rows.
+// name).
 func DiffBench(baseline, current *BenchReport) *BenchDiff {
 	d := &BenchDiff{BaselineSeed: baseline.Seed, CurrentSeed: current.Seed}
 	add := func(f BenchFinding) {
@@ -183,21 +180,6 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 	for name := range cur {
 		add(BenchFinding{Cell: name, Metric: "present",
 			Note: "new cell, no baseline"})
-	}
-
-	micro := []struct {
-		name     string
-		base, cu float64
-	}{
-		{"micro.timer_reset_stop", baseline.Micro.TimerResetStop, current.Micro.TimerResetStop},
-		{"micro.pool_get_put", baseline.Micro.PoolGetPut, current.Micro.PoolGetPut},
-		{"micro.send_deliver", baseline.Micro.SendDeliver, current.Micro.SendDeliver},
-		{"micro.shard_window", baseline.Micro.ShardWindow, current.Micro.ShardWindow},
-	}
-	for _, m := range micro {
-		add(BenchFinding{Cell: "micro", Metric: m.name, Baseline: m.base, Current: m.cu,
-			Delta: m.cu - m.base, Regressed: m.cu-m.base > BenchMicroAllocsTol,
-			Improved: m.base-m.cu > BenchMicroAllocsTol})
 	}
 	return d
 }

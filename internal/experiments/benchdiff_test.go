@@ -16,7 +16,6 @@ func benchFixture() *BenchReport {
 			{Name: "fattree16-shards4", Shards: 4, NsPerPkt: 4000, AllocsPerPkt: 0.11, SetupAllocs: 400_000,
 				Events: 17_600, Sent: 1000, EventsPerPkt: 17.6, Windows: 30_000, Exchanged: 1800},
 		},
-		Micro: MicroAllocs{TimerResetStop: 0, PoolGetPut: 0, SendDeliver: 6},
 	}
 }
 
@@ -100,7 +99,6 @@ func TestDiffBenchFlagsRegressions(t *testing.T) {
 	cur := benchFixture()
 	cur.Cells[0].NsPerPkt = base.Cells[0].NsPerPkt * 1.5 // +50% > 10% tol
 	cur.Cells[1].AllocsPerPkt = base.Cells[1].AllocsPerPkt * 2
-	cur.Micro.PoolGetPut = 1.0
 	d := DiffBench(base, cur)
 	if !findDiff(t, d, "ecmp-load0.5", "ns_per_pkt").Regressed {
 		t.Error("+50% ns/pkt not flagged")
@@ -108,11 +106,8 @@ func TestDiffBenchFlagsRegressions(t *testing.T) {
 	if !findDiff(t, d, "drill-load0.5", "allocs_per_pkt").Regressed {
 		t.Error("doubled allocs/pkt not flagged")
 	}
-	if !findDiff(t, d, "micro", "micro.pool_get_put").Regressed {
-		t.Error("micro alloc regression not flagged")
-	}
-	if d.Regressions != 3 {
-		t.Errorf("regressions = %d, want 3:\n%s", d.Regressions, d.Format())
+	if d.Regressions != 2 {
+		t.Errorf("regressions = %d, want 2:\n%s", d.Regressions, d.Format())
 	}
 	// Faster and leaner is never a regression.
 	fast := benchFixture()
@@ -129,9 +124,9 @@ func TestDiffBenchFlagsRegressions(t *testing.T) {
 // TestDiffBenchRatchet: a deterministic column that beats the baseline by
 // its tolerance or more is Improved — a stale baseline — while ns/pkt,
 // which depends on the machine, never is. A 9% fall in loop allocations
-// per packet passes, 10% ratchets; set-up allocations ratchet at 1%,
-// micro allocs/op at 0.1 below, and windows and exchanged at any fall,
-// at equal seed only.
+// per packet passes, 10% ratchets; set-up allocations ratchet at 1%, and
+// events per packet, windows and exchanged at any fall, at equal seed
+// only.
 func TestDiffBenchRatchet(t *testing.T) {
 	base := benchFixture()
 	for _, c := range []struct {
@@ -151,7 +146,6 @@ func TestDiffBenchRatchet(t *testing.T) {
 	cur.Cells[1].EventsPerPkt /= 2
 	cur.Cells[2].Windows--
 	cur.Cells[2].Exchanged--
-	cur.Micro.SendDeliver = 5
 	d := DiffBench(base, cur)
 	if f := findDiff(t, d, "ecmp-load0.5", "ns_per_pkt"); f.Improved {
 		t.Errorf("halved ns/pkt ratcheted: %+v", f)
@@ -161,22 +155,21 @@ func TestDiffBenchRatchet(t *testing.T) {
 		{"drill-load0.5", "events_per_pkt"},
 		{"fattree16-shards4", "windows"},
 		{"fattree16-shards4", "exchanged"},
-		{"micro", "micro.send_deliver"},
 	} {
 		f := findDiff(t, d, w.cell, w.metric)
 		if !f.Improved || f.Regressed || !strings.Contains(f.Note, "commit a new snapshot") {
 			t.Errorf("%s/%s beat the baseline but is not Improved with a note: %+v", w.cell, w.metric, f)
 		}
 	}
-	if d.Regressions != 0 || d.Improvements != 5 {
-		t.Errorf("regressions %d, improvements %d, want 0 and 5:\n%s", d.Regressions, d.Improvements, d.Format())
+	if d.Regressions != 0 || d.Improvements != 4 {
+		t.Errorf("regressions %d, improvements %d, want 0 and 4:\n%s", d.Regressions, d.Improvements, d.Format())
 	}
-	if out := d.Format(); !strings.Contains(out, "IMPROVED") || !strings.Contains(out, "5 improvement(s) to record in a new snapshot") {
+	if out := d.Format(); !strings.Contains(out, "IMPROVED") || !strings.Contains(out, "4 improvement(s) to record in a new snapshot") {
 		t.Errorf("format lacks the improvements:\n%s", out)
 	}
 	cur.Seed = 2
-	if d := DiffBench(base, cur); d.Improvements != 2 {
-		t.Errorf("seed-bound counts ratcheted across seeds: %d improvements, want 2 (set-up, micro):\n%s", d.Improvements, d.Format())
+	if d := DiffBench(base, cur); d.Improvements != 1 {
+		t.Errorf("seed-bound counts ratcheted across seeds: %d improvements, want 1 (set-up):\n%s", d.Improvements, d.Format())
 	}
 	// At equal seed any rise in events per packet regresses.
 	cur = benchFixture()
@@ -197,8 +190,6 @@ func TestDiffBenchFewerEventsSamePacketCost(t *testing.T) {
 		c := &cur.Cells[i]
 		c.Events -= c.Events / 3
 		c.EventsPerPkt = float64(c.Events) / float64(c.Sent)
-		// The per-event rate the old gate read falls by a third.
-		c.NsPerEvent = c.NsPerPkt * float64(c.Sent) / float64(c.Events)
 	}
 	d := DiffBench(base, cur)
 	if d.Regressions != 0 {

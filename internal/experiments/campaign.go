@@ -292,17 +292,18 @@ func FlapStorm(links, cycles int) *Campaign {
 
 // PodFailure takes the first n leaves' entire fabric connectivity down at
 // once — a correlated pod-level event — and restores it later in the run.
+// Every fail action precedes every restore, and each group lists the pods
+// in order.
 func PodFailure(n int) *Campaign {
 	c := &Campaign{Name: "podfail"}
 	for i := 0; i < n; i++ {
 		leaf := i
 		c.Sets = append(c.Sets, LinkSet{ID: fmt.Sprintf("pod%d", i), Leaf: &leaf})
-		c.Timeline = append(c.Timeline,
-			CampaignAction{AtFrac: 0.35, Op: "fail", Set: fmt.Sprintf("pod%d", i)},
-			CampaignAction{AtFrac: 0.70, Op: "restore", Set: fmt.Sprintf("pod%d", i)},
-		)
+		c.Timeline = append(c.Timeline, CampaignAction{AtFrac: 0.35, Op: "fail", Set: fmt.Sprintf("pod%d", i)})
 	}
-	sortTimeline(c)
+	for i := 0; i < n; i++ {
+		c.Timeline = append(c.Timeline, CampaignAction{AtFrac: 0.70, Op: "restore", Set: fmt.Sprintf("pod%d", i)})
+	}
 	return c
 }
 
@@ -367,16 +368,6 @@ func mergeCampaigns(base, extra *Campaign) *Campaign {
 		m.Timeline = append(m.Timeline, a)
 	}
 	return m
-}
-
-// sortTimeline orders actions by time, preserving declaration order among
-// equals (presets interleave per-set appends; runs dispatch in this order).
-func sortTimeline(c *Campaign) {
-	sort.SliceStable(c.Timeline, func(i, j int) bool {
-		ti := c.Timeline[i].AtUs*float64(units.Microsecond) + c.Timeline[i].AtFrac
-		tj := c.Timeline[j].AtUs*float64(units.Microsecond) + c.Timeline[j].AtFrac
-		return ti < tj
-	})
 }
 
 // CampaignByName returns a built-in campaign preset: flapstorm, podfail,

@@ -238,3 +238,35 @@ func TestCampaignOptionMergesWithCellCampaign(t *testing.T) {
 		t.Errorf("-campaign was dropped: epochs %d with it, %d without", both.Epochs, alone.Epochs)
 	}
 }
+
+// TestPodFailureTimeline pins the pod-failure preset: every pod fails at
+// 35% of the window and returns at 70%, fail actions first, pods in order
+// within each group. The fingerprints hash every field and were recorded
+// while the preset still sorted its timeline.
+func TestPodFailureTimeline(t *testing.T) {
+	want := map[int]string{
+		1: "302e053bbf1c97858dedb73cedd8f6f7",
+		2: "14467d9c9c7cfd0466986ddda0c9977e",
+		3: "da4bded5bbc7a5643e8613ce68306cb3",
+		4: "38f7b524397ab22a3e982a19d933986e",
+	}
+	for n := 1; n <= 4; n++ {
+		if got := PodFailure(n).Fingerprint(); got != want[n] {
+			t.Errorf("PodFailure(%d) fingerprint %s, want %s", n, got, want[n])
+		}
+	}
+	leaf0, leaf1 := 0, 1
+	two := &Campaign{
+		Name: "podfail",
+		Sets: []LinkSet{{ID: "pod0", Leaf: &leaf0}, {ID: "pod1", Leaf: &leaf1}},
+		Timeline: []CampaignAction{
+			{AtFrac: 0.35, Op: "fail", Set: "pod0"},
+			{AtFrac: 0.35, Op: "fail", Set: "pod1"},
+			{AtFrac: 0.70, Op: "restore", Set: "pod0"},
+			{AtFrac: 0.70, Op: "restore", Set: "pod1"},
+		},
+	}
+	if got := PodFailure(2); !reflect.DeepEqual(got, two) {
+		t.Errorf("PodFailure(2) = %+v, want %+v", got, two)
+	}
+}

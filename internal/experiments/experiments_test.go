@@ -157,6 +157,43 @@ func TestRunMinimal(t *testing.T) {
 	}
 }
 
+// TestIdleRunHasNoEvents: a run without traffic simulates nothing, so it
+// dispatches no event on either engine. Its measure-window reads are
+// observer events and count nothing.
+func TestIdleRunHasNoEvents(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		res := Run(RunCfg{
+			Topo: campaignTopo, Scheme: MustScheme("ECMP"), Seed: 1, Shards: shards,
+			Warmup: 100 * units.Microsecond, Measure: 200 * units.Microsecond,
+			DrainLimit: 100 * units.Microsecond,
+		})
+		if res.Events != 0 {
+			t.Errorf("shards=%d: an idle run dispatched %d events, want 0", shards, res.Events)
+		}
+	}
+}
+
+// TestSampleQueuesAddsNoEvents: the §3.2.3 sampler only reads queues, so
+// turning it on changes no event count, on either engine, while it does
+// measure something.
+func TestSampleQueuesAddsNoEvents(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := RunCfg{
+			Topo: campaignTopo, Scheme: MustScheme("ECMP"), Seed: 4, Load: 0.6, Shards: shards,
+			Warmup: 100 * units.Microsecond, Measure: 300 * units.Microsecond,
+		}
+		plain := Run(cfg)
+		cfg.SampleQueues = true
+		sampled := Run(cfg)
+		if sampled.Events != plain.Events {
+			t.Errorf("shards=%d: sampling queues moved events %d → %d", shards, plain.Events, sampled.Events)
+		}
+		if sampled.UplinkSTDV == 0 {
+			t.Errorf("shards=%d: the sampler measured no uplink imbalance", shards)
+		}
+	}
+}
+
 func TestRunWithFailures(t *testing.T) {
 	sc, _ := SchemeByName("DRILL")
 	res := Run(RunCfg{

@@ -79,8 +79,6 @@ type RunCfg struct {
 
 	// SampleQueues enables the 10µs queue-length STDV sampler of §3.2.3.
 	SampleQueues bool
-	// TrackGRO enables GRO batch accounting.
-	TrackGRO bool
 	// VisFactor overrides the queue-visibility delay factor (default
 	// fabric's 0.05).
 	VisFactor float64
@@ -255,10 +253,7 @@ func Run(cfg RunCfg) *RunResult {
 	if cfg.Tracer != nil && cfg.TraceSample > 0 {
 		fabric.StartTraceSampler(net, cfg.TraceSample)
 	}
-	reg := transport.NewRegistry(s, net, transport.Config{
-		ShimTimeout: cfg.Scheme.Shim,
-		TrackGRO:    cfg.TrackGRO,
-	})
+	reg := transport.NewRegistry(s, net, transport.Config{ShimTimeout: cfg.Scheme.Shim})
 	reg.MeasureFrom = cfg.Warmup
 	end := cfg.Warmup + cfg.Measure
 	engineReport := func() *obs.EngineReport { return buildEngineReport(engine, s, group, net) }
@@ -309,12 +304,20 @@ func Run(cfg RunCfg) *RunResult {
 		cfg.Hook(reg, end)
 	}
 
+	// The reads below only look at the run, so they are observer events:
+	// each lands at its instant and in its key slot, at a barrier on the
+	// sharded engine, and none counts as a simulation event.
 	var sampler *queueSampler
 	if cfg.SampleQueues {
 		sampler = newQueueSampler(net)
-		sim.NewTicker(s, 10*units.Microsecond, func(now units.Time) {
+		const every = 10 * units.Microsecond
+		var tick *sim.Ticker
+		tick = sim.NewObserverTicker(s, every, func(now units.Time) {
 			if now >= cfg.Warmup && now <= end {
 				sampler.sample()
+			}
+			if now+every > end {
+				tick.Stop()
 			}
 		})
 	}
@@ -323,14 +326,12 @@ func Run(cfg RunCfg) *RunResult {
 	// achieved-utilization metric.
 	uplinks := allLeafUplinks(net)
 	var txAtWarmup, txAtEnd int64
-	// Global class: the snapshots read ports across every shard, which is
-	// only legal at a barrier.
-	s.AtGlobal(cfg.Warmup, func() {
+	s.AfterObserver(cfg.Warmup-s.Now(), func() {
 		for _, p := range uplinks {
 			txAtWarmup += p.TxBytes()
 		}
 	})
-	s.AtGlobal(end, func() {
+	s.AfterObserver(end-s.Now(), func() {
 		for _, p := range uplinks {
 			txAtEnd += p.TxBytes()
 		}
@@ -445,7 +446,6 @@ func provConfig(cfg RunCfg) any {
 		Campaign     string
 		RouteDelayNs int64
 		SampleQueues bool
-		TrackGRO     bool
 		VisFactor    float64
 		Synthetic    bool
 		Shards       int
@@ -456,9 +456,8 @@ func provConfig(cfg RunCfg) any {
 		DrainNs: int64(cfg.DrainLimit), IncastNs: int64(cfg.IncastPeriod),
 		Campaign:     cfg.Campaign.Fingerprint(),
 		RouteDelayNs: int64(cfg.RouteDelay),
-		SampleQueues: cfg.SampleQueues, TrackGRO: cfg.TrackGRO,
-		VisFactor: cfg.VisFactor, Synthetic: cfg.Synthetic != nil,
-		Shards: cfg.Shards,
+		SampleQueues: cfg.SampleQueues, VisFactor: cfg.VisFactor,
+		Synthetic: cfg.Synthetic != nil, Shards: cfg.Shards,
 	}
 }
 

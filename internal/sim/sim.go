@@ -472,10 +472,11 @@ func (s *Sim) After(d units.Time, fn func()) { s.At(s.now+d, fn) }
 
 // AtGlobal schedules fn at absolute time t as a global-class event.
 // Global events are the ones a sharded run executes at window barriers —
-// workload arrivals, control-plane reconvergence, warmup/end markers —
-// and they sort before every same-time local event, which is exactly when
-// a barrier runs them. Sequential runs use the same class so the two
-// engines dispatch in the same order.
+// workload arrivals, link failures and restores, control-plane
+// reconvergence — and they sort before every same-time local event, which
+// is exactly when a barrier runs them. Sequential runs use the same class
+// so the two engines dispatch in the same order. A callback that only
+// reads state is an observer event instead (AfterObserver).
 func (s *Sim) AtGlobal(t units.Time, fn func()) {
 	if t < s.now {
 		panic("sim: event scheduled in the past")
@@ -488,12 +489,13 @@ func (s *Sim) AtGlobal(t units.Time, fn func()) {
 func (s *Sim) AfterGlobal(d units.Time, fn func()) { s.AtGlobal(s.now+d, fn) }
 
 // AfterDaemon schedules fn like After, but as a daemon event: Run treats a
-// queue holding only daemon events as drained. Periodic samplers and
-// decay tickers use this so they never keep a finished simulation alive.
-// Daemon events are global-class: in a sharded run they execute at window
-// barriers (the sampler reads every shard's ports, so every shard must be
-// parked), and the class order makes the sequential engine dispatch them
-// in the same pre-local slot a barrier gives them.
+// queue holding only daemon events as drained. It is for periodic work
+// that changes the simulation yet must not keep a finished one alive, such
+// as CONGA's DRE decay (NewTicker); a periodic read is an observer event
+// instead. Daemon events are global-class: in a sharded run they execute
+// at window barriers, every shard parked, and the class order makes the
+// sequential engine dispatch them in the same pre-local slot a barrier
+// gives them.
 func (s *Sim) AfterDaemon(d units.Time, fn func()) {
 	t := s.now + d
 	if t < s.now {
@@ -505,11 +507,12 @@ func (s *Sim) AfterDaemon(d units.Time, fn func()) {
 }
 
 // AfterObserver schedules fn like AfterDaemon, but additionally excludes
-// the dispatch from Executed accounting. Observer events exist for the
-// metrics snapshotter and similar pure-read instrumentation: they may look
-// at simulation state but never mutate it, so leaving them out of the
-// event count is what keeps a metrics-enabled run byte-identical (same
-// RunResult.Events, same fingerprints) to a metrics-free one.
+// the dispatch from Executed accounting. Observer events exist for every
+// pure read of a run: the metrics snapshotter, the samplers, a run's
+// measure-window counter reads. They may look at simulation state but
+// never mutate it, so leaving them out of the event count is what keeps a
+// measured run byte-identical (same RunResult.Events, same fingerprints)
+// to an unmeasured one.
 func (s *Sim) AfterObserver(d units.Time, fn func()) {
 	t := s.now + d
 	if t < s.now {
@@ -1091,7 +1094,8 @@ func (t *Timer) Stop() bool {
 }
 
 // Ticker invokes fn every interval until the simulation drains or stop is
-// requested. It is used by periodic samplers (queue-length STDV, DRE decay).
+// requested: CONGA's DRE decay (NewTicker), and the read-only samplers
+// (NewObserverTicker).
 type Ticker struct {
 	s        *Sim
 	interval units.Time
@@ -1125,7 +1129,8 @@ func NewObserverTicker(s *Sim, interval units.Time, fn func(now units.Time)) *Ti
 	return t
 }
 
-// Stop cancels future ticks.
+// Stop cancels future ticks. Called from fn, it also keeps the current
+// tick from arming the next one.
 func (t *Ticker) Stop() { t.stop = true }
 
 func (t *Ticker) tick() {
@@ -1133,6 +1138,9 @@ func (t *Ticker) tick() {
 		return
 	}
 	t.fn(t.s.Now())
+	if t.stop {
+		return
+	}
 	if t.silent {
 		t.s.AfterObserver(t.interval, t.tick)
 	} else {

@@ -178,6 +178,12 @@ func TestTickerStopInsideCallback(t *testing.T) {
 			tick.Stop()
 		}
 	})
+	// The stopping tick arms no further one: the sampler that stops at the
+	// end of its window leaves no tick behind to bound a shard window.
+	s.RunUntil(10)
+	if p := s.Pending(); p != 0 {
+		t.Fatalf("the stopping tick left %d events pending, want 0", p)
+	}
 	s.RunUntil(100)
 	if n != 2 {
 		t.Fatalf("ticks after stop: n = %d, want 2", n)

@@ -208,7 +208,7 @@ func (s *Sender) dupAck() {
 	}
 	if s.dupacks == 3 {
 		// Fast retransmit + fast recovery.
-		s.ssthresh = maxf(float64(s.inflightSegs())/2, 2)
+		s.ssthresh = max(float64(s.inflightSegs())/2, 2)
 		s.cwnd = s.ssthresh + 3
 		s.recover = s.sndNxt
 		s.inRecovery = true
@@ -277,7 +277,7 @@ func (s *Sender) onTimeout() {
 	if tr := s.reg.tracer; tr != nil {
 		tr.Flow(trace.Timeout, s.agent.sim.Now(), s.id, s.sndUna, float64(s.backoff))
 	}
-	s.ssthresh = maxf(float64(s.inflightSegs())/2, 2)
+	s.ssthresh = max(float64(s.inflightSegs())/2, 2)
 	s.cwnd = 1
 	s.dupacks = 0
 	s.inRecovery = false
@@ -288,13 +288,6 @@ func (s *Sender) onTimeout() {
 	// receiver's cumulative ACK over its buffered out-of-order data then
 	// advances the window past everything that actually arrived.
 	s.retransmit()
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (s *Sender) finish(now units.Time) {
