@@ -85,7 +85,8 @@ func (c *Cluster) RunToCompletion() { c.sim.Run() }
 
 // OfferLoad starts background traffic: Poisson/bursty flow arrivals with
 // sizes drawn from dist, calibrated so aggregate demand equals load (0..1)
-// of the fabric's core capacity, until the given time.
+// of the fabric's core capacity, until the given time. It panics unless
+// load is positive and finite.
 func (c *Cluster) OfferLoad(load float64, dist *SizeDist, until Time) {
 	g := workload.NewGenerator(c.reg, dist, workload.Load(load), until)
 	g.Start()

@@ -84,7 +84,7 @@ var shardFamilies = []engineFamily[obs.EngineShard]{
 var windowFamilies = []engineFamily[obs.EngineReport]{
 	{name: "drill_window_barriers_total", help: "Exchange barriers executed by the synchronizer.",
 		count: func(r *obs.EngineReport) int64 { return int64(r.Barriers) }},
-	{name: "drill_window_count", help: "Windows opened by the synchronizer.",
+	{name: "drill_window_count", help: "Windows opened by the synchronizer, those observer ticks cap included: compare only runs with the same instrumentation.",
 		gauge: func(r *obs.EngineReport) float64 { return float64(r.WindowCount) }},
 	{name: "drill_window_width_ns_sum", help: "Total sim-time width of all windows, ns.",
 		gauge: func(r *obs.EngineReport) float64 { return float64(r.WindowSumNs) }},

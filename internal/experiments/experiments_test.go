@@ -157,6 +157,18 @@ func TestRunMinimal(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeLoad: Load 0 means no Poisson traffic; any other
+// load reaches the generator, which refuses a negative one instead of
+// running silently without flows.
+func TestRunRejectsNegativeLoad(t *testing.T) {
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "load -0.5") {
+			t.Errorf("Run with Load -0.5 panicked with %v, want the load named", r)
+		}
+	}()
+	Run(RunCfg{Topo: campaignTopo, Scheme: MustScheme("ECMP"), Seed: 1, Load: -0.5})
+}
+
 // TestIdleRunHasNoEvents: a run without traffic simulates nothing, so it
 // dispatches no event on either engine. Its measure-window reads are
 // observer events and count nothing.

@@ -39,7 +39,8 @@ type RunCfg struct {
 	Engines  int // forwarding engines per switch (default 1)
 	QueueCap int // per-port packet cap (default fabric's 256)
 
-	// Load drives the background Poisson workload; Load 0 disables.
+	// Load drives the background Poisson workload; Load 0 disables. Any
+	// other load must be positive and finite (Run panics otherwise).
 	Load float64
 
 	Warmup  units.Time
@@ -289,7 +290,7 @@ func Run(cfg RunCfg) *RunResult {
 	var syn *workload.Synthetic
 	if cfg.Synthetic != nil {
 		syn = cfg.Synthetic(reg, end)
-	} else if cfg.Load > 0 {
+	} else if cfg.Load != 0 {
 		// The cache-follower trace with its tail truncated so millisecond
 		// windows can actually carry the offered load.
 		sizes := workload.Truncate(workload.FacebookCache, 2e6)

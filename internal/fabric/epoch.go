@@ -152,7 +152,7 @@ func (n *Network) setLink(id topo.LinkID, up bool) {
 		if p.up == up {
 			continue
 		}
-		p.settle()
+		p.Settle()
 		p.up = up
 		if !up && !p.wake && !p.queue.empty() {
 			p.dom.sim.AtPort(p.depAt, p.departKey(), p.Index)

@@ -23,7 +23,7 @@ func (s *sink) HandlePacket(h *Host, pkt *Packet) { s.got = append(s.got, pkt) }
 // after settling every update and departure its scheduler has passed. The
 // raw fields can trail these until the next read.
 func settled(p *Port) (pkts int32, bytes int64, skip int32) {
-	p.settle()
+	p.Settle()
 	return p.VisPkts, p.VisBytes, p.visSkip
 }
 

@@ -30,10 +30,13 @@ type TableBuilder interface {
 	BuildTables(net *Network)
 }
 
-// TxObserver is notified when a packet begins transmission on a port; CONGA
-// uses it to update DREs and stamp congestion.
+// TxObserver is notified when a packet begins transmission on a port at
+// time at; CONGA uses it to update DREs and stamp congestion. Departures
+// settle when read, so OnTx may run after at, when the port is next
+// settled (Port.Settle), but before the packet arrives, and in time order
+// per port.
 type TxObserver interface {
-	OnTx(net *Network, port *Port, pkt *Packet)
+	OnTx(net *Network, port *Port, pkt *Packet, at units.Time)
 }
 
 // ArriveObserver is notified when a packet arrives at a switch, before
@@ -210,10 +213,9 @@ func (n *Network) build() {
 	n.arriveObs, _ = cfg.Balancer.(ArriveObserver)
 	n.sendHook, _ = cfg.Balancer.(SendHook)
 
-	// Every port wakes at each departure where a departure must be seen as
-	// it happens: OnTx runs at transmission start, and a tracer orders its
-	// tx-start and link-depart events by (time, key).
-	wakeAll := n.txObs != nil || n.tracer != nil && (n.tracer.Enabled(trace.TxStart) || n.tracer.Enabled(trace.LinkDepart))
+	// Every port wakes at each departure while a tracer records tx-start or
+	// link-depart events, which it orders by (time, key).
+	wakeAll := n.tracer != nil && (n.tracer.Enabled(trace.TxStart) || n.tracer.Enabled(trace.LinkDepart))
 
 	// One port per directed channel, built in channel order (2*link+dir),
 	// so a port's index is its channel ID. The ports live in one array;
@@ -329,7 +331,7 @@ func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 // global-class event mid-run, or after a run stops.
 func (n *Network) Settle() {
 	for _, p := range n.Ports {
-		p.settle()
+		p.Settle()
 	}
 }
 
@@ -549,7 +551,7 @@ func classifyHop(t *topo.Topology, c topo.Chan) metrics.HopClass {
 //
 //drill:hotpath
 func (n *Network) enqueue(p *Port, pkt *Packet) {
-	p.settle()
+	p.Settle()
 	if !p.up || int(p.qPkts) >= p.Cap {
 		n.drop(p, pkt)
 		return
@@ -591,14 +593,14 @@ func (n *Network) transmit(p *Port, at units.Time) {
 	}
 	p.depAt = at + units.TxTime(pkt.Size, p.Rate)
 	if n.txObs != nil {
-		n.txObs.OnTx(n, p, pkt)
+		n.txObs.OnTx(n, p, pkt, at)
 	}
 	if p.wake {
 		d.sim.AtPort(p.depAt, p.departKey(), p.Index)
 	}
 }
 
-// depart applies the in-service packet's departure, which settle found
+// depart applies the in-service packet's departure, which Settle found
 // passed: the packet goes onto the wire (or into the shard outbox), and
 // the next packet starts at the same instant. A packet whose link died
 // under it is lost instead, and the waiting packets with it; its wire
@@ -654,11 +656,11 @@ func (n *Network) depart(p *Port) {
 func (n *Network) portEvent(idx int32, arrival bool) {
 	p := n.Ports[idx]
 	if !arrival {
-		p.settle()
+		p.Settle()
 		return
 	}
 	if !p.boundary {
-		p.settle()
+		p.Settle()
 	}
 	e := p.wireRing.pop()
 	if !p.wireRing.empty() {

@@ -31,7 +31,7 @@ import (
 // and the next packet starts then (Lindley's recursion). So a departure is
 // not an event. The port keeps the in-service packet's departure time
 // (depAt) under its pure key (sim.DepartKey), parks each visibility update
-// under the key sim.ReserveKey reserves for it, and settle applies —
+// under the key sim.ReserveKey reserves for it, and Settle applies —
 // before anyone reads the port — every update and departure its scheduler
 // has passed (sim.Sim.Reached). A departure moves the head onto the wire
 // ring and starts the next packet at that instant. The counters a reader
@@ -46,10 +46,11 @@ import (
 // arms a silent wake-up (a port event under the departure's key) that only
 // settles it. Boundary ports of a sharded run wake, so their departures
 // bound the windows and reach the outbox inside them; so does every port
-// while a tracer records transmissions or under a TxObserver balancer, so
-// trace events and OnTx stay in (time, key) order. A port whose link fails
-// under a packet in service wakes at that departure, so the drop happens
-// on time.
+// while a tracer records transmissions, so trace events stay in (time,
+// key) order. A port whose link fails under a packet in service wakes at
+// that departure, so the drop happens on time. A TxObserver needs no
+// wake-up: it learns each transmission's start time when the port
+// settles.
 type Port struct {
 	Index    int32 // position in Network.Ports
 	Chan     topo.ChanID
@@ -108,20 +109,20 @@ func (p *Port) Up() bool { return p.up }
 // scheduler that owns the port (an event of the port's shard, or a
 // barrier).
 func (p *Port) QueueLen() int32 {
-	p.settle()
+	p.Settle()
 	return p.qPkts
 }
 
 // QueueBytes reports true occupancy in bytes after settling the port.
 func (p *Port) QueueBytes() int64 {
-	p.settle()
+	p.Settle()
 	return p.qBytes
 }
 
 // TxBytes reports the bytes that finished serializing on the port, lost
 // ones included, after settling the port.
 func (p *Port) TxBytes() int64 {
-	p.settle()
+	p.Settle()
 	return p.txBytes
 }
 
@@ -130,7 +131,7 @@ func (p *Port) TxBytes() int64 {
 //
 //drill:hotpath
 func (p *Port) VisibleBytes() int64 {
-	p.settle()
+	p.Settle()
 	return p.VisBytes
 }
 
@@ -139,15 +140,17 @@ func (p *Port) VisibleBytes() int64 {
 //drill:hotpath
 func (p *Port) departKey() uint64 { return sim.DepartKey(uint64(p.Index), p.wireSeq) }
 
-// settle applies every departure and visibility update the port's
-// scheduler has passed. The two commute: departures take waiting packets
-// from the queue's head, updates credit them in the same FIFO order, and
-// the skip counter absorbs an update whose packet already left, so the
-// visible counters end the same whichever comes first. Nothing reads them
-// in between.
+// Settle applies every departure and visibility update the port's
+// scheduler has passed: the per-port form of Network.Settle, for a reader
+// that keeps state of its own about the port's transmissions (CONGA's
+// DREs). The two commute: departures take waiting packets from the
+// queue's head, updates credit them in the same FIFO order, and the skip
+// counter absorbs an update whose packet already left, so the visible
+// counters end the same whichever comes first. Nothing reads them in
+// between.
 //
 //drill:hotpath
-func (p *Port) settle() {
+func (p *Port) Settle() {
 	for !p.queue.empty() && p.dom.sim.Reached(p.depAt, p.departKey()) {
 		p.dom.net.depart(p)
 	}

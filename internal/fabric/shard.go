@@ -16,7 +16,7 @@ import (
 // plane pays nothing for the indirection beyond one pointer hop it
 // already paid for n.Sim. All domain state is touched only by the owning
 // shard's goroutine during a window, or by the coordinator at barriers.
-// net leads back to the data plane, which a port's settle runs.
+// net leads back to the data plane, which a port's Settle runs.
 type domain struct {
 	id        int
 	net       *Network

@@ -1,8 +1,9 @@
 package lb
 
 import (
+	"fmt"
+
 	"drill/internal/fabric"
-	"drill/internal/sim"
 	"drill/internal/topo"
 	"drill/internal/units"
 )
@@ -21,9 +22,18 @@ import (
 // use ECMP (matching the paper's footnote 5 for its VL2 experiment).
 type CONGA struct {
 	net    *fabric.Network
-	dre    []float64 // per-port DRE accumulator
-	quant  []uint8   // per-port quantized congestion (0..7)
+	origin units.Time // the first BuildTables; decay instant k falls at origin + k·congaDREInterval
+	dre    []portDRE  // by port index
 	leaves map[topo.NodeID]*congaLeaf
+}
+
+// portDRE is one port's discounting rate estimator. Its periodic decay is
+// settled when read: a transmit or a Choose first ages the estimator to
+// its instant (see age), so no event runs per decay.
+type portDRE struct {
+	bytes float64 // accumulator
+	quant uint8   // bytes quantized at the last decay instant applied (0..7)
+	aged  int64   // decay instants applied
 }
 
 type congaLeaf struct {
@@ -62,9 +72,8 @@ func (c *CONGA) BuildTables(net *fabric.Network) {
 	net.BuildDefaultTables()
 	c.net = net
 	if c.dre == nil {
-		c.dre = make([]float64, len(net.Ports))
-		c.quant = make([]uint8, len(net.Ports))
-		sim.NewTicker(net.Sim, congaDREInterval, func(units.Time) { c.decay() })
+		c.origin = net.Sim.Now()
+		c.dre = make([]portDRE, len(net.Ports))
 	}
 	c.leaves = map[topo.NodeID]*congaLeaf{}
 	for _, leaf := range net.Topo.Leaves {
@@ -84,12 +93,22 @@ func (c *CONGA) BuildTables(net *fabric.Network) {
 	}
 }
 
-// decay applies the DRE discount and refreshes the quantized metrics.
-func (c *CONGA) decay() {
-	for i := range c.dre {
-		c.dre[i] *= 1 - congaDREAlpha
-		c.quant[i] = c.quantize(int32(i))
+// age applies every decay instant at or before t to the port's DRE, each
+// discounting the accumulator and refreshing the quantized metric, and
+// returns the DRE. A decay instant at t applies before a transmit or read
+// at t. A DRE already aged past t would count a transmit at t after a
+// later decay, so age panics.
+func (c *CONGA) age(port int32, t units.Time) *portDRE {
+	d := &c.dre[port]
+	n := int64((t - c.origin) / congaDREInterval)
+	if d.aged > n {
+		panic(fmt.Sprintf("lb: CONGA's DRE of port %d read at %v after it was aged past that instant", port, t))
 	}
+	for ; d.aged < n; d.aged++ {
+		d.bytes *= 1 - congaDREAlpha
+		d.quant = c.quantize(port)
+	}
+	return d
 }
 
 // quantize maps a DRE value to 3 bits against the port's rate-delay
@@ -101,24 +120,23 @@ func (c *CONGA) quantize(port int32) uint8 {
 	if capacityBytes <= 0 {
 		return 0
 	}
-	q := c.dre[port] / capacityBytes * 8
+	q := c.dre[port].bytes / capacityBytes * 8
 	if q > 7 {
 		q = 7
 	}
 	return uint8(q)
 }
 
-// OnTx implements fabric.TxObserver: feed the DRE and stamp CE on data
-// packets crossing fabric links.
-func (c *CONGA) OnTx(net *fabric.Network, port *fabric.Port, pkt *fabric.Packet) {
+// OnTx implements fabric.TxObserver: age the DRE to the transmission's
+// start, feed it, and stamp CE on data packets crossing fabric links.
+func (c *CONGA) OnTx(net *fabric.Network, port *fabric.Port, pkt *fabric.Packet, at units.Time) {
 	if net.Topo.Nodes[port.From].Kind == topo.Host || net.Topo.Nodes[port.To].Kind == topo.Host {
 		return
 	}
-	c.dre[port.Index] += float64(pkt.Size)
-	if pkt.Kind == fabric.Data {
-		if q := c.quant[port.Index]; q > pkt.CE {
-			pkt.CE = q
-		}
+	d := c.age(port.Index, at)
+	d.bytes += float64(pkt.Size)
+	if pkt.Kind == fabric.Data && d.quant > pkt.CE {
+		pkt.CE = d.quant
 	}
 }
 
@@ -170,7 +188,10 @@ func (c *CONGA) Choose(net *fabric.Network, sw *fabric.Switch, eng *fabric.Engin
 		if !ok {
 			continue
 		}
-		m := c.quant[port]
+		// Settle first, so the port's transmits feed the DRE before the
+		// decay instants after them apply.
+		net.Ports[port].Settle()
+		m := c.age(port, now).quant
 		if int(tag) < len(cl.congToLeaf[pkt.DstLeafIdx]) {
 			if r := cl.congToLeaf[pkt.DstLeafIdx][tag]; r > m {
 				m = r

@@ -1,6 +1,7 @@
 package lb
 
 import (
+	"math"
 	"testing"
 
 	"drill/internal/fabric"
@@ -9,30 +10,72 @@ import (
 	"drill/internal/units"
 )
 
+// TestCONGADREDecayAndQuantization: aging a port's DRE to time t applies
+// each decay instant at or before t once, however the reads fall between
+// them: k instants are k discounts, each re-quantized, bit for bit.
 func TestCONGADREDecayAndQuantization(t *testing.T) {
 	tp := smallClos()
-	s := sim.New(1)
 	c := NewCONGA()
-	n := fabric.New(s, tp, fabric.Config{Balancer: c})
-	// Pick a fabric port (leaf uplink).
+	n := fabric.New(sim.New(1), tp, fabric.Config{Balancer: c})
 	port := n.LeafUplinks(tp.Leaves[0])[0]
-
-	// Saturate: feed the DRE at line rate for several decay periods.
 	tau := float64(congaDREInterval) / congaDREAlpha
 	lineBytes := float64(port.Rate) / 8 * tau / float64(units.Second)
-	c.dre[port.Index] = lineBytes // exactly the rate-time constant product
-	c.decay()
-	// After one decay: X = lineBytes*(1-α); quantized against lineBytes*8.
-	q := c.quant[port.Index]
-	if q == 0 || q > 7 {
-		t.Fatalf("quantized congestion = %d, want in (0,7]", q)
+	d := &c.dre[port.Index]
+	d.bytes = 1.3 * lineBytes // above the rate-time constant product
+	want, wantQ, instants := d.bytes, uint8(0), int64(0)
+	for _, at := range []units.Time{
+		congaDREInterval - 1, congaDREInterval, congaDREInterval, // before, on and again on instant 1
+		3*congaDREInterval + 7, 3*congaDREInterval + 9, // past instant 3, twice
+		80 * congaDREInterval, // long idle
+	} {
+		c.age(port.Index, at)
+		for ; instants < int64(at/congaDREInterval); instants++ {
+			want *= 1 - congaDREAlpha
+			wantQ = uint8(min(want/lineBytes*8, 7))
+		}
+		if d.aged != instants || math.Float64bits(d.bytes) != math.Float64bits(want) || d.quant != wantQ {
+			t.Fatalf("aged to %v: instants=%d bytes=%v quant=%d, want %d, %v, %d",
+				at, d.aged, d.bytes, d.quant, instants, want, wantQ)
+		}
+		if at == congaDREInterval && d.quant == 0 {
+			t.Fatal("a DRE above line rate quantized to 0 after one instant")
+		}
 	}
-	// Idle decay drives it back to zero.
-	for i := 0; i < 64; i++ {
-		c.decay()
+	if d.quant != 0 {
+		t.Fatalf("an idle DRE did not decay to 0: %d", d.quant)
 	}
-	if c.quant[port.Index] != 0 {
-		t.Fatalf("DRE did not decay to 0: %d", c.quant[port.Index])
+}
+
+// TestCONGARefusesTransmitAfterLaterDecay: a transmit counted after its
+// port's DRE was aged past the transmit's instant would feed the
+// accumulator after a decay it preceded, so OnTx panics. A transmit at
+// the latest applied instant itself is in order: the instant applies
+// first.
+func TestCONGARefusesTransmitAfterLaterDecay(t *testing.T) {
+	tp := smallClos()
+	c := NewCONGA()
+	n := fabric.New(sim.New(1), tp, fabric.Config{Balancer: c})
+	port := n.LeafUplinks(tp.Leaves[0])[0]
+	pkt := &fabric.Packet{Kind: fabric.Data, Size: 1518}
+	c.age(port.Index, 2*congaDREInterval)
+	c.OnTx(n, port, pkt, 2*congaDREInterval)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OnTx accepted a transmit before an instant already applied")
+		}
+	}()
+	c.OnTx(n, port, pkt, 2*congaDREInterval-1)
+}
+
+// TestCONGASchedulesNothingIdle: CONGA's DREs decay when read, so a CONGA
+// network without traffic dispatches no event.
+func TestCONGASchedulesNothingIdle(t *testing.T) {
+	s := sim.New(1)
+	fabric.New(s, smallClos(), fabric.Config{Balancer: NewCONGA()})
+	s.RunUntil(units.Millisecond)
+	if st := s.Sched(); s.Executed != 0 || st.DispatchList+st.DispatchHeap != 0 {
+		t.Fatalf("an idle CONGA network dispatched %d events (%d counted)",
+			st.DispatchList+st.DispatchHeap, s.Executed)
 	}
 }
 
@@ -50,16 +93,14 @@ func TestCONGAStampsCEOnlyUpward(t *testing.T) {
 		}
 	}
 	pkt := &fabric.Packet{Kind: fabric.Data, Size: 1518}
-	before := c.dre[hostPort.Index]
-	c.OnTx(n, hostPort, pkt)
-	if c.dre[hostPort.Index] != before {
+	c.OnTx(n, hostPort, pkt, 0)
+	if c.dre[hostPort.Index].bytes != 0 {
 		t.Fatal("CONGA fed a host-facing port's DRE")
 	}
 	// Fabric port does contribute and stamps CE when congested.
 	fport := n.LeafUplinks(tp.Leaves[0])[0]
-	c.dre[fport.Index] = 1e12 // force saturation
-	c.decay()
-	c.OnTx(n, fport, pkt)
+	c.dre[fport.Index].bytes = 1e12 // force saturation
+	c.OnTx(n, fport, pkt, congaDREInterval)
 	if pkt.CE == 0 {
 		t.Fatal("CE not stamped on a congested fabric port")
 	}

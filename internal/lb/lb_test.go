@@ -257,19 +257,19 @@ func TestCONGAFlowletStickinessAndGap(t *testing.T) {
 	}
 	first := c.Choose(n, sw, eng, mk())
 	// Within the gap the flowlet sticks even if we load that port's DRE.
-	c.OnTx(n, n.Ports[first], mk())
+	c.OnTx(n, n.Ports[first], mk(), s.Now())
 	for i := 0; i < 10; i++ {
 		s.RunUntil(s.Now() + 10*units.Microsecond)
 		if got := c.Choose(n, sw, eng, mk()); got != first {
 			t.Fatalf("flowlet moved within gap at iter %d", i)
 		}
 	}
-	// After the gap a heavily congested port must be avoided.
+	// After the gap a heavily congested port must be avoided: saturate
+	// its DRE, then let one decay instant quantize it.
 	s.RunUntil(s.Now() + 2*congaFlowletGap)
-	for i := 0; i < 400; i++ { // saturate DRE on `first`
-		c.dre[first] += 1 << 14
-	}
-	c.decay()
+	c.age(first, s.Now())
+	c.dre[first].bytes += 400 << 14
+	s.RunUntil(s.Now() + congaDREInterval)
 	if got := c.Choose(n, sw, eng, mk()); got == first {
 		t.Fatal("CONGA kept a saturated uplink after the flowlet gap")
 	}

@@ -154,7 +154,7 @@ func checkNondetCall(sup *suppressor, call *ast.CallExpr, fn *types.Func) {
 	case "time":
 		if wallClockFuncs[fn.Name()] {
 			sup.Reportf(call.Pos(),
-				"wall clock in simulation code: time.%s is nondeterministic across runs; use the sim clock (Sim.Now/After/NewTicker)", fn.Name())
+				"wall clock in simulation code: time.%s is nondeterministic across runs; use the sim clock (Sim.Now/After/NewTimer)", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !seededRandCtors[fn.Name()] {

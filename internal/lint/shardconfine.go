@@ -29,11 +29,11 @@ import (
 //  2. callbacks handed to shard-class scheduling calls on sim.Sim —
 //     OnPort, At, After, NewTimer, ReserveKey — because under sharding
 //     those events run on a shard's private scheduler. Global/barrier-class calls (AtGlobal,
-//     AfterGlobal, AfterDaemon, AfterObserver, NewTicker,
-//     NewObserverTicker) are excluded: they run on the global sim
-//     between windows. Callbacks created inside methods of a type
-//     carrying the fabric.ShardUnsafe marker are also excluded — marked
-//     schemes are refused by NewSharded and only ever run sequentially.
+//     AfterGlobal, AfterObserver, NewObserverTicker) are excluded: they
+//     run on the global sim between windows. Callbacks created inside
+//     methods of a type carrying the fabric.ShardUnsafe marker are also
+//     excluded — marked schemes are refused by NewSharded and only ever
+//     run sequentially.
 //
 // Checks over the worker-reachable set:
 //

@@ -18,7 +18,6 @@ func (s *Sim) Now() int64                               { return 0 }
 // between shard windows, so they are not shard-worker roots.
 func (s *Sim) AtGlobal(t int64, fn func())      {}
 func (s *Sim) AfterGlobal(d int64, fn func())   {}
-func (s *Sim) AfterDaemon(d int64, fn func())   {}
 func (s *Sim) AfterObserver(d int64, fn func()) {}
 
 // Timer mirrors the cancellable timer.

@@ -2,11 +2,11 @@
 //
 // A sharded run partitions the fabric into shards, each owning a private
 // Sim, plus one global Sim for everything that observes or steers more
-// than one shard (workload generators, failure injection, samplers,
-// daemon tickers). Shards interact only through wire propagation across
-// shard-boundary links, whose minimum propagation delay L is the
-// lookahead bound: an event a shard executes at time t cannot affect
-// another shard before t+L. The synchronizer exploits that bound the
+// than one shard (workload generators, failure injection, samplers).
+// Shards interact only through wire propagation across shard-boundary
+// links, whose minimum propagation delay L is the lookahead bound: an
+// event a shard executes at time t cannot affect another shard before
+// t+L. The synchronizer exploits that bound the
 // classic conservative-parallel-DES way — pick the earliest pending event
 // time m across all schedulers, let every shard run its private events in
 // [T, W) with W = min(m+L, next global event, horizon) concurrently, then
@@ -134,8 +134,8 @@ func (w *WindowStats) Quantile(q float64) uint64 {
 // drive it with RunUntil exactly as a sequential run drives Sim.RunUntil;
 // Close parks the workers when the run is over.
 type ShardGroup struct {
-	// Global runs barrier-class events: workload, control plane, daemon
-	// tickers, observers. Its clock is the authoritative run clock.
+	// Global runs barrier-class events: workload, control plane,
+	// observers. Its clock is the authoritative run clock.
 	Global *Sim
 	// Shards run the data plane, one goroutine each.
 	Shards []*Sim

@@ -109,9 +109,9 @@ const chunkSize = 32
 // Event-key flag bits. The FIFO tie-break sequence number (or a port
 // event's pure key) is packed above the flag bits, so one uint64
 // comparison orders same-time events and carries the
-// daemon/observer/tracked classification without widening the event.
+// observer/silent/tracked classification without widening the event.
 const (
-	keyDaemon  uint64 = 1 << 0 // never keeps Run alive
+	keyDaemon  uint64 = 1 << 0 // an observer event: never keeps Run alive
 	keySilent  uint64 = 1 << 1 // excluded from Executed accounting
 	keyTracked uint64 = 1 << 2 // a Timer owns this entry (location-tracked)
 	keyShift          = 3
@@ -119,7 +119,7 @@ const (
 
 // Event-key class bits. The top two key bits partition same-time events
 // into four classes, dispatched in class order: global events (workload
-// arrivals, failure injection, daemon tickers — anything a sharded run
+// arrivals, failure injection, observer ticks — anything a sharded run
 // executes at a window barrier), then shard-local events (the data plane's
 // visibility updates and timers), then port departures (a packet finishing
 // serialization, see DepartKey), then wire arrivals (packets landing on a
@@ -135,7 +135,7 @@ const (
 // when departures were events with a fresh sequence number.
 const (
 	classShift          = 62
-	classGlobal  uint64 = 0 << classShift // barrier-executed: workload, control plane, daemons
+	classGlobal  uint64 = 0 << classShift // barrier-executed: workload, control plane, observers
 	classLocal   uint64 = 1 << classShift // shard-private data-plane events
 	classDepart  uint64 = 2 << classShift // port departures; key from DepartKey
 	classArrival uint64 = 3 << classShift // wire arrivals; key from ArrivalKey
@@ -208,7 +208,7 @@ type Sim struct {
 	front   uint64
 	seq     uint64
 	seed    int64
-	daemons int // scheduled daemon events (they never keep Run alive)
+	daemons int // scheduled observer events (they never keep Run alive)
 
 	near eventHeap // straggler events inside the cursor bucket's window
 	far  eventHeap // events beyond the wheel horizon
@@ -488,31 +488,16 @@ func (s *Sim) AtGlobal(t units.Time, fn func()) {
 // AfterGlobal schedules fn to run d from now as a global-class event.
 func (s *Sim) AfterGlobal(d units.Time, fn func()) { s.AtGlobal(s.now+d, fn) }
 
-// AfterDaemon schedules fn like After, but as a daemon event: Run treats a
-// queue holding only daemon events as drained. It is for periodic work
-// that changes the simulation yet must not keep a finished one alive, such
-// as CONGA's DRE decay (NewTicker); a periodic read is an observer event
-// instead. Daemon events are global-class: in a sharded run they execute
-// at window barriers, every shard parked, and the class order makes the
-// sequential engine dispatch them in the same pre-local slot a barrier
-// gives them.
-func (s *Sim) AfterDaemon(d units.Time, fn func()) {
-	t := s.now + d
-	if t < s.now {
-		panic("sim: daemon event scheduled in the past")
-	}
-	s.seq++
-	s.daemons++
-	s.schedule(event{at: t, key: s.seq<<keyShift | keyDaemon, id: s.alloc(fn, nil)})
-}
-
-// AfterObserver schedules fn like AfterDaemon, but additionally excludes
-// the dispatch from Executed accounting. Observer events exist for every
-// pure read of a run: the metrics snapshotter, the samplers, a run's
-// measure-window counter reads. They may look at simulation state but
-// never mutate it, so leaving them out of the event count is what keeps a
-// measured run byte-identical (same RunResult.Events, same fingerprints)
-// to an unmeasured one.
+// AfterObserver schedules fn d from now as an observer event. Observer
+// events exist for every pure read of a run: the metrics snapshotter, the
+// samplers, a run's measure-window counter reads. They may look at
+// simulation state but never mutate it, so Run treats a queue holding only
+// observer events as drained, and Executed leaves them out: that is what
+// keeps a measured run byte-identical (same RunResult.Events, same
+// fingerprints) to an unmeasured one. Observer events are global-class: in
+// a sharded run they execute at window barriers, every shard parked, and
+// the class order makes the sequential engine dispatch them in the same
+// pre-local slot a barrier gives them.
 func (s *Sim) AfterObserver(d units.Time, fn func()) {
 	t := s.now + d
 	if t < s.now {
@@ -731,8 +716,8 @@ func (s *Sim) pour(b int32) {
 	}
 }
 
-// Run dispatches events in time order until only daemon events remain.
-// Keys reserved with ReserveKey count as pending work: with only daemon
+// Run dispatches events in time order until only observer events remain.
+// Keys reserved with ReserveKey count as pending work: with only observer
 // events left, Run still dispatches those that sort before the latest
 // reserved key, then moves the clock and frontier to it — where a
 // scheduler running one event per update would have stopped.
@@ -1093,30 +1078,19 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Ticker invokes fn every interval until the simulation drains or stop is
-// requested: CONGA's DRE decay (NewTicker), and the read-only samplers
-// (NewObserverTicker).
+// Ticker invokes a read-only callback every interval, as observer events,
+// until the simulation drains or stop is requested: the metrics
+// snapshotter and the samplers.
 type Ticker struct {
 	s        *Sim
 	interval units.Time
 	stop     bool
-	silent   bool
 	fn       func(now units.Time)
 }
 
-// NewTicker starts a periodic callback with the given interval. The first
-// tick fires one interval from now.
-func NewTicker(s *Sim, interval units.Time, fn func(now units.Time)) *Ticker {
-	if interval <= 0 {
-		panic("sim: ticker interval must be positive")
-	}
-	t := &Ticker{s: s, interval: interval, fn: fn}
-	s.AfterDaemon(interval, t.tick)
-	return t
-}
-
-// NewObserverTicker is NewTicker over observer events: ticks never keep the
-// simulation alive and never count toward Executed. fn must only read
+// NewObserverTicker starts a periodic observer callback with the given
+// interval; the first tick fires one interval from now. Ticks never keep
+// the simulation alive and never count toward Executed. fn must only read
 // simulation state (the observe-never-steer contract); a callback that
 // mutated data-plane state or drew from a random stream would break the
 // byte-identical guarantee this event class exists to preserve.
@@ -1124,7 +1098,7 @@ func NewObserverTicker(s *Sim, interval units.Time, fn func(now units.Time)) *Ti
 	if interval <= 0 {
 		panic("sim: ticker interval must be positive")
 	}
-	t := &Ticker{s: s, interval: interval, fn: fn, silent: true}
+	t := &Ticker{s: s, interval: interval, fn: fn}
 	s.AfterObserver(interval, t.tick)
 	return t
 }
@@ -1141,9 +1115,5 @@ func (t *Ticker) tick() {
 	if t.stop {
 		return
 	}
-	if t.silent {
-		t.s.AfterObserver(t.interval, t.tick)
-	} else {
-		t.s.AfterDaemon(t.interval, t.tick)
-	}
+	t.s.AfterObserver(t.interval, t.tick)
 }

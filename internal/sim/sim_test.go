@@ -153,7 +153,7 @@ func TestStreamsIndependent(t *testing.T) {
 func TestTicker(t *testing.T) {
 	s := New(1)
 	var ticks []units.Time
-	tick := NewTicker(s, 10, func(now units.Time) { ticks = append(ticks, now) })
+	tick := NewObserverTicker(s, 10, func(now units.Time) { ticks = append(ticks, now) })
 	s.RunUntil(55)
 	tick.Stop()
 	s.Run()
@@ -172,7 +172,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	s := New(1)
 	n := 0
 	var tick *Ticker
-	tick = NewTicker(s, 5, func(units.Time) {
+	tick = NewObserverTicker(s, 5, func(units.Time) {
 		n++
 		if n == 2 {
 			tick.Stop()
@@ -187,24 +187,6 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	s.RunUntil(100)
 	if n != 2 {
 		t.Fatalf("ticks after stop: n = %d, want 2", n)
-	}
-}
-
-func TestDaemonEventsDoNotBlockDrain(t *testing.T) {
-	s := New(1)
-	ticks := 0
-	NewTicker(s, 5, func(units.Time) { ticks++ })
-	ran := false
-	s.At(12, func() { ran = true })
-	s.Run() // must terminate despite the self-rescheduling ticker
-	if !ran {
-		t.Fatal("regular event not dispatched")
-	}
-	if ticks != 2 {
-		t.Fatalf("ticks = %d, want 2 (at t=5,10 before last event at 12)", ticks)
-	}
-	if s.Now() != 12 {
-		t.Fatalf("clock = %v", s.Now())
 	}
 }
 

@@ -43,7 +43,6 @@ type wheelOp struct {
 const (
 	opAfter     = iota // After
 	opChain            // After whose callback schedules a child
-	opDaemon           // AfterDaemon
 	opReset            // Timer.Reset
 	opStop             // Timer.Stop
 	opRunUntil         // RunUntil now+delay
@@ -530,8 +529,6 @@ func applyScript(s *Sim, ops []wheelOp, batched bool, probe *frontierProbe, watc
 			s.After(op.delay, do(label, func() {
 				s.After(child, do(label+1_000_000, nil))
 			}))
-		case opDaemon:
-			s.AfterDaemon(op.delay, do(label, nil))
 		case opReset:
 			watch.noteTimer(tms[tm])
 			tms[tm].Reset(op.delay)
@@ -736,33 +733,33 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 // every (kind, class) pair is reachable; the other two are a 16-bit delay
 // seed, stretched across the class's range.
 func FuzzWheelVsHeap(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 5, 2, 0, 3, 255, 255})
-	f.Add([]byte{1, 0, 4, 3, 12, 0, 5, 0, 64, 4, 0, 0})
-	f.Add([]byte{2, 7, 7, 5, 255, 0, 0, 0, 0, 3, 3, 3})
+	f.Add([]byte{0, 1, 0, 4, 2, 0, 2, 255, 255})
+	f.Add([]byte{1, 0, 4, 2, 12, 0, 4, 0, 64, 3, 0, 0})
+	f.Add([]byte{6, 7, 7, 4, 255, 0, 0, 0, 0, 2, 3, 3})
 	// Two updates parked on visibility queue 0 (256ns), then a plain event
 	// at the second update's instant: scheduled after the update reserved
 	// its key, it must find the update settled.
-	f.Add([]byte{0xca, 0, 0, 0xca, 0, 0, 0xc5, 0, 0, 0xc0, 1, 0})
+	f.Add([]byte{0xc9, 0, 0, 0xc9, 0, 0, 0xc4, 0, 0, 0xc0, 1, 0})
 	// Queue and ring pushes on the tie grid, interleaved with plain,
 	// global and registered events at the same instants and partial
 	// advances.
-	f.Add([]byte{0xca, 1, 0, 0xcb, 2, 0, 0xc0, 1, 0, 0xc6, 2, 0, 0xc9, 1, 0, 0x48, 0, 64, 0xca, 3, 0, 0xcb, 0, 0})
-	f.Add([]byte{0x0b, 0, 1, 0x0b, 1, 1, 0x0a, 2, 1, 0x07, 0, 9, 0x45, 0, 200, 0x8b, 0, 3, 0x4a, 1, 0})
+	f.Add([]byte{0xc9, 1, 0, 0xca, 2, 0, 0xc0, 1, 0, 0xc5, 2, 0, 0xc8, 1, 0, 0x47, 0, 64, 0xc9, 3, 0, 0xca, 0, 0})
+	f.Add([]byte{0x0a, 0, 1, 0x0a, 1, 1, 0x09, 2, 1, 0x06, 0, 9, 0x44, 0, 200, 0x8a, 0, 3, 0x49, 1, 0})
 	// Parks between pushes: RunBefore and AdvanceTo leave the updates at
 	// the parked instant unsettled, RunUntil settles them, and events
 	// scheduled at the instant afterwards sort behind the frontier.
-	f.Add([]byte{0xca, 0, 0, 0xcc, 1, 0, 0xca, 1, 0, 0xc8, 2, 0, 0xc0, 0, 0, 0xc5, 1, 0, 0x06, 0, 0, 0x00, 0, 0, 0xcc, 3, 0})
+	f.Add([]byte{0xc9, 0, 0, 0xcb, 1, 0, 0xc9, 1, 0, 0xc7, 2, 0, 0xc0, 0, 0, 0xc4, 1, 0, 0x05, 0, 0, 0x00, 0, 0, 0xcb, 3, 0})
 	// The chunked buckets: two bursts into one bucket 1.6µs out (timer 0
 	// re-armed inside each), timer 0 stopped from the bucket's older
 	// chunk, then far events one and two horizons out and a RunUntil past
 	// the first, so the cursor's jumps cascade them and wrap the bitmap.
-	f.Add([]byte{0x4d, 0, 100, 0x04, 0, 0, 0x4d, 4, 100, 0x03, 0, 0, 0x80, 0x40, 0, 0x80, 0x80, 0, 0x85, 0x60, 0, 0x4d, 1, 7})
+	f.Add([]byte{0x4c, 0, 100, 0x03, 0, 0, 0x4c, 4, 100, 0x02, 0, 0, 0x80, 0x40, 0, 0x80, 0x80, 0, 0x84, 0x60, 0, 0x4c, 1, 7})
 	// The spread buckets: every offset of a window 416ns out, then of one
 	// 352ns out, each with same-instant pairs stored out of key order, a
 	// timer re-armed into it and one stopped from its older chunk; then a
 	// RunUntil to 432ns, halfway into the first window, before Run drains
 	// the rest.
-	f.Add([]byte{0x4e, 0, 20, 0xce, 1, 0, 0x45, 0, 27})
+	f.Add([]byte{0x4d, 0, 20, 0xcd, 1, 0, 0x44, 0, 27})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {
 			data = data[:3*512]

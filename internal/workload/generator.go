@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"drill/internal/topo"
@@ -57,8 +59,13 @@ type Generator struct {
 }
 
 // NewGenerator calibrates arrivals so aggregate demand equals
-// load × CoreUpCapacity. Arrivals begin immediately upon Start.
+// load × CoreUpCapacity. Arrivals begin immediately upon Start. It panics
+// unless load is positive and finite: an infinite load would schedule
+// every arrival at one instant, and a zero, negative or NaN one none.
 func NewGenerator(reg *transport.Registry, sizes *SizeDist, load Load, until units.Time) *Generator {
+	if !(load > 0) || math.IsInf(float64(load), 1) {
+		panic(fmt.Sprintf("workload: load %g is not a positive finite fraction of core capacity", float64(load)))
+	}
 	t := reg.Net.Topo
 	coreBits := float64(CoreUpCapacity(t))
 	demandBits := float64(load) * coreBits

@@ -127,6 +127,23 @@ func TestGeneratorHitsTargetLoad(t *testing.T) {
 	}
 }
 
+// TestGeneratorRejectsUnrunnableLoads: an infinite load would schedule
+// every arrival at one instant and never let the clock move; a NaN or
+// negative one would start no flow and say nothing.
+func TestGeneratorRejectsUnrunnableLoads(t *testing.T) {
+	_, reg, _ := testbed(t)
+	for _, load := range []Load{Load(math.Inf(1)), Load(math.NaN()), -0.5} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("NewGenerator accepted load %g", float64(load))
+				}
+			}()
+			NewGenerator(reg, FacebookWeb, load, units.Millisecond)
+		}()
+	}
+}
+
 func TestGeneratorInterLeafOnly(t *testing.T) {
 	s, reg, tp := testbed(t)
 	seen := 0
